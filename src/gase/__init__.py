@@ -19,16 +19,15 @@ from .config import (ConfigError, ScenarioConfig, load_preset, parse_config,
                      preset_names, render_config)
 from .coop_threenode import (CoopResult, CoopScenario, conditional_capacity_direct,
                              conditional_capacity_relay, gase_coop, prob_direct,
-                             special_integral_A, special_integral_D)
+                             special_integral_D)
 from .link_p2p import (GaseBreakdown, NoInteriorOptimumError, P2pScenario,
                        ergodic_capacity_p2p, gase_p2p, optimal_power_p2p)
 from .mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
-                         bessel_k0, bessel_k1, erfc, exp_integral_e1,
-                         find_root_bracketed, gamma_fn, integrate,
+                         bessel_k0, bessel_k1, find_root_bracketed, integrate,
                          integrate_semi_infinite, scaled_e1)
 from .mc_oracle import (McConfig, McEstimate, mc_affected_area,
                         mc_ergodic_capacity, mc_mode_probability)
-from .propagation import (FadingGain, PowerLevel, PropagationEnvironment,
+from .propagation import (PowerLevel, PropagationEnvironment,
                           affected_area_generic, affected_area_single,
                           dbm_to_watts, mean_snr, watts_to_dbm)
 from .relay_dualhop import (DualHopScenario, RelayProtocol, ergodic_capacity_af,

@@ -5,22 +5,21 @@
 Sweeps reproduce the figure presets as CSV tables (header row, comma
 separator, scientific notation with 12 significant digits).  ``verify`` runs
 the closed forms against the seeded Monte Carlo oracles and exits nonzero if
-any check fails its band.  Sweep points and verify checks may be evaluated by
-a worker pool (``--workers``); rows are buffered and written in order, and the
-Monte Carlo streams are keyed per check, so output is byte-identical for any
-worker count.
+any check fails its band.  Every value comes from the scenario modules; this
+layer only picks the columns.  Sweep points and verify checks are evaluated
+sequentially, and the Monte Carlo streams are keyed per check.  ``--workers``
+is accepted for compatibility and has no effect on the output.
 
 Exit codes: 0 success, 1 usage/config error, 2 verification failure,
-3 numerical non-convergence.
+3 numerical failure (non-convergence or an arithmetic error in evaluation).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +31,7 @@ from . import relay_dualhop as relay
 from .config import (DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, ScenarioConfig,
                      derive_kind, load_preset, parse_config, preset_names,
                      render_config)
-from .mathkernel import BracketingError, QuadratureError, QuadratureSpec, integrate_semi_infinite
+from .mathkernel import QuadratureSpec, integrate_semi_infinite
 from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
                           dbm_to_watts, mean_snr)
 
@@ -40,9 +39,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VERIFY = 2
 EXIT_NUMERIC = 3
-
-_NUMERIC_ERRORS = (QuadratureError, BracketingError, p2p.NoInteriorOptimumError,
-                   mc.TailCertificationError)
 
 
 class _UsageError(Exception):
@@ -105,21 +101,8 @@ _COLUMNS = {
 }
 
 
-class _AreaCache:
-    """affected_area_parallel depends on powers and geometry but not i_th."""
-
-    def __init__(self):
-        self._values: Dict[tuple, float] = {}
-
-    def get(self, s: cg.CognitiveScenario) -> float:
-        key = (s.p1.watts, s.p2.watts, s.d0, s.env.path_loss_exponent, s.env.p_min_w)
-        if key not in self._values:
-            self._values[key] = cg.affected_area_parallel(s)
-        return self._values[key]
-
-
 def _evaluate_row(cfg: ScenarioConfig, param_value: float,
-                  cache: Optional[_AreaCache] = None) -> List[float]:
+                  area_parallel: Optional[float] = None) -> List[float]:
     s = _scenario(cfg)
     if cfg.kind == "p2p":
         b = p2p.gase_p2p(s)
@@ -133,21 +116,15 @@ def _evaluate_row(cfg: ScenarioConfig, param_value: float,
                 r.components["capacity_bps_hz"], r.components["area_s_m2"],
                 r.components["area_r_m2"], r.gase)
     elif cfg.kind == "cognitive":
-        area_par = cache.get(s) if cache else cg.affected_area_parallel(s)
-        p = cg.prob_parallel(s)
-        c_p = cg.primary_capacity_parallel(s)
-        c_s = cg.secondary_capacity_parallel(s)
-        ref = p2p.gase_p2p(p2p.P2pScenario(s.env, s.p1, s.d_p))
-        gase = p * (c_p + c_s) / area_par + (1.0 - p) * ref.gase
-        se_total = p * (c_p + c_s) + (1.0 - p) * ref.capacity
-        gase_x = (cg.x_channel_primary_capacity(s) + c_s) / area_par
-        vals = (p, c_p, c_s, ref.capacity, area_par, ref.area, se_total,
-                gase, gase_x, ref.gase)
+        b = cg.gase_cognitive(s, area_parallel=area_parallel)
+        c = b.components
+        vals = (c["p_parallel"], c["c_primary_bps_hz"], c["c_secondary_bps_hz"],
+                c["c_p2p_bps_hz"], c["area_parallel_m2"], c["area_p2p_m2"], b.capacity,
+                b.gase, c["gase_x_channel"], c["gase_silent"])
     else:  # xchannel
-        area_par = cache.get(s) if cache else cg.affected_area_parallel(s)
-        c_p = cg.x_channel_primary_capacity(s)
-        c_s = cg.secondary_capacity_parallel(s)
-        vals = (c_p, c_s, c_p + c_s, area_par, (c_p + c_s) / area_par)
+        b = cg.gase_x_channel(s)
+        c = b.components
+        vals = (c["c_primary_bps_hz"], c["c_secondary_bps_hz"], b.capacity, b.area, b.gase)
     return [param_value, *vals]
 
 
@@ -163,21 +140,14 @@ def run_eval(cfg: ScenarioConfig) -> List[List[float]]:
     return [_evaluate_row(cfg, cfg.parameter_value(param))]
 
 
-def run_sweep(cfg: ScenarioConfig, workers: int = 1) -> List[List[float]]:
+def run_sweep(cfg: ScenarioConfig) -> List[List[float]]:
     if cfg.sweep is None:
         raise ConfigError([(0, "sweep command requires a sweep block")])
-    values = _sweep_values(cfg)
-    cache = _AreaCache()
-    point_cfgs = [cfg.with_parameter(cfg.sweep.parameter, float(v)) for v in values]
-    if workers > 1 and cfg.kind in ("cognitive", "xchannel"):
-        # pre-warm sequentially so concurrent rows reuse one area computation
-        for c in point_cfgs:
-            cache.get(_scenario(c))
-    if workers <= 1:
-        return [_evaluate_row(c, float(v), cache) for c, v in zip(point_cfgs, values)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda cv: _evaluate_row(cv[0], float(cv[1]), cache),
-                             zip(point_cfgs, values)))
+    param = cfg.sweep.parameter
+    # the parallel area depends on powers and geometry but not on i_th
+    area = cg.affected_area_parallel(_scenario(cfg)) if param == "i_th_dbm" else None
+    return [_evaluate_row(cfg.with_parameter(param, float(v)), float(v), area)
+            for v in _sweep_values(cfg)]
 
 
 def run_optimize(cfg: ScenarioConfig):
@@ -193,14 +163,14 @@ def run_optimize(cfg: ScenarioConfig):
         if cfg.p_max_dbm is None:
             raise ConfigError([(0, "optimize on dualhop requires optimize.p_max_dbm")])
         protocol = relay.RelayProtocol.parse(cfg.protocol)
-        p_s, p_r, eta = relay.optimize_relay_powers(
+        p_s, p_r, _ = relay.optimize_relay_powers(
             env, cfg.geometry["d_sr"], cfg.geometry["d_rd"],
             PowerLevel.from_dbm(cfg.p_max_dbm), protocol)
-        s = relay.DualHopScenario(env, p_s, p_r, cfg.geometry["d_sr"], cfg.geometry["d_rd"])
-        capacity = relay.ergodic_capacity(s, protocol)
+        b = relay.gase_dualhop(relay.DualHopScenario(
+            env, p_s, p_r, cfg.geometry["d_sr"], cfg.geometry["d_rd"]), protocol)
         header = ["p_s_star_dbm", "p_r_star_dbm", "p_s_star_w", "p_r_star_w",
                   "capacity_bps_hz", "gase_bps_hz_m2"]
-        return header, [[p_s.dbm, p_r.dbm, p_s.watts, p_r.watts, capacity, eta]]
+        return header, [[p_s.dbm, p_r.dbm, p_s.watts, p_r.watts, b.capacity, b.gase]]
     raise ConfigError([(0, f"optimize supports p2p and dualhop, not {cfg.kind}")])
 
 
@@ -241,135 +211,112 @@ def _density_normalization(name, pdf, scale):
 
 
 def _verify_checks(cfg: ScenarioConfig, samples: int, seed: int):
-    """(name, thunk) pairs; each thunk receives its fixed MC stream id."""
+    """Check thunks in output order; each receives its fixed MC stream id."""
     env = _env_of(cfg)
     s = _scenario(cfg)
     tasks = []
 
     if cfg.kind == "p2p":
+        b = p2p.gase_p2p(s)
         gbar = mean_snr(env, s.p_t, s.d)
-        closed_c = p2p.ergodic_capacity_p2p(s)
-        closed_a = affected_area_single(env, s.p_t)
         radius, tail = mc.certified_disk_radius(env, s.p_t)
-        tasks.append(("capacity_vs_mc", lambda st: _cap_check(
-            "capacity_vs_mc", closed_c, mc.p2p_snr_sampler(gbar), samples, seed, st)))
-        tasks.append(("area_vs_spatial_mc", lambda st: _area_check(
+        tasks.append(lambda st: _cap_check(
+            "capacity_vs_mc", b.capacity, mc.p2p_snr_sampler(gbar), samples, seed, st))
+        tasks.append(lambda st: _area_check(
             "area_vs_spatial_mc", env, mc.single_source_field(env, s.p_t),
-            radius, tail, closed_a, samples, seed, st)))
+            radius, tail, b.area, samples, seed, st))
 
     elif cfg.kind == "dualhop":
         protocol = relay.RelayProtocol.parse(cfg.protocol)
+        b = relay.gase_dualhop(s, protocol)
         gsr, grd = s.mean_snr_sr, s.mean_snr_rd
         if protocol is relay.RelayProtocol.DF:
-            closed = relay.ergodic_capacity_df(s)
-            tasks.append(("capacity_df_vs_mc", lambda st: _cap_check(
-                "capacity_df_vs_mc", closed, mc.df_snr_sampler(gsr, grd),
-                samples, seed, st, half=True)))
+            tasks.append(lambda st: _cap_check(
+                "capacity_df_vs_mc", b.capacity, mc.df_snr_sampler(gsr, grd),
+                samples, seed, st, half=True))
         else:
-            closed = relay.ergodic_capacity_af(s)
-            tasks.append(("capacity_af_vs_harmonic_mc", lambda st: _cap_check(
-                "capacity_af_vs_harmonic_mc", closed,
-                mc.af_snr_sampler(gsr, grd, exact=False), samples, seed, st, half=True)))
+            tasks.append(lambda st: _cap_check(
+                "capacity_af_vs_harmonic_mc", b.capacity,
+                mc.af_snr_sampler(gsr, grd, exact=False), samples, seed, st, half=True))
 
             def exact_af(st):
                 # the harmonic-mean density approximates the +1-denominator
                 # SNR; the gap is reported against a 3% band, not hidden
                 est = mc.mc_ergodic_capacity(mc.af_snr_sampler(gsr, grd, exact=True),
                                              mc.McConfig(samples, seed, st)).scaled(0.5)
-                return VerifyCheck("capacity_af_vs_exact_mc", closed, est.mean,
+                return VerifyCheck("capacity_af_vs_exact_mc", b.capacity, est.mean,
                                    est.std_error, 0.03 * abs(est.mean))
 
-            tasks.append(("capacity_af_vs_exact_mc", exact_af))
-        for name, power in (("area_sr_vs_spatial_mc", s.p_s),
-                            ("area_rd_vs_spatial_mc", s.p_r)):
+            tasks.append(exact_af)
+        for name, power, area in (("area_sr_vs_spatial_mc", s.p_s, b.components["area_sr_m2"]),
+                                  ("area_rd_vs_spatial_mc", s.p_r, b.components["area_rd_m2"])):
             radius, tail = mc.certified_disk_radius(env, power)
-            tasks.append((name, lambda st, n=name, p=power, r=radius, t=tail: _area_check(
-                n, env, mc.single_source_field(env, p), r, t,
-                affected_area_single(env, p), samples, seed, st)))
+            tasks.append(lambda st, n=name, p=power, a=area, r=radius, t=tail: _area_check(
+                n, env, mc.single_source_field(env, p), r, t, a, samples, seed, st))
 
     elif cfg.kind == "coop":
         protocol = relay.RelayProtocol.parse(cfg.protocol)
         equivalent = "df" if protocol is relay.RelayProtocol.DF else "af"
         gsd, gsr, grd = s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd
-        p_d = coop.prob_direct(s, protocol)
-        c_d = coop.conditional_capacity_direct(s, protocol)
-        c_r = coop.conditional_capacity_relay(s, protocol)
+        r = coop.gase_coop(s, protocol)
 
         def coop_checks(st):
             out = mc.mc_coop_summary(gsd, gsr, grd, equivalent,
                                      mc.McConfig(samples, seed, st))
-            total = p_d * c_d + (1.0 - p_d) * c_r
-            return [
-                VerifyCheck("p_direct_vs_mc", p_d, out["p_direct"].mean,
-                            out["p_direct"].std_error, 3 * out["p_direct"].std_error),
-                VerifyCheck("c_direct_vs_mc", c_d, out["c_direct"].mean,
-                            out["c_direct"].std_error, 3 * out["c_direct"].std_error),
-                VerifyCheck("c_relay_vs_mc", c_r, out["c_relay"].mean,
-                            out["c_relay"].std_error, 3 * out["c_relay"].std_error),
-                VerifyCheck("total_capacity_vs_mc", total, out["c_inst"].mean,
-                            out["c_inst"].std_error, 3 * out["c_inst"].std_error),
-            ]
+            return [VerifyCheck(name, closed, out[key].mean, out[key].std_error,
+                                3 * out[key].std_error)
+                    for name, key, closed in (
+                        ("p_direct_vs_mc", "p_direct", r.p_direct),
+                        ("c_direct_vs_mc", "c_direct", r.c_direct),
+                        ("c_relay_vs_mc", "c_relay", r.c_relay),
+                        ("total_capacity_vs_mc", "c_inst", r.components["capacity_bps_hz"]))]
 
-        tasks.append(("coop_vs_mc", coop_checks))
-        a1 = 1.0 / gsr + 1.0 / grd
-        b1 = 1.0 / (gsr * grd) ** 0.5
-        relay_scale = 1.0 / a1 if protocol is relay.RelayProtocol.DF else 1.0 / (a1 + 2 * b1)
-        tasks.append(("density_direct_normalization", lambda st: _density_normalization(
+        tasks.append(coop_checks)
+        tasks.append(lambda st: _density_normalization(
             "density_direct_normalization", coop.conditional_snr_pdf_direct(s, protocol),
-            gsd * (2.0 + gsd))))
-        tasks.append(("density_relay_normalization", lambda st: _density_normalization(
+            gsd * (2.0 + gsd)))
+        tasks.append(lambda st: _density_normalization(
             "density_relay_normalization", coop.conditional_snr_pdf_relay(s, protocol),
-            relay_scale)))
+            coop.relay_tail_scale(s, protocol)))
 
     else:  # cognitive / xchannel
         if cfg.kind == "cognitive":
-            p_closed = cg.prob_parallel(s)
+            b = cg.gase_cognitive(s)
             interference = s.p2.watts / s.d_sp ** env.path_loss_exponent
-            threshold_w = s.i_th_w
 
             def prob_check(st):
                 event = mc.McSampler(1, lambda u: (
-                    interference * mc.exponential_from_uniform(u[:, 0]) < threshold_w))
+                    interference * mc.exponential_from_uniform(u[:, 0]) < s.i_th_w))
                 est = mc.mc_mode_probability(event, mc.McConfig(samples, seed, st))
-                return VerifyCheck("p_parallel_vs_mc", p_closed, est.mean,
+                return VerifyCheck("p_parallel_vs_mc", b.components["p_parallel"], est.mean,
                                    est.std_error, 3 * est.std_error)
 
-            tasks.append(("p_parallel_vs_mc", prob_check))
-            c_p = cg.primary_capacity_parallel(s)
+            tasks.append(prob_check)
         else:
-            c_p = cg.x_channel_primary_capacity(s)
-        c_s = cg.secondary_capacity_parallel(s)
-        tasks.append(("c_primary_vs_mc", lambda st: _cap_check(
-            "c_primary_vs_mc", c_p, mc.primary_sinr_sampler(s), samples, seed, st)))
-        tasks.append(("c_secondary_vs_mc", lambda st: _cap_check(
-            "c_secondary_vs_mc", c_s, mc.secondary_sinr_sampler(s), samples, seed, st)))
-        area = cg.affected_area_parallel(s)
+            b = cg.gase_x_channel(s)
+        c_p = b.components["c_primary_bps_hz"]
+        c_s = b.components["c_secondary_bps_hz"]
+        area = b.components["area_parallel_m2"]
+        tasks.append(lambda st: _cap_check(
+            "c_primary_vs_mc", c_p, mc.primary_sinr_sampler(s), samples, seed, st))
+        tasks.append(lambda st: _cap_check(
+            "c_secondary_vs_mc", c_s, mc.secondary_sinr_sampler(s), samples, seed, st))
         radius, tail = mc.certified_disk_radius(env, s.p1.watts + s.p2.watts, d0=s.d0)
-        tasks.append(("area_parallel_vs_spatial_mc", lambda st: _area_check(
+        tasks.append(lambda st: _area_check(
             "area_parallel_vs_spatial_mc", env, mc.two_source_field(env, s.p1, s.p2, s.d0),
-            radius, tail, area, samples, seed, st)))
+            radius, tail, area, samples, seed, st))
         floor = max(affected_area_single(env, s.p1), affected_area_single(env, s.p2))
-        tasks.append(("area_parallel_ge_singles", lambda st: VerifyCheck(
-            "area_parallel_ge_singles", max(area, floor), area, 0.0, 1e-9 * area)))
+        tasks.append(lambda st: VerifyCheck(
+            "area_parallel_ge_singles", max(area, floor), area, 0.0, 1e-9 * area))
     return tasks
 
 
-def run_verify(cfg: ScenarioConfig, samples: int, seed: int,
-               workers: int = 1) -> List[VerifyCheck]:
-    tasks = _verify_checks(cfg, samples, seed)
-
-    def run_one(indexed):
-        stream, (_, fn) = indexed
-        out = fn(stream)
-        return out if isinstance(out, list) else [out]
-
-    indexed = list(enumerate(tasks))
-    if workers <= 1:
-        nested = [run_one(item) for item in indexed]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            nested = list(pool.map(run_one, indexed))
-    return [check for group in nested for check in group]
+def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> List[VerifyCheck]:
+    checks = []
+    for stream, task in enumerate(_verify_checks(cfg, samples, seed)):
+        out = task(stream)
+        checks.extend(out if isinstance(out, list) else [out])
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +352,16 @@ def _load_cfg(args) -> ScenarioConfig:
     return cfg
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gase",
                      description="Generalized area spectral efficiency calculator")
@@ -415,12 +372,13 @@ def _build_parser() -> _Parser:
                         help="built-in figure preset")
     common.add_argument("--out", help="output CSV path (default: stdout)")
     common.add_argument("--seed", type=int, help="Monte Carlo seed override")
-    common.add_argument("--samples", type=int, help="Monte Carlo sample count override")
+    common.add_argument("--samples", type=_positive_int,
+                        help="Monte Carlo sample count override")
     common.add_argument("--kind", choices=("p2p", "dualhop", "coop", "cognitive", "xchannel"),
                         help="re-target the config at another scenario kind")
     common.add_argument("--protocol", choices=("df", "af"), help="relay protocol override")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for sweep points / verify checks")
+                        help="accepted for compatibility; evaluation is sequential")
     for name, descr in (("eval", "evaluate the configured operating point"),
                         ("sweep", "sweep the configured parameter, write CSV"),
                         ("optimize", "maximise GASE over transmit power"),
@@ -438,7 +396,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             rows = run_eval(cfg)
             _write_csv(args.out, [cfg.default_parameter(), *_COLUMNS[cfg.kind]], rows)
         elif args.command == "sweep":
-            rows = run_sweep(cfg, workers=max(1, args.workers))
+            rows = run_sweep(cfg)
             _write_csv(args.out, [cfg.sweep.parameter, *_COLUMNS[cfg.kind]], rows)
         elif args.command == "optimize":
             header, rows = run_optimize(cfg)
@@ -447,7 +405,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             samples = args.samples or cfg.mc_samples or DEFAULT_SAMPLES
             seed = args.seed if args.seed is not None else (
                 cfg.mc_seed if cfg.mc_seed is not None else DEFAULT_SEED)
-            checks = run_verify(cfg, samples, seed, workers=max(1, args.workers))
+            checks = run_verify(cfg, samples, seed)
             header = ["check", "closed_form", "oracle_mean", "oracle_std_error",
                       "abs_diff", "tolerance", "status"]
             rows = [[c.name, c.closed_form, c.oracle_mean, c.oracle_std_error,
@@ -463,10 +421,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"gase: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, UnicodeDecodeError) as exc:
         print(f"gase: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except _NUMERIC_ERRORS as exc:
+    except (ArithmeticError, ValueError) as exc:
+        # ConfigError and UnicodeDecodeError are ValueErrors caught above as
+        # bad input; every remaining one comes from evaluation
         print(f"gase: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -220,20 +220,23 @@ def _p2p_branch(s: CognitiveScenario) -> GaseBreakdown:
     return gase_p2p(P2pScenario(s.env, s.p1, s.d_p))
 
 
-def gase_cognitive(s: CognitiveScenario) -> GaseBreakdown:
+def gase_cognitive(s: CognitiveScenario, area_parallel: float | None = None) -> GaseBreakdown:
     """Composite underlay GASE: P * parallel branch + (1 - P) * silent branch.
 
     The breakdown components expose both branch GASEs, the branch capacities,
-    and the total spectral efficiency P*(C_p + C_s) + (1-P)*C_p2p.
+    the X-channel GASE at the same point, and the total spectral efficiency
+    P*(C_p + C_s) + (1-P)*C_p2p.  ``area_parallel`` may pass in a precomputed
+    affected_area_parallel(s), which does not depend on i_th.
     """
     p = prob_parallel(s)
     c_p = primary_capacity_parallel(s)
     c_s = secondary_capacity_parallel(s)
-    area_par = affected_area_parallel(s)
+    area_par = affected_area_parallel(s) if area_parallel is None else area_parallel
     p2p = _p2p_branch(s)
     eta_parallel = (c_p + c_s) / area_par
     eta_silent = p2p.gase
-    gase = p * eta_parallel + (1.0 - p) * eta_silent
+    # rounded as (p * (C_p + C_s)) / A, the order the golden CSV rows use
+    gase = p * (c_p + c_s) / area_par + (1.0 - p) * eta_silent
     se_total = p * (c_p + c_s) + (1.0 - p) * p2p.capacity
     return GaseBreakdown(
         capacity=se_total, area=se_total / gase, gase=gase,
@@ -246,6 +249,7 @@ def gase_cognitive(s: CognitiveScenario) -> GaseBreakdown:
             "area_p2p_m2": p2p.area,
             "gase_parallel": eta_parallel,
             "gase_silent": eta_silent,
+            "gase_x_channel": (x_channel_primary_capacity(s) + c_s) / area_par,
         })
 
 

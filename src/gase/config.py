@@ -16,6 +16,7 @@ suite and are exposed by name (fig1, fig3, fig4, fig6, fig7a, fig7b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -126,10 +127,18 @@ class ScenarioConfig:
 
 
 def _parse_number(text: str):
+    """int or float; nan, inf and values beyond the float range raise ValueError."""
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
-        return float(text)
+        value = float(text)
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:       # an int too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -165,7 +174,7 @@ def parse_config(text: str) -> ScenarioConfig:
         try:
             return _parse_number(value), lineno
         except ValueError:
-            errors.append((lineno, f"{name}: {value!r} is not a number"))
+            errors.append((lineno, f"{name}: {value!r} is not a finite number"))
             return None, lineno
 
     kind_item = take("scenario.kind")

@@ -31,13 +31,13 @@ __all__ = [
     "CoopScenario",
     "CoopResult",
     "special_integral_D",
-    "special_integral_A",
     "af_selection_integral",
     "prob_direct",
     "conditional_capacity_direct",
     "conditional_capacity_relay",
     "conditional_snr_pdf_direct",
     "conditional_snr_pdf_relay",
+    "relay_tail_scale",
     "gase_coop",
 ]
 
@@ -99,25 +99,6 @@ def special_integral_D(a1: float, a2: float) -> float:
     if a2 < 0:
         raise ValueError("special_integral_D requires a2 >= 0")
     return 0.5 * math.sqrt(math.pi / a1) * erfcx(a2 / (2.0 * math.sqrt(a1)))
-
-
-def special_integral_A(b1: float, b2: float,
-                       spec: QuadratureSpec = _CAP_SPEC) -> float:
-    """int_0^inf 2 b1 (t^2+2t) exp(-b2 (t^2+2t)) K1(2 b1 (t^2+2t)) dt.
-
-    Bounded above by special_integral_D(b2, 2 b2) since z*K1(z) <= 1.
-    """
-    if b1 <= 0 or b2 <= 0:
-        raise ValueError("special_integral_A requires b1 > 0 and b2 > 0")
-
-    def integrand(t):
-        w = t * (t + 2.0)
-        z = 2.0 * b1 * w
-        return z * np.exp(-b2 * w) * bessel_k1(z)
-
-    # match the transform scale to the integrand width: exp(-b2(t^2+2t))
-    scale = min(0.5 / b2, 1.0 / math.sqrt(b2))
-    return integrate_semi_infinite(integrand, spec, scale=scale).value
 
 
 def af_selection_integral(s: CoopScenario, spec: QuadratureSpec = _CAP_SPEC) -> float:
@@ -212,10 +193,16 @@ def conditional_capacity_direct(s: CoopScenario, protocol: RelayProtocol,
     return num / (gsd - sel)
 
 
+def relay_tail_scale(s: CoopScenario, protocol: RelayProtocol) -> float:
+    """Decay length of the relay-path SNR density: 1/a1 (DF), 1/(a1 + 2 b1) (AF)."""
+    _, a1, _, b1 = _coeffs(s)
+    return 1.0 / a1 if protocol is RelayProtocol.DF else 1.0 / (a1 + 2.0 * b1)
+
+
 def conditional_capacity_relay(s: CoopScenario, protocol: RelayProtocol,
                                spec: QuadratureSpec = _CAP_SPEC) -> float:
     """E[(1/2) log2(1 + G_C) | relay mode]."""
-    gsd, a1, a2, b1 = _coeffs(s)
+    gsd = s.mean_snr_sd
     sel = _selection_weight(s, protocol)
     eq_pdf = _eq_pdf(s, protocol)
 
@@ -223,8 +210,7 @@ def conditional_capacity_relay(s: CoopScenario, protocol: RelayProtocol,
         xi = np.sqrt(g + 1.0) - 1.0
         return 0.5 * np.log2(1.0 + g) * eq_pdf(g) * (-np.expm1(-xi / gsd))
 
-    scale = 1.0 / a1 if protocol is RelayProtocol.DF else 1.0 / (a1 + 2.0 * b1)
-    num = integrate_semi_infinite(integrand, spec, scale=scale).value
+    num = integrate_semi_infinite(integrand, spec, scale=relay_tail_scale(s, protocol)).value
     return gsd * num / sel
 
 

@@ -1,8 +1,8 @@
 """Scalar special functions, adaptive quadrature, and bracketed root finding.
 
 Everything downstream (capacities, affected areas, mode probabilities) reduces
-to the exponential integral E1, the scaled form exp(x)*E1(x), the modified
-Bessel functions K0/K1, erfc/Gamma, and one-dimensional integrals on finite or
+to the scaled exponential integral exp(x)*E1(x), the modified Bessel
+functions K0/K1, the scaled erfcx, and one-dimensional integrals on finite or
 semi-infinite intervals.  The special functions are implemented here rather
 than imported so their accuracy is pinned by this repo's own tests:
 
@@ -12,9 +12,8 @@ than imported so their accuracy is pinned by this repo's own tests:
 * K0/K1: ascending series for x <= 2, fixed 100-node Gauss-Legendre quadrature
   of the integral representation on a truncated interval for 2 < x < 30, and
   the truncated asymptotic expansion beyond.
-* erfc/Gamma: thin wrappers over the C library via ``math`` (sub-ulp accuracy),
-  plus a scaled erfcx needed to evaluate Gaussian-type integrals without
-  overflow.
+* erfcx: exp(x^2)*erfc(x) on the C library's erfc, with an asymptotic series
+  where the product would overflow; Gaussian-type integrals need it.
 
 All functions are pure; array arguments are supported where integrands need
 vectorised evaluation (E1, K0, K1).
@@ -36,13 +35,10 @@ __all__ = [
     "QuadratureResult",
     "QuadratureError",
     "BracketingError",
-    "exp_integral_e1",
     "scaled_e1",
     "bessel_k0",
     "bessel_k1",
-    "erfc",
     "erfcx",
-    "gamma_fn",
     "integrate",
     "integrate_semi_infinite",
     "find_root_bracketed",
@@ -145,22 +141,6 @@ def scaled_e1(x):
     return _wrap_scalar(x, out.reshape(arr.shape))
 
 
-def exp_integral_e1(x):
-    """Exponential integral E1(x) = integral_x^inf exp(-t)/t dt, x > 0."""
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("exp_integral_e1 requires x > 0")
-    flat = np.atleast_1d(arr).astype(float).copy()
-    small = flat <= 1.0
-    out = np.empty_like(flat)
-    if small.any():
-        out[small] = _e1_series(flat[small])
-    if (~small).any():
-        xl = flat[~small]
-        out[~small] = _scaled_e1_cf(xl) * np.exp(-xl)
-    return _wrap_scalar(x, out.reshape(arr.shape))
-
-
 # ---------------------------------------------------------------------------
 # modified Bessel functions of the second kind
 # ---------------------------------------------------------------------------
@@ -250,13 +230,8 @@ def bessel_k1(x):
 
 
 # ---------------------------------------------------------------------------
-# erfc / Gamma
+# scaled complementary error function
 # ---------------------------------------------------------------------------
-
-def erfc(x: float) -> float:
-    """Complementary error function (C library, < 1 ulp)."""
-    return math.erfc(x)
-
 
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) * erfc(x) for x >= 0.
@@ -275,13 +250,6 @@ def erfcx(x: float) -> float:
         term *= -(2 * k - 1) / 2.0 * zi
         s += term
     return s / (x * math.sqrt(math.pi))
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function for x > 0 (C library)."""
-    if x <= 0:
-        raise ValueError("gamma_fn requires x > 0")
-    return math.gamma(x)
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,15 @@ that conversion discipline.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .mathkernel import QuadratureError, QuadratureSpec, gamma_fn, integrate_semi_infinite
+from .mathkernel import QuadratureError, QuadratureSpec, integrate_semi_infinite
 
 __all__ = [
     "PropagationEnvironment",
     "PowerLevel",
-    "FadingGain",
     "dbm_to_watts",
     "watts_to_dbm",
     "watts_of",
@@ -30,9 +29,6 @@ __all__ = [
     "affected_area_single",
     "affected_area_generic",
 ]
-
-REFERENCE_DISTANCE_M = 1.0
-
 
 def dbm_to_watts(p_dbm: float) -> float:
     """dBm to watts: P_W = 10^((P_dBm - 30) / 10)."""
@@ -80,7 +76,6 @@ class PropagationEnvironment:
     path_loss_exponent: float
     noise_w: float
     p_min_w: float
-    d_ref_m: float = field(default=REFERENCE_DISTANCE_M)
 
     def __post_init__(self):
         if self.path_loss_exponent <= 0:
@@ -89,29 +84,11 @@ class PropagationEnvironment:
             raise ValueError("noise power must be > 0")
         if self.p_min_w <= 0:
             raise ValueError("detection threshold must be > 0")
-        if self.d_ref_m != REFERENCE_DISTANCE_M:
-            raise ValueError("reference distance is fixed at 1 m")
 
     @classmethod
     def from_dbm(cls, path_loss_exponent: float, noise_dbm: float,
                  p_min_dbm: float) -> "PropagationEnvironment":
         return cls(path_loss_exponent, dbm_to_watts(noise_dbm), dbm_to_watts(p_min_dbm))
-
-
-@dataclass(frozen=True)
-class FadingGain:
-    """One realisation of the unit-mean multipath power gain."""
-
-    z: float
-
-    def __post_init__(self):
-        if self.z < 0:
-            raise ValueError("fading power gain must be >= 0")
-
-    @staticmethod
-    def rayleigh_ccdf(z):
-        """P{Z > z} for the unit-mean exponential gain."""
-        return np.exp(-np.asarray(z, dtype=float))
 
 
 def mean_snr(env: PropagationEnvironment, p_t, d: float) -> float:
@@ -129,7 +106,7 @@ def affected_area_single(env: PropagationEnvironment, p_t) -> float:
     """
     a = env.path_loss_exponent
     ratio = watts_of(p_t) / env.p_min_w
-    return (2.0 * math.pi / a) * gamma_fn(2.0 / a) * ratio ** (2.0 / a)
+    return (2.0 * math.pi / a) * math.gamma(2.0 / a) * ratio ** (2.0 / a)
 
 
 def affected_area_generic(env: PropagationEnvironment, p_t, fading_ccdf,

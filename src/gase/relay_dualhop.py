@@ -32,8 +32,6 @@ __all__ = [
     "df_snr_pdf",
     "af_snr_pdf",
     "af_snr_cdf",
-    "df_equivalent_snr_pdf",
-    "af_equivalent_snr_pdf",
     "ergodic_capacity_df",
     "ergodic_capacity_af",
     "ergodic_capacity",
@@ -82,8 +80,7 @@ def _rates(s: DualHopScenario):
     return a1, b1
 
 
-# Densities are exposed both as factories over (a1, b1) -- reused by the
-# three-node cooperative module -- and as scenario-level operations.
+# Density factories over (a1, b1), shared with the three-node cooperative module.
 
 def df_snr_pdf(a1: float):
     """Exponential density of min of the two hop SNRs."""
@@ -108,14 +105,6 @@ def af_snr_cdf(a1: float, b1: float):
         z = 2.0 * b1 * g
         return 1.0 - z * np.exp(-a1 * g) * bessel_k1(z)
     return cdf
-
-
-def df_equivalent_snr_pdf(s: DualHopScenario):
-    return df_snr_pdf(_rates(s)[0])
-
-
-def af_equivalent_snr_pdf(s: DualHopScenario):
-    return af_snr_pdf(*_rates(s))
 
 
 def ergodic_capacity_df(s: DualHopScenario) -> float:
@@ -199,10 +188,7 @@ def optimize_relay_powers(env: PropagationEnvironment, d_sr: float, d_rd: float,
 
     def eta(ls, lr):
         s = DualHopScenario(env, PowerLevel(math.exp(ls)), PowerLevel(math.exp(lr)), d_sr, d_rd)
-        capacity = ergodic_capacity(s, protocol)
-        area_s = affected_area_single(env, PowerLevel(math.exp(ls)))
-        area_r = affected_area_single(env, PowerLevel(math.exp(lr)))
-        return 0.5 * capacity * (1.0 / area_s + 1.0 / area_r)
+        return gase_dualhop(s, protocol).gase
 
     fracs = (0.2, 0.5, 0.8)
     starts = [(f1, f2) for f1 in fracs for f2 in fracs if (f1, f2) != (0.5, 0.5)]

@@ -28,7 +28,7 @@ from gase.coop_threenode import (CoopScenario, conditional_snr_pdf_direct,
                                  conditional_snr_pdf_relay, gase_coop,
                                  special_integral_D)
 from gase.link_p2p import P2pScenario, ergodic_capacity_p2p, gase_p2p, optimal_power_p2p
-from gase.mathkernel import QuadratureSpec, gamma_fn, integrate_semi_infinite, scaled_e1
+from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
 from gase.mc_oracle import (McConfig, McSampler, af_snr_sampler, certified_disk_radius,
                             df_snr_sampler, exponential_from_uniform, mc_affected_area,
                             mc_coop_summary, mc_ergodic_capacity, mc_mode_probability,
@@ -36,7 +36,7 @@ from gase.mc_oracle import (McConfig, McSampler, af_snr_sampler, certified_disk_
                             single_source_field, two_source_field)
 from gase.propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
                               dbm_to_watts)
-from gase.relay_dualhop import (DualHopScenario, RelayProtocol, af_equivalent_snr_pdf,
+from gase.relay_dualhop import (DualHopScenario, RelayProtocol, af_snr_pdf,
                                 ergodic_capacity_af, ergodic_capacity_df, gase_dualhop)
 
 LN2 = math.log(2.0)
@@ -142,14 +142,14 @@ def test_criterion_3_optimal_power_root():
         grid = np.geomspace(1e-6, 1e8, 2000)
         x_grid = d ** a * env.noise_w / grid
         eta = scaled_e1(x_grid) / LN2 / (
-            (2.0 * math.pi / a) * gamma_fn(2.0 / a) * (grid / env.p_min_w) ** (2.0 / a))
+            (2.0 * math.pi / a) * math.gamma(2.0 / a) * (grid / env.p_min_w) ** (2.0 / a))
         best = grid[int(np.argmax(eta))]
         step = grid[1] / grid[0]
         ok &= best / step <= star.watts <= best * step
 
         env_hi = PropagationEnvironment(a, env.noise_w, env.p_min_w * 100.0)
         eta_hi = scaled_e1(x_grid) / LN2 / (
-            (2.0 * math.pi / a) * gamma_fn(2.0 / a) * (grid / env_hi.p_min_w) ** (2.0 / a))
+            (2.0 * math.pi / a) * math.gamma(2.0 / a) * (grid / env_hi.p_min_w) ** (2.0 / a))
         ok &= abs(int(np.argmax(eta)) - int(np.argmax(eta_hi))) <= 1
     elapsed = time.monotonic() - start
     ok &= elapsed < 10.0
@@ -174,7 +174,7 @@ def test_criterion_4_dualhop_df():
         # closed-form DF GASE against the generic capacity/area assembly
         a = 4.0
         a1 = 1.0 / gsr + 1.0 / grd
-        closed = (a / (8.0 * math.pi * LN2 * gamma_fn(2.0 / a)) * scaled_e1(a1)
+        closed = (a / (8.0 * math.pi * LN2 * math.gamma(2.0 / a)) * scaled_e1(a1)
                   * ((s.p_s.watts / s.env.p_min_w) ** (-2.0 / a)
                      + (s.p_r.watts / s.env.p_min_w) ** (-2.0 / a)))
         generic = gase_dualhop(s, RelayProtocol.DF).gase
@@ -196,7 +196,7 @@ def test_criterion_5_dualhop_af():
         s = dualhop_with_snrs(gsr, grd)
         a1 = 1.0 / gsr + 1.0 / grd
         b1 = 1.0 / math.sqrt(gsr * grd)
-        norm = integrate_semi_infinite(af_equivalent_snr_pdf(s),
+        norm = integrate_semi_infinite(af_snr_pdf(a1, b1),
                                        QuadratureSpec(1e-9, 1e-14),
                                        scale=1.0 / (a1 + 2.0 * b1)).value
         ok &= abs(norm - 1.0) <= 1e-6

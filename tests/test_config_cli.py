@@ -1,11 +1,14 @@
 """Config grammar, presets, CSV schema, CLI exit codes, and determinism."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gase import cli
+from gase import cognitive_underlay as cg
 from gase.config import (ConfigError, derive_kind, load_preset, parse_config,
                          preset_names, render_config)
 
@@ -18,6 +21,31 @@ env.p_min_dbm = -90
 geom.d = 1000
 power.p_t_dbm = 30
 """
+
+# gbar_SD ~ 1e-16: the direct-mode normaliser gbar_SD - S cancels to zero
+COOP_CANCEL_TEXT = """\
+scenario.kind = coop
+env.path_loss_exponent = 6
+env.noise_dbm = -97.557
+env.p_min_dbm = -89.05
+geom.d_sd = 4000
+geom.d_sr = 7.008
+geom.d_rd = 3.5587
+power.p_s_dbm = -32.16
+power.p_r_dbm = -33.74
+protocol.relay = df
+"""
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_module(*argv):
+    """``python -m gase ARGV`` on this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "gase", *argv],
+                          capture_output=True, text=True, env=env)
+
 
 # frozen golden rows: 12-significant-digit scientific notation, fixed order
 GOLDEN_FIG1_EVAL = (
@@ -171,6 +199,8 @@ class TestCliCommands:
     def test_usage_error_exit_code(self, capsys):
         assert self.run("eval") == 1
         assert self.run("eval", "--preset", "fig1", "--config", "x.cfg") == 1
+        assert self.run("verify", "--preset", "fig1", "--samples", "-5") == 1
+        assert self.run("verify", "--preset", "fig1", "--samples", "0") == 1
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -179,11 +209,33 @@ class TestCliCommands:
         err = capsys.readouterr().err
         assert "missing required key" in err
 
+    def test_binary_config_exit_code(self, tmp_path, capsys):
+        bad = tmp_path / "binary.cfg"
+        bad.write_bytes(b"\xff\xfe scenario.kind = p2p\n")
+        assert self.run("eval", "--config", str(bad)) == 1
+        assert "can't decode" in capsys.readouterr().err
+
     def test_numeric_error_exit_code(self, tmp_path):
         cfg = tmp_path / "a2.cfg"
         cfg.write_text(FIG1_TEXT.replace("env.path_loss_exponent = 4",
                                          "env.path_loss_exponent = 2"))
         assert self.run("optimize", "--config", str(cfg)) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e400", "1" + "0" * 400])
+    def test_non_finite_number_exit_code(self, tmp_path, capsys, bad):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(FIG1_TEXT.replace("env.noise_dbm = -100", f"env.noise_dbm = {bad}"))
+        assert self.run("eval", "--config", str(cfg)) == 1
+        assert f"line 4: env.noise_dbm: {bad!r} is not a finite number" in capsys.readouterr().err
+
+    def test_division_by_zero_is_numeric_exit_code(self, tmp_path):
+        cfg = tmp_path / "cancel.cfg"
+        cfg.write_text(COOP_CANCEL_TEXT)
+        proc = run_module("eval", "--config", str(cfg))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("gase: numerical failure:")
+        assert len(proc.stderr.splitlines()) == 1
 
     def test_verification_failure_exit_code(self, monkeypatch, tmp_path):
         failed = cli.VerifyCheck("synthetic", 1.0, 2.0, 0.1, 0.05)
@@ -210,6 +262,11 @@ class TestCliCommands:
         out = capsys.readouterr().out
         assert out.splitlines()[0].startswith("p_t_dbm,capacity_bps_hz,area_m2")
 
+    def test_python_m_gase(self):
+        proc = run_module("eval", "--preset", "fig1")
+        assert proc.returncode == 0
+        assert proc.stdout == GOLDEN_FIG1_EVAL
+
     def test_console_script_installed(self):
         proc = subprocess.run(["gase", "eval", "--preset", "fig1"],
                               capture_output=True, text=True)
@@ -227,6 +284,20 @@ class TestDeterminism:
                                  "--out", str(out)]) == 0
                 outs.append(out.read_bytes())
             assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("preset,calls", [("fig6", 1), ("fig7a", 61)])
+    def test_parallel_area_once_per_i_th_sweep(self, monkeypatch, tmp_path, preset, calls):
+        # the area does not depend on i_th, so an i_th sweep computes it once
+        count = []
+        area = cg.affected_area_parallel
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return area(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "affected_area_parallel", counting)
+        assert cli.main(["sweep", "--preset", preset, "--out", str(tmp_path / "s.csv")]) == 0
+        assert len(count) == calls
 
     def test_verify_worker_independence(self, tmp_path):
         outs = []

@@ -10,8 +10,7 @@ from scipy import special as sci_special
 from gase.coop_threenode import (CoopScenario, af_selection_integral,
                                  conditional_capacity_direct, conditional_capacity_relay,
                                  conditional_snr_pdf_direct, conditional_snr_pdf_relay,
-                                 gase_coop, prob_direct, special_integral_A,
-                                 special_integral_D)
+                                 gase_coop, prob_direct, special_integral_D)
 from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
 from gase.mc_oracle import McConfig, mc_coop_summary
 from gase.propagation import PowerLevel, PropagationEnvironment
@@ -64,27 +63,34 @@ class TestSpecialIntegralD:
             special_integral_D(1.0, -0.5)
 
 
+def selection_coeffs(gsd, gsr, grd):
+    """(a1, a2, b1) of the AF selection integral for the given mean SNRs."""
+    a1 = 1.0 / gsr + 1.0 / grd
+    return a1, 2.0 * a1 + 1.0 / gsd, 1.0 / math.sqrt(gsr * grd)
+
+
 class TestSpecialIntegralA:
+    """The Bessel-type A integral, evaluated by af_selection_integral."""
+
+    SNRS = ((10.0, 10.0, 10.0), (2.0, 30.0, 0.5), (50.0, 3.0, 8.0))
+
     def test_bessel_bound(self):
         # z K1(z) <= 1 bounds it by the Gaussian-exponential integral
-        for b1, b2 in ((0.1, 0.1), (0.5, 0.2), (2.0, 1.0)):
-            assert special_integral_A(b1, b2) <= special_integral_D(b2, 2.0 * b2) + 1e-12
+        for snrs in self.SNRS:
+            a1, a2, _ = selection_coeffs(*snrs)
+            assert af_selection_integral(snr_scenario(*snrs)) <= special_integral_D(a1, a2) + 1e-12
 
     def test_against_scipy_oracle(self):
-        for b1, b2 in ((0.1, 0.1), (0.3, 0.6), (1.5, 0.4)):
+        for snrs in self.SNRS:
+            a1, a2, b1 = selection_coeffs(*snrs)
             ref, _ = sci_integrate.quad(
-                lambda t: 2 * b1 * (t * t + 2 * t) * np.exp(-b2 * (t * t + 2 * t))
+                lambda t: 2 * b1 * (t * t + 2 * t) * np.exp(-a1 * t * t - a2 * t)
                 * sci_special.k1(2 * b1 * (t * t + 2 * t)), 0, np.inf, limit=300)
-            assert special_integral_A(b1, b2) == pytest.approx(ref, rel=1e-7)
+            assert af_selection_integral(snr_scenario(*snrs)) == pytest.approx(ref, rel=1e-7)
 
     def test_vanishes_for_large_decay(self):
-        assert special_integral_A(0.1, 1e4) < 1e-3
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            special_integral_A(0.0, 1.0)
-        with pytest.raises(ValueError):
-            special_integral_A(1.0, 0.0)
+        # a2 >= 1/gbar_SD = 1e4
+        assert af_selection_integral(snr_scenario(1e-4, 10.0, 10.0)) < 1e-3
 
 
 class TestProbDirect:

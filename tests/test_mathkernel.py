@@ -8,9 +8,9 @@ from scipy import integrate as sci_integrate
 from scipy import special as sci_special
 
 from gase.mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
-                             bessel_k0, bessel_k1, erfc, erfcx, exp_integral_e1,
-                             find_root_bracketed, gamma_fn, integrate,
-                             integrate_semi_infinite, scaled_e1)
+                             bessel_k0, bessel_k1, erfcx, find_root_bracketed,
+                             integrate, integrate_semi_infinite, scaled_e1)
+from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -28,43 +28,47 @@ def e1_series_oracle(x: float) -> float:
 
 
 class TestExpIntegral:
+    """E1 through its one implementation, the scaled form exp(x) * E1(x)."""
+
     def test_frozen_values(self):
-        assert exp_integral_e1(0.1) == pytest.approx(1.8229239584193907, rel=1e-12)
-        assert exp_integral_e1(1.0) == pytest.approx(0.21938393439552027, rel=1e-12)
+        assert scaled_e1(0.1) == pytest.approx(math.exp(0.1) * 1.8229239584193907, rel=1e-12)
+        assert scaled_e1(1.0) == pytest.approx(math.e * 0.21938393439552027, rel=1e-12)
 
     def test_against_series_oracle(self):
         for x in np.geomspace(1e-3, 1.0, 40):
-            assert exp_integral_e1(float(x)) == pytest.approx(e1_series_oracle(float(x)), rel=1e-10)
+            assert scaled_e1(float(x)) == pytest.approx(
+                math.exp(x) * e1_series_oracle(float(x)), rel=1e-10)
 
     def test_against_scipy_large_arguments(self):
         for x in np.geomspace(1.0, 500.0, 60):
-            assert exp_integral_e1(float(x)) == pytest.approx(float(sci_special.exp1(x)), rel=1e-10)
+            assert scaled_e1(float(x)) == pytest.approx(
+                float(sci_special.exp1(x) * np.exp(x)), rel=1e-10)
 
     def test_monotone_decay_to_zero(self):
-        grid = [0.1, 1.0, 10.0, 100.0, 700.0]
-        vals = [exp_integral_e1(x) for x in grid]
+        grid = [0.1, 1.0, 10.0, 100.0, 700.0, 1e8]
+        vals = [scaled_e1(x) for x in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert exp_integral_e1(800.0) < 1e-300
+        assert 0.0 < scaled_e1(1e300) <= 1e-300
 
     def test_derivative_recurrence(self):
-        # d/dx E1(x) = -exp(-x)/x, checked by central difference
+        # d/dx [exp(x) E1(x)] = exp(x) E1(x) - 1/x, checked by central difference
         for x in (0.5, 1.0, 2.0):
             h = 1e-5
-            deriv = (exp_integral_e1(x + h) - exp_integral_e1(x - h)) / (2 * h)
-            assert abs(deriv + math.exp(-x) / x) <= 1e-8
+            deriv = (scaled_e1(x + h) - scaled_e1(x - h)) / (2 * h)
+            assert abs(deriv - (scaled_e1(x) - 1.0 / x)) <= 1e-8
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
-            exp_integral_e1(0.0)
+            scaled_e1(0.0)
         with pytest.raises(ValueError):
-            exp_integral_e1(-1.0)
+            scaled_e1(-1.0)
 
     def test_array_input(self):
         x = np.array([0.5, 1.0, 2.0, 5.0])
-        out = exp_integral_e1(x)
+        out = scaled_e1(x)
         assert out.shape == x.shape
         for xi, oi in zip(x, out):
-            assert oi == pytest.approx(exp_integral_e1(float(xi)), rel=1e-14)
+            assert oi == pytest.approx(scaled_e1(float(xi)), rel=1e-14)
 
 
 class TestScaledE1:
@@ -136,23 +140,29 @@ class TestBesselK:
 
 
 class TestErfcGamma:
-    def test_erfc_basics(self):
-        assert erfc(0.0) == 1.0
-        assert erfc(-100.0) == pytest.approx(2.0)
-        for x in np.linspace(-5, 5, 41):
-            assert erfc(float(x)) == pytest.approx(float(sci_special.erfc(x)), rel=1e-12)
+    """Gamma enters through the closed-form area (2 pi/a) Gamma(2/a) (P/P_min)^(2/a)."""
+
+    @staticmethod
+    def gamma_factor(a: float) -> float:
+        env = PropagationEnvironment(a, 1e-13, 1e-3)
+        area = affected_area_single(env, PowerLevel(1e-2))     # P / P_min = 10
+        return area / ((2.0 * math.pi / a) * 10.0 ** (2.0 / a))
 
     def test_gamma_identities(self):
-        assert gamma_fn(0.5) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-        assert gamma_fn(1.0) == 1.0
+        assert self.gamma_factor(4.0) == pytest.approx(math.sqrt(math.pi), rel=1e-13)
+        assert self.gamma_factor(2.0) == pytest.approx(1.0, rel=1e-14)
         for x in np.geomspace(0.05, 10.0, 50):
-            assert gamma_fn(float(x)) == pytest.approx(float(sci_special.gamma(x)), rel=1e-12)
+            assert self.gamma_factor(2.0 / x) == pytest.approx(float(sci_special.gamma(x)),
+                                                               rel=1e-12)
 
     def test_gamma_domain(self):
+        # 2/a > 0 and P > 0 are enforced before Gamma is reached
         with pytest.raises(ValueError):
-            gamma_fn(0.0)
+            PropagationEnvironment(0.0, 1e-13, 1e-3)
         with pytest.raises(ValueError):
-            gamma_fn(-1.5)
+            PropagationEnvironment(-1.5, 1e-13, 1e-3)
+        with pytest.raises(ValueError):
+            affected_area_single(PropagationEnvironment(4.0, 1e-13, 1e-3), 0.0)
 
     def test_erfcx_matches_scaled_product(self):
         for x in (0.0, 0.5, 5.0, 24.9, 25.1, 100.0, 1e6):

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from gase.link_p2p import P2pScenario, ergodic_capacity_p2p
-from gase.mathkernel import QuadratureSpec, gamma_fn, integrate_semi_infinite, scaled_e1
+from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
 from gase.mc_oracle import (McConfig, McSampler, af_snr_sampler, df_snr_sampler,
                             exponential_from_uniform, mc_ergodic_capacity,
                             mc_mode_probability)
 from gase.propagation import PowerLevel, PropagationEnvironment
-from gase.relay_dualhop import (DualHopScenario, RelayProtocol, af_equivalent_snr_pdf,
-                                af_snr_cdf, df_equivalent_snr_pdf, ergodic_capacity,
+from gase.relay_dualhop import (DualHopScenario, RelayProtocol, af_snr_cdf, af_snr_pdf,
+                                df_snr_pdf, ergodic_capacity,
                                 ergodic_capacity_af, ergodic_capacity_df, gase_dualhop,
                                 optimize_relay_powers)
 
@@ -28,15 +28,21 @@ def hop_scenario(gsr, grd):
                            500.0, 500.0)
 
 
+def hop_rates(s):
+    """(a1, b1) of the equivalent-SNR densities of a dual-hop scenario."""
+    gsr, grd = s.mean_snr_sr, s.mean_snr_rd
+    return 1.0 / gsr + 1.0 / grd, 1.0 / math.sqrt(gsr * grd)
+
+
 class TestDfDensity:
     def test_symmetric_rate(self):
         s = hop_scenario(10.0, 10.0)
-        pdf = df_equivalent_snr_pdf(s)
+        pdf = df_snr_pdf(hop_rates(s)[0])
         for g in (0.1, 1.0, 5.0):
             assert pdf(g) == pytest.approx(0.2 * math.exp(-0.2 * g), rel=1e-12)
 
     def test_normalisation(self):
-        pdf = df_equivalent_snr_pdf(hop_scenario(4.0, 9.0))
+        pdf = df_snr_pdf(hop_rates(hop_scenario(4.0, 9.0))[0])
         total = integrate_semi_infinite(pdf, QuadratureSpec(1e-12, 1e-15), scale=1.0).value
         assert total == pytest.approx(1.0, abs=1e-10)
 
@@ -74,14 +80,14 @@ class TestDfCapacity:
 class TestAfDensity:
     def test_normalisation(self):
         s = hop_scenario(10.0, 10.0)
-        pdf = af_equivalent_snr_pdf(s)
+        pdf = af_snr_pdf(*hop_rates(s))
         total = integrate_semi_infinite(pdf, QuadratureSpec(1e-9, 1e-14), scale=2.5).value
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_small_argument_finite(self):
         # z K1(z) -> 1 keeps the density finite as gamma -> 0+
         s = hop_scenario(10.0, 10.0)
-        pdf = af_equivalent_snr_pdf(s)
+        pdf = af_snr_pdf(*hop_rates(s))
         a1 = 1.0 / s.mean_snr_sr + 1.0 / s.mean_snr_rd
         assert pdf(1e-10) == pytest.approx(a1, rel=1e-6)
 
@@ -142,7 +148,7 @@ class TestGaseAssembly:
         s = DualHopScenario(ENV, PowerLevel(0.05), PowerLevel(0.2), 500.0, 400.0)
         a = ENV.path_loss_exponent
         a1 = 1.0 / s.mean_snr_sr + 1.0 / s.mean_snr_rd
-        closed = (a / (8.0 * math.pi * LN2 * gamma_fn(2.0 / a)) * scaled_e1(a1)
+        closed = (a / (8.0 * math.pi * LN2 * math.gamma(2.0 / a)) * scaled_e1(a1)
                   * ((s.p_s.watts / ENV.p_min_w) ** (-2.0 / a)
                      + (s.p_r.watts / ENV.p_min_w) ** (-2.0 / a)))
         generic = gase_dualhop(s, RelayProtocol.DF).gase
@@ -181,7 +187,7 @@ class TestPowerOptimisation:
         grd = grid / (d_rd ** 4 * ENV.noise_w)
         alpha1 = 1.0 / gsr[:, None] + 1.0 / grd[None, :]
         capacity = scaled_e1(alpha1) / (2.0 * LN2)
-        inv_area = ((2.0 * math.pi / 4.0) * gamma_fn(0.5)
+        inv_area = ((2.0 * math.pi / 4.0) * math.gamma(0.5)
                     * (grid / ENV.p_min_w) ** 0.5) ** -1.0
         eta_grid = 0.5 * capacity * (inv_area[:, None] + inv_area[None, :])
         i, j = np.unravel_index(int(np.argmax(eta_grid)), eta_grid.shape)
