@@ -10,7 +10,8 @@ layer only picks the columns.  Sweep points and verify checks are evaluated
 sequentially, and the Monte Carlo streams are keyed per check.  ``--workers``
 is accepted for compatibility and has no effect on the output.
 
-Exit codes: 0 success, 1 usage/config error, 2 verification failure,
+Exit codes: 0 success, 1 usage/config error (including a config or output
+path that cannot be read or written), 2 verification failure,
 3 numerical failure (non-convergence or an arithmetic error in evaluation).
 """
 
@@ -418,10 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"gase: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ConfigError as exc:
-        print(f"gase: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (FileNotFoundError, UnicodeDecodeError) as exc:
+    except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"gase: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ArithmeticError, ValueError) as exc:

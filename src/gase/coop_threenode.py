@@ -128,9 +128,11 @@ def _selection_weight(s: CoopScenario, protocol: RelayProtocol) -> float:
     return af_selection_integral(s)
 
 
-def prob_direct(s: CoopScenario, protocol: RelayProtocol) -> float:
-    """Probability the source chooses the direct path."""
-    return 1.0 - _selection_weight(s, protocol) / s.mean_snr_sd
+def prob_direct(s: CoopScenario, protocol: RelayProtocol,
+                selection: float | None = None) -> float:
+    """Probability of the direct path; ``selection`` may pass in a precomputed S."""
+    sel = _selection_weight(s, protocol) if selection is None else selection
+    return 1.0 - sel / s.mean_snr_sd
 
 
 def _eq_cdf(s: CoopScenario, protocol: RelayProtocol):
@@ -176,14 +178,15 @@ def conditional_snr_pdf_relay(s: CoopScenario, protocol: RelayProtocol):
 
 
 def conditional_capacity_direct(s: CoopScenario, protocol: RelayProtocol,
-                                spec: QuadratureSpec = _CAP_SPEC) -> float:
+                                spec: QuadratureSpec = _CAP_SPEC,
+                                selection: float | None = None) -> float:
     """E[(1/2) log2(1 + G_C) | direct mode].
 
     Evaluated in the xi substitution, where (1/2) log2(1+g) becomes
     log2(1+t) and the integrand decays on the scale gbar_SD.
     """
     gsd, a1, a2, b1 = _coeffs(s)
-    sel = _selection_weight(s, protocol)
+    sel = _selection_weight(s, protocol) if selection is None else selection
     cdf = _eq_cdf(s, protocol)
 
     def integrand(t):
@@ -200,10 +203,11 @@ def relay_tail_scale(s: CoopScenario, protocol: RelayProtocol) -> float:
 
 
 def conditional_capacity_relay(s: CoopScenario, protocol: RelayProtocol,
-                               spec: QuadratureSpec = _CAP_SPEC) -> float:
+                               spec: QuadratureSpec = _CAP_SPEC,
+                               selection: float | None = None) -> float:
     """E[(1/2) log2(1 + G_C) | relay mode]."""
     gsd = s.mean_snr_sd
-    sel = _selection_weight(s, protocol)
+    sel = _selection_weight(s, protocol) if selection is None else selection
     eq_pdf = _eq_pdf(s, protocol)
 
     def integrand(g):
@@ -220,10 +224,11 @@ def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> CoopResult:
     eta = P_d * C_d / A_S + P_r * (C_r / A_S + C_r / A_R) / 2, with A_S and
     A_R the single-transmitter footprints of source and relay.
     """
-    p_d = prob_direct(s, protocol)
+    sel = _selection_weight(s, protocol)
+    p_d = prob_direct(s, protocol, selection=sel)
     p_r = 1.0 - p_d
-    c_d = conditional_capacity_direct(s, protocol)
-    c_r = conditional_capacity_relay(s, protocol)
+    c_d = conditional_capacity_direct(s, protocol, selection=sel)
+    c_r = conditional_capacity_relay(s, protocol, selection=sel)
     area_s = affected_area_single(s.env, s.p_s)
     area_r = affected_area_single(s.env, s.p_r)
     gase = p_d * c_d / area_s + p_r * 0.5 * (c_r / area_s + c_r / area_r)

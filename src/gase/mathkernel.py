@@ -4,14 +4,20 @@ Everything downstream (capacities, affected areas, mode probabilities) reduces
 to the scaled exponential integral exp(x)*E1(x), the modified Bessel
 functions K0/K1, the scaled erfcx, and one-dimensional integrals on finite or
 semi-infinite intervals.  The special functions are implemented here rather
-than imported so their accuracy is pinned by this repo's own tests:
+than imported so their accuracy is pinned by this repo's own tests, and so
+the runtime needs nothing beyond numpy:
 
-* E1: alternating series for x <= 1, modified-Lentz continued fraction above.
-  The continued fraction evaluates exp(x)*E1(x) directly, which is what makes
-  the scaled form overflow-free for large x.
-* K0/K1: ascending series for x <= 2, fixed 100-node Gauss-Legendre quadrature
-  of the integral representation on a truncated interval for 2 < x < 30, and
-  the truncated asymptotic expansion beyond.
+* E1 (DLMF 6.6.2, 6.9.1): alternating series for x <= 1, modified-Lentz
+  continued fraction above, both on Python floats with ``math``.  The
+  continued fraction evaluates exp(x)*E1(x) directly, which is what makes the
+  scaled form overflow-free for large x.  Every caller passes a scalar; an
+  array maps element-wise through the same scalar kernel.
+* K0/K1: each branch returns both orders in one pass.  Ascending series
+  (DLMF 10.31.2, 10.31.1) for x <= 2 and the truncated asymptotic expansion
+  (DLMF 10.40.2) for x >= 30 are evaluated as powers of x^2/4, resp. 1/x,
+  times coefficient tables built once at import.  In between, fixed 100-node
+  Gauss-Legendre quadrature of the cosh integral on a truncated interval
+  takes both moments from one exponential.
 * erfcx: exp(x^2)*erfc(x) on the C library's erfc, with an asymptotic series
   where the product would overflow; Gaussian-type integrals need it.
 
@@ -38,6 +44,7 @@ __all__ = [
     "scaled_e1",
     "bessel_k0",
     "bessel_k1",
+    "bessel_k01",
     "erfcx",
     "integrate",
     "integrate_semi_infinite",
@@ -81,45 +88,36 @@ class QuadratureResult(NamedTuple):
     panels: int
 
 
-def _wrap_scalar(x, out):
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # exponential integral
 # ---------------------------------------------------------------------------
 
-def _e1_series(x):
-    """E1 on (0, 1] by the alternating power series; few terms, no cancellation risk."""
-    acc = np.zeros_like(x)
-    p = np.ones_like(x)
-    for k in range(1, 30):
-        p *= -x / k
-        acc -= p / k
-    return -EULER_GAMMA - np.log(x) + acc
-
-
-def _scaled_e1_cf(x):
-    """exp(x)*E1(x) for x > 1 via the modified Lentz continued fraction."""
+def _scaled_e1(x: float) -> float:
+    """exp(x)*E1(x) of one float: series on (0, 1], modified Lentz above."""
+    if not 0.0 < x < math.inf:
+        raise ValueError("scaled_e1 requires x > 0")
+    if x <= 1.0:  # the alternating series needs few terms and does not cancel here
+        acc = 0.0
+        p = 1.0
+        for k in range(1, 30):
+            p *= -x / k
+            acc -= p / k
+        return math.exp(x) * (-EULER_GAMMA - math.log(x) + acc)
     tiny = 1e-300
     b = x + 1.0
-    c = np.full_like(x, 1.0 / tiny)
+    c = 1.0 / tiny
     d = 1.0 / b
-    h = d.copy()
-    active = np.ones(x.shape, dtype=bool)
+    h = d
     for i in range(1, 500):
         a = -float(i * i)
-        b = b + 2.0
+        b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
         delta = c * d
-        h = np.where(active, h * delta, h)
-        active &= np.abs(delta - 1.0) >= 1e-16
-        if not active.any():
+        h *= delta
+        if abs(delta - 1.0) < 1e-16:
             return h
-    raise QuadratureError("continued fraction for E1 did not converge", float(np.max(h)), np.inf)
+    raise QuadratureError("continued fraction for E1 did not converge", h, math.inf)
 
 
 def scaled_e1(x):
@@ -127,18 +125,11 @@ def scaled_e1(x):
 
     Strictly decreasing; bounded by (1/(x+1), 1/x).
     """
+    if isinstance(x, (float, int)):
+        return _scaled_e1(float(x))
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("scaled_e1 requires x > 0")
-    flat = np.atleast_1d(arr).astype(float).copy()
-    small = flat <= 1.0
-    out = np.empty_like(flat)
-    if small.any():
-        xs = flat[small]
-        out[small] = np.exp(xs) * _e1_series(xs)
-    if (~small).any():
-        out[~small] = _scaled_e1_cf(flat[~small])
-    return _wrap_scalar(x, out.reshape(arr.shape))
+    out = np.array([_scaled_e1(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -146,87 +137,87 @@ def scaled_e1(x):
 # ---------------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(100)
+_GL_NODES += 1.0  # shifted from [-1, 1] onto [0, 2]
+
+
+def _series_table(terms: int = 40) -> np.ndarray:
+    """Coefficients of q^k, q = x^2/4, in I0, sum H_k q^k/k!^2, 2 I1/x and
+    sum (H_k + H_{k+1}) q^k/(k!(k+1)!): the four sums of DLMF 10.31.2/10.31.1."""
+    rows = []
+    for k in range(terms):  # exact integers, one rounding per coefficient
+        n0 = math.factorial(k) ** 2
+        d = n0 * (k + 1)
+        hd = sum(d // j for j in range(1, k + 1))  # H_k * d
+        rows.append([1 / n0, hd / (d * n0), 1 / d, (2 * hd + n0) / (d * d)])
+    return np.array(rows).T.copy()
+
+
+def _asymptotic_table(terms: int = 15) -> np.ndarray:
+    """Coefficients of x^-k in the K0, K1 asymptotic sums (DLMF 10.40.2)."""
+    return np.array([[math.prod(4 * nu * nu - (2 * j - 1) ** 2 for j in range(1, k + 1))
+                      / (8 ** k * math.factorial(k)) for k in range(terms)] for nu in (0, 1)])
+
+
+_SERIES = _series_table()
+_ASYMPTOTIC = _asymptotic_table()
+
+
+def _power_sums(u, table):
+    """Rows sum_k table[j, k] * u**k, summed along the contiguous last axis
+    rather than by BLAS, so no element's value depends on the batch size."""
+    powers = u[:, None] ** np.arange(table.shape[1], dtype=float)
+    return np.sum(powers[:, None, :] * table, axis=2).T
 
 
 def _k01_series(x):
     """Ascending series for K0 and K1, accurate for x <= 2."""
-    q = 0.25 * x * x
-    lg = np.log(0.5 * x)
-    i0 = np.ones_like(x)
-    i1 = 0.5 * x.copy()
-    s0 = np.zeros_like(x)
-    term0 = np.ones_like(x)
-    hk = 0.0
-    psi1 = -EULER_GAMMA
-    psi2 = -EULER_GAMMA + 1.0
-    term1 = np.ones_like(x)
-    s1 = (psi1 + psi2) * term1
-    for k in range(1, 40):
-        term0 = term0 * q / (k * k)
-        hk += 1.0 / k
-        i0 += term0
-        s0 += term0 * hk
-        term1 = term1 * q / (k * (k + 1))
-        psi1 += 1.0 / k
-        psi2 += 1.0 / (k + 1)
-        s1 = s1 + (psi1 + psi2) * term1
-        i1 += 0.5 * x * term1
-    k0 = -(lg + EULER_GAMMA) * i0 + s0
-    k1 = 1.0 / x + lg * i1 - 0.25 * x * s1
-    return k0, k1
+    i0, s0, i1, s1 = _power_sums(0.25 * x * x, _SERIES)
+    lg = np.log(0.5 * x) + EULER_GAMMA
+    return -lg * i0 + s0, 1.0 / x + 0.5 * x * (lg * i1 - 0.5 * s1)
 
 
-def _k_quadrature(x, nu):
-    """K_nu by Gauss-Legendre on the cosh integral, scaled by exp(x).
+def _k01_quadrature(x):
+    """K0, K1 by Gauss-Legendre on the cosh integral, scaled by exp(x).
 
     The integrand exp(-x(cosh t - 1)) cosh(nu t) is entire and truncated where
     the exponent reaches 45 (relative tail < 1e-19), so 100 nodes give full
     double precision across 2 < x < 30.
     """
-    T = np.arccosh(1.0 + 45.0 / x)
-    t = 0.5 * T[:, None] * (_GL_NODES[None, :] + 1.0)
-    w = 0.5 * T[:, None] * _GL_WEIGHTS[None, :]
-    g = np.exp(-x[:, None] * (np.cosh(t) - 1.0)) * np.cosh(nu * t)
-    return np.exp(-x) * np.sum(w * g, axis=1)
+    half_T = 0.5 * np.arccosh(1.0 + 45.0 / x)[:, None]
+    t = half_T * _GL_NODES
+    w = half_T * _GL_WEIGHTS
+    cosh_t = np.cosh(t)
+    g = np.exp(-x[:, None] * (cosh_t - 1.0))
+    scale = np.exp(-x)
+    return scale * np.sum(w * g, axis=1), scale * np.sum(w * (g * cosh_t), axis=1)
 
 
-def _k_asymptotic(x, nu):
-    mu = 4.0 * nu * nu
-    s = np.ones_like(x)
-    term = np.ones_like(x)
-    for k in range(1, 15):
-        term = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        s = s + term
-    return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * s
+def _k01_asymptotic(x):
+    return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * _power_sums(1.0 / x, _ASYMPTOTIC)
 
 
-def _bessel_k(x, nu):
+def bessel_k01(x):
+    """K0(x) and K1(x) from one evaluation, as a pair shaped like x."""
     arr = np.asarray(x, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
+    flat = arr.ravel()
+    if not np.all((flat > 0.0) & (flat < np.inf)):
         raise ValueError("bessel_k requires x > 0")
-    flat = np.atleast_1d(arr).astype(float).copy()
-    out = np.empty_like(flat)
-    lo = flat <= 2.0
-    mid = (flat > 2.0) & (flat < 30.0)
-    hi = flat >= 30.0
-    if lo.any():
-        k0, k1 = _k01_series(flat[lo])
-        out[lo] = k0 if nu == 0 else k1
-    if mid.any():
-        out[mid] = _k_quadrature(flat[mid], nu)
-    if hi.any():
-        out[hi] = _k_asymptotic(flat[hi], nu)
-    return _wrap_scalar(x, out.reshape(arr.shape))
+    out = np.empty((2, flat.size))
+    for branch, use in ((_k01_series, flat <= 2.0), (_k01_asymptotic, flat >= 30.0),
+                        (_k01_quadrature, (flat > 2.0) & (flat < 30.0))):
+        if use.any():
+            out[:, use] = branch(flat[use])
+    return tuple(float(k[0]) if arr.ndim == 0 else k.reshape(arr.shape) for k in out)
 
 
 def bessel_k0(x):
     """Modified Bessel function of the second kind, order zero."""
-    return _bessel_k(x, 0)
+    return bessel_k01(x)[0]
 
 
 def bessel_k1(x):
     """Modified Bessel function of the second kind, order one."""
-    return _bessel_k(x, 1)
+    return bessel_k01(x)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .link_p2p import LN2, GaseBreakdown
-from .mathkernel import QuadratureSpec, bessel_k0, bessel_k1, integrate_semi_infinite, scaled_e1
+from .mathkernel import QuadratureSpec, bessel_k01, bessel_k1, integrate_semi_infinite, scaled_e1
 from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
                           mean_snr, watts_of)
 
@@ -94,7 +94,8 @@ def af_snr_pdf(a1: float, b1: float):
     def pdf(g):
         g = np.asarray(g, dtype=float)
         z = 2.0 * b1 * g
-        return z * np.exp(-a1 * g) * (a1 * bessel_k1(z) + 2.0 * b1 * bessel_k0(z))
+        k0, k1 = bessel_k01(z)
+        return z * np.exp(-a1 * g) * (a1 * k1 + 2.0 * b1 * k0)
     return pdf
 
 

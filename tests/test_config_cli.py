@@ -215,6 +215,13 @@ class TestCliCommands:
         assert self.run("eval", "--config", str(bad)) == 1
         assert "can't decode" in capsys.readouterr().err
 
+    def test_directory_config_exit_code(self, tmp_path):
+        proc = run_module("eval", "--config", str(tmp_path))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("gase: ")
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_numeric_error_exit_code(self, tmp_path):
         cfg = tmp_path / "a2.cfg"
         cfg.write_text(FIG1_TEXT.replace("env.path_loss_exponent = 4",

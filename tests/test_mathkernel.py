@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 from scipy import special as sci_special
 
@@ -58,10 +61,10 @@ class TestExpIntegral:
             assert abs(deriv - (scaled_e1(x) - 1.0 / x)) <= 1e-8
 
     def test_domain_error(self):
-        with pytest.raises(ValueError):
-            scaled_e1(0.0)
-        with pytest.raises(ValueError):
-            scaled_e1(-1.0)
+        for bad in (0.0, -1.0, math.nan, math.inf, np.array([1.0, math.nan]),
+                    np.array([1.0, math.inf])):
+            with pytest.raises(ValueError):
+                scaled_e1(bad)
 
     def test_array_input(self):
         x = np.array([0.5, 1.0, 2.0, 5.0])
@@ -133,10 +136,61 @@ class TestBesselK:
 
     def test_domain_error(self):
         for fn in (bessel_k0, bessel_k1):
-            with pytest.raises(ValueError):
-                fn(0.0)
-            with pytest.raises(ValueError):
-                fn(-2.0)
+            for bad in (0.0, -2.0, math.nan, math.inf, np.array([1.0, math.nan]),
+                        np.array([1.0, math.inf])):
+                with pytest.raises(ValueError):
+                    fn(bad)
+
+
+class TestMpmathOracle:
+    """40-digit mpmath references (DLMF 6.2.1, 10.32.9) across every branch and joint."""
+
+    JOINTS = [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0 - 1e-12, 2.0, 2.0 + 1e-12,
+              30.0 - 1e-9, 30.0, 30.0 + 1e-9]
+    GRID = sorted([*np.geomspace(1e-6, 600.0, 80).tolist(), *JOINTS])
+
+    @staticmethod
+    def assert_close(value, ref):
+        assert abs(value - float(ref)) <= 5e-14 * abs(float(ref))
+
+    def test_scaled_e1(self):
+        with mpmath.workdps(40):
+            for x in [*self.GRID, 1e3, 1e6]:
+                self.assert_close(scaled_e1(x), mpmath.exp(x) * mpmath.e1(x))
+
+    def test_bessel_k0_k1(self):
+        with mpmath.workdps(40):
+            for x in self.GRID:
+                self.assert_close(bessel_k0(x), mpmath.besselk(0, x))
+                self.assert_close(bessel_k1(x), mpmath.besselk(1, x))
+
+
+# log-uniform on [1e-6, 1e6], so every branch of every kernel is drawn
+positive = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)
+kernel_settings = settings(derandomize=True, database=None, max_examples=200, deadline=1000)
+
+
+class TestKernelProperties:
+    @kernel_settings
+    @given(positive)
+    def test_scaled_e1_bounds(self, x):
+        assert 1.0 / (x + 1.0) < scaled_e1(x) < 1.0 / x
+
+    @kernel_settings
+    @given(positive)
+    def test_k0_below_k1(self, x):
+        k0, k1 = bessel_k0(x), bessel_k1(x)
+        if x <= 700.0:
+            assert 0.0 < k0 < k1
+        else:  # exp(-x) underflows
+            assert 0.0 <= k0 <= k1
+
+    @kernel_settings
+    @given(st.lists(positive, min_size=1, max_size=40))
+    def test_array_equals_scalar_calls(self, xs):
+        arr = np.array(xs)
+        for fn in (scaled_e1, bessel_k0, bessel_k1):
+            assert fn(arr).tolist() == [fn(x) for x in xs]
 
 
 class TestErfcGamma:
