@@ -7,8 +7,9 @@ separator, scientific notation with 12 significant digits).  ``verify`` runs
 the closed forms against the seeded Monte Carlo oracles and exits nonzero if
 any check fails its band.  Every value comes from the scenario modules; this
 layer only picks the columns.  Sweep points and verify checks are evaluated
-sequentially, and the Monte Carlo streams are keyed per check.  ``--workers``
-is accepted for compatibility and has no effect on the output.
+sequentially, and each Monte Carlo estimate takes the next stream id in
+output order.  ``--workers`` is accepted for compatibility and has no effect
+on the output.
 
 Exit codes: 0 success, 1 usage/config error (including a config or output
 path that cannot be read or written), 2 verification failure,
@@ -18,9 +19,10 @@ path that cannot be read or written), 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -192,16 +194,16 @@ class VerifyCheck:
         return abs(self.closed_form - self.oracle_mean) <= self.tolerance
 
 
-def _cap_check(name, closed, sampler, samples, seed, stream, half=False):
-    est = mc.mc_ergodic_capacity(sampler, mc.McConfig(samples, seed, stream))
+def _cap_check(name, closed, sampler, mc_cfg, half=False):
+    est = mc.mc_ergodic_capacity(sampler, mc_cfg)
     if half:
         est = est.scaled(0.5)
     return VerifyCheck(name, closed, est.mean, est.std_error, 3.0 * est.std_error)
 
 
-def _area_check(name, env, field, radius, tail, closed, samples, seed, stream):
-    est = mc.mc_affected_area(field, radius, mc.McConfig(samples, seed, stream),
-                              tail, env.p_min_w)
+def _area_check(name, env, field, total_power, closed, mc_cfg, d0=0.0):
+    radius, tail = mc.certified_disk_radius(env, total_power, d0=d0)
+    est = mc.mc_affected_area(field, radius, mc_cfg, tail, env.p_min_w)
     return VerifyCheck(name, closed, est.mean, est.std_error, 3.0 * est.std_error)
 
 
@@ -211,113 +213,77 @@ def _density_normalization(name, pdf, scale):
     return VerifyCheck(name, total, 1.0, 0.0, 1e-6)
 
 
-def _verify_checks(cfg: ScenarioConfig, samples: int, seed: int):
-    """Check thunks in output order; each receives its fixed MC stream id."""
+def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyCheck]:
+    """Yield the checks in output order; each MC estimate takes the next stream id."""
     env = _env_of(cfg)
     s = _scenario(cfg)
-    tasks = []
+    streams = (mc.McConfig(samples, seed, stream) for stream in itertools.count())
 
     if cfg.kind == "p2p":
         b = p2p.gase_p2p(s)
-        gbar = mean_snr(env, s.p_t, s.d)
-        radius, tail = mc.certified_disk_radius(env, s.p_t)
-        tasks.append(lambda st: _cap_check(
-            "capacity_vs_mc", b.capacity, mc.p2p_snr_sampler(gbar), samples, seed, st))
-        tasks.append(lambda st: _area_check(
-            "area_vs_spatial_mc", env, mc.single_source_field(env, s.p_t),
-            radius, tail, b.area, samples, seed, st))
+        yield _cap_check("capacity_vs_mc", b.capacity,
+                         mc.p2p_snr_sampler(mean_snr(env, s.p_t, s.d)), next(streams))
+        yield _area_check("area_vs_spatial_mc", env, mc.single_source_field(env, s.p_t),
+                          s.p_t, b.area, next(streams))
 
     elif cfg.kind == "dualhop":
         protocol = relay.RelayProtocol.parse(cfg.protocol)
         b = relay.gase_dualhop(s, protocol)
         gsr, grd = s.mean_snr_sr, s.mean_snr_rd
         if protocol is relay.RelayProtocol.DF:
-            tasks.append(lambda st: _cap_check(
-                "capacity_df_vs_mc", b.capacity, mc.df_snr_sampler(gsr, grd),
-                samples, seed, st, half=True))
+            yield _cap_check("capacity_df_vs_mc", b.capacity, mc.df_snr_sampler(gsr, grd),
+                             next(streams), half=True)
         else:
-            tasks.append(lambda st: _cap_check(
-                "capacity_af_vs_harmonic_mc", b.capacity,
-                mc.af_snr_sampler(gsr, grd, exact=False), samples, seed, st, half=True))
-
-            def exact_af(st):
-                # the harmonic-mean density approximates the +1-denominator
-                # SNR; the gap is reported against a 3% band, not hidden
-                est = mc.mc_ergodic_capacity(mc.af_snr_sampler(gsr, grd, exact=True),
-                                             mc.McConfig(samples, seed, st)).scaled(0.5)
-                return VerifyCheck("capacity_af_vs_exact_mc", b.capacity, est.mean,
-                                   est.std_error, 0.03 * abs(est.mean))
-
-            tasks.append(exact_af)
+            yield _cap_check("capacity_af_vs_harmonic_mc", b.capacity,
+                             mc.af_snr_sampler(gsr, grd, exact=False), next(streams), half=True)
+            # the harmonic-mean density approximates the +1-denominator SNR;
+            # the gap is reported against a 3% band, not hidden
+            est = mc.mc_ergodic_capacity(mc.af_snr_sampler(gsr, grd, exact=True),
+                                         next(streams)).scaled(0.5)
+            yield VerifyCheck("capacity_af_vs_exact_mc", b.capacity, est.mean,
+                              est.std_error, 0.03 * abs(est.mean))
         for name, power, area in (("area_sr_vs_spatial_mc", s.p_s, b.components["area_sr_m2"]),
                                   ("area_rd_vs_spatial_mc", s.p_r, b.components["area_rd_m2"])):
-            radius, tail = mc.certified_disk_radius(env, power)
-            tasks.append(lambda st, n=name, p=power, a=area, r=radius, t=tail: _area_check(
-                n, env, mc.single_source_field(env, p), r, t, a, samples, seed, st))
+            yield _area_check(name, env, mc.single_source_field(env, power), power, area,
+                              next(streams))
 
     elif cfg.kind == "coop":
         protocol = relay.RelayProtocol.parse(cfg.protocol)
-        equivalent = "df" if protocol is relay.RelayProtocol.DF else "af"
-        gsd, gsr, grd = s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd
         r = coop.gase_coop(s, protocol)
-
-        def coop_checks(st):
-            out = mc.mc_coop_summary(gsd, gsr, grd, equivalent,
-                                     mc.McConfig(samples, seed, st))
-            return [VerifyCheck(name, closed, out[key].mean, out[key].std_error,
-                                3 * out[key].std_error)
-                    for name, key, closed in (
-                        ("p_direct_vs_mc", "p_direct", r.p_direct),
-                        ("c_direct_vs_mc", "c_direct", r.c_direct),
-                        ("c_relay_vs_mc", "c_relay", r.c_relay),
-                        ("total_capacity_vs_mc", "c_inst", r.components["capacity_bps_hz"]))]
-
-        tasks.append(coop_checks)
-        tasks.append(lambda st: _density_normalization(
-            "density_direct_normalization", coop.conditional_snr_pdf_direct(s, protocol),
-            gsd * (2.0 + gsd)))
-        tasks.append(lambda st: _density_normalization(
-            "density_relay_normalization", coop.conditional_snr_pdf_relay(s, protocol),
-            coop.relay_tail_scale(s, protocol)))
+        out = mc.mc_coop_summary(s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd, protocol.value,
+                                 next(streams))
+        for name, key, closed in (("p_direct_vs_mc", "p_direct", r.p_direct),
+                                  ("c_direct_vs_mc", "c_direct", r.c_direct),
+                                  ("c_relay_vs_mc", "c_relay", r.c_relay),
+                                  ("total_capacity_vs_mc", "c_inst",
+                                   r.components["capacity_bps_hz"])):
+            yield VerifyCheck(name, closed, out[key].mean, out[key].std_error,
+                              3 * out[key].std_error)
+        direct, relay_mode = coop.conditional_snr_pdfs(s, protocol)
+        yield _density_normalization("density_direct_normalization", *direct)
+        yield _density_normalization("density_relay_normalization", *relay_mode)
 
     else:  # cognitive / xchannel
         if cfg.kind == "cognitive":
             b = cg.gase_cognitive(s)
             interference = s.p2.watts / s.d_sp ** env.path_loss_exponent
-
-            def prob_check(st):
-                event = mc.McSampler(1, lambda u: (
-                    interference * mc.exponential_from_uniform(u[:, 0]) < s.i_th_w))
-                est = mc.mc_mode_probability(event, mc.McConfig(samples, seed, st))
-                return VerifyCheck("p_parallel_vs_mc", b.components["p_parallel"], est.mean,
-                                   est.std_error, 3 * est.std_error)
-
-            tasks.append(prob_check)
+            event = mc.McSampler(1, lambda u: (
+                interference * mc.exponential_from_uniform(u[:, 0]) < s.i_th_w))
+            est = mc.mc_mode_probability(event, next(streams))
+            yield VerifyCheck("p_parallel_vs_mc", b.components["p_parallel"], est.mean,
+                              est.std_error, 3 * est.std_error)
         else:
             b = cg.gase_x_channel(s)
-        c_p = b.components["c_primary_bps_hz"]
-        c_s = b.components["c_secondary_bps_hz"]
         area = b.components["area_parallel_m2"]
-        tasks.append(lambda st: _cap_check(
-            "c_primary_vs_mc", c_p, mc.primary_sinr_sampler(s), samples, seed, st))
-        tasks.append(lambda st: _cap_check(
-            "c_secondary_vs_mc", c_s, mc.secondary_sinr_sampler(s), samples, seed, st))
-        radius, tail = mc.certified_disk_radius(env, s.p1.watts + s.p2.watts, d0=s.d0)
-        tasks.append(lambda st: _area_check(
-            "area_parallel_vs_spatial_mc", env, mc.two_source_field(env, s.p1, s.p2, s.d0),
-            radius, tail, area, samples, seed, st))
+        yield _cap_check("c_primary_vs_mc", b.components["c_primary_bps_hz"],
+                         mc.primary_sinr_sampler(s), next(streams))
+        yield _cap_check("c_secondary_vs_mc", b.components["c_secondary_bps_hz"],
+                         mc.secondary_sinr_sampler(s), next(streams))
+        yield _area_check("area_parallel_vs_spatial_mc", env,
+                          mc.two_source_field(env, s.p1, s.p2, s.d0),
+                          s.p1.watts + s.p2.watts, area, next(streams), d0=s.d0)
         floor = max(affected_area_single(env, s.p1), affected_area_single(env, s.p2))
-        tasks.append(lambda st: VerifyCheck(
-            "area_parallel_ge_singles", max(area, floor), area, 0.0, 1e-9 * area))
-    return tasks
-
-
-def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> List[VerifyCheck]:
-    checks = []
-    for stream, task in enumerate(_verify_checks(cfg, samples, seed)):
-        out = task(stream)
-        checks.extend(out if isinstance(out, list) else [out])
-    return checks
+        yield VerifyCheck("area_parallel_ge_singles", max(area, floor), area, 0.0, 1e-9 * area)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +372,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             samples = args.samples or cfg.mc_samples or DEFAULT_SAMPLES
             seed = args.seed if args.seed is not None else (
                 cfg.mc_seed if cfg.mc_seed is not None else DEFAULT_SEED)
-            checks = run_verify(cfg, samples, seed)
+            checks = list(run_verify(cfg, samples, seed))
             header = ["check", "closed_form", "oracle_mean", "oracle_std_error",
                       "abs_diff", "tolerance", "status"]
             rows = [[c.name, c.closed_form, c.oracle_mean, c.oracle_std_error,

@@ -84,20 +84,6 @@ class CognitiveScenario:
                 f"d_ps={self.d_ps:g} violates the triangle bound "
                 f"|d0 - d_s| <= d_ps <= d0 + d_s with d0={self.d0:g}, d_s={self.d_s:g}")
 
-    @classmethod
-    def symmetric_kappa(cls, env: PropagationEnvironment, p1: PowerLevel, p2: PowerLevel,
-                        d: float, kappa: float, i_th_w: float,
-                        d0: float | None = None) -> "CognitiveScenario":
-        """Equal-distance layout with both interference ratios equal to kappa.
-
-        d_p = d_s = d and d_sp = d_ps = kappa * d.  The transmitter separation
-        defaults to d when that satisfies the triangle bounds (kappa <= 2) and
-        to kappa * d otherwise.
-        """
-        if d0 is None:
-            d0 = d if kappa <= 2.0 else kappa * d
-        return cls(env, p1, p2, d, d, kappa * d, kappa * d, d0, i_th_w)
-
     @property
     def rho_p(self) -> float:
         a = self.env.path_loss_exponent
@@ -185,8 +171,7 @@ def two_source_power_tail(lam_p, lam_s, p_min: float):
     return out
 
 
-def affected_area_parallel(s: CognitiveScenario,
-                           spec: QuadratureSpec = _AREA_SPEC) -> float:
+def affected_area_parallel(s: CognitiveScenario) -> float:
     """Affected area while both transmitters are active, in m^2.
 
     Polar integral centred on the primary transmitter; the secondary sits at
@@ -208,12 +193,12 @@ def affected_area_parallel(s: CognitiveScenario,
             lam_s = p2 / rs ** a
             return two_source_power_tail(lam_p, lam_s, p_min) * r
 
-        return integrate_semi_infinite(f, spec, scale=r_scale).value
+        return integrate_semi_infinite(f, _AREA_SPEC, scale=r_scale).value
 
     def angular(theta):
         return np.array([radial(t) for t in np.atleast_1d(theta)])
 
-    return 2.0 * integrate(angular, 0.0, math.pi, spec).value
+    return 2.0 * integrate(angular, 0.0, math.pi, _AREA_SPEC).value
 
 
 def _p2p_branch(s: CognitiveScenario) -> GaseBreakdown:

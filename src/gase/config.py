@@ -200,15 +200,9 @@ def parse_config(text: str) -> ScenarioConfig:
     geom_lines: Dict[str, int] = {}
 
     if kind is not None:
-        for key in _GEOM_KEYS[kind]["required"]:
-            val, ln = take_number(f"geom.{key}", required=True)
-            if val is not None:
-                if key != "theta" and val <= 0:
-                    errors.append((ln, f"geom.{key} must be > 0"))
-                geometry[key] = float(val)
-                geom_lines[key] = ln
-        for key in _GEOM_KEYS[kind]["optional"]:
-            val, ln = take_number(f"geom.{key}")
+        required = _GEOM_KEYS[kind]["required"]
+        for key in required + _GEOM_KEYS[kind]["optional"]:
+            val, ln = take_number(f"geom.{key}", required=key in required)
             if val is not None:
                 if key != "theta" and val <= 0:
                     errors.append((ln, f"geom.{key} must be > 0"))

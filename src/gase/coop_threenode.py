@@ -13,13 +13,17 @@ conditional densities of the composite SNR normalise to exactly 1 against
 that same S, so the conditional capacities are evaluated by quadrature of
 those densities; the direct-mode integrand is taken in the xi substitution
 where its tail scale is gbar_SD.
+
+``gase_coop`` and ``conditional_snr_pdfs`` each build the one selection
+split of a (scenario, protocol), ``_split``, and read S, the relay-path SNR
+cdf and pdf and the relay tail scale from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, NamedTuple
 
 import numpy as np
 
@@ -32,12 +36,7 @@ __all__ = [
     "CoopResult",
     "special_integral_D",
     "af_selection_integral",
-    "prob_direct",
-    "conditional_capacity_direct",
-    "conditional_capacity_relay",
-    "conditional_snr_pdf_direct",
-    "conditional_snr_pdf_relay",
-    "relay_tail_scale",
+    "conditional_snr_pdfs",
     "gase_coop",
 ]
 
@@ -101,7 +100,7 @@ def special_integral_D(a1: float, a2: float) -> float:
     return 0.5 * math.sqrt(math.pi / a1) * erfcx(a2 / (2.0 * math.sqrt(a1)))
 
 
-def af_selection_integral(s: CoopScenario, spec: QuadratureSpec = _CAP_SPEC) -> float:
+def af_selection_integral(s: CoopScenario) -> float:
     """Relay-selection weight for AF: gbar_SD * P{relay mode}.
 
     int_0^inf 2 b1 (t^2+2t) K1(2 b1 (t^2+2t)) exp(-a1 t^2 - a2 t) dt, i.e. the
@@ -117,105 +116,50 @@ def af_selection_integral(s: CoopScenario, spec: QuadratureSpec = _CAP_SPEC) -> 
         return z * bessel_k1(z) * np.exp(-a1 * t * t - a2 * t)
 
     scale = min(1.0 / a2, 1.0 / math.sqrt(a1))
-    return integrate_semi_infinite(integrand, spec, scale=scale).value
+    return integrate_semi_infinite(integrand, _CAP_SPEC, scale=scale).value
 
 
-def _selection_weight(s: CoopScenario, protocol: RelayProtocol) -> float:
-    """S = gbar_SD * P{relay}; closed form for DF, quadrature for AF."""
+class _Split(NamedTuple):
+    """S = gbar_SD * P{relay}, the relay-path SNR cdf and pdf, and its tail
+    scale 1/a1 (DF) or 1/(a1 + 2 b1) (AF), of one (scenario, protocol)."""
+
+    gsd: float
+    sel: float
+    cdf: Callable
+    pdf: Callable
+    tail: float
+
+
+def _split(s: CoopScenario, protocol: RelayProtocol) -> _Split:
     gsd, a1, a2, b1 = _coeffs(s)
     if protocol is RelayProtocol.DF:
-        return special_integral_D(a1, a2)
-    return af_selection_integral(s)
+        return _Split(gsd, special_integral_D(a1, a2),
+                      lambda g: -np.expm1(-a1 * np.asarray(g, dtype=float)),
+                      df_snr_pdf(a1), 1.0 / a1)
+    return _Split(gsd, af_selection_integral(s), af_snr_cdf(a1, b1), af_snr_pdf(a1, b1),
+                  1.0 / (a1 + 2.0 * b1))
 
 
-def prob_direct(s: CoopScenario, protocol: RelayProtocol,
-                selection: float | None = None) -> float:
-    """Probability of the direct path; ``selection`` may pass in a precomputed S."""
-    sel = _selection_weight(s, protocol) if selection is None else selection
-    return 1.0 - sel / s.mean_snr_sd
+def conditional_snr_pdfs(s: CoopScenario, protocol: RelayProtocol):
+    """Densities of the composite SNR given direct and given relay mode.
 
-
-def _eq_cdf(s: CoopScenario, protocol: RelayProtocol):
-    _, a1, _, b1 = _coeffs(s)
-    if protocol is RelayProtocol.DF:
-        return lambda g: -np.expm1(-a1 * np.asarray(g, dtype=float))
-    return af_snr_cdf(a1, b1)
-
-
-def _eq_pdf(s: CoopScenario, protocol: RelayProtocol):
-    _, a1, _, b1 = _coeffs(s)
-    if protocol is RelayProtocol.DF:
-        return df_snr_pdf(a1)
-    return af_snr_pdf(a1, b1)
-
-
-def conditional_snr_pdf_direct(s: CoopScenario, protocol: RelayProtocol):
-    """Density of the composite SNR given direct mode was selected."""
-    gsd = s.mean_snr_sd
-    sel = _selection_weight(s, protocol)
-    cdf = _eq_cdf(s, protocol)
-
-    def pdf(g):
-        g = np.asarray(g, dtype=float)
-        xi = np.sqrt(g + 1.0) - 1.0
-        return np.exp(-xi / gsd) * cdf(g) / (2.0 * (xi + 1.0) * (gsd - sel))
-
-    return pdf
-
-
-def conditional_snr_pdf_relay(s: CoopScenario, protocol: RelayProtocol):
-    """Density of the composite SNR given relay mode was selected."""
-    gsd = s.mean_snr_sd
-    sel = _selection_weight(s, protocol)
-    eq_pdf = _eq_pdf(s, protocol)
-
-    def pdf(g):
-        g = np.asarray(g, dtype=float)
-        xi = np.sqrt(g + 1.0) - 1.0
-        return gsd * eq_pdf(g) * (-np.expm1(-xi / gsd)) / sel
-
-    return pdf
-
-
-def conditional_capacity_direct(s: CoopScenario, protocol: RelayProtocol,
-                                spec: QuadratureSpec = _CAP_SPEC,
-                                selection: float | None = None) -> float:
-    """E[(1/2) log2(1 + G_C) | direct mode].
-
-    Evaluated in the xi substitution, where (1/2) log2(1+g) becomes
-    log2(1+t) and the integrand decays on the scale gbar_SD.
+    Returns ((pdf_direct, scale_direct), (pdf_relay, scale_relay)), each with
+    the decay length of its tail; both normalise against the same S.
     """
-    gsd, a1, a2, b1 = _coeffs(s)
-    sel = _selection_weight(s, protocol) if selection is None else selection
-    cdf = _eq_cdf(s, protocol)
+    sp = _split(s, protocol)
+    gsd, sel = sp.gsd, sp.sel
 
-    def integrand(t):
-        return np.log2(1.0 + t) * np.exp(-t / gsd) * cdf(t * (t + 2.0))
-
-    num = integrate_semi_infinite(integrand, spec, scale=gsd).value
-    return num / (gsd - sel)
-
-
-def relay_tail_scale(s: CoopScenario, protocol: RelayProtocol) -> float:
-    """Decay length of the relay-path SNR density: 1/a1 (DF), 1/(a1 + 2 b1) (AF)."""
-    _, a1, _, b1 = _coeffs(s)
-    return 1.0 / a1 if protocol is RelayProtocol.DF else 1.0 / (a1 + 2.0 * b1)
-
-
-def conditional_capacity_relay(s: CoopScenario, protocol: RelayProtocol,
-                               spec: QuadratureSpec = _CAP_SPEC,
-                               selection: float | None = None) -> float:
-    """E[(1/2) log2(1 + G_C) | relay mode]."""
-    gsd = s.mean_snr_sd
-    sel = _selection_weight(s, protocol) if selection is None else selection
-    eq_pdf = _eq_pdf(s, protocol)
-
-    def integrand(g):
+    def direct(g):
+        g = np.asarray(g, dtype=float)
         xi = np.sqrt(g + 1.0) - 1.0
-        return 0.5 * np.log2(1.0 + g) * eq_pdf(g) * (-np.expm1(-xi / gsd))
+        return np.exp(-xi / gsd) * sp.cdf(g) / (2.0 * (xi + 1.0) * (gsd - sel))
 
-    num = integrate_semi_infinite(integrand, spec, scale=relay_tail_scale(s, protocol)).value
-    return gsd * num / sel
+    def relay(g):
+        g = np.asarray(g, dtype=float)
+        xi = np.sqrt(g + 1.0) - 1.0
+        return gsd * sp.pdf(g) * (-np.expm1(-xi / gsd)) / sel
+
+    return (direct, gsd * (2.0 + gsd)), (relay, sp.tail)
 
 
 def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> CoopResult:
@@ -224,11 +168,22 @@ def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> CoopResult:
     eta = P_d * C_d / A_S + P_r * (C_r / A_S + C_r / A_R) / 2, with A_S and
     A_R the single-transmitter footprints of source and relay.
     """
-    sel = _selection_weight(s, protocol)
-    p_d = prob_direct(s, protocol, selection=sel)
+    sp = _split(s, protocol)
+    gsd, sel = sp.gsd, sp.sel
+    p_d = 1.0 - sel / gsd
     p_r = 1.0 - p_d
-    c_d = conditional_capacity_direct(s, protocol, selection=sel)
-    c_r = conditional_capacity_relay(s, protocol, selection=sel)
+
+    # direct mode in the xi substitution, where (1/2) log2(1+g) becomes
+    # log2(1+t) and the integrand decays on the scale gbar_SD
+    def direct(t):
+        return np.log2(1.0 + t) * np.exp(-t / gsd) * sp.cdf(t * (t + 2.0))
+
+    def relay(g):
+        xi = np.sqrt(g + 1.0) - 1.0
+        return 0.5 * np.log2(1.0 + g) * sp.pdf(g) * (-np.expm1(-xi / gsd))
+
+    c_d = integrate_semi_infinite(direct, _CAP_SPEC, scale=gsd).value / (gsd - sel)
+    c_r = gsd * integrate_semi_infinite(relay, _CAP_SPEC, scale=sp.tail).value / sel
     area_s = affected_area_single(s.env, s.p_s)
     area_r = affected_area_single(s.env, s.p_r)
     gase = p_d * c_d / area_s + p_r * 0.5 * (c_r / area_s + c_r / area_r)

@@ -79,8 +79,7 @@ def optimal_power_residual(env: PropagationEnvironment, d: float, p_t) -> float:
     return (x + 2.0 / env.path_loss_exponent) * scaled_e1(x) - 1.0
 
 
-def optimal_power_p2p(env: PropagationEnvironment, d: float,
-                      bracket=(1e-6, 1e3), tol: float = 1e-12) -> PowerLevel:
+def optimal_power_p2p(env: PropagationEnvironment, d: float) -> PowerLevel:
     """GASE-maximising transmit power for a > 2.
 
     Solves the dimensionless root equation on x = d^a N / P_t; the result is
@@ -96,5 +95,5 @@ def optimal_power_p2p(env: PropagationEnvironment, d: float,
     def g(x):
         return (x + 2.0 / a) * scaled_e1(x) - 1.0
 
-    x_star = find_root_bracketed(g, bracket[0], bracket[1], tol=tol)
+    x_star = find_root_bracketed(g, 1e-6, 1e3)
     return PowerLevel(d ** a * env.noise_w / x_star)

@@ -346,7 +346,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec(),
 # ---------------------------------------------------------------------------
 
 def find_root_bracketed(g: Callable[[float], float], lo: float, hi: float,
-                        tol: float = 1e-12, max_iter: int = 200) -> float:
+                        tol: float = 1e-12) -> float:
     """Brent's method on a bracketing interval.
 
     Terminates when |g(x)| <= tol or the bracket width falls below tol*|x|.
@@ -361,7 +361,7 @@ def find_root_bracketed(g: Callable[[float], float], lo: float, hi: float,
     a, b = lo, hi
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(200):
         if fb * fc > 0:
             c, fc = a, fa
             d = e = b - a

@@ -2,10 +2,10 @@
 
 Randomness comes from counter-based Philox streams keyed by
 (seed, stream_id, chunk_index) with a fixed chunk size, so sample i always
-receives the same underlying uniforms no matter how many workers evaluate the
-chunks or in what order.  Exponential fading gains are drawn by inverse cdf
-(-log1p(-u)); estimates reduce per-chunk partial sums in chunk order, making
-every McEstimate bit-reproducible for a fixed McConfig.
+receives the same underlying uniforms whatever the sample count.  Exponential
+fading gains are drawn by inverse cdf (-log1p(-u)); estimates reduce
+per-chunk partial sums in chunk order, making every McEstimate
+bit-reproducible for a fixed McConfig.
 
 Three oracle operations cover the package's closed forms: fading-averaged
 capacity of an arbitrary SNR sampler, spatial sampling of affected areas over
@@ -47,6 +47,8 @@ __all__ = [
 _CHUNK = 1 << 16
 
 TAIL_FRACTION_LIMIT = 1e-5
+
+_EXPONENT_CUT = 45.0
 
 
 class TailCertificationError(ValueError):
@@ -319,20 +321,19 @@ def two_source_field(env: PropagationEnvironment, p1, p2, d0: float) -> McSample
     return McSampler(2, fn)
 
 
-def certified_disk_radius(env: PropagationEnvironment, total_power,
-                          d0: float = 0.0, exponent_cut: float = 45.0):
+def certified_disk_radius(env: PropagationEnvironment, total_power, d0: float = 0.0):
     """Bounding radius and a certified excluded-tail fraction.
 
-    Radius d0 + (exponent_cut * P_total / P_min)^(1/a) puts every excluded
-    point at path-loss attenuation >= exponent_cut relative to the threshold;
+    Radius d0 + (s * P_total / P_min)^(1/a), s = _EXPONENT_CUT, puts every
+    excluded point at path-loss attenuation >= s relative to the threshold;
     the exceedance probability out there is below (1 + s) e^-s (Erlang-2
-    bound, s = exponent_cut), and a factor 100 covers the outer-area measure
-    relative to the estimated area.  At the default cut the certified bound
-    is ~1e-16, far under the 1e-5 acceptance line.
+    bound), and a factor 100 covers the outer-area measure relative to the
+    estimated area.  The certified bound is ~1e-16, far under the 1e-5
+    acceptance line.
     """
     a = env.path_loss_exponent
     p = watts_of(total_power)
-    radius = d0 + (exponent_cut * p / env.p_min_w) ** (1.0 / a)
-    s = exponent_cut
+    s = _EXPONENT_CUT
+    radius = d0 + (s * p / env.p_min_w) ** (1.0 / a)
     tail_fraction = 100.0 * (1.0 + s) * math.exp(-s)
     return radius, tail_fraction

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathkernel import QuadratureError, QuadratureSpec, integrate_semi_infinite
+from .mathkernel import QuadratureError, integrate_semi_infinite
 
 __all__ = [
     "PropagationEnvironment",
@@ -109,8 +109,7 @@ def affected_area_single(env: PropagationEnvironment, p_t) -> float:
     return (2.0 * math.pi / a) * math.gamma(2.0 / a) * ratio ** (2.0 / a)
 
 
-def affected_area_generic(env: PropagationEnvironment, p_t, fading_ccdf,
-                          spec: QuadratureSpec = QuadratureSpec()) -> float:
+def affected_area_generic(env: PropagationEnvironment, p_t, fading_ccdf) -> float:
     """Affected area for an arbitrary fading ccdf, by quadrature.
 
     The polar integral 2*pi * int (1 - F_Z(P_min r^a / P_t)) r dr is evaluated
@@ -130,7 +129,7 @@ def affected_area_generic(env: PropagationEnvironment, p_t, fading_ccdf,
         return np.asarray(fading_ccdf(np.asarray(v) ** half_a), dtype=float)
 
     try:
-        result = integrate_semi_infinite(integrand, spec, scale=1.0)
+        result = integrate_semi_infinite(integrand, scale=1.0)
     except QuadratureError as exc:
         raise QuadratureError(
             "affected-area integral did not converge (heavy-tailed ccdf?)",

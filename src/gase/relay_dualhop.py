@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 
+_CAP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14)
+
+
 class RelayProtocol(Enum):
     DF = "df"
     AF = "af"
@@ -114,8 +117,7 @@ def ergodic_capacity_df(s: DualHopScenario) -> float:
     return scaled_e1(a1) / (2.0 * LN2)
 
 
-def ergodic_capacity_af(s: DualHopScenario,
-                        spec: QuadratureSpec = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14)) -> float:
+def ergodic_capacity_af(s: DualHopScenario) -> float:
     """Half-duplex AF capacity by quadrature against the harmonic-mean density."""
     a1, b1 = _rates(s)
     pdf = af_snr_pdf(a1, b1)
@@ -124,7 +126,7 @@ def ergodic_capacity_af(s: DualHopScenario,
         return 0.5 * np.log2(1.0 + g) * pdf(g)
 
     # integrand tail decays like exp(-(a1 + 2 b1) g)
-    return integrate_semi_infinite(integrand, spec, scale=1.0 / (a1 + 2.0 * b1)).value
+    return integrate_semi_infinite(integrand, _CAP_SPEC, scale=1.0 / (a1 + 2.0 * b1)).value
 
 
 def ergodic_capacity(s: DualHopScenario, protocol: RelayProtocol) -> float:

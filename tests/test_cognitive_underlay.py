@@ -46,15 +46,6 @@ class TestScenarioInvariants:
             CognitiveScenario(ENV, PowerLevel(0.1), PowerLevel(0.1),
                               100.0, 100.0, 150.0, 150.0, 100.0, 0.0)
 
-    def test_symmetric_kappa_helper(self):
-        s = CognitiveScenario.symmetric_kappa(ENV, PowerLevel(0.1), PowerLevel(0.1),
-                                              100.0, 1.5, 1e-11)
-        assert s.d0 == 100.0 and s.d_sp == 150.0 and s.d_ps == 150.0
-        # kappa beyond 2 cannot keep d0 = d; the helper separates the transmitters
-        s = CognitiveScenario.symmetric_kappa(ENV, PowerLevel(0.1), PowerLevel(0.1),
-                                              100.0, 2.5, 1e-11)
-        assert s.d0 == 250.0 and s.d_sp == 250.0
-
 
 class TestProbParallel:
     def test_reference_value(self):

@@ -6,9 +6,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gase import cli
 from gase import cognitive_underlay as cg
+from gase import coop_threenode as coop
 from gase.config import (ConfigError, derive_kind, load_preset, parse_config,
                          preset_names, render_config)
 
@@ -306,6 +309,21 @@ class TestDeterminism:
         assert cli.main(["sweep", "--preset", preset, "--out", str(tmp_path / "s.csv")]) == 0
         assert len(count) == calls
 
+    @pytest.mark.parametrize("command,calls", [("eval", 1), ("verify", 2)])
+    def test_af_selection_integral_once_per_split(self, monkeypatch, tmp_path, command, calls):
+        # gase_coop builds the selection split once, and verify's densities once more
+        count = []
+        selection = coop.af_selection_integral
+
+        def counting(*args, **kwargs):
+            count.append(1)
+            return selection(*args, **kwargs)
+
+        monkeypatch.setattr(coop, "af_selection_integral", counting)
+        assert cli.main([command, "--preset", "fig4", "--protocol", "af",
+                         "--out", str(tmp_path / "o.csv")]) == 0
+        assert len(count) == calls
+
     def test_verify_worker_independence(self, tmp_path):
         outs = []
         for workers in ("1", "3"):
@@ -323,3 +341,40 @@ class TestDeterminism:
         assert cli.main(["verify", "--preset", "fig1", "--samples", "50000",
                          "--seed", "2", "--out", str(b)]) == 0
         assert a.read_bytes() != b.read_bytes()
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+_DBM = _finite(-200.0, 100.0)
+_DISTANCE = _finite(-3.0, 6.0).map(lambda e: 10.0 ** e)
+_GEOM = {"p2p": ("d",), "dualhop": ("d_sr", "d_rd"), "coop": ("d_sd", "d_sr", "d_rd")}
+
+
+@st.composite
+def eval_configs(draw):
+    """Config text for one p2p, dual-hop or cooperative eval, DF or AF."""
+    kind = draw(st.sampled_from(sorted(_GEOM)))
+    lines = [f"scenario.kind = {kind}",
+             f"env.path_loss_exponent = {draw(_finite(0.1, 10.0))!r}",
+             f"env.noise_dbm = {draw(_DBM)!r}",
+             f"env.p_min_dbm = {draw(_DBM)!r}"]
+    lines += [f"geom.{key} = {draw(_DISTANCE)!r}" for key in _GEOM[kind]]
+    powers = ("p_t_dbm",) if kind == "p2p" else ("p_s_dbm", "p_r_dbm")
+    lines += [f"power.{key} = {draw(_DBM)!r}" for key in powers]
+    if kind != "p2p":
+        lines.append(f"protocol.relay = {draw(st.sampled_from(('df', 'af')))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCliRobustness:
+    @settings(derandomize=True, database=None, max_examples=100, deadline=2000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(eval_configs())
+    def test_eval_ends_in_an_exit_code(self, tmp_path, text):
+        # a numerical limit is exit 3; no input may end in a traceback
+        path = tmp_path / "fuzz.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["eval", "--config", str(path),
+                         "--out", str(tmp_path / "out.csv")]) in (0, 1, 2, 3)

@@ -7,10 +7,8 @@ import pytest
 from scipy import integrate as sci_integrate
 from scipy import special as sci_special
 
-from gase.coop_threenode import (CoopScenario, af_selection_integral,
-                                 conditional_capacity_direct, conditional_capacity_relay,
-                                 conditional_snr_pdf_direct, conditional_snr_pdf_relay,
-                                 gase_coop, prob_direct, special_integral_D)
+from gase.coop_threenode import (CoopScenario, af_selection_integral, conditional_snr_pdfs,
+                                 gase_coop, special_integral_D)
 from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
 from gase.mc_oracle import McConfig, mc_coop_summary
 from gase.propagation import PowerLevel, PropagationEnvironment
@@ -96,18 +94,18 @@ class TestSpecialIntegralA:
 class TestProbDirect:
     def test_useless_relay_forces_direct(self):
         s = snr_scenario(10.0, 1e-6, 10.0)
-        assert prob_direct(s, RelayProtocol.DF) == pytest.approx(1.0, abs=1e-3)
-        assert prob_direct(s, RelayProtocol.AF) == pytest.approx(1.0, abs=1e-3)
+        assert gase_coop(s, RelayProtocol.DF).p_direct == pytest.approx(1.0, abs=1e-3)
+        assert gase_coop(s, RelayProtocol.AF).p_direct == pytest.approx(1.0, abs=1e-3)
 
     def test_df_against_simulation(self):
         s = snr_scenario(10.0, 10.0, 10.0)
-        closed = prob_direct(s, RelayProtocol.DF)
+        closed = gase_coop(s, RelayProtocol.DF).p_direct
         out = mc_coop_summary(10.0, 10.0, 10.0, "df", McConfig(1_000_000, 51))
         assert abs(closed - out["p_direct"].mean) <= 3.0 * out["p_direct"].std_error
 
     def test_af_against_simulation(self):
         s = snr_scenario(10.0, 10.0, 10.0)
-        closed = prob_direct(s, RelayProtocol.AF)
+        closed = gase_coop(s, RelayProtocol.AF).p_direct
         harmonic = mc_coop_summary(10.0, 10.0, 10.0, "af", McConfig(1_000_000, 52))
         assert abs(closed - harmonic["p_direct"].mean) <= 3.0 * harmonic["p_direct"].std_error
         # against the +1-denominator SNR the density is an approximation; the
@@ -119,7 +117,7 @@ class TestProbDirect:
         # the selection weight is exactly gbar_SD * P{relay}
         s = snr_scenario(10.0, 10.0, 10.0)
         assert af_selection_integral(s) == pytest.approx(
-            (1.0 - prob_direct(s, RelayProtocol.AF)) * s.mean_snr_sd, rel=1e-12)
+            (1.0 - gase_coop(s, RelayProtocol.AF).p_direct) * s.mean_snr_sd, rel=1e-12)
 
     def test_probability_range_random_scenarios(self):
         rng = np.random.default_rng(19)
@@ -132,7 +130,7 @@ class TestProbDirect:
         for _ in range(25):
             gsd, gsr, grd = 10.0 ** rng.uniform(-1, 3, size=3)
             s = snr_scenario(float(gsd), float(gsr), float(grd))
-            assert 0.0 <= prob_direct(s, RelayProtocol.AF) <= 1.0
+            assert 0.0 <= gase_coop(s, RelayProtocol.AF).p_direct <= 1.0
 
 
 class TestConditionalDensities:
@@ -142,10 +140,9 @@ class TestConditionalDensities:
         s = snr_scenario(*snrs)
         gsd = s.mean_snr_sd
         a1 = 1.0 / s.mean_snr_sr + 1.0 / s.mean_snr_rd
-        direct = integrate_semi_infinite(conditional_snr_pdf_direct(s, protocol),
-                                         QuadratureSpec(1e-9, 1e-14),
+        (direct_pdf, _), (relay_pdf, _) = conditional_snr_pdfs(s, protocol)
+        direct = integrate_semi_infinite(direct_pdf, QuadratureSpec(1e-9, 1e-14),
                                          scale=gsd * (2.0 + gsd)).value
-        relay_pdf = conditional_snr_pdf_relay(s, protocol)
         relay = integrate_semi_infinite(relay_pdf, QuadratureSpec(1e-9, 1e-14),
                                         scale=1.0 / a1).value
         assert direct == pytest.approx(1.0, abs=1e-6)
@@ -162,15 +159,14 @@ class TestConditionalCapacities:
         t3 = integrate_semi_infinite(lambda t: np.log(1.0 + t) * np.exp(-a1 * t * t - a2 * t),
                                      QuadratureSpec(1e-11, 1e-16), scale=1.0 / a2).value
         closed = (gsd * scaled_e1(1.0 / gsd) - t3) / (LN2 * (gsd - special_integral_D(a1, a2)))
-        assert conditional_capacity_direct(s, RelayProtocol.DF) == pytest.approx(closed, rel=1e-8)
+        assert gase_coop(s, RelayProtocol.DF).c_direct == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize("protocol,equivalent", [(RelayProtocol.DF, "df"),
                                                      (RelayProtocol.AF, "af")])
     def test_total_expectation_against_simulation(self, protocol, equivalent):
         s = snr_scenario(10.0, 10.0, 10.0)
-        p_d = prob_direct(s, protocol)
-        c_d = conditional_capacity_direct(s, protocol)
-        c_r = conditional_capacity_relay(s, protocol)
+        r = gase_coop(s, protocol)
+        p_d, c_d, c_r = r.p_direct, r.c_direct, r.c_relay
         out = mc_coop_summary(10.0, 10.0, 10.0, equivalent, McConfig(1_000_000, 54))
         total = p_d * c_d + (1.0 - p_d) * c_r
         assert abs(total - out["c_inst"].mean) <= 3.0 * out["c_inst"].std_error
@@ -182,7 +178,7 @@ class TestConditionalCapacities:
         # with the direct link dead, relay mode is always selected and the
         # conditional capacity reduces to the dual-hop ergodic capacity
         s = snr_scenario(1e-6, 10.0, 10.0)
-        c_r = conditional_capacity_relay(s, protocol)
+        c_r = gase_coop(s, protocol).c_relay
         dh = DualHopScenario(ENV, PowerLevel(10.0 * 500.0 ** 4 * ENV.noise_w),
                              PowerLevel(10.0 * 500.0 ** 4 * ENV.noise_w), 500.0, 500.0)
         ref = (ergodic_capacity_df(dh) if protocol is RelayProtocol.DF
@@ -193,13 +189,13 @@ class TestConditionalCapacities:
         # with gbar_SD huge, direct mode is near-certain and conditioning
         # changes nothing: E[C|direct] -> E[log2(1 + G_SD)]
         s = snr_scenario(1e6, 10.0, 10.0)
-        c_d = conditional_capacity_direct(s, RelayProtocol.DF)
+        c_d = gase_coop(s, RelayProtocol.DF).c_direct
         unconditional = scaled_e1(1e-6) / LN2
         assert c_d == pytest.approx(unconditional, rel=0.01)
 
     def test_relay_capacity_grows_with_uniform_snr_scaling(self):
-        base = conditional_capacity_relay(snr_scenario(5.0, 10.0, 10.0), RelayProtocol.DF)
-        boosted = conditional_capacity_relay(snr_scenario(10.0, 20.0, 20.0), RelayProtocol.DF)
+        base = gase_coop(snr_scenario(5.0, 10.0, 10.0), RelayProtocol.DF).c_relay
+        boosted = gase_coop(snr_scenario(10.0, 20.0, 20.0), RelayProtocol.DF).c_relay
         assert boosted > base
 
 
