@@ -10,12 +10,26 @@ give piecewise closed-form ergodic capacities in the geometry ratios
 
 with a removable 0/0 at rho = 1 handled by a dedicated branch.  The primary
 capacity is conditioned on the interference constraint being met (the joint
-closed form divided by P).  The parallel affected area integrates, over the
-plane, the tail of the sum of the two received powers (hypoexponential, or
-Erlang-2 where the two means coincide).  The composite metric mixes the
-parallel branch with the silent-secondary point-to-point branch by P, and
-recovers the X-channel (no constraint) and pure point-to-point links in the
-i_th limits.
+closed form divided by P).
+
+The parallel affected area integrates, over the plane, the tail T of the sum
+of the two received powers (hypoexponential; Erlang-2 where the two means
+coincide).  It is split as
+
+    A_par = A(P1) + A(P2) + 2 int_0^pi int_0^inf [T - e^(-m/lam_p) - e^(-m/lam_s)] r dr dtheta,
+
+in polar coordinates about the primary transmitter, with m = P_min.  The two
+single footprints are the Rayleigh closed form, so a secondary far from the
+primary is never lost; the correction is non-zero only where the footprints
+overlap.  It is integrated by a fixed composite Gauss-Legendre product rule
+(4 x 8 panels of 16 nodes, 64 x 128 nodes) on the map r = L u/(1 - u),
+L = d0 + the larger footprint; the 2 x 4-panel rule (32 x 64 nodes) gives the
+error estimate.  Where the two disagree by more than the area tolerance, the
+nested adaptive Gauss-Kronrod rules integrate the same correction instead.
+
+The composite metric mixes the parallel branch with the silent-secondary
+point-to-point branch by P, and recovers the X-channel (no constraint) and
+pure point-to-point links in the i_th limits.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ import numpy as np
 
 from .link_p2p import LN2, GaseBreakdown, P2pScenario, gase_p2p
 from .mathkernel import QuadratureSpec, integrate, integrate_semi_infinite, scaled_e1
-from .propagation import PowerLevel, PropagationEnvironment
+from .propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 __all__ = [
     "CognitiveScenario",
@@ -47,6 +61,36 @@ __all__ = [
 _RHO_GUARD = 1e-6
 
 _AREA_SPEC = QuadratureSpec(rel_tol=2e-5, abs_tol=0.0, max_subdivisions=4000)
+
+
+_GL16 = np.polynomial.legendre.leggauss(16)
+
+
+def _product_rule(theta_panels: int, u_panels: int):
+    """Composite 16-node Gauss-Legendre rule for 2 int_0^pi int_0^inf f r dr dtheta.
+
+    theta in [0, pi] and u in [0, 1) are cut into equal panels, with
+    r = L t, t = u/(1 - u).  Returns t as a row and, per angular panel,
+    sin^2(theta/2) as a column with the weights 2 w_theta w_u t/(1 - u)^2,
+    which times L^2 integrate f sampled on that panel's grid.
+    """
+    x, w = _GL16
+
+    def composite(hi, panels):
+        half = 0.5 * hi / panels
+        mids = half * (2.0 * np.arange(panels) + 1.0)
+        return mids[:, None] + half * x, np.tile(half * w, (panels, 1))
+
+    theta, w_theta = composite(math.pi, theta_panels)
+    u, w_u = (v.ravel() for v in composite(1.0, u_panels))
+    t = u / (1.0 - u)
+    w_r = w_u * t / (1.0 - u) ** 2
+    return t, [(np.sin(0.5 * th)[:, None] ** 2, 2.0 * wt[:, None] * w_r)
+               for th, wt in zip(theta, w_theta)]
+
+
+_FINE = _product_rule(4, 8)     # 64 theta x 128 u nodes
+_COARSE = _product_rule(2, 4)   # 32 x 64 on panels twice as wide: the error estimate
 
 
 @dataclass(frozen=True)
@@ -154,51 +198,70 @@ def x_channel_primary_capacity(s: CognitiveScenario) -> float:
 def two_source_power_tail(lam_p, lam_s, p_min: float):
     """P{sum of two exponential received powers >= p_min}.
 
-    lam_p, lam_s are the local mean received powers P_i / r_i^a.  Uses the
-    hypoexponential tail, switching to the Erlang-2 branch where the means
-    agree to 1e-9 to avoid catastrophic cancellation.
+    lam_p, lam_s are the local mean received powers P_i / r_i^a.  With hi >= lo
+    the two means, u = p_min/hi and d = p_min/lo - u, the hypoexponential tail
+    is exp(-u) * (1 + u * (1 - exp(-d))/d), free of cancellation for every
+    ratio of the means.  d = 0 gives the Erlang-2 tail, d = inf the single
+    source; a mean of inf (at a transmitter) gives 1 and two zero means 0.
     """
-    lam_p, lam_s = np.broadcast_arrays(np.asarray(lam_p, float), np.asarray(lam_s, float))
-    out = np.empty(lam_p.shape)
-    near = np.abs(lam_p / lam_s - 1.0) < 1e-9
-    if near.any():
-        lm = 0.5 * (lam_p[near] + lam_s[near])
-        out[near] = (1.0 + p_min / lm) * np.exp(-p_min / lm)
-    far = ~near
-    if far.any():
-        lp, ls = lam_p[far], lam_s[far]
-        out[far] = (lp * np.exp(-p_min / lp) - ls * np.exp(-p_min / ls)) / (lp - ls)
-    return out
+    hi, lo = np.maximum(lam_p, lam_s), np.minimum(lam_p, lam_s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = p_min / hi
+        d = u * ((hi - lo) / lo)
+        ratio = np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
+        tail = np.exp(-u) * (1.0 + u * ratio)
+    return np.where(u < math.inf, tail, 0.0)
+
+
+def _overlap_correction(s: CognitiveScenario, r, sin2_half):
+    """T - exp(-p_min/lam_p) - exp(-p_min/lam_s) at distance r from the
+    primary, at the angle theta from the secondary given as sin^2(theta/2)."""
+    a = s.env.path_loss_exponent
+    p_min = s.env.p_min_w
+    with np.errstate(divide="ignore", over="ignore"):
+        # (r - d0)^2 + 4 r d0 sin^2(theta/2) is r_s^2 without cancellation
+        rs2 = (r - s.d0) ** 2 + 4.0 * r * s.d0 * sin2_half
+        lam_p = s.p1.watts / r ** a
+        lam_s = s.p2.watts / rs2 ** (0.5 * a)
+        return (two_source_power_tail(lam_p, lam_s, p_min)
+                - np.exp(-p_min / lam_p) - np.exp(-p_min / lam_s))
+
+
+def _rule_correction(s: CognitiveScenario, scale: float, rule) -> float:
+    """The product rule's 2 int int correction r dr dtheta, one angular panel
+    at a time, which keeps the temporaries at 16 x 128 nodes."""
+    t, panels = rule
+    total = math.fsum(float(np.sum(w * _overlap_correction(s, scale * t, sin2)))
+                      for sin2, w in panels)
+    return scale * (scale * total)  # stays 0, not nan, where scale^2 overflows
+
+
+def _radial_correction(s: CognitiveScenario, sin2_half: float, scale: float) -> float:
+    """int_0^inf of the overlap correction times r, by adaptive Gauss-Kronrod."""
+    return integrate_semi_infinite(lambda r: _overlap_correction(s, r, sin2_half) * r,
+                                   _AREA_SPEC, scale=scale).value
 
 
 def affected_area_parallel(s: CognitiveScenario) -> float:
     """Affected area while both transmitters are active, in m^2.
 
-    Polar integral centred on the primary transmitter; the secondary sits at
-    distance d0.  The angular integrand is symmetric about theta = pi, so only
-    [0, pi] is integrated (doubled); the radial integral runs on a
-    semi-infinite axis scaled by the larger single footprint.
+    The closed-form single footprints A(P1) + A(P2) plus the overlap
+    correction, integrated by the fixed product rule on r = L u/(1 - u) with
+    L = d0 + the larger footprint.  The result is accepted when the 64 x 128
+    and 32 x 64 rules agree to the area tolerance; otherwise the correction is
+    integrated again by adaptive Gauss-Kronrod, radially (semi-infinite) at
+    each node of an angular rule on [0, pi].
     """
     a = s.env.path_loss_exponent
-    p_min = s.env.p_min_w
-    p1, p2 = s.p1.watts, s.p2.watts
-    r_scale = s.d0 + (max(p1, p2) / p_min) ** (1.0 / a)
-
-    def radial(theta: float) -> float:
-        cos_t = math.cos(theta)
-
-        def f(r):
-            rs = np.sqrt(np.maximum(r * r + s.d0 * s.d0 - 2.0 * r * s.d0 * cos_t, 1e-24))
-            lam_p = p1 / np.maximum(r, 1e-12) ** a
-            lam_s = p2 / rs ** a
-            return two_source_power_tail(lam_p, lam_s, p_min) * r
-
-        return integrate_semi_infinite(f, _AREA_SPEC, scale=r_scale).value
-
-    def angular(theta):
-        return np.array([radial(t) for t in np.atleast_1d(theta)])
-
-    return 2.0 * integrate(angular, 0.0, math.pi, _AREA_SPEC).value
+    singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+    scale = s.d0 + (max(s.p1.watts, s.p2.watts) / s.env.p_min_w) ** (1.0 / a)
+    fine, coarse = (singles + _rule_correction(s, scale, rule) for rule in (_FINE, _COARSE))
+    if abs(fine - coarse) <= _AREA_SPEC.rel_tol * fine:
+        return fine
+    angular = integrate(
+        lambda theta: np.array([_radial_correction(s, math.sin(0.5 * t) ** 2, scale)
+                                for t in theta]), 0.0, math.pi, _AREA_SPEC)
+    return singles + 2.0 * angular.value
 
 
 def _p2p_branch(s: CognitiveScenario) -> GaseBreakdown:

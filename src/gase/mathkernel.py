@@ -115,7 +115,9 @@ def _scaled_e1(x: float) -> float:
         c = b + a / c
         delta = c * d
         h *= delta
-        if abs(delta - 1.0) < 1e-16:
+        # within one ulp of 1: above x ~ 2e16, b += 2 no longer moves b and
+        # delta can settle one ulp below 1 instead of on it
+        if abs(delta - 1.0) <= 2.0 ** -52:
             return h
     raise QuadratureError("continued fraction for E1 did not converge", h, math.inf)
 

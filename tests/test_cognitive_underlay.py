@@ -2,9 +2,12 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from gase import cli
+from gase import cognitive_underlay as cg
 from gase.cognitive_underlay import (CognitiveScenario, affected_area_parallel,
                                      gase_cognitive, gase_x_channel,
                                      primary_capacity_parallel, prob_parallel,
@@ -15,6 +18,7 @@ from gase.mathkernel import QuadratureSpec, integrate_semi_infinite
 from gase.mc_oracle import (McConfig, certified_disk_radius, mc_affected_area,
                             mc_ergodic_capacity, primary_sinr_sampler,
                             secondary_sinr_sampler, two_source_field)
+from gase.config import load_preset
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single, dbm_to_watts
 
 ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -100.0)
@@ -30,6 +34,77 @@ def rho_p_scenario(rho_p: float) -> CognitiveScenario:
     d_sp = 100.0 * rho_p ** 0.25
     return CognitiveScenario(ENV, PowerLevel.from_dbm(20.0), PowerLevel.from_dbm(20.0),
                              100.0, 100.0, d_sp, 150.0, d_sp, dbm_to_watts(-80.0))
+
+
+def split_scenario(a, d0, p1_dbm, p2_dbm):
+    """Transmitters d0 apart, receivers placed so every link is realisable."""
+    env = PropagationEnvironment.from_dbm(a, -100.0, -100.0)
+    return CognitiveScenario(env, PowerLevel.from_dbm(p1_dbm), PowerLevel.from_dbm(p2_dbm),
+                             100.0, 100.0, d0, d0, d0, dbm_to_watts(-80.0))
+
+
+def preset_scenarios(name):
+    """The cognitive scenario at every point of a preset's sweep."""
+    cfg = load_preset(name)
+    env = PropagationEnvironment.from_dbm(cfg.path_loss_exponent, cfg.noise_dbm, cfg.p_min_dbm)
+    g = cfg.geometry
+    for value in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points):
+        point = cfg.with_parameter(cfg.sweep.parameter, float(value))
+        yield CognitiveScenario(env, PowerLevel.from_dbm(point.power_dbm["p1_dbm"]),
+                                PowerLevel.from_dbm(point.power_dbm["p2_dbm"]),
+                                g["d_p"], g["d_s"], g["d_sp"], g["d_ps"], g["d0"],
+                                dbm_to_watts(point.i_th_dbm))
+
+
+def split_reference(s, tol):
+    """A(P1) + A(P2) + the overlap correction by a composite 16-node
+    Gauss-Legendre product rule on theta in [0, pi] and u in [0, 1), with
+    r = L u/(1 - u), at 4k x 8k panels; k doubles until two successive areas
+    agree to ``tol``.  r_s comes from the law of cosines, independently of
+    the module's own integrand."""
+    a, m = s.env.path_loss_exponent, s.env.p_min_w
+    singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+    scale = s.d0 + (max(s.p1.watts, s.p2.watts) / m) ** (1.0 / a)
+    x, w = np.polynomial.legendre.leggauss(16)
+
+    def composite(hi, panels):
+        half = 0.5 * hi / panels
+        mids = half * (2.0 * np.arange(panels) + 1.0)
+        return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
+
+    def area(k):
+        theta, w_theta = composite(math.pi, 4 * k)
+        u, w_u = composite(1.0, 8 * k)
+        r = scale * u / (1.0 - u)
+        w_r = w_u * r * scale / (1.0 - u) ** 2
+        total = 0.0
+        for rows in np.array_split(np.arange(theta.size), max(1, theta.size // 64)):
+            rs = np.sqrt(r * r + s.d0 ** 2 - 2.0 * r * s.d0 * np.cos(theta[rows])[:, None])
+            lam_p, lam_s = s.p1.watts / r ** a, s.p2.watts / rs ** a
+            corr = (two_source_power_tail(lam_p, lam_s, m)
+                    - np.exp(-m / lam_p) - np.exp(-m / lam_s))
+            total += float(np.sum(w_theta[rows, None] * w_r * corr))
+        return singles + 2.0 * total
+
+    prev, k = area(1), 2
+    while True:
+        cur = area(k)
+        if abs(cur - prev) <= tol * abs(cur):
+            return cur
+        prev, k = cur, 2 * k
+
+
+def count_fallbacks(monkeypatch):
+    """Count the adaptive fallback's angular integrals."""
+    count = []
+    integrate = cg.integrate
+
+    def counting(*args, **kwargs):
+        count.append(1)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cg, "integrate", counting)
+    return count
 
 
 class TestScenarioInvariants:
@@ -176,6 +251,29 @@ class TestTwoSourceTail:
         outside = two_source_power_tail(lam * (1 + 5e-9), lam, m)
         assert inside == pytest.approx(outside, rel=1e-6)
 
+    def test_matches_mpmath_across_mean_ratios(self):
+        m = 1e-12
+        with mpmath.workdps(50):
+            mm = mpmath.mpf(m)
+            for lam_s in (2e-13, 1e-12, 5e-12):
+                for excess in (0.0, *(10.0 ** k for k in range(-12, 4))):
+                    lam_p = lam_s * (1.0 + excess)
+                    lp, ls = mpmath.mpf(lam_p), mpmath.mpf(lam_s)
+                    if lp == ls:
+                        ref = (1 + mm / lp) * mpmath.exp(-mm / lp)
+                    else:
+                        ref = (lp * mpmath.exp(-mm / lp) - ls * mpmath.exp(-mm / ls)) / (lp - ls)
+                    for got in (two_source_power_tail(lam_p, lam_s, m),
+                                two_source_power_tail(lam_s, lam_p, m)):
+                        assert abs(float(got) - float(ref)) <= 1e-14 * float(ref)
+
+    def test_finite_at_a_transmitter_and_far_out(self):
+        m = 1e-12
+        got = two_source_power_tail(np.array([math.inf, math.inf, 0.0, 1e-11, 0.0]),
+                                    np.array([math.inf, 1e-11, 0.0, 0.0, 1e-11]), m)
+        assert got.tolist() == pytest.approx([1.0, 1.0, 0.0, math.exp(-0.1), math.exp(-0.1)],
+                                             rel=1e-15, abs=0.0)
+
 
 class TestAffectedAreaParallel:
     def test_coincident_equal_sources_match_erlang_quadrature(self):
@@ -206,6 +304,58 @@ class TestAffectedAreaParallel:
         est = mc_affected_area(two_source_field(ENV, s.p1, s.p2, s.d0), radius,
                                McConfig(400_000, 63), tail, ENV.p_min_w)
         assert abs(area - est.mean) <= 3.0 * est.std_error
+
+    # a = 6 with both transmitters at 20 dBm and 20 km apart, and two weaker
+    # secondaries: the footprints do not overlap, so the area is their sum
+    FAR_APART = [(6.0, 20e3, 20.0), (4.0, 20e3, -20.0), (6.0, 2e3, -20.0)]
+
+    @pytest.mark.parametrize("a,d0,p2_dbm", FAR_APART)
+    def test_far_secondary_keeps_both_footprints(self, a, d0, p2_dbm):
+        s = split_scenario(a, d0, 20.0, p2_dbm)
+        singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+        assert affected_area_parallel(s) == pytest.approx(singles, rel=1e-9)
+
+    @pytest.mark.parametrize("a,d0,p2_dbm", FAR_APART)
+    def test_far_secondary_keeps_both_footprints_in_eval(self, tmp_path, capsys,
+                                                          a, d0, p2_dbm):
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(
+            "scenario.kind = cognitive\n"
+            f"env.path_loss_exponent = {a}\nenv.noise_dbm = -100\nenv.p_min_dbm = -100\n"
+            f"geom.d_p = 100\ngeom.d_s = 100\ngeom.d_sp = {d0}\ngeom.d_ps = {d0}\n"
+            f"geom.d0 = {d0}\npower.p1_dbm = 20\npower.p2_dbm = {p2_dbm}\n"
+            "threshold.i_th_dbm = -80\n")
+        assert cli.main(["eval", "--config", str(cfg)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        area = float(row.split(",")[header.split(",").index("area_parallel_m2")])
+        s = split_scenario(a, d0, 20.0, p2_dbm)
+        singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+        assert area == pytest.approx(singles, rel=1e-9)
+
+    @pytest.mark.parametrize("preset", ["fig6", "fig7a", "fig7b"])
+    def test_presets_match_converged_reference(self, preset):
+        for s in preset_scenarios(preset):
+            assert affected_area_parallel(s) == pytest.approx(split_reference(s, 1e-12),
+                                                              rel=1e-10)
+
+    def test_stress_grid_matches_converged_reference(self, monkeypatch):
+        # the reference stops at 1e-9 agreement, which is within 2e-10 of its
+        # 1e-12 limit on this grid and takes a few seconds instead of 35
+        fallbacks = count_fallbacks(monkeypatch)
+        for a in (2.1, 2.5, 3.3, 4.0, 6.0):
+            for d0 in (50.0, 250.0, 2e3, 20e3):
+                for dp in (-40.0, 0.0, 40.0):
+                    s = split_scenario(a, d0, 20.0, 20.0 + dp)
+                    assert affected_area_parallel(s) == pytest.approx(
+                        split_reference(s, 1e-9), rel=2e-5)
+        # a small secondary footprint inside the primary's (a = 4, d0 = 2 km,
+        # -40 dB) defeats the fixed rule's estimate and takes the adaptive path
+        assert len(fallbacks) >= 1
+
+    def test_fig7a_sweep_stays_on_the_product_rule(self, monkeypatch, tmp_path):
+        fallbacks = count_fallbacks(monkeypatch)
+        assert cli.main(["sweep", "--preset", "fig7a", "--out", str(tmp_path / "s.csv")]) == 0
+        assert fallbacks == []
 
     def test_dominates_single_footprints(self):
         for p2_dbm in (0.0, 20.0, 35.0):

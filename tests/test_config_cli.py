@@ -59,8 +59,8 @@ GOLDEN_FIG6_EVAL = (
     "area_parallel_m2,area_p2p_m2,se_total_bps_hz,gase_bps_hz_m2,"
     "gase_x_bps_hz_m2,gase_p2p_bps_hz_m2\n"
     "-8.00000000000e+01,4.93649081413e-02,7.23027812293e+00,2.91025164980e+00,"
-    "1.24563560415e+01,4.18668329037e+06,2.78416399842e+06,1.23420354905e+01,"
-    "4.37270987797e-06,1.39024208327e-06,4.47400226732e-06\n")
+    "1.24563560415e+01,4.18668329033e+06,2.78416399842e+06,1.23420354905e+01,"
+    "4.37270987797e-06,1.39024208328e-06,4.47400226732e-06\n")
 GOLDEN_FIG4_EVAL = (
     "p_s_dbm,p_direct,p_relay,c_direct_bps_hz,c_relay_bps_hz,capacity_bps_hz,"
     "area_s_m2,area_r_m2,gase_bps_hz_m2\n"

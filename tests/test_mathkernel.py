@@ -158,6 +158,17 @@ class TestMpmathOracle:
             for x in [*self.GRID, 1e3, 1e6]:
                 self.assert_close(scaled_e1(x), mpmath.exp(x) * mpmath.e1(x))
 
+    def test_scaled_e1_far_tail(self):
+        # above x ~ 2e16 the continued fraction's b += 2 no longer moves b;
+        # 20,000 log-uniform x in [1, 1e40], checked against mpmath at 200
+        xs = (10.0 ** np.random.default_rng(36).uniform(0.0, 40.0, 20_000)).tolist()
+        vals = [scaled_e1(x) for x in xs]
+        assert all(math.isfinite(v) for v in vals)
+        with mpmath.workdps(40):
+            for x, v in list(zip(xs, vals))[::100]:
+                ref = float(mpmath.exp(x) * mpmath.e1(x))
+                assert abs(v - ref) <= 1e-14 * ref
+
     def test_bessel_k0_k1(self):
         with mpmath.workdps(40):
             for x in self.GRID:
