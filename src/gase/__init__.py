@@ -25,8 +25,7 @@ from .mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
                          integrate_semi_infinite, scaled_e1)
 from .mc_oracle import (McConfig, McEstimate, mc_affected_area,
                         mc_ergodic_capacity, mc_mode_probability)
-from .propagation import (PowerLevel, PropagationEnvironment,
-                          affected_area_generic, affected_area_single,
+from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
                           dbm_to_watts, mean_snr, watts_to_dbm)
 from .relay_dualhop import (DualHopScenario, RelayProtocol, ergodic_capacity_af,
                             ergodic_capacity_df, gase_dualhop,

@@ -8,7 +8,8 @@ give piecewise closed-form ergodic capacities in the geometry ratios
 
     rho_p = (p1/p2) * (d_sp/d_p)^a,   rho_s = (p2/p1) * (d_ps/d_s)^a,
 
-with a removable 0/0 at rho = 1 handled by a dedicated branch.  The primary
+with a removable 0/0 at rho = 1: near it the difference quotient of
+exp(x) E1(x) is summed as its Taylor series in 1 - rho.  The primary
 capacity is conditioned on the interference constraint being met (the joint
 closed form divided by P).
 
@@ -35,12 +36,13 @@ pure point-to-point links in the i_th limits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .link_p2p import LN2, GaseBreakdown, P2pScenario, gase_p2p
-from .mathkernel import QuadratureSpec, integrate, integrate_semi_infinite, scaled_e1
+from .mathkernel import (QuadratureSpec, integrate, integrate_semi_infinite, scaled_e1,
+                         scaled_en)
 from .propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 __all__ = [
@@ -55,10 +57,11 @@ __all__ = [
     "gase_x_channel",
 ]
 
-# both piecewise branches agree to ~1e-10 at this distance from rho = 1, while
-# the generic branch's cancellation error stays below the 1e-6 continuity
-# tolerance just outside it
-_RHO_GUARD = 1e-6
+# Within this distance of rho = 1 the difference quotient is summed as a
+# Taylor series whose first dropped term is below 0.05^14 = 6e-19 of the sum;
+# outside it the closed difference loses less than 1e-12 to cancellation.
+_TAYLOR_BAND = 0.05
+_TAYLOR_TERMS = 14
 
 _AREA_SPEC = QuadratureSpec(rel_tol=2e-5, abs_tol=0.0, max_subdivisions=4000)
 
@@ -152,12 +155,17 @@ def prob_parallel(s: CognitiveScenario) -> float:
 def _interference_capacity(rho: float, n: float, extra: float, weight: float) -> float:
     """(1/ln 2) * int (tail of the SINR cdf)/(1+g) dg for the shared cdf family.
 
-    The tail is rho/(g+rho) * exp(-n g) * (1 - weight * exp(-extra g)); the
-    rho = 1 branch is the analytic limit of the generic one.
+    The tail is rho/(g+rho) * exp(-n g) * (1 - weight * exp(-extra g)).  Each
+    exponential contributes rho/(1-rho) * (h(s rho) - h(s)) with
+    h(x) = exp(x) E1(x).  Near rho = 1 that is summed as the Taylor series
+    rho * sum_j (1-rho)^j exp(s) E_(j+2)(s) of the difference quotient, from
+    h^(k)(s) = (-1)^k k! exp(s) E_(k+1)(s)/s^k (h' = h - 1/x); at rho = 1 it
+    is exp(s) E2(s) = 1 - s h(s).
     """
     def branch(srate: float) -> float:
-        if abs(rho - 1.0) <= _RHO_GUARD:
-            return 1.0 - srate * scaled_e1(srate)
+        if abs(rho - 1.0) <= _TAYLOR_BAND:
+            return rho * math.fsum((1.0 - rho) ** j * scaled_en(srate, j + 2)
+                                   for j in range(_TAYLOR_TERMS))
         return rho / (1.0 - rho) * (scaled_e1(srate * rho) - scaled_e1(srate))
 
     total = branch(n)
@@ -236,10 +244,50 @@ def _rule_correction(s: CognitiveScenario, scale: float, rule) -> float:
     return scale * (scale * total)  # stays 0, not nan, where scale^2 overflows
 
 
-def _radial_correction(s: CognitiveScenario, sin2_half: float, scale: float) -> float:
-    """int_0^inf of the overlap correction times r, by adaptive Gauss-Kronrod."""
-    return integrate_semi_infinite(lambda r: _overlap_correction(s, r, sin2_half) * r,
-                                   _AREA_SPEC, scale=scale).value
+def _weaker_footprint_missed(s: CognitiveScenario, scale: float, x: float, radius: float,
+                             singles: float) -> bool:
+    """Whether both fixed rules can miss the weaker footprint (radius R, at
+    distance x from the primary) alike.
+
+    That needs R below 4 node spacings of the fine rule there: (x + L)^2/(128 L)
+    radially (du = 1/128 on r = L u/(1 - u)) and x pi/64 angularly.  It also
+    needs the stronger field to reach it: the correction there is bounded by
+    about A_weak times lam_strong(d0)/P_min = min(1, (R_strong/d0)^a), which
+    must exceed a tenth of the area tolerance.
+    """
+    spacing = max((x + scale) ** 2 / (128.0 * scale), x * math.pi / 64.0)
+    if radius >= 4.0 * spacing:
+        return False
+    ratio = (scale - s.d0) / s.d0
+    reach = 1.0 if ratio >= 1.0 else ratio ** s.env.path_loss_exponent
+    weak = affected_area_single(s.env, min(s.p1.watts, s.p2.watts))
+    return weak * reach > 0.1 * _AREA_SPEC.rel_tol * singles
+
+
+def _adaptive_correction(s: CognitiveScenario, scale: float, x: float, width: float,
+                         tol: float) -> float:
+    """2 int_0^pi int_0^inf of the overlap correction r dr dtheta by adaptive
+    Gauss-Kronrod, to the absolute tolerance ``tol``.
+
+    The radial integrals break at x +- width, so that a footprint of that
+    size around the weaker transmitter at distance x lies inside its own
+    panel instead of between nodes.  Each of the (up to) three radial pieces
+    gets tol/(12 pi) and the angular integral tol/4, so twice the angular
+    plus pi times the radial errors stay within tol.
+    """
+    radial_spec = replace(_AREA_SPEC, abs_tol=tol / (12.0 * math.pi))
+    cuts = sorted({0.0, max(x - width, 0.0), x + width})
+
+    def radial(sin2_half: float) -> float:
+        def f(r):
+            return _overlap_correction(s, r, sin2_half) * r
+        total = sum(integrate(f, lo, hi, radial_spec).value for lo, hi in zip(cuts, cuts[1:]))
+        return total + integrate_semi_infinite(lambda t: f(cuts[-1] + t), radial_spec,
+                                               scale=scale).value
+
+    angular = integrate(lambda theta: np.array([radial(math.sin(0.5 * t) ** 2) for t in theta]),
+                        0.0, math.pi, replace(_AREA_SPEC, abs_tol=tol / 4.0))
+    return 2.0 * angular.value
 
 
 def affected_area_parallel(s: CognitiveScenario) -> float:
@@ -248,20 +296,24 @@ def affected_area_parallel(s: CognitiveScenario) -> float:
     The closed-form single footprints A(P1) + A(P2) plus the overlap
     correction, integrated by the fixed product rule on r = L u/(1 - u) with
     L = d0 + the larger footprint.  The result is accepted when the 64 x 128
-    and 32 x 64 rules agree to the area tolerance; otherwise the correction is
+    and 32 x 64 rules agree to the area tolerance and neither can have missed
+    the weaker footprint (_weaker_footprint_missed).  Otherwise the correction is
     integrated again by adaptive Gauss-Kronrod, radially (semi-infinite) at
-    each node of an angular rule on [0, pi].
+    each node of an angular rule on [0, pi], with radial breaks around the
+    weaker transmitter and an absolute tolerance set by the whole area, so
+    that a vanishing correction ends at once.
     """
     a = s.env.path_loss_exponent
     singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
     scale = s.d0 + (max(s.p1.watts, s.p2.watts) / s.env.p_min_w) ** (1.0 / a)
     fine, coarse = (singles + _rule_correction(s, scale, rule) for rule in (_FINE, _COARSE))
-    if abs(fine - coarse) <= _AREA_SPEC.rel_tol * fine:
+    x = s.d0 if s.p2.watts < s.p1.watts else 0.0  # the weaker transmitter's distance
+    radius = (min(s.p1.watts, s.p2.watts) / s.env.p_min_w) ** (1.0 / a)
+    if (abs(fine - coarse) <= _AREA_SPEC.rel_tol * fine
+            and not _weaker_footprint_missed(s, scale, x, radius, singles)):
         return fine
-    angular = integrate(
-        lambda theta: np.array([_radial_correction(s, math.sin(0.5 * t) ** 2, scale)
-                                for t in theta]), 0.0, math.pi, _AREA_SPEC)
-    return singles + 2.0 * angular.value
+    return singles + _adaptive_correction(s, scale, x, 4.0 * radius,
+                                          0.5 * _AREA_SPEC.rel_tol * singles)
 
 
 def _p2p_branch(s: CognitiveScenario) -> GaseBreakdown:

@@ -25,6 +25,7 @@ __all__ = [
     "NoInteriorOptimumError",
     "ergodic_capacity_p2p",
     "gase_p2p",
+    "optimal_inverse_snr",
     "optimal_power_p2p",
     "optimal_power_residual",
 ]
@@ -79,14 +80,13 @@ def optimal_power_residual(env: PropagationEnvironment, d: float, p_t) -> float:
     return (x + 2.0 / env.path_loss_exponent) * scaled_e1(x) - 1.0
 
 
-def optimal_power_p2p(env: PropagationEnvironment, d: float) -> PowerLevel:
-    """GASE-maximising transmit power for a > 2.
+def optimal_inverse_snr(a: float) -> float:
+    """Root x* of (x + 2/a) * exp(x) * E1(x) = 1, for path-loss exponent a > 2.
 
-    Solves the dimensionless root equation on x = d^a N / P_t; the result is
-    proportional to d^a * N and independent of the detection threshold.
-    Refuses for a <= 2, where GASE has no interior maximum.
+    x is the inverse mean SNR d^a N / P_t of a link, so the root does not
+    depend on distance, noise or detection threshold.  Refuses for a <= 2,
+    where GASE has no interior maximum.
     """
-    a = env.path_loss_exponent
     if a <= 2.0:
         raise NoInteriorOptimumError(
             f"path loss exponent {a:g} <= 2: GASE is maximised only in the "
@@ -95,5 +95,11 @@ def optimal_power_p2p(env: PropagationEnvironment, d: float) -> PowerLevel:
     def g(x):
         return (x + 2.0 / a) * scaled_e1(x) - 1.0
 
-    x_star = find_root_bracketed(g, 1e-6, 1e3)
-    return PowerLevel(d ** a * env.noise_w / x_star)
+    # x* ~ a/(a - 2) as a -> 2
+    return find_root_bracketed(g, 1e-6, max(1e3, 4.0 * a / (a - 2.0)))
+
+
+def optimal_power_p2p(env: PropagationEnvironment, d: float) -> PowerLevel:
+    """GASE-maximising transmit power d^a * N / x* for a > 2 (optimal_inverse_snr)."""
+    a = env.path_loss_exponent
+    return PowerLevel(d ** a * env.noise_w / optimal_inverse_snr(a))

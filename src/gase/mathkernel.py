@@ -11,7 +11,9 @@ the runtime needs nothing beyond numpy:
   continued fraction above, both on Python floats with ``math``.  The
   continued fraction evaluates exp(x)*E1(x) directly, which is what makes the
   scaled form overflow-free for large x.  Every caller passes a scalar; an
-  array maps element-wise through the same scalar kernel.
+  array maps element-wise through the same scalar kernel.  Higher orders E_n
+  (DLMF 8.19) use the same continued fraction with order-n coefficients, and
+  on x <= 1 the upward recurrence from E1, which is stable there.
 * K0/K1: each branch returns both orders in one pass.  Ascending series
   (DLMF 10.31.2, 10.31.1) for x <= 2 and the truncated asymptotic expansion
   (DLMF 10.40.2) for x >= 30 are evaluated as powers of x^2/4, resp. 1/x,
@@ -42,6 +44,7 @@ __all__ = [
     "QuadratureError",
     "BracketingError",
     "scaled_e1",
+    "scaled_en",
     "bessel_k0",
     "bessel_k1",
     "bessel_k01",
@@ -92,24 +95,36 @@ class QuadratureResult(NamedTuple):
 # exponential integral
 # ---------------------------------------------------------------------------
 
-def _scaled_e1(x: float) -> float:
-    """exp(x)*E1(x) of one float: series on (0, 1], modified Lentz above."""
+def scaled_en(x: float, n: int) -> float:
+    """exp(x) * E_n(x) for one float x > 0 and order n >= 1: series on (0, 1],
+    modified Lentz above.
+
+    The k-th derivative of exp(x) E1(x) is (-1)^k k! exp(x) E_(k+1)(x) / x^k,
+    and exp(x) E2(x) = 1 - x exp(x) E1(x) without the cancellation of that
+    difference at large x.
+    """
     if not 0.0 < x < math.inf:
         raise ValueError("scaled_e1 requires x > 0")
+    if n < 1:
+        raise ValueError("scaled_en requires order n >= 1")
     if x <= 1.0:  # the alternating series needs few terms and does not cancel here
         acc = 0.0
         p = 1.0
         for k in range(1, 30):
             p *= -x / k
             acc -= p / k
-        return math.exp(x) * (-EULER_GAMMA - math.log(x) + acc)
+        h = math.exp(x) * (-EULER_GAMMA - math.log(x) + acc)
+        # upward recurrence E_(k+1) = (exp(-x) - x E_k)/k: errors shrink by x/k <= 1
+        for k in range(1, n):
+            h = (1.0 - x * h) / k
+        return h
     tiny = 1e-300
-    b = x + 1.0
+    b = x + n
     c = 1.0 / tiny
     d = 1.0 / b
     h = d
     for i in range(1, 500):
-        a = -float(i * i)
+        a = -float(i * (n - 1 + i))
         b += 2.0
         d = 1.0 / (a * d + b)
         c = b + a / c
@@ -119,7 +134,7 @@ def _scaled_e1(x: float) -> float:
         # delta can settle one ulp below 1 instead of on it
         if abs(delta - 1.0) <= 2.0 ** -52:
             return h
-    raise QuadratureError("continued fraction for E1 did not converge", h, math.inf)
+    raise QuadratureError("continued fraction for E_n did not converge", h, math.inf)
 
 
 def scaled_e1(x):
@@ -128,9 +143,9 @@ def scaled_e1(x):
     Strictly decreasing; bounded by (1/(x+1), 1/x).
     """
     if isinstance(x, (float, int)):
-        return _scaled_e1(float(x))
+        return scaled_en(float(x), 1)
     arr = np.asarray(x, dtype=float)
-    out = np.array([_scaled_e1(v) for v in arr.ravel().tolist()]).reshape(arr.shape)
+    out = np.array([scaled_en(v, 1) for v in arr.ravel().tolist()]).reshape(arr.shape)
     return float(out) if arr.ndim == 0 else out
 
 

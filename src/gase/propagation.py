@@ -3,8 +3,7 @@
 Received power follows P_r = P_t * Z / (d / d_ref)^a with d_ref fixed at 1 m:
 deterministic power-law path loss times a unit-mean fading power gain Z.
 Under Rayleigh fading Z is Exp(1), which gives the closed-form affected area
-(2*pi/a) * Gamma(2/a) * (P_t / P_min)^(2/a); the distribution-generic integral
-form is kept alongside it as an independent cross-check path.
+(2*pi/a) * Gamma(2/a) * (P_t / P_min)^(2/a).
 
 Scenario inputs arrive in dBm, the formulas run in watts; the module owns
 that conversion discipline.
@@ -15,10 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .mathkernel import QuadratureError, integrate_semi_infinite
-
 __all__ = [
     "PropagationEnvironment",
     "PowerLevel",
@@ -27,7 +22,6 @@ __all__ = [
     "watts_of",
     "mean_snr",
     "affected_area_single",
-    "affected_area_generic",
 ]
 
 def dbm_to_watts(p_dbm: float) -> float:
@@ -107,31 +101,3 @@ def affected_area_single(env: PropagationEnvironment, p_t) -> float:
     a = env.path_loss_exponent
     ratio = watts_of(p_t) / env.p_min_w
     return (2.0 * math.pi / a) * math.gamma(2.0 / a) * ratio ** (2.0 / a)
-
-
-def affected_area_generic(env: PropagationEnvironment, p_t, fading_ccdf) -> float:
-    """Affected area for an arbitrary fading ccdf, by quadrature.
-
-    The polar integral 2*pi * int (1 - F_Z(P_min r^a / P_t)) r dr is evaluated
-    after the substitution s = (P_min r^a / P_t)^(2/a), which removes both the
-    power scale and the endpoint singularity:
-
-        A = pi * (P_t/P_min)^(2/a) * int_0^inf ccdf(v^(a/2)) dv.
-
-    A heavy-tailed ccdf whose integral diverges surfaces as a quadrature
-    non-convergence diagnostic.
-    """
-    a = env.path_loss_exponent
-    ratio = watts_of(p_t) / env.p_min_w
-    half_a = 0.5 * a
-
-    def integrand(v):
-        return np.asarray(fading_ccdf(np.asarray(v) ** half_a), dtype=float)
-
-    try:
-        result = integrate_semi_infinite(integrand, scale=1.0)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            "affected-area integral did not converge (heavy-tailed ccdf?)",
-            math.pi * ratio ** (2.0 / a) * exc.best, exc.error) from exc
-    return math.pi * ratio ** (2.0 / a) * result.value

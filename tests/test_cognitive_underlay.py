@@ -166,12 +166,10 @@ class TestPrimaryCapacity:
 
     def test_branch_continuity_at_rho_one(self):
         base = primary_capacity_parallel(rho_p_scenario(1.0))
-        # inside the merge guard the equality branch is used; only the tiny
+        # both points sum the Taylor series about rho = 1; only the tiny
         # geometric coupling of c and rho remains
         assert primary_capacity_parallel(rho_p_scenario(1.0 + 1e-9)) == pytest.approx(
             base, rel=1e-8)
-        # branch mismatch proper: a point just inside the guard (equality
-        # branch) against one just outside (generic branch)
         for sign in (+1.0, -1.0):
             inside = primary_capacity_parallel(rho_p_scenario(1.0 + sign * 0.95e-6))
             outside = primary_capacity_parallel(rho_p_scenario(1.0 + sign * 1.05e-6))
@@ -183,6 +181,23 @@ class TestPrimaryCapacity:
                                   s.d0, 1e-20)
         clean = ergodic_capacity_p2p(P2pScenario(ENV, s.p1, s.d_p))
         assert primary_capacity_parallel(tight) == pytest.approx(clean, rel=0.01)
+
+
+    @pytest.mark.parametrize("srate", [1e-4, 1.0, 1e3])
+    def test_near_rho_one_against_mpmath(self, srate):
+        # rho/(1-rho) (h(s rho) - h(s)), h(x) = exp(x) E1(x), against the
+        # cancellation-free rho s int_0^inf exp(-t)/((s rho + t)(s + t)) dt,
+        # with |rho - 1| in {0, 1e-12, ..., 1e-2} on alternating sides
+        offsets = [0.0] + [(-1.0) ** k * 10.0 ** -k for k in range(12, 1, -1)]
+        with mpmath.workdps(50):
+            s = mpmath.mpf(srate)
+            for offset in offsets:
+                rho = 1.0 + offset
+                r = mpmath.mpf(rho)
+                ref = r * s * mpmath.quad(lambda t: mpmath.exp(-t) / ((s * r + t) * (s + t)),
+                                          [0, 1, 10, mpmath.inf])
+                got = cg._interference_capacity(rho, srate, 0.0, 0.0) * math.log(2.0)
+                assert abs(got - ref) <= 1e-13 * ref
 
 
 class TestSecondaryCapacity:
@@ -351,6 +366,21 @@ class TestAffectedAreaParallel:
         # a small secondary footprint inside the primary's (a = 4, d0 = 2 km,
         # -40 dB) defeats the fixed rule's estimate and takes the adaptive path
         assert len(fallbacks) >= 1
+
+    @pytest.mark.parametrize("d0,p2_dbm", [(0.215, -129.9), (0.05, -130.0), (0.25, -120.0)])
+    def test_footprint_between_nodes_takes_the_adaptive_path(self, monkeypatch, d0, p2_dbm):
+        # a secondary footprint of a few mm, d0 from a 0.26 m primary one,
+        # falls between the fixed rule's nodes, where both rules agree on
+        # missing it; without its own breaks the adaptive rule missed the
+        # last two by up to 9e-5
+        env = PropagationEnvironment.from_dbm(6.076, -100.0, 29.0)
+        s = CognitiveScenario(env, PowerLevel.from_dbm(-7.0), PowerLevel.from_dbm(p2_dbm),
+                              100.0, 100.0, 100.0, 100.0, d0, dbm_to_watts(-80.0))
+        fallbacks = count_fallbacks(monkeypatch)
+        # at the first point the 1e-6 reference is within 3e-8 of the 1e-9 one
+        assert affected_area_parallel(s) == pytest.approx(split_reference(s, 1e-6),
+                                                          rel=cg._AREA_SPEC.rel_tol)
+        assert fallbacks
 
     def test_fig7a_sweep_stays_on_the_product_rule(self, monkeypatch, tmp_path):
         fallbacks = count_fallbacks(monkeypatch)

@@ -1,5 +1,6 @@
 """Config grammar, presets, CSV schema, CLI exit codes, and determinism."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from gase import cli
 from gase import cognitive_underlay as cg
 from gase import coop_threenode as coop
-from gase.config import (ConfigError, derive_kind, load_preset, parse_config,
+from gase.config import (SWEEPABLE, ConfigError, derive_kind, load_preset, parse_config,
                          preset_names, render_config)
 
 FIG1_TEXT = """\
@@ -352,29 +353,81 @@ _DISTANCE = _finite(-3.0, 6.0).map(lambda e: 10.0 ** e)
 _GEOM = {"p2p": ("d",), "dualhop": ("d_sr", "d_rd"), "coop": ("d_sd", "d_sr", "d_rd")}
 
 
+def _scenario(draw, kind):
+    """The config entries of one p2p, dual-hop or cooperative scenario, DF or AF."""
+    values = {"scenario.kind": kind, "env.path_loss_exponent": draw(_finite(0.1, 10.0)),
+              "env.noise_dbm": draw(_DBM), "env.p_min_dbm": draw(_DBM)}
+    values.update((f"geom.{key}", draw(_DISTANCE)) for key in _GEOM[kind])
+    powers = ("p_t_dbm",) if kind == "p2p" else ("p_s_dbm", "p_r_dbm")
+    values.update((f"power.{key}", draw(_DBM)) for key in powers)
+    if kind != "p2p":
+        values["protocol.relay"] = draw(st.sampled_from(("df", "af")))
+    return values
+
+
+def _text(values):
+    return "".join(f"{key} = {value if isinstance(value, str) else repr(value)}\n"
+                   for key, value in values.items())
+
+
 @st.composite
 def eval_configs(draw):
     """Config text for one p2p, dual-hop or cooperative eval, DF or AF."""
+    return _text(_scenario(draw, draw(st.sampled_from(sorted(_GEOM)))))
+
+
+@st.composite
+def optimize_configs(draw):
+    """Config text for one dual-hop optimize, DF or AF, on equal or drawn hops.
+
+    p_max sits far below, near or far above the rough optimum N d^a (in dBm),
+    so that the 100 dB box holds the optimum, cuts it off at a face or
+    corner, or lies wholly below or above it; a <= 2 has no interior optimum.
+    """
+    values = _scenario(draw, "dualhop")
+    if draw(st.booleans()):
+        values["geom.d_rd"] = values["geom.d_sr"]
+    d = max(values["geom.d_sr"], values["geom.d_rd"])
+    rough = values["env.noise_dbm"] + 10.0 * values["env.path_loss_exponent"] * math.log10(d)
+    offset = draw(st.sampled_from((-300.0, -40.0, 0.0, 30.0, 90.0, 300.0)))
+    values["optimize.p_max_dbm"] = min(max(rough + offset, -200.0), 100.0)
+    return _text(values)
+
+
+@st.composite
+def sweep_configs(draw):
+    """Config text for a 1- to 3-point sweep over any sweepable power."""
     kind = draw(st.sampled_from(sorted(_GEOM)))
-    lines = [f"scenario.kind = {kind}",
-             f"env.path_loss_exponent = {draw(_finite(0.1, 10.0))!r}",
-             f"env.noise_dbm = {draw(_DBM)!r}",
-             f"env.p_min_dbm = {draw(_DBM)!r}"]
-    lines += [f"geom.{key} = {draw(_DISTANCE)!r}" for key in _GEOM[kind]]
-    powers = ("p_t_dbm",) if kind == "p2p" else ("p_s_dbm", "p_r_dbm")
-    lines += [f"power.{key} = {draw(_DBM)!r}" for key in powers]
-    if kind != "p2p":
-        lines.append(f"protocol.relay = {draw(st.sampled_from(('df', 'af')))}")
-    return "\n".join(lines) + "\n"
+    values = _scenario(draw, kind)
+    values.update({"sweep.parameter": draw(st.sampled_from(SWEEPABLE[kind])),
+                   "sweep.start": draw(_DBM), "sweep.stop": draw(_DBM),
+                   "sweep.points": draw(st.integers(1, 3))})
+    return _text(values)
+
+
+def _exit_code(tmp_path, command, text):
+    path = tmp_path / "fuzz.cfg"
+    path.write_text(text, encoding="utf-8")
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")])
 
 
 class TestCliRobustness:
+    # a numerical limit is exit 3; no input may end in a traceback
+
     @settings(derandomize=True, database=None, max_examples=100, deadline=2000,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(eval_configs())
     def test_eval_ends_in_an_exit_code(self, tmp_path, text):
-        # a numerical limit is exit 3; no input may end in a traceback
-        path = tmp_path / "fuzz.cfg"
-        path.write_text(text, encoding="utf-8")
-        assert cli.main(["eval", "--config", str(path),
-                         "--out", str(tmp_path / "out.csv")]) in (0, 1, 2, 3)
+        assert _exit_code(tmp_path, "eval", text) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=2000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(optimize_configs())
+    def test_optimize_ends_in_an_exit_code(self, tmp_path, text):
+        assert _exit_code(tmp_path, "optimize", text) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=2000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(sweep_configs())
+    def test_sweep_ends_in_an_exit_code(self, tmp_path, text):
+        assert _exit_code(tmp_path, "sweep", text) in (0, 1, 2, 3)

@@ -12,7 +12,7 @@ from scipy import special as sci_special
 
 from gase.mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
                              bessel_k0, bessel_k1, erfcx, find_root_bracketed,
-                             integrate, integrate_semi_infinite, scaled_e1)
+                             integrate, integrate_semi_infinite, scaled_e1, scaled_en)
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 EULER_GAMMA = 0.5772156649015328606
@@ -65,6 +65,15 @@ class TestExpIntegral:
                     np.array([1.0, math.inf])):
             with pytest.raises(ValueError):
                 scaled_e1(bad)
+
+    def test_higher_orders_against_mpmath(self):
+        # exp(x) E_n(x) on both branches and across the series/fraction switch,
+        # where 1 - x exp(x) E1(x) (= exp(x) E2(x)) would cancel at large x
+        with mpmath.workdps(40):
+            for n in (1, 2, 3, 7, 15):
+                for x in (1e-8, 0.3, 1.0, 1.0 + 1e-12, 2.5, 40.0, 1e4, 1e12):
+                    ref = mpmath.exp(x) * mpmath.expint(n, x)
+                    assert scaled_en(x, n) == pytest.approx(float(ref), rel=1e-14)
 
     def test_array_input(self):
         x = np.array([0.5, 1.0, 2.0, 5.0])

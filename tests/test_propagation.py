@@ -2,19 +2,11 @@
 
 import math
 
-import numpy as np
 import pytest
 
-from gase.mathkernel import QuadratureError
 from gase.mc_oracle import McConfig, certified_disk_radius, mc_affected_area, single_source_field
-from gase.propagation import (PowerLevel, PropagationEnvironment,
-                              affected_area_generic, affected_area_single,
+from gase.propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
                               dbm_to_watts, mean_snr, watts_to_dbm)
-
-
-def rayleigh_ccdf(z):
-    """P{Z > z} for the unit-mean exponential fading gain."""
-    return np.exp(-z)
 
 
 def env_dbm(a, noise_dbm=-100.0, p_min_dbm=-90.0):
@@ -105,33 +97,6 @@ class TestAffectedAreaClosedForm:
         a1 = affected_area_single(env_dbm(4.0, noise_dbm=-100.0), PowerLevel(1.0))
         a2 = affected_area_single(env_dbm(4.0, noise_dbm=-70.0), PowerLevel(1.0))
         assert a1 == a2
-
-
-class TestAffectedAreaGeneric:
-    def test_matches_closed_form_for_rayleigh(self):
-        env = env_dbm(4.0)
-        p = PowerLevel(1e9 * env.p_min_w)
-        generic = affected_area_generic(env, p, rayleigh_ccdf)
-        assert generic == pytest.approx(affected_area_single(env, p), rel=1e-6)
-
-    def test_degenerate_no_fading_disk(self):
-        env = env_dbm(3.0)
-        p = PowerLevel(100.0 * env.p_min_w)
-        step_ccdf = lambda z: (np.asarray(z) < 1.0).astype(float)
-        expected = math.pi * (p.watts / env.p_min_w) ** (2.0 / 3.0)
-        assert affected_area_generic(env, p, step_ccdf) == pytest.approx(expected, rel=1e-8)
-
-    def test_power_scaling(self):
-        env = env_dbm(4.0)
-        base = affected_area_generic(env, PowerLevel(0.001), rayleigh_ccdf)
-        scaled = affected_area_generic(env, PowerLevel(0.009), rayleigh_ccdf)
-        assert scaled == pytest.approx(9 ** 0.5 * base, rel=1e-6)
-
-    def test_heavy_tail_divergence_diagnostic(self):
-        env = PropagationEnvironment(2.0, 1e-13, 1e-12)
-        heavy = lambda z: 1.0 / (1.0 + np.asarray(z))
-        with pytest.raises(QuadratureError):
-            affected_area_generic(env, PowerLevel(1.0), heavy)
 
 
 class TestSpatialOracleAgreement:

@@ -10,7 +10,8 @@ from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
 from gase.mc_oracle import (McConfig, McSampler, af_snr_sampler, df_snr_sampler,
                             exponential_from_uniform, mc_ergodic_capacity,
                             mc_mode_probability)
-from gase.propagation import PowerLevel, PropagationEnvironment
+from gase.propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
+                              watts_of)
 from gase.relay_dualhop import (DualHopScenario, RelayProtocol, af_snr_cdf, af_snr_pdf,
                                 df_snr_pdf, ergodic_capacity,
                                 ergodic_capacity_af, ergodic_capacity_df, gase_dualhop,
@@ -26,6 +27,76 @@ _HOP_SCALE = 500.0 ** 4 * ENV.noise_w
 def hop_scenario(gsr, grd):
     return DualHopScenario(ENV, PowerLevel(gsr * _HOP_SCALE), PowerLevel(grd * _HOP_SCALE),
                            500.0, 500.0)
+
+
+def descent_oracle(env, d_sr, d_rd, p_max, tol):
+    """The coordinate-descent optimiser the stationarity solve replaced, kept
+    as the DF reference: 8 starts on a 3x3 log-power grid (centre excluded),
+    golden-section line searches in ln P_S and ln P_R on the 10-decade box,
+    GASE from its DF closed form up to a constant factor (A grows as
+    P^(2/a)).  Returns (ln P_S, ln P_R)."""
+    a = env.path_loss_exponent
+    hi = math.log(watts_of(p_max))
+    lo = hi - 10.0 * math.log(10.0)
+    c_s, c_r = d_sr ** a * env.noise_w, d_rd ** a * env.noise_w
+
+    def eta(ls, lr):
+        return (scaled_e1(c_s * math.exp(-ls) + c_r * math.exp(-lr))
+                * (math.exp(-2.0 * ls / a) + math.exp(-2.0 * lr / a)))
+
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def line_max(f):
+        x0, x1 = lo, hi
+        c, d = x1 - golden * (x1 - x0), x0 + golden * (x1 - x0)
+        fc, fd = f(c), f(d)
+        while x1 - x0 > tol:
+            if fc >= fd:
+                x1, d, fd = d, c, fc
+                c = x1 - golden * (x1 - x0)
+                fc = f(c)
+            else:
+                x0, c, fc = c, d, fd
+                d = x0 + golden * (x1 - x0)
+                fd = f(d)
+        x = 0.5 * (x0 + x1)
+        return x, f(x)
+
+    best = (-math.inf, hi, hi)
+    for f1 in (0.2, 0.5, 0.8):
+        for f2 in (0.2, 0.5, 0.8):
+            if (f1, f2) == (0.5, 0.5):
+                continue
+            ls, lr = lo + f1 * (hi - lo), lo + f2 * (hi - lo)
+            val = eta(ls, lr)
+            for _ in range(60):
+                ls_new, val = line_max(lambda v: eta(v, lr))
+                lr_new, val = line_max(lambda v: eta(ls_new, v))
+                moved = max(abs(ls_new - ls), abs(lr_new - lr))
+                ls, lr = ls_new, lr_new
+                if moved < 2.0 * tol:
+                    break
+            if val > best[0]:
+                best = (val, ls, lr)
+    return best[1], best[2]
+
+
+_TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
+
+
+def af_log_gase(env, d_sr, d_rd, ls, lr):
+    """ln of 4 ln(2) times the AF GASE, from a tight capacity quadrature of
+    log1p(g) against the harmonic-mean density, at ln P_S = ls, ln P_R = lr."""
+    a = env.path_loss_exponent
+    x_s = d_sr ** a * env.noise_w / math.exp(ls)
+    x_r = d_rd ** a * env.noise_w / math.exp(lr)
+    a1, b1 = x_s + x_r, math.sqrt(x_s * x_r)
+    pdf = af_snr_pdf(a1, b1)
+    capacity = integrate_semi_infinite(lambda g: np.log1p(g) * pdf(g), _TIGHT,
+                                       scale=1.0 / (a1 + 2.0 * b1)).value
+    inv_area = (1.0 / affected_area_single(env, PowerLevel(math.exp(ls)))
+                + 1.0 / affected_area_single(env, PowerLevel(math.exp(lr))))
+    return math.log(capacity * inv_area)
 
 
 def hop_rates(s):
@@ -210,6 +281,74 @@ class TestPowerOptimisation:
         p_s, p_r, _ = optimize_relay_powers(ENV, 500.0, 500.0, p_max, RelayProtocol.DF)
         assert p_s.watts == pytest.approx(p_max.watts, rel=1e-3)
         assert p_r.watts == pytest.approx(p_max.watts, rel=1e-3)
+
+    GEOMETRIES = [(250.0, 500.0), (500.0, 500.0), (1000.0, 500.0)]
+
+    @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 4.0, 6.0])
+    def test_df_matches_descent_oracle(self, a):
+        # p_max below, at and above the interior optimum (a > 2); for a <= 2,
+        # where GASE only grows as the powers shrink, three fixed boxes
+        env = PropagationEnvironment.from_dbm(a, -100.0, -90.0)
+        for d_sr, d_rd in self.GEOMETRIES:
+            if a > 2.0:
+                p_s, p_r, _ = optimize_relay_powers(env, d_sr, d_rd, PowerLevel(1e12),
+                                                    RelayProtocol.DF, span_decades=40.0)
+                top = max(p_s.watts, p_r.watts)
+                boxes = [PowerLevel(top * f) for f in (1e-3, 1.0, 1e3)]
+            else:
+                boxes = [PowerLevel.from_dbm(v) for v in (-40.0, 17.0, 60.0)]
+            for p_max in boxes:
+                p_s, p_r, _ = optimize_relay_powers(env, d_sr, d_rd, p_max, RelayProtocol.DF)
+                got = (math.log(p_s.watts), math.log(p_r.watts))
+                want = descent_oracle(env, d_sr, d_rd, p_max, 1e-8)
+                # equal hops with a <= 2 have two mirror-image optima of equal GASE
+                mirrors = [want, want[::-1]] if d_sr == d_rd else [want]
+                assert min(max(abs(g - w) for g, w in zip(got, m)) for m in mirrors) <= 1e-4
+
+    @pytest.mark.parametrize("a,d_sr,d_rd", [(4.0, 500.0, 500.0), (6.0, 500.0, 500.0),
+                                             (3.0, 500.0, 500.0), (3.3, 600.0, 350.0)])
+    def test_af_optimum_is_a_tight_stationary_maximum(self, a, d_sr, d_rd):
+        # one Newton step of the tightly integrated ln(GASE), by central
+        # differences, moves the optimum by at most 1e-4 in ln P, and the
+        # Hessian is negative definite.  At a = 3 the equal-hop diagonal is a
+        # saddle and the optimum has P_S > P_R.
+        env = PropagationEnvironment.from_dbm(a, -100.0, -90.0)
+        p_s, p_r, eta = optimize_relay_powers(env, d_sr, d_rd, PowerLevel(1e6), RelayProtocol.AF,
+                                              span_decades=20.0)
+        ls, lr = math.log(p_s.watts), math.log(p_r.watts)
+        assert math.log(1e-14) < min(ls, lr) and max(ls, lr) < math.log(1e6)
+
+        def f(du, dv):
+            return af_log_gase(env, d_sr, d_rd, ls + du, lr + dv)
+
+        h = 1e-3
+        f0 = f(0.0, 0.0)
+        grad = np.array([f(h, 0.0) - f(-h, 0.0), f(0.0, h) - f(0.0, -h)]) / (2.0 * h)
+        cross = (f(h, h) - f(h, -h) - f(-h, h) + f(-h, -h)) / (4.0 * h * h)
+        hess = np.array([[f(h, 0.0) - 2.0 * f0 + f(-h, 0.0), cross * h * h],
+                         [cross * h * h, f(0.0, h) - 2.0 * f0 + f(0.0, -h)]]) / (h * h)
+        assert np.all(np.linalg.eigvalsh(hess) < 0.0)
+        assert np.max(np.abs(np.linalg.solve(hess, grad))) <= 1e-4
+        # GASE is C/2 (1/A_S + 1/A_R) with C in bits over the two slots
+        assert 4.0 * LN2 * eta == pytest.approx(math.exp(f0), rel=1e-7)
+        if a == 3.0:
+            assert p_s.watts > 10.0 * p_r.watts
+
+    def test_af_box_face(self):
+        # the interior AF optimum for these hops lies just above 40 dBm in P_S:
+        # P_S sits on the bound, GASE still rises through it, and P_R solves
+        # its own condition on that face
+        env = PropagationEnvironment.from_dbm(4.0, -100.0, -90.0)
+        p_s, p_r, _ = optimize_relay_powers(env, 600.0, 350.0, PowerLevel.from_dbm(40.0),
+                                            RelayProtocol.AF)
+        assert p_s.dbm == pytest.approx(40.0, abs=1e-12)
+        ls, lr = math.log(p_s.watts), math.log(p_r.watts)
+        h = 1e-3
+        f = [af_log_gase(env, 600.0, 350.0, ls + du, lr + dv)
+             for du, dv in ((0.0, -h), (0.0, 0.0), (0.0, h), (-h, 0.0))]
+        assert f[1] > f[3]
+        step = (f[2] - f[0]) / (2.0 * h) / ((f[2] - 2.0 * f[1] + f[0]) / h ** 2)
+        assert abs(step) <= 1e-4
 
     def test_af_smoke(self):
         # AF objective evaluates a quadrature per point; keep the box tight
