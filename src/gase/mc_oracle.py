@@ -7,6 +7,13 @@ fading gains are drawn by inverse cdf (-log1p(-u)); estimates reduce
 per-chunk partial sums in chunk order, making every McEstimate
 bit-reproducible for a fixed McConfig.
 
+Spatial fields take polar coordinates: a field callback maps
+(r, v, fading uniforms) to received power, where r is the distance from the
+origin and v in [0, 1) is the angular uniform (angle 2*pi*v).  A source at
+(d0, 0) is at distance sqrt((r - d0)^2 + 4 r d0 sin^2(pi v)) -- the law of
+cosines with 1 - cos(2 pi v) = 2 sin^2(pi v), which cannot cancel -- so a
+field needs at most one sin per sample and no cos or hypot.
+
 Three oracle operations cover the package's closed forms: fading-averaged
 capacity of an arbitrary SNR sampler, spatial sampling of affected areas over
 a certified bounding disk, and event probabilities for mode-selection and
@@ -83,7 +90,13 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class McSampler:
-    """A vectorised map from per-sample uniforms to the quantity of interest."""
+    """A vectorised map from per-sample uniforms to the quantity of interest.
+
+    ``fn`` takes a (samples, draws_per_sample) array of uniforms; a spatial
+    field for mc_affected_area instead takes (r, v, fading uniforms), with r
+    the distance from the origin and v the angular uniform, and
+    ``draws_per_sample`` counts only the fading columns.
+    """
 
     draws_per_sample: int
     fn: Callable[[np.ndarray], np.ndarray]
@@ -103,9 +116,11 @@ def _iter_chunks(cfg: McConfig, cols: int):
     chunk = 0
     while done < cfg.samples:
         take = min(_CHUNK, cfg.samples - done)
-        # always generate the full chunk so sample i is chunk-size independent
-        u = _chunk_uniforms(cfg, chunk, _CHUNK, cols)[:take]
-        yield u
+        # Philox fills the array row by row, so the first `take` rows are
+        # bit-for-bit those of a full chunk: sample i keeps its uniforms
+        # whatever the sample count, and a short last chunk makes only what
+        # it uses
+        yield _chunk_uniforms(cfg, chunk, take, cols)
         done += take
         chunk += 1
 
@@ -154,7 +169,9 @@ def mc_affected_area(power_field: McSampler, radius: float, cfg: McConfig,
                      tail_fraction: float, p_min_w: float) -> McEstimate:
     """Spatial estimate of an affected area over a disk of the given radius.
 
-    ``power_field.fn`` maps (x, y, fading uniforms) to total received power;
+    ``power_field.fn`` maps (r, v, fading uniforms) to total received power,
+    where r = radius * sqrt(u0) is the distance from the origin and v = u1 the
+    angular uniform (angle 2*pi*v), so the point is uniform on the disk;
     ``tail_fraction`` is the caller's certified bound on the area excluded by
     the disk, refused above TAIL_FRACTION_LIMIT.
     """
@@ -168,9 +185,7 @@ def mc_affected_area(power_field: McSampler, radius: float, cfg: McConfig,
 
     def values(u):
         # first two uniforms place the point uniformly on the disk
-        r = radius * np.sqrt(u[:, 0])
-        theta = 2.0 * math.pi * u[:, 1]
-        power = power_field.fn(r * np.cos(theta), r * np.sin(theta), u[:, 2:])
+        power = power_field.fn(radius * np.sqrt(u[:, 0]), u[:, 1], u[:, 2:])
         return (power >= p_min_w).astype(float)
 
     est = _mean_estimate(cfg, power_field.draws_per_sample + 2, values)
@@ -300,23 +315,29 @@ def single_source_field(env: PropagationEnvironment, p_t) -> McSampler:
     a = env.path_loss_exponent
     p = watts_of(p_t)
 
-    def fn(x, y, u):
-        r = np.maximum(np.hypot(x, y), 1e-12)
-        return p * exponential_from_uniform(u[:, 0]) / r ** a
+    def fn(r, v, u):
+        return p * exponential_from_uniform(u[:, 0]) / np.maximum(r, 1e-12) ** a
 
     return McSampler(1, fn)
 
 
 def two_source_field(env: PropagationEnvironment, p1, p2, d0: float) -> McSampler:
-    """Sum of received powers from sources at the origin and at (d0, 0)."""
+    """Sum of received powers from sources at the origin and at (d0, 0).
+
+    The second distance comes from the law of cosines in its cancellation-free
+    form r2^2 = (r - d0)^2 + 4 r d0 sin^2(pi v); both distances are clamped
+    at 1e-12 m.
+    """
     a = env.path_loss_exponent
     w1, w2 = watts_of(p1), watts_of(p2)
 
-    def fn(x, y, u):
+    def fn(r, v, u):
         z = exponential_from_uniform(u)
-        r1 = np.maximum(np.hypot(x, y), 1e-12)
-        r2 = np.maximum(np.hypot(x - d0, y), 1e-12)
-        return w1 * z[:, 0] / r1 ** a + w2 * z[:, 1] / r2 ** a
+        # sin(pi v) = sin(pi (1 - v)), and 1 - v is exact for v >= 1/2: the
+        # reflected argument keeps sin accurate to its last digit near v = 1
+        s = np.sin(math.pi * np.minimum(v, 1.0 - v))
+        r2_sq = np.maximum((r - d0) ** 2 + 4.0 * d0 * r * (s * s), 1e-24)
+        return w1 * z[:, 0] / np.maximum(r, 1e-12) ** a + w2 * z[:, 1] / r2_sq ** (0.5 * a)
 
     return McSampler(2, fn)
 

@@ -137,7 +137,8 @@ def ergodic_capacity_af(s: DualHopScenario) -> float:
     pdf = af_snr_pdf(a1, b1)
 
     def integrand(g):
-        return 0.5 * np.log2(1.0 + g) * pdf(g)
+        # log1p keeps the digits that log2(1 + g) loses at small g (it is 0 below 1.1e-16)
+        return np.log1p(g) / (2.0 * LN2) * pdf(g)
 
     # integrand tail decays like exp(-(a1 + 2 b1) g)
     return integrate_semi_infinite(integrand, _CAP_SPEC, scale=1.0 / (a1 + 2.0 * b1)).value

@@ -51,6 +51,19 @@ def run_module(*argv):
                           capture_output=True, text=True, env=env)
 
 
+# mean hop SNR ~1e-31: 0.5*log2(1 + g) reads exactly 0 there, log1p(g) does not
+AF_LOW_SNR_TEXT = """\
+scenario.kind = dualhop
+env.path_loss_exponent = 5.11
+env.noise_dbm = 73.7
+env.p_min_dbm = -90
+geom.d_sr = 2.7e5
+geom.d_rd = 2.7e5
+power.p_s_dbm = 50
+power.p_r_dbm = 50
+protocol.relay = af
+"""
+
 # frozen golden rows: 12-significant-digit scientific notation, fixed order
 GOLDEN_FIG1_EVAL = (
     "p_t_dbm,capacity_bps_hz,area_m2,gase_bps_hz_m2\n"
@@ -248,6 +261,17 @@ class TestCliCommands:
         assert proc.stderr.startswith("gase: numerical failure:")
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_af_capacity_at_low_snr(self, tmp_path, capsys):
+        # equal hops at low SNR: C_AF/C_DF -> E[harmonic mean]/E[min] = 2/3
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text(AF_LOW_SNR_TEXT)
+        capacity = {}
+        for protocol in ("af", "df"):
+            assert self.run("eval", "--config", str(cfg), "--protocol", protocol) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            capacity[protocol] = float(row.split(",")[header.split(",").index("capacity_bps_hz")])
+        assert capacity["af"] / capacity["df"] == pytest.approx(2.0 / 3.0, abs=1e-3)
+
     def test_verification_failure_exit_code(self, monkeypatch, tmp_path):
         failed = cli.VerifyCheck("synthetic", 1.0, 2.0, 0.1, 0.05)
         monkeypatch.setattr(cli, "run_verify", lambda *a, **k: [failed])
@@ -365,6 +389,28 @@ def _scenario(draw, kind):
     return values
 
 
+@st.composite
+def two_transmitter_configs(draw):
+    """Config text for one cognitive or xchannel scenario the parser accepts.
+
+    d_sp and d_ps lie inside the triangle bounds [|d0 - d_p|, d0 + d_p] and
+    [|d0 - d_s|, d0 + d_s]; i_th is drawn for the cognitive kind only.
+    """
+    kind = draw(st.sampled_from(("cognitive", "xchannel")))
+    values = {"scenario.kind": kind, "env.path_loss_exponent": draw(_finite(0.1, 10.0)),
+              "env.noise_dbm": draw(_DBM), "env.p_min_dbm": draw(_DBM)}
+    d0, d_p, d_s = draw(_DISTANCE), draw(_DISTANCE), draw(_DISTANCE)
+    values.update({"geom.d_p": d_p, "geom.d_s": d_s, "geom.d0": d0})
+    for key, d in (("d_sp", d_p), ("d_ps", d_s)):
+        lo, hi = abs(d0 - d), d0 + d
+        t = draw(st.floats(0.0, 1.0, exclude_min=True))
+        values[f"geom.{key}"] = min(max(lo + t * (hi - lo), lo), hi)
+    values.update({"power.p1_dbm": draw(_DBM), "power.p2_dbm": draw(_DBM)})
+    if kind == "cognitive":
+        values["threshold.i_th_dbm"] = draw(_DBM)
+    return _text(values)
+
+
 def _text(values):
     return "".join(f"{key} = {value if isinstance(value, str) else repr(value)}\n"
                    for key, value in values.items())
@@ -405,10 +451,11 @@ def sweep_configs(draw):
     return _text(values)
 
 
-def _exit_code(tmp_path, command, text):
+def _exit_code(tmp_path, command, text, *flags):
     path = tmp_path / "fuzz.cfg"
     path.write_text(text, encoding="utf-8")
-    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out.csv")])
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out.csv"),
+                     *flags])
 
 
 class TestCliRobustness:
@@ -431,3 +478,15 @@ class TestCliRobustness:
     @given(sweep_configs())
     def test_sweep_ends_in_an_exit_code(self, tmp_path, text):
         assert _exit_code(tmp_path, "sweep", text) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=2000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(eval_configs())
+    def test_verify_ends_in_an_exit_code(self, tmp_path, text):
+        assert _exit_code(tmp_path, "verify", text, "--samples", "2000") in (0, 1, 2, 3)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=2000,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(two_transmitter_configs())
+    def test_verify_two_transmitters_ends_in_an_exit_code(self, tmp_path, text):
+        assert _exit_code(tmp_path, "verify", text, "--samples", "2000") in (0, 1, 2, 3)

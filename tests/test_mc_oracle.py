@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -30,14 +31,23 @@ class TestDeterminism:
         assert a.mean != b.mean
 
     def test_sample_prefix_stability(self):
-        # sample i depends only on (seed, stream, i), not on the total count
-        big = mc_mode_probability(
-            McSampler(1, lambda u: u[:, 0] < 0.25), McConfig(200_000, 9, 3))
-        small = mc_mode_probability(
-            McSampler(1, lambda u: u[:, 0] < 0.25), McConfig(50_000, 9, 3))
-        # distinct totals but both near 1/4 and both reproducible
-        assert big.mean == pytest.approx(0.25, abs=3 * big.std_error)
-        assert small.mean == pytest.approx(0.25, abs=3 * small.std_error)
+        # sample i depends only on (seed, stream, i), not on the total count;
+        # both counts end mid-chunk, and 70,000 ends where 140,000 has a full chunk
+        seen = {}
+        for n in (70_000, 140_000):
+            rows = []
+
+            def record(u):
+                rows.append(u.copy())
+                return u[:, 0] < 0.25
+
+            mc_mode_probability(McSampler(2, record), McConfig(n, 9, 3))
+            seen[n] = np.concatenate(rows)
+        assert seen[70_000].shape == (70_000, 2)
+        np.testing.assert_array_equal(seen[140_000][:70_000], seen[70_000])
+        # the stream layout: chunk k of stream s is Philox keyed (seed, s << 32 | k)
+        chunk1 = np.random.Generator(np.random.Philox(key=[9, (3 << 32) | 1]))
+        np.testing.assert_array_equal(seen[70_000][1 << 16:], chunk1.random((4_464, 2)))
 
     def test_exponential_inverse_cdf_mean(self):
         u = np.linspace(0.0, 1.0, 100_001)[:-1]
@@ -110,7 +120,7 @@ class TestModeProbability:
 class TestAffectedArea:
     def test_deterministic_disk(self):
         # no fading: power P/r^4 exceeds p_min inside radius (P/p_min)^(1/4)
-        field = McSampler(0, lambda x, y, u: 1.0 / np.hypot(x, y) ** 4)
+        field = McSampler(0, lambda r, v, u: 1.0 / r ** 4)
         expected = math.pi * (1.0 / ENV4.p_min_w) ** 0.5
         radius = 2.0 * (1.0 / ENV4.p_min_w) ** 0.25
         est = mc_affected_area(field, radius, McConfig(400_000, 4), 0.0, ENV4.p_min_w)
@@ -138,6 +148,39 @@ class TestAffectedArea:
         ref = 2 * math.pi * integrate_semi_infinite(
             erlang_tail, QuadratureSpec(1e-10, 1e-14), scale=scale).value
         assert abs(est.mean - ref) <= 3.0 * est.std_error
+
+    @pytest.mark.parametrize("d0", [250.0, 0.0])
+    def test_two_source_polar_matches_cartesian(self, d0):
+        # the law-of-cosines field against the hypot form at 50 digits
+        env = PropagationEnvironment.from_dbm(3.7, -100.0, -90.0)
+        w1, w2 = 0.1, 0.03
+        rng = np.random.default_rng(17)
+        r = list(3.0 * max(d0, 1.0) * np.sqrt(rng.random(200)))
+        v = list(rng.random(200))
+        for axis in (0.0, 0.5):                      # both sides of the source axis
+            r += [0.5 * d0, d0, 2.0 * d0, 1e-13]
+            v += [axis] * 4
+        for offset in (1e-6, 1e-9):                  # around the second source
+            for phi in np.linspace(0.0, 2.0 * math.pi, 12, endpoint=False):
+                x = d0 * (1.0 + offset * math.cos(phi))
+                y = d0 * offset * math.sin(phi)
+                r.append(math.hypot(x, y))
+                v.append(math.atan2(y, x) / (2.0 * math.pi) % 1.0)
+        r, v = np.array(r), np.array(v)
+        u = rng.random((len(r), 2))
+        got = two_source_field(env, PowerLevel(w1), PowerLevel(w2), d0).fn(r, v, u)
+
+        with mpmath.workdps(50):
+            def cartesian(r, v, u):
+                r, theta = mpmath.mpf(r), 2 * mpmath.pi * mpmath.mpf(v)
+                x, y = r * mpmath.cos(theta), r * mpmath.sin(theta)
+                r1 = max(mpmath.hypot(x, y), mpmath.mpf(1e-12))
+                r2 = max(mpmath.hypot(x - d0, y), mpmath.mpf(1e-12))
+                z = [-mpmath.log1p(-mpmath.mpf(c)) for c in u]
+                return float(w1 * z[0] / r1 ** 3.7 + w2 * z[1] / r2 ** 3.7)
+
+            ref = np.array([cartesian(*point) for point in zip(r, v, u)])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-13
 
     def test_tail_certification_refusal(self):
         field = single_source_field(ENV4, PowerLevel(1.0))
