@@ -6,10 +6,13 @@ Sweeps reproduce the figure presets as CSV tables (header row, comma
 separator, scientific notation with 12 significant digits).  ``verify`` runs
 the closed forms against the seeded Monte Carlo oracles and exits nonzero if
 any check fails its band.  Every value comes from the scenario modules; this
-layer only picks the columns.  Sweep points and verify checks are evaluated
-sequentially, and each Monte Carlo estimate takes the next stream id in
-output order.  ``--workers`` is accepted for compatibility and has no effect
-on the output.
+layer only picks the columns.  A sweep of the dual-hop or cooperative kind
+hands all its points to the scenario module as one batch, whose quadratures
+run in lockstep, and an eval is the batch of one; the other kinds evaluate
+their points one by one.  Rows come out in sweep order.  Verify checks are
+evaluated sequentially, and each Monte Carlo estimate takes the next stream
+id in output order.  ``--workers`` is accepted for compatibility and has no
+effect on the output.
 
 Exit codes: 0 success, 1 usage/config error (including a config or output
 path that cannot be read or written), 2 verification failure,
@@ -104,31 +107,40 @@ _COLUMNS = {
 }
 
 
-def _evaluate_row(cfg: ScenarioConfig, param_value: float,
-                  area_parallel: Optional[float] = None) -> List[float]:
-    s = _scenario(cfg)
-    if cfg.kind == "p2p":
-        b = p2p.gase_p2p(s)
-        vals = (b.capacity, b.area, b.gase)
-    elif cfg.kind == "dualhop":
-        b = relay.gase_dualhop(s, relay.RelayProtocol.parse(cfg.protocol))
-        vals = (b.capacity, b.components["area_sr_m2"], b.components["area_rd_m2"], b.gase)
-    elif cfg.kind == "coop":
-        r = coop.gase_coop(s, relay.RelayProtocol.parse(cfg.protocol))
-        vals = (r.p_direct, r.p_relay, r.c_direct, r.c_relay,
-                r.components["capacity_bps_hz"], r.components["area_s_m2"],
-                r.components["area_r_m2"], r.gase)
-    elif cfg.kind == "cognitive":
-        b = cg.gase_cognitive(s, area_parallel=area_parallel)
-        c = b.components
-        vals = (c["p_parallel"], c["c_primary_bps_hz"], c["c_secondary_bps_hz"],
-                c["c_p2p_bps_hz"], c["area_parallel_m2"], c["area_p2p_m2"], b.capacity,
-                b.gase, c["gase_x_channel"], c["gase_silent"])
-    else:  # xchannel
-        b = cg.gase_x_channel(s)
-        c = b.components
-        vals = (c["c_primary_bps_hz"], c["c_secondary_bps_hz"], b.capacity, b.area, b.gase)
-    return [param_value, *vals]
+def _values(cfgs: Sequence[ScenarioConfig], area_parallel: Optional[float] = None):
+    """The result columns of each config, all of one kind and protocol.
+
+    Dual-hop and cooperative configs go to the scenario module as one batch;
+    the other kinds are evaluated one config at a time.
+    """
+    kind = cfgs[0].kind
+    scenarios = [_scenario(cfg) for cfg in cfgs]
+    if kind == "p2p":
+        return [(b.capacity, b.area, b.gase) for b in map(p2p.gase_p2p, scenarios)]
+    if kind == "dualhop":
+        return [(b.capacity, b.components["area_sr_m2"], b.components["area_rd_m2"], b.gase)
+                for b in relay.gase_dualhop_batch(
+                    scenarios, relay.RelayProtocol.parse(cfgs[0].protocol))]
+    if kind == "coop":
+        return [(r.p_direct, r.p_relay, r.c_direct, r.c_relay,
+                 r.components["capacity_bps_hz"], r.components["area_s_m2"],
+                 r.components["area_r_m2"], r.gase)
+                for r in coop.gase_coop_batch(
+                    scenarios, relay.RelayProtocol.parse(cfgs[0].protocol))]
+    rows = []
+    for s in scenarios:
+        if kind == "cognitive":
+            b = cg.gase_cognitive(s, area_parallel=area_parallel)
+            c = b.components
+            rows.append((c["p_parallel"], c["c_primary_bps_hz"], c["c_secondary_bps_hz"],
+                         c["c_p2p_bps_hz"], c["area_parallel_m2"], c["area_p2p_m2"],
+                         b.capacity, b.gase, c["gase_x_channel"], c["gase_silent"]))
+        else:  # xchannel
+            b = cg.gase_x_channel(s)
+            c = b.components
+            rows.append((c["c_primary_bps_hz"], c["c_secondary_bps_hz"], b.capacity, b.area,
+                         b.gase))
+    return rows
 
 
 def _sweep_values(cfg: ScenarioConfig) -> np.ndarray:
@@ -140,17 +152,18 @@ def _sweep_values(cfg: ScenarioConfig) -> np.ndarray:
 
 def run_eval(cfg: ScenarioConfig) -> List[List[float]]:
     param = cfg.default_parameter()
-    return [_evaluate_row(cfg, cfg.parameter_value(param))]
+    return [[cfg.parameter_value(param), *_values([cfg])[0]]]
 
 
 def run_sweep(cfg: ScenarioConfig) -> List[List[float]]:
     if cfg.sweep is None:
         raise ConfigError([(0, "sweep command requires a sweep block")])
     param = cfg.sweep.parameter
+    values = [float(v) for v in _sweep_values(cfg)]
     # the parallel area depends on powers and geometry but not on i_th
     area = cg.affected_area_parallel(_scenario(cfg)) if param == "i_th_dbm" else None
-    return [_evaluate_row(cfg.with_parameter(param, float(v)), float(v), area)
-            for v in _sweep_values(cfg)]
+    rows = _values([cfg.with_parameter(param, v) for v in values], area)
+    return [[v, *row] for v, row in zip(values, rows)]
 
 
 def run_optimize(cfg: ScenarioConfig):

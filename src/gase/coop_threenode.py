@@ -14,20 +14,22 @@ that same S, so the conditional capacities are evaluated by quadrature of
 those densities; the direct-mode integrand is taken in the xi substitution
 where its tail scale is gbar_SD.
 
-``gase_coop`` and ``conditional_snr_pdfs`` each build the one selection
-split of a (scenario, protocol), ``_split``, and read S, the relay-path SNR
-cdf and pdf and the relay tail scale from it.
+``gase_coop_batch`` and ``conditional_snr_pdfs`` each build the one
+selection split of their scenarios, ``_split``, and read S, the relay-path
+SNR cdf and pdf and the relay tail scale from it.  A batch evaluates each
+of its integrals (AF selection, direct mode, relay mode) for all scenarios
+in one lockstep quadrature; ``gase_coop`` is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, NamedTuple
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .mathkernel import QuadratureSpec, bessel_k1, erfcx, integrate_semi_infinite
+from .mathkernel import QuadratureSpec, bessel_k1, erfcx, integrate_semi_infinite_batch
 from .propagation import PowerLevel, PropagationEnvironment, affected_area_single, mean_snr
 from .relay_dualhop import RelayProtocol, af_snr_cdf, af_snr_pdf, df_snr_pdf
 
@@ -38,6 +40,7 @@ __all__ = [
     "af_selection_integral",
     "conditional_snr_pdfs",
     "gase_coop",
+    "gase_coop_batch",
 ]
 
 _CAP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-16)
@@ -100,6 +103,19 @@ def special_integral_D(a1: float, a2: float) -> float:
     return 0.5 * math.sqrt(math.pi / a1) * erfcx(a2 / (2.0 * math.sqrt(a1)))
 
 
+def _af_selection_integrals(coeffs) -> List[float]:
+    """af_selection_integral of each (gsd, a1, a2, b1) of _coeffs, one batch."""
+    _, a1, a2, b1 = (np.array(v) for v in zip(*coeffs))
+
+    def integrand(t, rows):
+        w = t * (t + 2.0)
+        z = 2.0 * b1[rows] * w
+        return z * bessel_k1(z) * np.exp(-a1[rows] * t * t - a2[rows] * t)
+
+    scale = np.minimum(1.0 / a2, 1.0 / np.sqrt(a1))
+    return [r.value for r in integrate_semi_infinite_batch(integrand, scale, _CAP_SPEC)]
+
+
 def af_selection_integral(s: CoopScenario) -> float:
     """Relay-selection weight for AF: gbar_SD * P{relay mode}.
 
@@ -108,36 +124,31 @@ def af_selection_integral(s: CoopScenario) -> float:
     xi substitution.  This is the quantity that normalises the conditional
     densities.
     """
-    gsd, a1, a2, b1 = _coeffs(s)
-
-    def integrand(t):
-        w = t * (t + 2.0)
-        z = 2.0 * b1 * w
-        return z * bessel_k1(z) * np.exp(-a1 * t * t - a2 * t)
-
-    scale = min(1.0 / a2, 1.0 / math.sqrt(a1))
-    return integrate_semi_infinite(integrand, _CAP_SPEC, scale=scale).value
+    return _af_selection_integrals([_coeffs(s)])[0]
 
 
 class _Split(NamedTuple):
-    """S = gbar_SD * P{relay}, the relay-path SNR cdf and pdf, and its tail
-    scale 1/a1 (DF) or 1/(a1 + 2 b1) (AF), of one (scenario, protocol)."""
+    """Per scenario of a batch, as arrays: gbar_SD, S = gbar_SD * P{relay} and
+    the relay-path SNR's tail scale 1/a1 (DF) or 1/(a1 + 2 b1) (AF); and that
+    SNR's cdf(g, rows) and pdf(g, rows), rows indexing the scenarios."""
 
-    gsd: float
-    sel: float
+    gsd: np.ndarray
+    sel: np.ndarray
     cdf: Callable
     pdf: Callable
-    tail: float
+    tail: np.ndarray
 
 
-def _split(s: CoopScenario, protocol: RelayProtocol) -> _Split:
-    gsd, a1, a2, b1 = _coeffs(s)
+def _split(scenarios: Sequence[CoopScenario], protocol: RelayProtocol) -> _Split:
+    coeffs = [_coeffs(s) for s in scenarios]
+    gsd, a1, a2, b1 = (np.array(v) for v in zip(*coeffs))
     if protocol is RelayProtocol.DF:
-        return _Split(gsd, special_integral_D(a1, a2),
-                      lambda g: -np.expm1(-a1 * np.asarray(g, dtype=float)),
-                      df_snr_pdf(a1), 1.0 / a1)
-    return _Split(gsd, af_selection_integral(s), af_snr_cdf(a1, b1), af_snr_pdf(a1, b1),
-                  1.0 / (a1 + 2.0 * b1))
+        return _Split(gsd, np.array([special_integral_D(*c[1:3]) for c in coeffs]),
+                      lambda g, rows: -np.expm1(-a1[rows] * g),
+                      lambda g, rows: df_snr_pdf(a1[rows])(g), 1.0 / a1)
+    return _Split(gsd, np.array(_af_selection_integrals(coeffs)),
+                  lambda g, rows: af_snr_cdf(a1[rows], b1[rows])(g),
+                  lambda g, rows: af_snr_pdf(a1[rows], b1[rows])(g), 1.0 / (a1 + 2.0 * b1))
 
 
 def conditional_snr_pdfs(s: CoopScenario, protocol: RelayProtocol):
@@ -146,44 +157,49 @@ def conditional_snr_pdfs(s: CoopScenario, protocol: RelayProtocol):
     Returns ((pdf_direct, scale_direct), (pdf_relay, scale_relay)), each with
     the decay length of its tail; both normalise against the same S.
     """
-    sp = _split(s, protocol)
-    gsd, sel = sp.gsd, sp.sel
+    sp = _split([s], protocol)
+    gsd, sel = float(sp.gsd[0]), float(sp.sel[0])
 
     def direct(g):
         g = np.asarray(g, dtype=float)
         xi = np.sqrt(g + 1.0) - 1.0
-        return np.exp(-xi / gsd) * sp.cdf(g) / (2.0 * (xi + 1.0) * (gsd - sel))
+        return np.exp(-xi / gsd) * sp.cdf(g, 0) / (2.0 * (xi + 1.0) * (gsd - sel))
 
     def relay(g):
         g = np.asarray(g, dtype=float)
         xi = np.sqrt(g + 1.0) - 1.0
-        return gsd * sp.pdf(g) * (-np.expm1(-xi / gsd)) / sel
+        return gsd * sp.pdf(g, 0) * (-np.expm1(-xi / gsd)) / sel
 
-    return (direct, gsd * (2.0 + gsd)), (relay, sp.tail)
+    return (direct, gsd * (2.0 + gsd)), (relay, float(sp.tail[0]))
 
 
-def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> CoopResult:
-    """Mode probabilities, conditional capacities, and composite GASE.
-
-    eta = P_d * C_d / A_S + P_r * (C_r / A_S + C_r / A_R) / 2, with A_S and
-    A_R the single-transmitter footprints of source and relay.
-    """
-    sp = _split(s, protocol)
-    gsd, sel = sp.gsd, sp.sel
-    p_d = 1.0 - sel / gsd
-    p_r = 1.0 - p_d
+def gase_coop_batch(scenarios: Sequence[CoopScenario],
+                    protocol: RelayProtocol) -> List[CoopResult]:
+    """gase_coop of each scenario, each of its integrals as one quadrature
+    batch; each result equals gase_coop of its scenario alone."""
+    sp = _split(scenarios, protocol)
+    gsd = sp.gsd
 
     # direct mode in the xi substitution, where (1/2) log2(1+g) becomes
     # log2(1+t) and the integrand decays on the scale gbar_SD
-    def direct(t):
-        return np.log2(1.0 + t) * np.exp(-t / gsd) * sp.cdf(t * (t + 2.0))
+    def direct(t, rows):
+        return np.log2(1.0 + t) * np.exp(-t / gsd[rows]) * sp.cdf(t * (t + 2.0), rows)
 
-    def relay(g):
+    def relay(g, rows):
         xi = np.sqrt(g + 1.0) - 1.0
-        return 0.5 * np.log2(1.0 + g) * sp.pdf(g) * (-np.expm1(-xi / gsd))
+        return 0.5 * np.log2(1.0 + g) * sp.pdf(g, rows) * (-np.expm1(-xi / gsd[rows]))
 
-    c_d = integrate_semi_infinite(direct, _CAP_SPEC, scale=gsd).value / (gsd - sel)
-    c_r = gsd * integrate_semi_infinite(relay, _CAP_SPEC, scale=sp.tail).value / sel
+    directs = integrate_semi_infinite_batch(direct, gsd, _CAP_SPEC)
+    relays = integrate_semi_infinite_batch(relay, sp.tail, _CAP_SPEC)
+    return [_result(s, g, sel, d.value, r.value) for s, g, sel, d, r
+            in zip(scenarios, gsd.tolist(), sp.sel.tolist(), directs, relays)]
+
+
+def _result(s: CoopScenario, gsd: float, sel: float, direct: float, relay: float) -> CoopResult:
+    p_d = 1.0 - sel / gsd
+    p_r = 1.0 - p_d
+    c_d = direct / (gsd - sel)
+    c_r = gsd * relay / sel
     area_s = affected_area_single(s.env, s.p_s)
     area_r = affected_area_single(s.env, s.p_r)
     gase = p_d * c_d / area_s + p_r * 0.5 * (c_r / area_s + c_r / area_r)
@@ -195,3 +211,12 @@ def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> CoopResult:
             "area_s_m2": area_s,
             "area_r_m2": area_r,
         })
+
+
+def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> CoopResult:
+    """Mode probabilities, conditional capacities, and composite GASE.
+
+    eta = P_d * C_d / A_S + P_r * (C_r / A_S + C_r / A_R) / 2, with A_S and
+    A_R the single-transmitter footprints of source and relay.
+    """
+    return gase_coop_batch([s], protocol)[0]

@@ -22,9 +22,23 @@ the runtime needs nothing beyond numpy:
   takes both moments from one exponential.
 * erfcx: exp(x^2)*erfc(x) on the C library's erfc, with an asymptotic series
   where the product would overflow; Gaussian-type integrals need it.
+* Adaptive 7/15 Gauss-Kronrod quadrature with QUADPACK's error heuristic,
+  as one lockstep batch: ``integrate_batch`` runs n independent integrals
+  together.  Each round every unconverged integral splits its worst panel,
+  and the nodes of both halves of all split panels go to the integrand in
+  one call ``f(x, rows)``: x is an (m, 15) array of nodes and rows the (m, 1)
+  integer array of the integral each row belongs to, so ``param[rows]``
+  broadcasts a per-integral parameter against x.  f must act element-wise.
+  Per integral, the refinement order, stopping test, final ``fsum`` and
+  errors are those of a lone integral, and no panel sum goes through BLAS,
+  so a result is bit-for-bit the same alone as inside any batch.
+  ``integrate_semi_infinite_batch`` maps [0, inf) onto [0, 1) per integral.
+  ``integrate`` and ``integrate_semi_infinite`` are the batch of one, with
+  f taking a 1-D array of nodes.
 
 All functions are pure; array arguments are supported where integrands need
-vectorised evaluation (E1, K0, K1).
+vectorised evaluation (E1, K0, K1).  Their values do not depend on the
+length of the array or on a value's position in it.
 """
 
 from __future__ import annotations
@@ -32,7 +46,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, List, NamedTuple
 
 import numpy as np
 
@@ -50,7 +64,9 @@ __all__ = [
     "bessel_k01",
     "erfcx",
     "integrate",
+    "integrate_batch",
     "integrate_semi_infinite",
+    "integrate_semi_infinite_batch",
     "find_root_bracketed",
 ]
 
@@ -179,11 +195,20 @@ _SERIES = _series_table()
 _ASYMPTOTIC = _asymptotic_table()
 
 
+# values per block of the K0/K1 kernels, which bounds their (values, terms)
+# temporaries when a quadrature batch passes thousands of nodes
+_BLOCK = 64
+
+
 def _power_sums(u, table):
     """Rows sum_k table[j, k] * u**k, summed along the contiguous last axis
     rather than by BLAS, so no element's value depends on the batch size."""
-    powers = u[:, None] ** np.arange(table.shape[1], dtype=float)
-    return np.sum(powers[:, None, :] * table, axis=2).T
+    out = np.empty((u.size, table.shape[0]))
+    exponents = np.arange(table.shape[1], dtype=float)
+    for i in range(0, u.size, _BLOCK):
+        powers = u[i:i + _BLOCK, None] ** exponents
+        out[i:i + _BLOCK] = np.add.reduce(powers[:, None, :] * table, axis=2)
+    return out.T
 
 
 def _k01_series(x):
@@ -200,13 +225,18 @@ def _k01_quadrature(x):
     the exponent reaches 45 (relative tail < 1e-19), so 100 nodes give full
     double precision across 2 < x < 30.
     """
-    half_T = 0.5 * np.arccosh(1.0 + 45.0 / x)[:, None]
-    t = half_T * _GL_NODES
-    w = half_T * _GL_WEIGHTS
-    cosh_t = np.cosh(t)
-    g = np.exp(-x[:, None] * (cosh_t - 1.0))
-    scale = np.exp(-x)
-    return scale * np.sum(w * g, axis=1), scale * np.sum(w * (g * cosh_t), axis=1)
+    out = np.empty((2, x.size))
+    for i in range(0, x.size, _BLOCK):
+        xb = x[i:i + _BLOCK]
+        half_T = 0.5 * np.arccosh(1.0 + 45.0 / xb)[:, None]
+        t = half_T * _GL_NODES
+        w = half_T * _GL_WEIGHTS
+        cosh_t = np.cosh(t)
+        g = np.exp(-xb[:, None] * (cosh_t - 1.0))
+        scale = np.exp(-xb)
+        out[0, i:i + _BLOCK] = scale * np.sum(w * g, axis=1)
+        out[1, i:i + _BLOCK] = scale * np.sum(w * (g * cosh_t), axis=1)
+    return out
 
 
 def _k01_asymptotic(x):
@@ -284,58 +314,133 @@ _NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])      # 15 ascending nodes
 _KW = np.concatenate([_WGK[:-1], _WGK[::-1]])
 _GW = np.zeros(15)
 _GW[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])    # Gauss nodes sit at odd indices
+_KGW = np.array([_KW, _GW])
 
 
-def _gk15(f, a, b):
-    """One Gauss-Kronrod panel: returns (kronrod, error_estimate)."""
-    h = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    fx = np.asarray(f(mid + h * _NODES), dtype=float)
-    if fx.shape != (15,) or not np.all(np.isfinite(fx)):
+def _gk15(f, ends, rows):
+    """Gauss-Kronrod panels ends[i] = (a, b) of integrals rows[i], all nodes in
+    one call of f: returns (kronrod, error_estimate) as lists of floats, and
+    for each panel whether f was finite on all its nodes.
+
+    Every sum runs along the contiguous last axis, not through BLAS, so a
+    panel's result does not depend on the other panels evaluated with it.
+    """
+    h = np.array([0.5 * (b - a) for a, b in ends])
+    x = np.array([0.5 * (a + b) for a, b in ends])[:, None] + h[:, None] * _NODES
+    fx = np.ascontiguousarray(f(x, np.array(rows)[:, None]), dtype=float)
+    if fx.shape != x.shape:
         raise QuadratureError("integrand returned non-finite or wrongly shaped values",
                               0.0, np.inf)
-    k15 = h * float(np.dot(_KW, fx))
-    g7 = h * float(np.dot(_GW, fx))
+    finite = np.isfinite(fx).all(axis=1)
+    k15, g7 = h * np.add.reduce(fx[:, None, :] * _KGW, axis=2).T
+    # h + h is the panel width b - a exactly
+    resasc = h * np.add.reduce(np.abs(fx - (k15 / (h + h))[:, None]) * _KW, axis=1)
+    k15 = k15.tolist()
     # QUADPACK-style error heuristic, scaled by the panel's total variation
-    resasc = h * float(np.dot(_KW, np.abs(fx - k15 / (b - a))))
-    diff = abs(k15 - g7)
-    if resasc == 0.0:
-        err = diff
-    else:
-        err = resasc * min(1.0, (200.0 * diff / resasc) ** 1.5)
-    return k15, err
+    err = [abs(k - g) if r == 0.0 else r * min(1.0, 200.0 * abs(k - g) / r) ** 1.5
+           for k, g, r in zip(k15, g7.tolist(), resasc.tolist())]
+    return k15, err, finite.tolist()
+
+
+def integrate_batch(f, a, b, spec: QuadratureSpec = QuadratureSpec()) -> List[QuadratureResult]:
+    """Adaptive Gauss-Kronrod integration of n integrals on [a_i, b_i] in lockstep.
+
+    ``f(x, rows)`` receives an (m, 15) array of nodes and the (m, 1) integer
+    array of the integral each row belongs to, and returns f at x; indexing a
+    parameter array by ``rows`` broadcasts it against x.  Each round every
+    unconverged integral splits its worst panel, and both halves of every
+    split panel are evaluated in one call.  Per integral, the refinement
+    order, stopping test and errors are those of a lone adaptive integral, and
+    its result does not depend on the other integrals of the batch.  A
+    failure of any integral raises for the batch.  Floating-point warnings
+    are off throughout; a non-finite integrand value is an error instead.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return _lockstep(f, a, b, spec)
+
+
+def _lockstep(f, a, b, spec: QuadratureSpec) -> List[QuadratureResult]:
+    a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
+    ends = list(zip(a.tolist(), b.tolist()))
+    if not (a.shape == b.shape == (len(ends),)
+            and all(math.isfinite(lo) and math.isfinite(hi) and hi > lo for lo, hi in ends)):
+        raise ValueError("integrate requires finite a < b")
+    vals, errs, finite = _gk15(f, ends, range(len(ends)))
+    if not all(finite):
+        raise QuadratureError("integrand returned non-finite or wrongly shaped values",
+                              0.0, np.inf)
+    heaps = [[(-e, lo, hi, v, e)] for (lo, hi), v, e in zip(ends, vals, errs)]
+    total_val, total_err, panels = vals, errs, [1] * a.size
+    active = range(a.size)
+    while active:
+        split = []  # (integral, a, midpoint, b, value, error) of each panel split this round
+        for i in active:
+            if total_err[i] <= max(spec.abs_tol, spec.rel_tol * abs(total_val[i])):
+                continue
+            if panels[i] >= spec.max_subdivisions:
+                raise QuadratureError("max subdivisions reached", total_val[i], total_err[i])
+            _, pa, pb, pval, perr = heapq.heappop(heaps[i])
+            pm = 0.5 * (pa + pb)
+            if not (pa < pm < pb):
+                raise QuadratureError("interval exhausted at floating-point resolution",
+                                      total_val[i], total_err[i])
+            split.append((i, pa, pm, pb, pval, perr))
+        if not split:
+            break
+        idx = [panel[0] for panel in split]
+        halves = ([(pa, pm) for _, pa, pm, _, _, _ in split]
+                  + [(pm, pb) for _, _, pm, pb, _, _ in split])
+        vals, errs, finite = _gk15(f, halves, idx + idx)
+        m = len(split)
+        for j, (i, pa, pm, pb, pval, perr) in enumerate(split):
+            if not (finite[j] and finite[m + j]):
+                raise QuadratureError("integrand became non-finite during refinement",
+                                      total_val[i], total_err[i])
+            lval, lerr, rval, rerr = vals[j], errs[j], vals[m + j], errs[m + j]
+            total_val[i] += lval + rval - pval
+            total_err[i] += lerr + rerr - perr
+            heapq.heappush(heaps[i], (-lerr, pa, pm, lval, lerr))
+            heapq.heappush(heaps[i], (-rerr, pm, pb, rval, rerr))
+            panels[i] += 1
+        active = idx
+    # recompute sums in deterministic panel order to shed accumulation noise
+    return [QuadratureResult(math.fsum(item[3] for item in heap),
+                             math.fsum(item[4] for item in heap), count)
+            for heap, count in zip(heaps, panels)]
+
+
+def _one(f):
+    """A 1-D integrand of one integral in the batched contract of integrate_batch."""
+    def batched(x, rows):
+        fx = np.asarray(f(x.ravel()), dtype=float)
+        # a wrong size is left for the panel evaluator's shape check to refuse
+        return fx.reshape(x.shape) if fx.size == x.size else fx
+    return batched
 
 
 def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of a vectorised integrand on [a, b]."""
-    if not (math.isfinite(a) and math.isfinite(b) and b > a):
-        raise ValueError("integrate requires finite a < b")
-    val, err = _gk15(f, a, b)
-    heap = [(-err, a, b, val, err)]
-    total_val, total_err, panels = val, err, 1
-    while total_err > max(spec.abs_tol, spec.rel_tol * abs(total_val)):
-        if panels >= spec.max_subdivisions:
-            raise QuadratureError("max subdivisions reached", total_val, total_err)
-        _, pa, pb, pval, perr = heapq.heappop(heap)
-        pm = 0.5 * (pa + pb)
-        if not (pa < pm < pb):
-            raise QuadratureError("interval exhausted at floating-point resolution",
-                                  total_val, total_err)
-        try:
-            lval, lerr = _gk15(f, pa, pm)
-            rval, rerr = _gk15(f, pm, pb)
-        except QuadratureError:
-            raise QuadratureError("integrand became non-finite during refinement",
-                                  total_val, total_err) from None
-        total_val += lval + rval - pval
-        total_err += lerr + rerr - perr
-        heapq.heappush(heap, (-lerr, pa, pm, lval, lerr))
-        heapq.heappush(heap, (-rerr, pm, pb, rval, rerr))
-        panels += 1
-    # recompute sums in deterministic panel order to shed accumulation noise
-    total_val = math.fsum(item[3] for item in heap)
-    total_err = math.fsum(item[4] for item in heap)
-    return QuadratureResult(total_val, total_err, panels)
+    """Adaptive Gauss-Kronrod integration of a vectorised integrand on [a, b]:
+    the batch of one of integrate_batch, with f taking a 1-D array of nodes."""
+    return integrate_batch(_one(f), a, b, spec)[0]
+
+
+def _from_unit(f, scale, u, *rows):
+    """f over [0, inf) as an integrand in u on [0, 1), t = scale * u / (1 - u);
+    non-finite values near u = 1 are caught by the panel evaluator."""
+    w = 1.0 - u
+    t = scale * u / w
+    return f(t, *rows) * scale / (w * w)
+
+
+def integrate_semi_infinite_batch(f, scales, spec: QuadratureSpec = QuadratureSpec()
+                                  ) -> List[QuadratureResult]:
+    """integrate_batch of f(t, rows) over [0, inf), integral i on the map
+    t = scales[i] * u / (1 - u)."""
+    scales = np.array(scales, dtype=float, ndmin=1)
+    if not np.all(scales > 0):
+        raise ValueError("scale must be > 0")
+    return integrate_batch(lambda u, rows: _from_unit(f, scales[rows], u, rows),
+                           np.zeros(scales.size), np.ones(scales.size), spec)
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec(),
@@ -347,15 +452,7 @@ def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec(),
     """
     if scale <= 0:
         raise ValueError("scale must be > 0")
-
-    def g(u):
-        # non-finite values near u = 1 are caught by the panel evaluator
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            w = 1.0 - u
-            t = scale * u / w
-            return f(t) * scale / (w * w)
-
-    return integrate(g, 0.0, 1.0, spec)
+    return integrate(lambda u: _from_unit(f, scale, u), 0.0, 1.0, spec)
 
 
 # ---------------------------------------------------------------------------

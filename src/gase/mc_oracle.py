@@ -29,6 +29,7 @@ from typing import Callable, Dict
 
 import numpy as np
 
+from .link_p2p import LN2
 from .propagation import PropagationEnvironment, watts_of
 
 __all__ = [
@@ -153,8 +154,9 @@ def mc_ergodic_capacity(snr_sampler: McSampler, cfg: McConfig) -> McEstimate:
 
     Any half-duplex factor is the caller's to apply (see McEstimate.scaled).
     """
+    # log1p keeps the digits that log2(1 + gamma) loses at small gamma (it is 0 below 1.1e-16)
     return _mean_estimate(cfg, snr_sampler.draws_per_sample,
-                          lambda u: np.log2(1.0 + snr_sampler.fn(u)))
+                          lambda u: np.log1p(snr_sampler.fn(u)) / LN2)
 
 
 def mc_mode_probability(event: McSampler, cfg: McConfig) -> McEstimate:

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 from gase import cli
 from gase import cognitive_underlay as cg
 from gase import coop_threenode as coop
+from gase import relay_dualhop as relay
 from gase.config import (SWEEPABLE, ConfigError, derive_kind, load_preset, parse_config,
                          preset_names, render_config)
 
@@ -272,6 +274,22 @@ class TestCliCommands:
             capacity[protocol] = float(row.split(",")[header.split(",").index("capacity_bps_hz")])
         assert capacity["af"] / capacity["df"] == pytest.approx(2.0 / 3.0, abs=1e-3)
 
+    def test_capacity_oracles_at_low_snr(self, tmp_path, capsys):
+        # log2(1 + gamma) read 0 for every sample here, so each capacity
+        # oracle was 0 +- 0 and failed with zero tolerance
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text(AF_LOW_SNR_TEXT)
+        assert self.run("verify", "--config", str(cfg), "--samples", "20000",
+                        "--protocol", "df") == 0
+        capsys.readouterr()
+        # the exact AF SNR G1 G2/(G1 + G2 + 1) is about G1 G2 at mean SNR 1e-30,
+        # thirty decades below the harmonic-mean model, so only that check fails
+        assert self.run("verify", "--config", str(cfg), "--samples", "20000") == 2
+        status = dict(line.split(",")[::6] for line in capsys.readouterr().out.splitlines()[1:])
+        assert status.pop("capacity_af_vs_exact_mc") == "FAIL"
+        assert set(status.values()) == {"pass"}
+        assert "capacity_af_vs_harmonic_mc" in status
+
     def test_verification_failure_exit_code(self, monkeypatch, tmp_path):
         failed = cli.VerifyCheck("synthetic", 1.0, 2.0, 0.1, 0.05)
         monkeypatch.setattr(cli, "run_verify", lambda *a, **k: [failed])
@@ -334,20 +352,47 @@ class TestDeterminism:
         assert cli.main(["sweep", "--preset", preset, "--out", str(tmp_path / "s.csv")]) == 0
         assert len(count) == calls
 
-    @pytest.mark.parametrize("command,calls", [("eval", 1), ("verify", 2)])
+    @pytest.mark.parametrize("command,calls", [("eval", 1), ("verify", 2), ("sweep", 1)])
     def test_af_selection_integral_once_per_split(self, monkeypatch, tmp_path, command, calls):
-        # gase_coop builds the selection split once, and verify's densities once more
+        # gase_coop builds the selection split once, and verify's densities
+        # once more; a sweep's 61 points share one batch
         count = []
-        selection = coop.af_selection_integral
+        selection = coop._af_selection_integrals
 
         def counting(*args, **kwargs):
             count.append(1)
             return selection(*args, **kwargs)
 
-        monkeypatch.setattr(coop, "af_selection_integral", counting)
+        monkeypatch.setattr(coop, "_af_selection_integrals", counting)
         assert cli.main([command, "--preset", "fig4", "--protocol", "af",
                          "--out", str(tmp_path / "o.csv")]) == 0
         assert len(count) == calls
+
+    @pytest.mark.parametrize("preset,protocol", [("fig3", "af"), ("fig4", "af"), ("fig4", "df")])
+    def test_sweep_integrals_equal_lone_integrals(self, monkeypatch, preset, protocol):
+        # value, error and panels of each integral of the 61-point batch
+        # equal those of its point evaluated alone
+        cfg = replace(load_preset(preset), protocol=protocol)
+        points = [cfg.with_parameter(cfg.sweep.parameter, float(v))
+                  for v in cli._sweep_values(cfg)]
+        scenarios = [cli._scenario(c) for c in points]
+        module, batch = ((relay, relay.gase_dualhop_batch) if cfg.kind == "dualhop"
+                         else (coop, coop.gase_coop_batch))
+        calls = []
+        original = module.integrate_semi_infinite_batch
+
+        def recording(*args, **kwargs):
+            calls.append(original(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(module, "integrate_semi_infinite_batch", recording)
+        batch(scenarios, relay.RelayProtocol(protocol))
+        together, calls[:] = calls[:], []
+        assert together and all(len(results) == 61 for results in together)
+        for i, s in enumerate(scenarios):
+            batch([s], relay.RelayProtocol(protocol))
+            assert [results[i] for results in together] == [alone[0] for alone in calls]
+            calls.clear()
 
     def test_verify_worker_independence(self, tmp_path):
         outs = []
@@ -441,13 +486,13 @@ def optimize_configs(draw):
 
 
 @st.composite
-def sweep_configs(draw):
-    """Config text for a 1- to 3-point sweep over any sweepable power."""
-    kind = draw(st.sampled_from(sorted(_GEOM)))
+def sweep_configs(draw, kinds=tuple(sorted(_GEOM)), max_points=3):
+    """Config text for a 1- to max_points-point sweep over any sweepable power."""
+    kind = draw(st.sampled_from(kinds))
     values = _scenario(draw, kind)
     values.update({"sweep.parameter": draw(st.sampled_from(SWEEPABLE[kind])),
                    "sweep.start": draw(_DBM), "sweep.stop": draw(_DBM),
-                   "sweep.points": draw(st.integers(1, 3))})
+                   "sweep.points": draw(st.integers(1, max_points))})
     return _text(values)
 
 
@@ -478,6 +523,44 @@ class TestCliRobustness:
     @given(sweep_configs())
     def test_sweep_ends_in_an_exit_code(self, tmp_path, text):
         assert _exit_code(tmp_path, "sweep", text) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(sweep_configs(("coop", "dualhop"), 5))
+    def test_relay_sweep_rows_equal_eval_rows(self, text):
+        cfg = parse_config(text)
+        param = cfg.sweep.parameter
+        values = [float(v) for v in cli._sweep_values(cfg)]
+
+        def rows(run, *cfgs):
+            try:
+                return [[cli._fmt(x) for x in row] for c in cfgs for row in run(c)]
+            except (ArithmeticError, ValueError):
+                return None
+
+        evals = [rows(cli.run_eval, cfg.with_parameter(param, v)) for v in values]
+        swept = rows(cli.run_sweep, cfg)
+        if swept is None:  # a sweep fails exactly when one of its points does
+            assert None in evals
+            return
+        assert swept == [row for e in evals for row in e]
+        for row in cli.run_sweep(cfg):
+            assert all(math.isfinite(x) for x in row)
+            c = dict(zip(cli._COLUMNS[cfg.kind], row[1:]))
+            assert min(v for k, v in c.items() if k.startswith(("c_", "capacity"))) >= 0.0
+            if cfg.kind == "dualhop":
+                inverse_area = 0.5 * (1.0 / c["area_sr_m2"] + 1.0 / c["area_rd_m2"])
+                assert c["gase_bps_hz_m2"] == pytest.approx(c["capacity_bps_hz"] * inverse_area,
+                                                            rel=1e-12)
+                continue
+            assert 0.0 <= c["p_direct"] <= 1.0 and 0.0 <= c["p_relay"] <= 1.0
+            assert c["p_direct"] + c["p_relay"] == pytest.approx(1.0, abs=1e-15)
+            assert c["capacity_bps_hz"] == pytest.approx(
+                c["p_direct"] * c["c_direct_bps_hz"] + c["p_relay"] * c["c_relay_bps_hz"],
+                rel=1e-12)
+            per_area = (c["p_direct"] * c["c_direct_bps_hz"] / c["area_s_m2"]
+                        + c["p_relay"] * 0.5 * c["c_relay_bps_hz"]
+                        * (1.0 / c["area_s_m2"] + 1.0 / c["area_r_m2"]))
+            assert c["gase_bps_hz_m2"] == pytest.approx(per_area, rel=1e-12)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=2000,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -11,8 +11,9 @@ from scipy import integrate as sci_integrate
 from scipy import special as sci_special
 
 from gase.mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
-                             bessel_k0, bessel_k1, erfcx, find_root_bracketed,
-                             integrate, integrate_semi_infinite, scaled_e1, scaled_en)
+                             bessel_k0, bessel_k01, bessel_k1, erfcx, find_root_bracketed,
+                             integrate, integrate_batch, integrate_semi_infinite,
+                             integrate_semi_infinite_batch, scaled_e1, scaled_en)
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 EULER_GAMMA = 0.5772156649015328606
@@ -212,6 +213,21 @@ class TestKernelProperties:
         for fn in (scaled_e1, bessel_k0, bessel_k1):
             assert fn(arr).tolist() == [fn(x) for x in xs]
 
+    def test_values_independent_of_length_and_position(self):
+        # every branch, over several of the K kernels' blocks of values
+        x = np.geomspace(0.01, 60.0, 301)
+        shuffled = np.random.default_rng(5).permutation(x.size)
+        k0, k1 = bessel_k01(x)
+        k0_s, k1_s = bessel_k01(x[shuffled])
+        e1 = scaled_e1(x)
+        assert k0_s.tolist() == k0[shuffled].tolist()
+        assert k1_s.tolist() == k1[shuffled].tolist()
+        assert scaled_e1(x[shuffled]).tolist() == e1[shuffled].tolist()
+        for i in (0, 63, 64, 150, 300):
+            assert bessel_k01(x[i:i + 1])[0][0] == k0[i]
+            assert bessel_k01(x[i:i + 1])[1][0] == k1[i]
+            assert scaled_e1(x[i:i + 1])[0] == e1[i]
+
 
 class TestErfcGamma:
     """Gamma enters through the closed-form area (2 pi/a) Gamma(2/a) (P/P_min)^(2/a)."""
@@ -291,6 +307,37 @@ class TestQuadrature:
         rate = 1e6
         v = integrate_semi_infinite(lambda t: rate * np.exp(-rate * t), spec, scale=1.0 / rate)
         assert v.value == pytest.approx(1.0, rel=1e-9)
+
+    def test_batch_equals_lone_integrals(self):
+        # value, error and panel count of each integral do not depend on the batch
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
+        rates = np.geomspace(0.1, 50.0, 9)
+        batch = integrate_semi_infinite_batch(
+            lambda t, rows: np.log1p(t) * np.exp(-rates[rows] * t), 1.0 / rates, spec)
+        for rate, together in zip(rates, batch):
+            alone = integrate_semi_infinite(lambda t: np.log1p(t) * np.exp(-rate * t), spec,
+                                            scale=1.0 / rate)
+            assert together == alone
+            assert together.value == pytest.approx(
+                float(mpmath.e1(rate) * mpmath.exp(rate) / rate), rel=1e-9)
+        ends = np.linspace(0.5, 20.0, 7)
+        batch = integrate_batch(lambda x, rows: np.sin(x) ** 2, np.zeros(7), ends, spec)
+        for end, together in zip(ends, batch):
+            assert together == integrate(lambda x: np.sin(x) ** 2, 0.0, end, spec)
+        assert {r.panels for r in batch} != {1}
+
+    def test_batch_failure_raises_the_lone_error(self):
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_subdivisions=60)
+        with pytest.raises(QuadratureError) as alone:
+            integrate_semi_infinite(lambda t: 1.0 / (1.0 + t), spec)
+        powers = np.array([2.0, 1.0, 3.0])  # only 1/(1+t) diverges
+        with pytest.raises(QuadratureError) as together:
+            integrate_semi_infinite_batch(lambda t, rows: (1.0 + t) ** -powers[rows],
+                                          np.ones(3), spec)
+        assert str(together.value) == str(alone.value)
+        with pytest.raises(QuadratureError, match="non-finite"):
+            integrate_batch(lambda x, rows: np.where(rows == 1, np.nan, x), np.zeros(2),
+                            np.ones(2))
 
 
 class TestRootFinding:

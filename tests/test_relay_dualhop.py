@@ -200,6 +200,21 @@ class TestAfCapacity:
             s = hop_scenario(float(gsr), float(grd))
             assert ergodic_capacity_af(s) <= ergodic_capacity_df(s) + 1e-12
 
+    def test_accurate_far_below_the_absolute_tolerance(self):
+        # capacities of 1e-28 to 1e-19, far below the AF quadrature's
+        # abs_tol of 1e-14, against a purely relative reference
+        env = PropagationEnvironment.from_dbm(1.11, -100.0, -90.0)
+        for p_r in np.arange(-300.0, -199.0, 5.0):
+            s = DualHopScenario(env, PowerLevel.from_dbm(-300.0),
+                                PowerLevel.from_dbm(float(p_r)), 0.11, 3.5)
+            a1 = 1.0 / s.mean_snr_sr + 1.0 / s.mean_snr_rd
+            b1 = 1.0 / math.sqrt(s.mean_snr_sr * s.mean_snr_rd)
+            pdf = af_snr_pdf(a1, b1)
+            ref = integrate_semi_infinite(lambda g: np.log1p(g) * pdf(g),
+                                          QuadratureSpec(rel_tol=1e-12, abs_tol=0.0),
+                                          scale=1.0 / (a1 + 2.0 * b1)).value / (2.0 * LN2)
+            assert ergodic_capacity_af(s) == pytest.approx(ref, rel=1e-7)
+
     def test_far_relay_degenerates_to_single_hop(self):
         s = hop_scenario(10.0, 1e6)
         p2p = P2pScenario(ENV, PowerLevel(10.0 * 500.0 ** 4 * ENV.noise_w), 500.0)
