@@ -11,7 +11,8 @@ give piecewise closed-form ergodic capacities in the geometry ratios
 with a removable 0/0 at rho = 1: near it the difference quotient of
 exp(x) E1(x) is summed as its Taylor series in 1 - rho.  The primary
 capacity is conditioned on the interference constraint being met (the joint
-closed form divided by P).
+closed form divided by P, or, where a tight constraint makes that form
+cancel, a quadrature over the admissible interference).
 
 The parallel affected area integrates, over the plane, the tail T of the sum
 of the two received powers (hypoexponential; Erlang-2 where the two means
@@ -64,6 +65,12 @@ _TAYLOR_BAND = 0.05
 _TAYLOR_TERMS = 14
 
 _AREA_SPEC = QuadratureSpec(rel_tol=2e-5, abs_tol=0.0, max_subdivisions=4000)
+
+# Below this fraction of the unconstrained capacity the joint closed form of
+# the primary has lost over 3 digits to cancellation, and the conditional
+# capacity is integrated instead (at _MEAN_SPEC)
+_CANCELLATION = 1e-3
+_MEAN_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -152,55 +159,58 @@ def prob_parallel(s: CognitiveScenario) -> float:
     return -math.expm1(-s.constraint_exponent)
 
 
-def _interference_capacity(rho: float, n: float, extra: float, weight: float) -> float:
-    """(1/ln 2) * int (tail of the SINR cdf)/(1+g) dg for the shared cdf family.
+def _interference_integral(rho: float, n: float) -> float:
+    """int (tail of the SINR cdf)/(1+g) dg for the shared cdf family: the
+    ergodic capacity in nats.
 
-    The tail is rho/(g+rho) * exp(-n g) * (1 - weight * exp(-extra g)).  Each
-    exponential contributes rho/(1-rho) * (h(s rho) - h(s)) with
-    h(x) = exp(x) E1(x).  Near rho = 1 that is summed as the Taylor series
-    rho * sum_j (1-rho)^j exp(s) E_(j+2)(s) of the difference quotient, from
-    h^(k)(s) = (-1)^k k! exp(s) E_(k+1)(s)/s^k (h' = h - 1/x); at rho = 1 it
-    is exp(s) E2(s) = 1 - s h(s).
+    The tail is rho/(g+rho) * exp(-n g), and the integral is
+    rho/(1-rho) * (h(n rho) - h(n)) with h(x) = exp(x) E1(x).  Near rho = 1
+    that is summed as the Taylor series rho * sum_j (1-rho)^j exp(n) E_(j+2)(n)
+    of the difference quotient, from h^(k)(n) = (-1)^k k! exp(n) E_(k+1)(n)/n^k
+    (h' = h - 1/x); at rho = 1 it is exp(n) E2(n) = 1 - n h(n).
     """
-    def branch(srate: float) -> float:
-        if abs(rho - 1.0) <= _TAYLOR_BAND:
-            return rho * math.fsum((1.0 - rho) ** j * scaled_en(srate, j + 2)
-                                   for j in range(_TAYLOR_TERMS))
-        return rho / (1.0 - rho) * (scaled_e1(srate * rho) - scaled_e1(srate))
-
-    total = branch(n)
-    if weight != 0.0:
-        total -= weight * branch(n + extra)
-    return total / LN2
+    if abs(rho - 1.0) <= _TAYLOR_BAND:
+        return rho * math.fsum((1.0 - rho) ** j * scaled_en(n, j + 2)
+                               for j in range(_TAYLOR_TERMS))
+    return rho / (1.0 - rho) * (scaled_e1(n * rho) - scaled_e1(n))
 
 
 def primary_capacity_parallel(s: CognitiveScenario) -> float:
     """Primary ergodic capacity given parallel transmission is permitted.
 
     Conditioning on the interference constraint truncates the interfering
-    fading gain, so the joint closed form is divided by the parallel
-    probability.
+    fading gain: the SINR tail gains the factor 1 - exp(-c - i1 g), so the
+    joint capacity is C(n1) - exp(-c) C(n1 + i1), divided by the parallel
+    probability.  When the constraint is tight that difference cancels (it
+    is 0 once exp(-c) rounds to 1).  There the capacity is computed as what
+    it equals: the mean of exp(z) E1(z) / ln 2 at z = n1 + x, over the
+    normalised interference x in [0, i1] with weight exp(-rho_p x), by
+    quadrature of a positive integrand.
     """
     a = s.env.path_loss_exponent
     n1 = s.d_p ** a * s.env.noise_w / s.p1.watts
     i1 = s.d_p ** a * s.i_th_w / s.p1.watts
-    c = s.constraint_exponent
-    joint = _interference_capacity(s.rho_p, n1, i1, math.exp(-c))
-    return joint / prob_parallel(s)
+    rho = s.rho_p
+    free = _interference_integral(rho, n1)
+    joint = free - math.exp(-s.constraint_exponent) * _interference_integral(rho, n1 + i1)
+    if joint >= _CANCELLATION * free:
+        return joint / LN2 / prob_parallel(s)
+    weighted = integrate(lambda x: scaled_e1(n1 + x) * np.exp(-rho * x), 0.0, i1, _MEAN_SPEC)
+    return weighted.value * rho / LN2 / prob_parallel(s)
 
 
 def secondary_capacity_parallel(s: CognitiveScenario) -> float:
     """Secondary ergodic capacity under primary interference (no constraint)."""
     a = s.env.path_loss_exponent
     n2 = s.d_s ** a * s.env.noise_w / s.p2.watts
-    return _interference_capacity(s.rho_s, n2, 0.0, 0.0)
+    return _interference_integral(s.rho_s, n2) / LN2
 
 
 def x_channel_primary_capacity(s: CognitiveScenario) -> float:
     """Primary capacity with the interference constraint removed (i_th -> inf)."""
     a = s.env.path_loss_exponent
     n1 = s.d_p ** a * s.env.noise_w / s.p1.watts
-    return _interference_capacity(s.rho_p, n1, 0.0, 0.0)
+    return _interference_integral(s.rho_p, n1) / LN2
 
 
 def two_source_power_tail(lam_p, lam_s, p_min: float):

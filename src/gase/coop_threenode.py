@@ -29,6 +29,7 @@ from typing import Callable, Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
+from .link_p2p import LN2
 from .mathkernel import QuadratureSpec, bessel_k1, erfcx, integrate_semi_infinite_batch
 from .propagation import PowerLevel, PropagationEnvironment, affected_area_single, mean_snr
 from .relay_dualhop import RelayProtocol, af_snr_cdf, af_snr_pdf, df_snr_pdf
@@ -127,6 +128,11 @@ def af_selection_integral(s: CoopScenario) -> float:
     return _af_selection_integrals([_coeffs(s)])[0]
 
 
+def _xi(g):
+    """sqrt(1 + g) - 1 without the cancellation that makes it 0 at small g."""
+    return g / (np.sqrt(g + 1.0) + 1.0)
+
+
 class _Split(NamedTuple):
     """Per scenario of a batch, as arrays: gbar_SD, S = gbar_SD * P{relay} and
     the relay-path SNR's tail scale 1/a1 (DF) or 1/(a1 + 2 b1) (AF); and that
@@ -162,12 +168,12 @@ def conditional_snr_pdfs(s: CoopScenario, protocol: RelayProtocol):
 
     def direct(g):
         g = np.asarray(g, dtype=float)
-        xi = np.sqrt(g + 1.0) - 1.0
+        xi = _xi(g)
         return np.exp(-xi / gsd) * sp.cdf(g, 0) / (2.0 * (xi + 1.0) * (gsd - sel))
 
     def relay(g):
         g = np.asarray(g, dtype=float)
-        xi = np.sqrt(g + 1.0) - 1.0
+        xi = _xi(g)
         return gsd * sp.pdf(g, 0) * (-np.expm1(-xi / gsd)) / sel
 
     return (direct, gsd * (2.0 + gsd)), (relay, float(sp.tail[0]))
@@ -181,13 +187,14 @@ def gase_coop_batch(scenarios: Sequence[CoopScenario],
     gsd = sp.gsd
 
     # direct mode in the xi substitution, where (1/2) log2(1+g) becomes
-    # log2(1+t) and the integrand decays on the scale gbar_SD
+    # log2(1+t) and the integrand decays on the scale gbar_SD; log1p keeps
+    # the digits that log2(1 + t) loses at small t (it is 0 below 1.1e-16)
     def direct(t, rows):
-        return np.log2(1.0 + t) * np.exp(-t / gsd[rows]) * sp.cdf(t * (t + 2.0), rows)
+        return np.log1p(t) / LN2 * np.exp(-t / gsd[rows]) * sp.cdf(t * (t + 2.0), rows)
 
     def relay(g, rows):
-        xi = np.sqrt(g + 1.0) - 1.0
-        return 0.5 * np.log2(1.0 + g) * sp.pdf(g, rows) * (-np.expm1(-xi / gsd[rows]))
+        return (0.5 * np.log1p(g) / LN2 * sp.pdf(g, rows)
+                * (-np.expm1(-_xi(g) / gsd[rows])))
 
     directs = integrate_semi_infinite_batch(direct, gsd, _CAP_SPEC)
     relays = integrate_semi_infinite_batch(relay, sp.tail, _CAP_SPEC)

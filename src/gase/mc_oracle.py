@@ -1,11 +1,21 @@
 """Seeded Monte Carlo oracles that cross-check every closed form in the package.
 
 Randomness comes from counter-based Philox streams keyed by
-(seed, stream_id, chunk_index) with a fixed chunk size, so sample i always
-receives the same underlying uniforms whatever the sample count.  Exponential
-fading gains are drawn by inverse cdf (-log1p(-u)); estimates reduce
-per-chunk partial sums in chunk order, making every McEstimate
-bit-reproducible for a fixed McConfig.
+(seed, stream_id << 32 | chunk_index) with a fixed chunk size, so sample i
+always receives the same underlying uniforms whatever the sample count.
+Exponential fading gains are drawn by inverse cdf (-log1p(-u)).
+
+Every estimator runs one chunk loop.  The calling thread evaluates each
+chunk in blocks of _BLOCK rows, small enough for the numpy temporaries to
+stay in cache, and writes each block's values into one buffer per chunk;
+meanwhile one helper thread, started and joined within the estimate, fills
+the next chunk's uniforms (numpy releases the GIL while Philox fills).
+Sampler and field callbacks run on the calling thread only, in sample order.
+None of this reaches the numbers: a chunk's uniforms depend only on its key,
+the per-sample arithmetic is elementwise, and each chunk's partial sums are
+taken over its whole buffer and added up in chunk order, so every McEstimate
+is bit-reproducible for a fixed McConfig and equals the one of a plain loop
+that draws and evaluates each whole chunk at once.
 
 Spatial fields take polar coordinates: a field callback maps
 (r, v, fading uniforms) to received power, where r is the distance from the
@@ -24,8 +34,9 @@ provided as (draws-per-sample, vectorised map) pairs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
-from typing import Callable, Dict
+from typing import Callable, Dict, List
 
 import numpy as np
 
@@ -53,6 +64,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
+_BLOCK = 1 << 13
 
 TAIL_FRACTION_LIMIT = 1e-5
 
@@ -103,27 +115,74 @@ class McSampler:
     fn: Callable[[np.ndarray], np.ndarray]
 
 
-def _chunk_uniforms(cfg: McConfig, chunk_index: int, rows: int, cols: int) -> np.ndarray:
+def _fill_uniforms(cfg: McConfig, chunk_index: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the first rows of chunk ``chunk_index``'s uniforms.
+
+    Philox fills row by row, so the first rows are bit-for-bit those of a
+    full chunk: sample i keeps its uniforms whatever the sample count.
+    numpy releases the GIL while it fills.
+    """
     key = np.array(
         [np.uint64(cfg.seed % 2 ** 64),
          (np.uint64(cfg.stream_id) << np.uint64(32)) | np.uint64(chunk_index)],
         dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
-    return gen.random((rows, cols))
+    np.random.Generator(np.random.Philox(key=key)).random(out=out)
 
 
-def _iter_chunks(cfg: McConfig, cols: int):
-    done = 0
-    chunk = 0
-    while done < cfg.samples:
-        take = min(_CHUNK, cfg.samples - done)
-        # Philox fills the array row by row, so the first `take` rows are
-        # bit-for-bit those of a full chunk: sample i keeps its uniforms
-        # whatever the sample count, and a short last chunk makes only what
-        # it uses
-        yield _chunk_uniforms(cfg, chunk, take, cols)
-        done += take
-        chunk += 1
+def _chunk_sums(cfg: McConfig, cols: int, evaluate, dtypes, partials) -> List[float]:
+    """Evaluate the sample stream chunk by chunk and total its partial sums.
+
+    ``evaluate`` maps a block of at most _BLOCK rows of uniforms to one array
+    per entry of ``dtypes``; the blocks of a chunk are written into one
+    buffer per dtype, ``partials`` reduces the chunk's filled buffers to a
+    tuple of floats, and those are added up in chunk order.  One helper
+    thread fills the next chunk's uniforms into the other of two buffers
+    while the calling thread evaluates the current one; it is joined before
+    this returns, also when ``evaluate`` raises.
+    """
+    takes = [min(_CHUNK, cfg.samples - start) for start in range(0, cfg.samples, _CHUNK)]
+    uniforms = [np.empty((takes[0], cols)) for _ in takes[:2]]
+    outs = [np.empty(takes[0], dtype) for dtype in dtypes]
+    ready = threading.Semaphore(0)  # chunks filled by the helper, not yet evaluated
+    free = threading.Semaphore(1)   # buffers the helper may fill
+    stopping = threading.Event()
+    failed = []
+
+    def prefetch():
+        try:
+            for k in range(1, len(takes)):
+                free.acquire()
+                if stopping.is_set():
+                    return
+                _fill_uniforms(cfg, k, uniforms[k % 2][:takes[k]])
+                ready.release()
+        except BaseException as exc:  # re-raised by the caller, which waits on `ready`
+            failed.append(exc)
+            ready.release()
+
+    helper = threading.Thread(target=prefetch)
+    helper.start()
+    totals = []
+    try:
+        _fill_uniforms(cfg, 0, uniforms[0])
+        for k, take in enumerate(takes):
+            if k:
+                ready.acquire()
+                if failed:
+                    raise failed[0]
+            u = uniforms[k % 2][:take]
+            for start in range(0, take, _BLOCK):
+                block = slice(start, min(start + _BLOCK, take))
+                for out, values in zip(outs, evaluate(u[block])):
+                    out[block] = values
+            free.release()
+            part = partials(*(out[:take] for out in outs))
+            totals = [t + x for t, x in zip(totals or [0.0] * len(part), part)]
+    finally:
+        stopping.set()
+        free.release()
+        helper.join()
+    return totals
 
 
 def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
@@ -132,14 +191,9 @@ def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
 
 
 def _mean_estimate(cfg: McConfig, cols: int, values_of) -> McEstimate:
-    total = 0.0
-    total_sq = 0.0
-    n = 0
-    for u in _iter_chunks(cfg, cols):
-        v = np.asarray(values_of(u), dtype=float)
-        total += float(np.sum(v))
-        total_sq += float(np.sum(v * v))
-        n += v.size
+    total, total_sq = _chunk_sums(cfg, cols, lambda u: (values_of(u),), (float,),
+                                  lambda v: (float(np.sum(v)), float(np.sum(v * v))))
+    n = cfg.samples
     mean = total / n
     var = max(total_sq / n - mean * mean, 0.0)
     return McEstimate(mean, math.sqrt(var / n), n, cfg.seed)
@@ -161,8 +215,7 @@ def mc_ergodic_capacity(snr_sampler: McSampler, cfg: McConfig) -> McEstimate:
 
 def mc_mode_probability(event: McSampler, cfg: McConfig) -> McEstimate:
     """Binomial proportion of a predicate over the fading draws."""
-    est = _mean_estimate(cfg, event.draws_per_sample,
-                         lambda u: np.asarray(event.fn(u), dtype=float))
+    est = _mean_estimate(cfg, event.draws_per_sample, event.fn)
     p = min(max(est.mean, 0.0), 1.0)
     return McEstimate(est.mean, math.sqrt(p * (1.0 - p) / est.samples), est.samples, est.seed)
 
@@ -187,8 +240,7 @@ def mc_affected_area(power_field: McSampler, radius: float, cfg: McConfig,
 
     def values(u):
         # first two uniforms place the point uniformly on the disk
-        power = power_field.fn(radius * np.sqrt(u[:, 0]), u[:, 1], u[:, 2:])
-        return (power >= p_min_w).astype(float)
+        return power_field.fn(radius * np.sqrt(u[:, 0]), u[:, 1], u[:, 2:]) >= p_min_w
 
     est = _mean_estimate(cfg, power_field.draws_per_sample + 2, values)
     p = min(max(est.mean, 0.0), 1.0)
@@ -207,9 +259,7 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
     """
     if equivalent not in ("df", "af", "af-exact"):
         raise ValueError("equivalent must be 'df', 'af', or 'af-exact'")
-    acc = {k: 0.0 for k in ("n_d", "c_d", "c_d2", "n_r", "c_r", "c_r2")}
-    n = 0
-    for u in _iter_chunks(cfg, 3):
+    def draw(u):
         z = exponential_from_uniform(u)
         g_sd = gsd * z[:, 0]
         g1 = gsr * z[:, 1]
@@ -220,17 +270,18 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
             g_eq = g1 * g2 / (g1 + g2)
         else:
             g_eq = g1 * g2 / (g1 + g2 + 1.0)
-        direct = g_sd * g_sd + 2.0 * g_sd > g_eq
-        c_inst = 0.5 * np.log2(1.0 + np.maximum(g_sd * g_sd + 2.0 * g_sd, g_eq))
+        g_direct = g_sd * g_sd + 2.0 * g_sd
+        # log1p keeps the digits that log2(1 + g) loses at small g
+        return 0.5 * np.log1p(np.maximum(g_direct, g_eq)) / LN2, g_direct > g_eq
+
+    def partials(c_inst, direct):
         cd = c_inst[direct]
         cr = c_inst[~direct]
-        acc["n_d"] += float(direct.sum())
-        acc["c_d"] += float(cd.sum())
-        acc["c_d2"] += float(np.sum(cd * cd))
-        acc["n_r"] += float((~direct).sum())
-        acc["c_r"] += float(cr.sum())
-        acc["c_r2"] += float(np.sum(cr * cr))
-        n += len(z)
+        return (float(direct.sum()), float(cd.sum()), float(np.sum(cd * cd)),
+                float((~direct).sum()), float(cr.sum()), float(np.sum(cr * cr)))
+
+    n_d, c_d, c_d2, n_r, c_r, c_r2 = _chunk_sums(cfg, 3, draw, (float, bool), partials)
+    n = cfg.samples
 
     def cond(total, total_sq, count):
         if count == 0:
@@ -239,14 +290,12 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
         var = max(total_sq / count - m * m, 0.0)
         return McEstimate(m, math.sqrt(var / count), int(count), cfg.seed)
 
-    p_d = acc["n_d"] / n
-    c_all = acc["c_d"] + acc["c_r"]
-    c_all2 = acc["c_d2"] + acc["c_r2"]
+    p_d = n_d / n
     return {
         "p_direct": McEstimate(p_d, math.sqrt(max(p_d * (1 - p_d), 0.0) / n), n, cfg.seed),
-        "c_inst": cond(c_all, c_all2, n),
-        "c_direct": cond(acc["c_d"], acc["c_d2"], acc["n_d"]),
-        "c_relay": cond(acc["c_r"], acc["c_r2"], acc["n_r"]),
+        "c_inst": cond(c_d + c_r, c_d2 + c_r2, n),
+        "c_direct": cond(c_d, c_d2, n_d),
+        "c_relay": cond(c_r, c_r2, n_r),
     }
 
 

@@ -183,6 +183,31 @@ class TestPrimaryCapacity:
         assert primary_capacity_parallel(tight) == pytest.approx(clean, rel=0.01)
 
 
+    @pytest.mark.parametrize("s", [
+        fig6_scenario(-120.0), fig6_scenario(-110.0), fig6_scenario(-90.0),
+        fig6_scenario(-200.0),
+        # p_parallel 2.1e-16: the double-precision joint closed form read -88.2
+        CognitiveScenario(PropagationEnvironment.from_dbm(8.0, 0.0, 0.0), PowerLevel(1e-3),
+                          PowerLevel(1e-3), 0.01, 1.0, 0.011, 1.001, 0.001, 1e-3)],
+        ids=["fig6-120dBm", "fig6-110dBm", "fig6-90dBm", "fig6-200dBm", "p-2e-16"])
+    def test_tight_constraint_against_mpmath(self, s):
+        # the joint closed form C(n1) - exp(-c) C(n1 + i1) over 1 - exp(-c) at
+        # 60 digits, where its cancellation costs nothing
+        a = s.env.path_loss_exponent
+        with mpmath.workdps(60):
+            d_p, rho = mpmath.mpf(s.d_p), mpmath.mpf(s.rho_p)
+            n1 = d_p ** a * mpmath.mpf(s.env.noise_w) / mpmath.mpf(s.p1.watts)
+            i1 = d_p ** a * mpmath.mpf(s.i_th_w) / mpmath.mpf(s.p1.watts)
+
+            def capacity(n):
+                h = [mpmath.exp(x) * mpmath.e1(x) for x in (n * rho, n)]
+                return rho / (1 - rho) * (h[0] - h[1])
+
+            c = i1 * rho
+            ref = ((capacity(n1) - mpmath.exp(-c) * capacity(n1 + i1))
+                   / -mpmath.expm1(-c) / mpmath.log(2))
+        assert primary_capacity_parallel(s) == pytest.approx(float(ref), rel=1e-12)
+
     @pytest.mark.parametrize("srate", [1e-4, 1.0, 1e3])
     def test_near_rho_one_against_mpmath(self, srate):
         # rho/(1-rho) (h(s rho) - h(s)), h(x) = exp(x) E1(x), against the
@@ -196,7 +221,7 @@ class TestPrimaryCapacity:
                 r = mpmath.mpf(rho)
                 ref = r * s * mpmath.quad(lambda t: mpmath.exp(-t) / ((s * r + t) * (s + t)),
                                           [0, 1, 10, mpmath.inf])
-                got = cg._interference_capacity(rho, srate, 0.0, 0.0) * math.log(2.0)
+                got = cg._interference_integral(rho, srate)
                 assert abs(got - ref) <= 1e-13 * ref
 
 

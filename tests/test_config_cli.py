@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from gase import cli
@@ -45,12 +45,16 @@ protocol.relay = df
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_module(*argv):
-    """``python -m gase ARGV`` on this checkout's sources."""
+def run_python(*args):
+    """``python ARGS`` in a fresh interpreter on this checkout's sources."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "gase", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def run_module(*argv):
+    """``python -m gase ARGV`` on this checkout's sources."""
+    return run_python("-m", "gase", *argv)
 
 
 # mean hop SNR ~1e-31: 0.5*log2(1 + g) reads exactly 0 there, log1p(g) does not
@@ -64,6 +68,20 @@ geom.d_rd = 2.7e5
 power.p_s_dbm = 50
 power.p_r_dbm = 50
 protocol.relay = af
+"""
+
+COOP_LOW_SNR_TEXT = """\
+scenario.kind = coop
+env.path_loss_exponent = 5.11
+env.noise_dbm = 73.7
+env.p_min_dbm = -90
+geom.d_sd = 5.4e5
+geom.d_sr = 2.7e5
+geom.d_rd = 2.7e5
+geom.theta = 0
+power.p_s_dbm = 50
+power.p_r_dbm = 50
+protocol.relay = df
 """
 
 # frozen golden rows: 12-significant-digit scientific notation, fixed order
@@ -290,6 +308,29 @@ class TestCliCommands:
         assert set(status.values()) == {"pass"}
         assert "capacity_af_vs_harmonic_mc" in status
 
+    def test_coop_at_low_snr(self, tmp_path, capsys):
+        # log2(1 + g) and sqrt(1 + g) - 1 read 0 at these mean SNRs (near
+        # 1e-31), so eval printed every capacity as exactly 0 and verify
+        # ended in a numerical failure
+        cfg = tmp_path / "low.cfg"
+        cfg.write_text(COOP_LOW_SNR_TEXT)
+        for protocol in ("df", "af"):
+            assert self.run("eval", "--config", str(cfg), "--protocol", protocol) == 0
+            header, row = capsys.readouterr().out.splitlines()
+            values = dict(zip(header.split(","), map(float, row.split(","))))
+            for column in ("c_direct_bps_hz", "c_relay_bps_hz", "capacity_bps_hz",
+                           "gase_bps_hz_m2"):
+                assert values[column] > 0
+        assert self.run("verify", "--config", str(cfg), "--samples", "20000") == 0
+        capsys.readouterr()
+        # with AF only the density normalisations fail: they normalise against
+        # gbar_SD - S, which loses its digits at this gbar_SD
+        assert self.run("verify", "--config", str(cfg), "--samples", "20000",
+                        "--protocol", "af") == 2
+        status = dict(line.split(",")[::6] for line in capsys.readouterr().out.splitlines()[1:])
+        assert {name for name, value in status.items() if value == "FAIL"} == {
+            "density_direct_normalization", "density_relay_normalization"}
+
     def test_verification_failure_exit_code(self, monkeypatch, tmp_path):
         failed = cli.VerifyCheck("synthetic", 1.0, 2.0, 0.1, 0.05)
         monkeypatch.setattr(cli, "run_verify", lambda *a, **k: [failed])
@@ -319,6 +360,13 @@ class TestCliCommands:
         proc = run_module("eval", "--preset", "fig1")
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_FIG1_EVAL
+
+    def test_import_loads_no_slow_modules(self):
+        # concurrent.futures imports logging, about 12 ms of start-up per command
+        proc = run_python("-c", "import sys, gase.cli; "
+                          "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_console_script_installed(self):
         proc = subprocess.run(["gase", "eval", "--preset", "fig1"],
@@ -435,11 +483,13 @@ def _scenario(draw, kind):
 
 
 @st.composite
-def two_transmitter_configs(draw):
+def two_transmitter_configs(draw, max_points=0):
     """Config text for one cognitive or xchannel scenario the parser accepts.
 
     d_sp and d_ps lie inside the triangle bounds [|d0 - d_p|, d0 + d_p] and
-    [|d0 - d_s|, d0 + d_s]; i_th is drawn for the cognitive kind only.
+    [|d0 - d_s|, d0 + d_s]; i_th is drawn for the cognitive kind only.  With
+    max_points > 0 the config sweeps a sweepable parameter over 1 to
+    max_points points.
     """
     kind = draw(st.sampled_from(("cognitive", "xchannel")))
     values = {"scenario.kind": kind, "env.path_loss_exponent": draw(_finite(0.1, 10.0)),
@@ -453,7 +503,15 @@ def two_transmitter_configs(draw):
     values.update({"power.p1_dbm": draw(_DBM), "power.p2_dbm": draw(_DBM)})
     if kind == "cognitive":
         values["threshold.i_th_dbm"] = draw(_DBM)
+    if max_points:
+        values.update(_sweep_block(draw, kind, max_points))
     return _text(values)
+
+
+def _sweep_block(draw, kind, max_points):
+    return {"sweep.parameter": draw(st.sampled_from(SWEEPABLE[kind])),
+            "sweep.start": draw(_DBM), "sweep.stop": draw(_DBM),
+            "sweep.points": draw(st.integers(1, max_points))}
 
 
 def _text(values):
@@ -490,9 +548,7 @@ def sweep_configs(draw, kinds=tuple(sorted(_GEOM)), max_points=3):
     """Config text for a 1- to max_points-point sweep over any sweepable power."""
     kind = draw(st.sampled_from(kinds))
     values = _scenario(draw, kind)
-    values.update({"sweep.parameter": draw(st.sampled_from(SWEEPABLE[kind])),
-                   "sweep.start": draw(_DBM), "sweep.stop": draw(_DBM),
-                   "sweep.points": draw(st.integers(1, max_points))})
+    values.update(_sweep_block(draw, kind, max_points))
     return _text(values)
 
 
@@ -501,6 +557,32 @@ def _exit_code(tmp_path, command, text, *flags):
     path.write_text(text, encoding="utf-8")
     return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out.csv"),
                      *flags])
+
+
+def _sweep_rows_checked_against_evals(cfg):
+    """Each sweep row equals its point's eval row byte for byte, and a sweep
+    fails exactly when one of its points does; returns the sweep's rows, all
+    finite, as column dicts (none when the sweep fails)."""
+    param = cfg.sweep.parameter
+    values = [float(v) for v in cli._sweep_values(cfg)]
+
+    def rows(run, *cfgs):
+        try:
+            return [[cli._fmt(x) for x in row] for c in cfgs for row in run(c)]
+        except (ArithmeticError, ValueError):
+            return None
+
+    evals = [rows(cli.run_eval, cfg.with_parameter(param, v)) for v in values]
+    swept = rows(cli.run_sweep, cfg)
+    if swept is None:
+        assert None in evals
+        return []
+    assert swept == [row for e in evals for row in e]
+    result = []
+    for row in cli.run_sweep(cfg):
+        assert all(math.isfinite(x) for x in row)
+        result.append(dict(zip(cli._COLUMNS[cfg.kind], row[1:])))
+    return result
 
 
 class TestCliRobustness:
@@ -528,24 +610,7 @@ class TestCliRobustness:
     @given(sweep_configs(("coop", "dualhop"), 5))
     def test_relay_sweep_rows_equal_eval_rows(self, text):
         cfg = parse_config(text)
-        param = cfg.sweep.parameter
-        values = [float(v) for v in cli._sweep_values(cfg)]
-
-        def rows(run, *cfgs):
-            try:
-                return [[cli._fmt(x) for x in row] for c in cfgs for row in run(c)]
-            except (ArithmeticError, ValueError):
-                return None
-
-        evals = [rows(cli.run_eval, cfg.with_parameter(param, v)) for v in values]
-        swept = rows(cli.run_sweep, cfg)
-        if swept is None:  # a sweep fails exactly when one of its points does
-            assert None in evals
-            return
-        assert swept == [row for e in evals for row in e]
-        for row in cli.run_sweep(cfg):
-            assert all(math.isfinite(x) for x in row)
-            c = dict(zip(cli._COLUMNS[cfg.kind], row[1:]))
+        for c in _sweep_rows_checked_against_evals(cfg):
             assert min(v for k, v in c.items() if k.startswith(("c_", "capacity"))) >= 0.0
             if cfg.kind == "dualhop":
                 inverse_area = 0.5 * (1.0 / c["area_sr_m2"] + 1.0 / c["area_rd_m2"])
@@ -561,6 +626,33 @@ class TestCliRobustness:
                         + c["p_relay"] * 0.5 * c["c_relay_bps_hz"]
                         * (1.0 / c["area_s_m2"] + 1.0 / c["area_r_m2"]))
             assert c["gase_bps_hz_m2"] == pytest.approx(per_area, rel=1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(two_transmitter_configs(max_points=3))
+    def test_two_transmitter_sweep_rows_equal_eval_rows(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:  # a distance at a triangle bound can round to 0
+            assume(False)
+        for c in _sweep_rows_checked_against_evals(cfg):
+            assert min(v for k, v in c.items() if k.startswith(("c_", "se_"))) >= 0.0
+            if cfg.kind == "xchannel":
+                assert c["se_total_bps_hz"] == pytest.approx(
+                    c["c_primary_bps_hz"] + c["c_secondary_bps_hz"], rel=1e-12)
+                assert c["gase_bps_hz_m2"] == pytest.approx(
+                    c["se_total_bps_hz"] / c["area_parallel_m2"], rel=1e-12)
+                continue
+            p = c["p_parallel"]
+            assert 0.0 <= p <= 1.0
+            parallel = c["c_primary_bps_hz"] + c["c_secondary_bps_hz"]
+            assert c["se_total_bps_hz"] == pytest.approx(
+                p * parallel + (1.0 - p) * c["c_p2p_bps_hz"], rel=1e-12)
+            assert c["gase_p2p_bps_hz_m2"] == pytest.approx(
+                c["c_p2p_bps_hz"] / c["area_p2p_m2"], rel=1e-12)
+            assert c["gase_bps_hz_m2"] == pytest.approx(
+                p * parallel / c["area_parallel_m2"] + (1.0 - p) * c["gase_p2p_bps_hz_m2"],
+                rel=1e-12)
+            assert c["gase_x_bps_hz_m2"] >= 0.0
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=2000,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -193,6 +193,24 @@ class TestConditionalCapacities:
         unconditional = scaled_e1(1e-6) / LN2
         assert c_d == pytest.approx(unconditional, rel=0.01)
 
+    @pytest.mark.parametrize("protocol,capacity,c_direct,c_relay", [
+        (RelayProtocol.DF, 2.7418009221837384e-31, 5.950128673165683e-32,
+         2.990449445064834e-31),
+        (RelayProtocol.AF, 1.8447642442724573e-31, 6.130348338550035e-32,
+         2.0175925387613615e-31)], ids=["df", "af"])
+    def test_capacities_at_low_snr(self, protocol, capacity, c_direct, c_relay):
+        # mean SNRs near 1e-31: log2(1 + g) and sqrt(1 + g) - 1 both read 0
+        # there, which made every capacity exactly 0.  References: the same
+        # integrals at rel_tol 1e-12 and abs_tol 0; the remaining gap is the
+        # capacity quadrature's absolute-tolerance floor
+        env = PropagationEnvironment.from_dbm(5.11, 73.7, -90.0)
+        p = PowerLevel.from_dbm(50.0)
+        r = gase_coop(CoopScenario(env, p, p, 5.4e5, 2.7e5, 2.7e5), protocol)
+        assert r.components["capacity_bps_hz"] == pytest.approx(capacity, rel=1e-3)
+        assert r.c_direct == pytest.approx(c_direct, rel=1e-3)
+        assert r.c_relay == pytest.approx(c_relay, rel=1e-3)
+        assert r.gase > 0
+
     def test_relay_capacity_grows_with_uniform_snr_scaling(self):
         base = gase_coop(snr_scenario(5.0, 10.0, 10.0), RelayProtocol.DF).c_relay
         boosted = gase_coop(snr_scenario(10.0, 20.0, 20.0), RelayProtocol.DF).c_relay

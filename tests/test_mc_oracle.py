@@ -1,11 +1,14 @@
 """Determinism, convergence, and reference behaviour of the Monte Carlo oracles."""
 
 import math
+import sys
+import threading
 
 import mpmath
 import numpy as np
 import pytest
 
+from gase import mc_oracle
 from gase.mc_oracle import (McConfig, McSampler, TailCertificationError,
                             af_snr_sampler, certified_disk_radius, df_snr_sampler,
                             exponential_from_uniform, mc_affected_area, mc_coop_summary,
@@ -54,6 +57,125 @@ class TestDeterminism:
         z = exponential_from_uniform(u)
         assert z.min() == 0.0
         assert z.mean() == pytest.approx(1.0, abs=2e-4)
+
+
+def chunk_uniforms(cfg, cols):
+    """Each chunk's uniforms, drawn whole: chunk k of stream s is Philox keyed
+    (seed, s << 32 | k)."""
+    for k, start in enumerate(range(0, cfg.samples, 1 << 16)):
+        key = [cfg.seed, (cfg.stream_id << 32) | k]
+        yield np.random.Generator(np.random.Philox(key=key)).random(
+            (min(1 << 16, cfg.samples - start), cols))
+
+
+def plain_chunk_sums(cfg, cols, evaluate, dtypes, partials):
+    """The chunk loop without blocks or a helper thread: each whole chunk is
+    evaluated in one call."""
+    totals = []
+    for u in chunk_uniforms(cfg, cols):
+        part = partials(*(np.asarray(v, dtype) for v, dtype in zip(evaluate(u), dtypes)))
+        totals = [t + x for t, x in zip(totals or [0.0] * len(part), part)]
+    return totals
+
+
+_P = PowerLevel(0.05)
+_RADIUS, _TAIL = certified_disk_radius(ENV4, 2 * _P.watts, d0=150.0)
+ESTIMATORS = {
+    "capacity_p2p": lambda cfg: mc_ergodic_capacity(p2p_snr_sampler(3.0), cfg),
+    "capacity_af": lambda cfg: mc_ergodic_capacity(af_snr_sampler(2.0, 5.0), cfg),
+    "mode_probability": lambda cfg: mc_mode_probability(
+        McSampler(2, lambda u: u[:, 0] < 0.3 * u[:, 1]), cfg),
+    "area_single": lambda cfg: mc_affected_area(
+        single_source_field(ENV4, _P), _RADIUS, cfg, _TAIL, ENV4.p_min_w),
+    "area_two_source": lambda cfg: mc_affected_area(
+        two_source_field(ENV4, _P, _P, 150.0), _RADIUS, cfg, _TAIL, ENV4.p_min_w),
+    **{f"coop_{eq}": (lambda eq: lambda cfg: mc_coop_summary(0.4, 2.0, 3.0, eq, cfg))(eq)
+       for eq in ("df", "af", "af-exact")},
+}
+
+
+class TestChunkLoop:
+    @pytest.mark.parametrize("samples", [1, 8_191, 8_192, 8_193, 65_535, 65_536, 65_537,
+                                         140_000])
+    @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
+    def test_blocked_equals_plain(self, monkeypatch, estimator, samples):
+        cfg = McConfig(samples, 31, 5)
+        blocked = ESTIMATORS[estimator](cfg)
+        monkeypatch.setattr(mc_oracle, "_chunk_sums", plain_chunk_sums)
+        plain = ESTIMATORS[estimator](cfg)
+        # repr is exact for floats and, unlike ==, equates a NaN with itself
+        # (an empty conditional mode of mc_coop_summary)
+        assert repr(blocked) == repr(plain)
+
+    def test_callbacks_run_on_the_calling_thread_in_sample_order(self):
+        baseline = threading.active_count()
+        calls = []
+
+        def record(u):
+            calls.append((threading.get_ident(), u.copy()))
+            return u[:, 0]
+
+        cfg = McConfig(140_000, 9, 3)
+        mc_ergodic_capacity(McSampler(2, record), cfg)
+        assert {ident for ident, _ in calls} == {threading.get_ident()}
+        np.testing.assert_array_equal(np.concatenate([u for _, u in calls]),
+                                      np.concatenate(list(chunk_uniforms(cfg, 2))))
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("fail_at", [0, 70_000, 139_999])
+    def test_a_raising_callback_leaves_no_thread(self, fail_at):
+        baseline = threading.active_count()
+        error = RuntimeError("sampler failed")
+        seen = [0]
+
+        def failing(u):
+            seen[0] += len(u)
+            if seen[0] > fail_at:
+                raise error
+            return u[:, 0]
+
+        with pytest.raises(RuntimeError) as excinfo:
+            mc_ergodic_capacity(McSampler(1, failing), McConfig(140_000, 9, 3))
+        assert excinfo.value is error
+        assert threading.active_count() == baseline
+
+    def test_concurrent_callers_with_fast_switching(self):
+        # four estimates at once, each with its own helper, and a thread switch
+        # every 10 us: a chunk read before its fill completes, or refilled
+        # while still in use, would change an estimate
+        names = ("area_two_source", "capacity_af", "coop_af", "mode_probability")
+        cfg = McConfig(300_000, 17, 2)
+        expected = {name: repr(ESTIMATORS[name](cfg)) for name in names}
+        got = {}
+        callers = [threading.Thread(target=lambda n=n: got.update({n: repr(ESTIMATORS[n](cfg))}))
+                   for n in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == expected
+
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
+        baseline = threading.active_count()
+        error = MemoryError("draw failed")
+        fill = mc_oracle._fill_uniforms
+
+        def failing(cfg, chunk_index, out):
+            if chunk_index == 2:
+                raise error
+            fill(cfg, chunk_index, out)
+
+        monkeypatch.setattr(mc_oracle, "_fill_uniforms", failing)
+        with pytest.raises(MemoryError) as excinfo:
+            mc_ergodic_capacity(p2p_snr_sampler(1.0), McConfig(200_000, 9, 3))
+        assert excinfo.value is error
+        assert threading.active_count() == baseline
 
 
 class TestErgodicCapacity:
