@@ -12,21 +12,15 @@ verification tooling.  Source and relay transmit in alternating slots, so the
 two footprints never coexist and the GASE averages the per-slot ratios:
 eta = (C/A_SR + C/A_RD) / 2.
 
-The GASE-optimal powers solve the two first-order conditions in
-(ln P_S, ln P_R) directly, using that C depends on the powers only through
-a1 and b1 and that each area grows as P^(2/a).  For DF they are closed form:
-the scale condition is the point-to-point root (a1 + 2/a) e^a1 E1(a1) = 1 and
-the split is P_S/P_R = (c_S/c_R)^(a/(a-2)), c = d^a N.  For AF the scale
-condition E[G/(1+G)] = (2/a) E[ln(1+G)] and the split condition are each one
-scalar quadrature, solved by Brent roots.  When the optimum leaves the power
-box, and always for a <= 2 (no interior optimum), each box face is a 1-D
-root in the free power.  Every root is solved to full precision; the
-optimiser's ``tol`` argument is kept only for compatibility.
+The GASE-optimal powers (optimize_relay_powers) are closed form for DF when
+a > 2.  Otherwise a projected Newton ascent in (ln P_S, ln P_R) finds them,
+with the gradient and Hessian of ln(eta) in closed form for DF and from one
+batch of five positive AF moments per step.  For a <= 2 they lie on a corner
+or a face of the power box.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -35,8 +29,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .link_p2p import LN2, GaseBreakdown, optimal_inverse_snr
-from .mathkernel import (BracketingError, QuadratureSpec, bessel_k01, bessel_k1,
-                         find_root_bracketed, integrate_semi_infinite,
+from .mathkernel import (QuadratureSpec, bessel_k01, bessel_k1,
                          integrate_semi_infinite_batch, scaled_e1, scaled_en)
 from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
                           mean_snr, watts_of)
@@ -195,120 +188,93 @@ def gase_dualhop_batch(scenarios: Sequence[DualHopScenario],
 # joint source/relay power optimisation
 # ---------------------------------------------------------------------------
 
-# The AF stationarity integrands change sign, so at a root their integral
-# vanishes and a relative tolerance alone could never be met; normalised by
-# the DF capacity their terms are O(1), and the absolute floor bounds the
-# residual's error instead.
-_ROOT_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-11)
+# the AF moments are positive, so the relative tolerance alone decides convergence
+_MOMENT_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0)
+# AF moment i weighs z K1(z), or z^2 K0(z) where _MOMENT_K0[i], by (a1 g)^_MOMENT_POWER[i]
+_MOMENT_POWER = np.array([0, 1, 0, 2, 1])
+_MOMENT_K0 = np.array([False, False, True, False, True])
 
 
-def _log_gradient(protocol: RelayProtocol, a: float, x_s: float, x_r: float,
-                  split: float, k_s: float, k_r: float) -> float:
-    """k_s * d ln(eta)/d ln(P_S) + k_r * d ln(eta)/d ln(P_R), times C~/C~_DF > 0.
+def _log_gase(protocol: RelayProtocol, a: float, ln_c: np.ndarray, point: np.ndarray):
+    """ln(eta) + const, its gradient and its Hessian at point = (ln P_S, ln P_R).
 
-    x_s, x_r are the inverse mean hop SNRs d^a N / P and split = ln(P_S/P_R).
-    With the equivalent-SNR ccdf F (exp(-a1 g) for DF, z K1(z) exp(-a1 g) for
-    AF, z = 2 b1 g), C~ = int F/(1+g) dg is the capacity up to 2 ln 2, and
-    d ln(eta)/d ln(P_i) = (x_i D_a + (b1/2) D_b)/C~ - (2/a) s_i, where
-    D_a = -dC~/da1 = int g F/(1+g), D_b = -dC~/db1 = int 2 g z K0(z)
-    exp(-a1 g)/(1+g) (DLMF 10.29.4: (z K1)' = -z K0) and s_i = A_i^-1 /
-    (A_S^-1 + A_R^-1) is hop i's share of the inverse areas.  DF is closed
-    form (C~ = exp(a1) E1(a1), D_b = 0); AF is one scalar quadrature.
+    C~ = int F/(1+g) dg, F the equivalent-SNR ccdf, is the capacity up to 2 ln 2.
+    It depends on x = c/P = exp(ln_c - point) through a1 = x_S + x_R and
+    b1 = sqrt(x_S x_R), whose ln P_i derivatives are -x_i and -b1/2, and each
+    inverse area grows as P^(-2/a).  With r = x/a1, D = -dC~ and C_ = d^2 C~,
+    the chain rule needs C~, a1 D_a, b1 D_b, a1^2 C_aa, a1 b1 C_ab and b1^2 C_bb.
+    For DF (F = exp(-a1 g)) they are exp(a1) E_n(a1), n = 1..3, with no b1.  For
+    AF (F = z K1(z) exp(-a1 g), z = 2 b1 g) DLMF 10.29.3-4 make them five positive
+    moments, and 2 g z K0 = 4 b1 g^2 K0 gives b1^2 C_bb = 4 r_S r_R a1^2 C_aa - b1 D_b.
     """
-    a1 = x_s + x_r
-    e = math.exp(-2.0 * abs(split) / a)  # (P_S/P_R)^(-2/a) on the side that cannot overflow
-    s_s, s_r = (e / (1.0 + e), 1.0 / (1.0 + e)) if split > 0 else (1.0 / (1.0 + e), e / (1.0 + e))
-    alpha = k_s * x_s + k_r * x_r
-    gamma = (2.0 / a) * (k_s * s_s + k_r * s_r)
-    h = scaled_e1(a1)
+    x = np.exp(ln_c - point)
+    a1 = float(x[0] + x[1])
+    r = x / a1
     if protocol is RelayProtocol.DF:
-        # D_a = 1/a1 - exp(a1) E1(a1) = exp(a1) E2(a1)/a1, free of cancellation
-        return alpha * scaled_en(a1, 2) / (a1 * h) - gamma
-    b1 = math.sqrt(x_s * x_r)
-    beta = (k_s + k_r) * b1
-
-    def integrand(g):
-        z = 2.0 * b1 * g
-        k0, k1 = bessel_k01(z)
-        return z * np.exp(-a1 * g) / (1.0 + g) * (g * (alpha * k1 + beta * k0) - gamma * k1) / h
-
-    return integrate_semi_infinite(integrand, _ROOT_SPEC, scale=1.0 / (a1 + 2.0 * b1)).value
-
-
-def _rising_root(g, lo: float, hi: float) -> float:
-    """Root of g, negative below it and positive above, from the bracket
-    [lo, hi] moved by factors of 4 (at most 25 times) until it straddles
-    the sign change."""
-    g = functools.lru_cache(maxsize=None)(g)
-    for _ in range(25):
-        if g(lo) > 0.0:
-            lo, hi = 0.25 * lo, lo
-        elif g(hi) < 0.0:
-            lo, hi = hi, 4.0 * hi
-        else:
-            return find_root_bracketed(g, lo, hi)
-    raise BracketingError(f"no sign change near [{lo:g}, {hi:g}]")
-
-
-def _interior_optimum(protocol: RelayProtocol, a: float, ln_c, ln_lo: float, ln_hi: float):
-    """(ln P_S, ln P_R) of a maximum where both log-power derivatives of eta
-    vanish (a > 2), or None when none has its split ln(P_S/P_R) in the box."""
-    x_star = optimal_inverse_snr(a)
-    ln_q = ln_c[0] - ln_c[1]
-    if protocol is RelayProtocol.DF:
-        # the scale condition is the p2p root a1 = x*; dividing the two
-        # conditions gives P_S/P_R = (c_S/c_R)^(a/(a-2))
-        split = ln_q * a / (a - 2.0)
-        ln_pr = ln_c[1] + float(np.logaddexp(0.0, -2.0 * ln_q / (a - 2.0))) - math.log(x_star)
-        return ln_pr + split, ln_pr
-
-    def scale_root(split):
-        """ln P_R on the ray ln(P_S/P_R) = split where E[G/(1+G)] = (2/a) E[ln(1+G)]."""
-        q = math.exp(ln_q - split)  # x_s/x_r
-        y0 = x_star / (1.0 + q)     # x_r of the DF scale root on this ray
-        y = _rising_root(lambda y: _log_gradient(protocol, a, q * y, y, split, 1.0, 1.0),
-                         0.25 * y0, 2.0 * y0)
-        return ln_c[1] - math.log(y)
-
-    # With the scale at its root, the split residual below is, up to a positive
-    # factor, the derivative of ln(eta) along the split (envelope theorem).
-    # Walking the way its sign points from a start therefore brackets a
-    # maximum along the split, never the minimum between two maxima.
-    # q = x_s/x_r > 0 is the variable of the Brent solve.
-    @functools.lru_cache(maxsize=None)
-    def split_gradient(q):
-        split = ln_q - math.log(q)
-        x_r = math.exp(ln_c[1] - scale_root(split))
-        return _log_gradient(protocol, a, q * x_r, x_r, split, 1.0, -1.0)
-
-    span = ln_hi - ln_lo  # feasible splits have |ln(P_S/P_R)| <= span
-    if ln_q == 0.0:
-        # equal hops: the diagonal is stationary, and it is the maximum unless
-        # eta rises off it (AF at small a, where the optimum splits into two
-        # mirror images; the one with P_S > P_R is taken).  By symmetry the
-        # scale root moves only at second order off the diagonal, so the
-        # probe keeps the diagonal's scale.
-        ln_pr = scale_root(0.0)
-        start = 0.01
-        x = math.exp(ln_c[1] - ln_pr)
-        if _log_gradient(protocol, a, x * math.exp(-0.5 * start), x * math.exp(0.5 * start),
-                         start, 1.0, -1.0) <= 0.0:
-            return ln_pr, ln_pr
+        c, m_a, m_aa = scaled_en(a1, 1), scaled_en(a1, 2), 2.0 * scaled_en(a1, 3)
+        m_b = m_ab = m_bb = 0.0
     else:
-        start = min(max(ln_q * a / (a - 2.0), -span), span)  # the DF split
-    direction = 1.0 if split_gradient(math.exp(ln_q - start)) > 0.0 else -1.0
-    prev, step = start, 0.5
-    while True:
-        nxt = min(max(prev + direction * step, -span), span)
-        if nxt == prev:
-            return None
-        if (split_gradient(math.exp(ln_q - nxt)) > 0.0) != (direction > 0.0):
-            break
-        prev, step = nxt, 2.0 * step
-    q = find_root_bracketed(split_gradient, math.exp(ln_q - prev), math.exp(ln_q - nxt))
-    split = ln_q - math.log(q)
-    ln_pr = scale_root(split)
-    return ln_pr + split, ln_pr
+        b1 = math.sqrt(x[0] * x[1])
+
+        def integrand(g, rows):
+            z = 2.0 * b1 * g
+            k0, k1 = bessel_k01(z)
+            bessel = z * np.where(_MOMENT_K0[rows], z * k0, k1)
+            return (a1 * g) ** _MOMENT_POWER[rows] * bessel * np.exp(-a1 * g) / (1.0 + g)
+
+        scales = np.full(_MOMENT_POWER.size, 1.0 / (a1 + 2.0 * b1))
+        c, m_a, m_b, m_aa, m_ab = (
+            m.value for m in integrate_semi_infinite_batch(integrand, scales, _MOMENT_SPEC))
+        m_bb = 4.0 * r[0] * r[1] * m_aa - m_b
+    grad = (m_a * r + 0.5 * m_b) / c
+    hess = ((m_aa * np.outer(r, r) + 0.5 * m_ab * np.add.outer(r, r) + 0.25 * (m_bb - m_b)
+             - np.diag(m_a * r)) / c - np.outer(grad, grad))
+    k = 2.0 / a
+    ln_area = float(np.logaddexp(-k * point[0], -k * point[1]))  # ln(1/A_S + 1/A_R) + const
+    share = np.exp(-k * point - ln_area)  # each hop's share of the inverse areas
+    return (math.log(c) + ln_area, grad - k * share,
+            hess + k * k * share[0] * share[1] * np.array([[1.0, -1.0], [-1.0, 1.0]]))
+
+
+def _ascend(protocol: RelayProtocol, a: float, ln_c: np.ndarray, point, lo: float, hi: float):
+    """Projected Newton ascent of _log_gase on the box [lo, hi]^2 from point.
+
+    A coordinate is free unless it sits on a bound with its gradient pointing
+    out of the box.  Along each eigendirection of the free Hessian, negative
+    curvature takes the Newton step, at most 2 long in ln P, and positive
+    curvature climbs uphill to the box (towards P_S > P_R where rounding hides
+    the slope, as on the equal-hop saddle).  A step that lowers ln(eta) is
+    halved until it does not; one of at most 1e-4 is taken unchecked and ends
+    the ascent, as Newton converges quadratically there.  No step calls BLAS
+    or LAPACK, whose first call costs 0.3-0.7 MB of resident memory.
+    """
+    value, grad, hess = _log_gase(protocol, a, ln_c, point)
+    for _ in range(60):
+        free = ~(((point <= lo) & (grad < 0.0)) | ((point >= hi) & (grad > 0.0)))
+        step, directions = np.zeros(2), np.eye(2)[free]
+        if free.all():  # the Hessian's eigenvectors, by its rotation angle
+            angle = 0.5 * math.atan2(2.0 * hess[0, 1], hess[0, 0] - hess[1, 1])
+            directions = np.array([[math.cos(angle), math.sin(angle)],
+                                   [-math.sin(angle), math.cos(angle)]])
+        for d in directions:
+            curvature, slope = float(np.sum(np.outer(d, d) * hess)), float(np.sum(d * grad))
+            if curvature < 0.0:
+                step += min(max(-slope / curvature, -2.0), 2.0) * d
+                continue
+            if abs(slope) <= 1e-12 * float(np.abs(grad).sum()):
+                slope = d[0] - d[1]
+            d *= math.copysign(1.0, slope)
+            step += min(((hi if di > 0.0 else lo) - pi) / di for pi, di in zip(point, d) if di) * d
+        while np.max(np.abs(step)) > 1e-4:
+            trial = np.clip(point + step, lo, hi)
+            evaluated = _log_gase(protocol, a, ln_c, trial)
+            if evaluated[0] >= value:
+                break
+            step = 0.5 * (trial - point)
+        else:
+            return tuple(np.clip(point + step, lo, hi).tolist())
+        point, (value, grad, hess) = trial, evaluated
+    raise ArithmeticError("dual-hop power ascent did not converge in 60 Newton steps")
 
 
 def optimize_relay_powers(env: PropagationEnvironment, d_sr: float, d_rd: float,
@@ -316,65 +282,49 @@ def optimize_relay_powers(env: PropagationEnvironment, d_sr: float, d_rd: float,
                           span_decades: float = 10.0, tol: float = 1e-5):
     """Box-constrained maximiser of dual-hop GASE over (P_S, P_R).
 
-    The box is [p_max * 10^-span_decades, p_max] per axis.  With c = d^a N
-    per hop, C depends on the powers only through a1 = c_S/P_S + c_R/P_R and
-    b1 = sqrt(c_S c_R / (P_S P_R)), and each area grows as P^(2/a), so the two
-    first-order conditions in (ln P_S, ln P_R) are solved directly:
+    The box is [p_max * 10^-span_decades, p_max] per axis, and c = d^a N per hop.
 
-    * DF, closed form: their sum is the p2p root (a1 + 2/a) e^a1 E1(a1) = 1,
+    * For a > 2 the DF optimum is closed form: the sum of its two first-order
+      conditions in (ln P_S, ln P_R) is the p2p root (a1 + 2/a) e^a1 E1(a1) = 1,
       a1 = x* (link_p2p.optimal_inverse_snr), and their ratio gives the split
-      P_S/P_R = rho = (c_S/c_R)^(a/(a-2)), so P_R = (c_S/rho + c_R)/x*.
-    * AF: scaling both powers gives the scale condition
-      E[G/(1+G)] = (2/a) E[ln(1+G)] under the equivalent-SNR density, one
-      scalar quadrature per step of a Brent root bracketed from the DF one.
-      The split ln(P_S/P_R) is a second Brent root, bracketed by walking
-      uphill from the DF split.  Equal hops make the diagonal stationary; it
-      is the optimum unless GASE rises off it (small a), in which case the
-      optimum is one of two mirror images and the one with P_S > P_R is
-      returned.
-    * Box faces and a <= 2: for a <= 2 GASE only grows as both powers shrink,
-      so there is no interior optimum.  When there is none inside the box,
-      each of the four faces fixes one power at its bound and solves the 1-D
-      condition for the other (or takes the end of the face its gradient
-      points to), and the face optimum with the largest GASE is returned.
+      P_S/P_R = rho = (c_S/c_R)^(a/(a-2)), so P_R = (c_S/rho + c_R)/x*.  DF
+      returns it inside the box; otherwise _ascend starts from it, clipped.
+    * For a <= 2 there is no interior maximum, and GASE can fall and rise
+      again along a box face, so that both its ends are local maxima.  When
+      the ascent ends on a face, and always for a <= 2, the four corners are
+      evaluated in one batch, and the ascent runs from the best of them if
+      that beats its result.  Ties go to P_S >= P_R.
 
-    Every root is solved to 1e-12 relative in power, far below the AF
-    quadrature's 1e-8, whatever ``tol`` is; ``tol`` is kept only for
-    compatibility.  Returns (P_S, P_R, GASE at that point).
+    ``tol`` is kept only for compatibility.  Raises ArithmeticError if an ascent
+    does not converge.  Returns (P_S, P_R, GASE at that point).
     """
     a = env.path_loss_exponent
     ln_hi = math.log(watts_of(p_max))
     ln_lo = ln_hi - span_decades * math.log(10.0)
-    ln_c = (a * math.log(d_sr) + math.log(env.noise_w), a * math.log(d_rd) + math.log(env.noise_w))
+    ln_c = np.array([a * math.log(d_sr), a * math.log(d_rd)]) + math.log(env.noise_w)
 
-    def eta(point):
-        s = DualHopScenario(env, PowerLevel(math.exp(point[0])), PowerLevel(math.exp(point[1])),
-                            d_sr, d_rd)
-        return gase_dualhop(s, protocol).gase
+    def scenario(point):
+        return DualHopScenario(env, PowerLevel(math.exp(point[0])), PowerLevel(math.exp(point[1])),
+                               d_sr, d_rd)
 
-    def face_optimum(fixed: int, bound: float):
-        free = 1 - fixed
-        k = (0.0, 1.0) if fixed == 0 else (1.0, 0.0)
+    def result(point, eta=None):
+        s = scenario(point)
+        return s.p_s, s.p_r, gase_dualhop(s, protocol).gase if eta is None else eta
 
-        def point(ln_p):
-            return (bound, ln_p) if fixed == 0 else (ln_p, bound)
-
-        @functools.lru_cache(maxsize=None)
-        def gradient(x):  # x = c/P of the free hop; d ln(eta)/d ln(P_free)
-            u, v = point(ln_c[free] - math.log(x))
-            return _log_gradient(protocol, a, math.exp(ln_c[0] - u), math.exp(ln_c[1] - v),
-                                 u - v, *k)
-
-        x_at_hi, x_at_lo = math.exp(ln_c[free] - ln_hi), math.exp(ln_c[free] - ln_lo)
-        if gradient(x_at_hi) >= 0.0:
-            return point(ln_hi)
-        if gradient(x_at_lo) <= 0.0:
-            return point(ln_lo)
-        return point(ln_c[free] - math.log(find_root_bracketed(gradient, x_at_hi, x_at_lo)))
-
-    best = _interior_optimum(protocol, a, ln_c, ln_lo, ln_hi) if a > 2.0 else None
-    if best is not None and all(ln_lo <= v <= ln_hi for v in best):
-        return PowerLevel(math.exp(best[0])), PowerLevel(math.exp(best[1])), eta(best)
-    faces = [face_optimum(fixed, bound) for fixed in (0, 1) for bound in (ln_lo, ln_hi)]
-    value, best = max((eta(p), p) for p in faces)
-    return PowerLevel(math.exp(best[0])), PowerLevel(math.exp(best[1])), value
+    end = None
+    if a > 2.0:
+        ln_q = ln_c[0] - ln_c[1]
+        ln_pr = (ln_c[1] + float(np.logaddexp(0.0, -2.0 * ln_q / (a - 2.0)))
+                 - math.log(optimal_inverse_snr(a)))
+        start = (ln_pr + ln_q * a / (a - 2.0), ln_pr)
+        if protocol is RelayProtocol.DF and all(ln_lo <= v <= ln_hi for v in start):
+            return result(start)
+        end = _ascend(protocol, a, ln_c, np.clip(start, ln_lo, ln_hi), ln_lo, ln_hi)
+        if all(ln_lo < v < ln_hi for v in end):
+            return result(end)
+    corners = [(u, v) for u in (ln_hi, ln_lo) for v in (ln_hi, ln_lo)]
+    points = corners if end is None else [end] + corners
+    etas = [b.gase for b in gase_dualhop_batch([scenario(p) for p in points], protocol)]
+    eta, best = max(zip(etas, points), key=lambda pair: (pair[0], pair[1][0] >= pair[1][1]))
+    top = best if best == end else _ascend(protocol, a, ln_c, np.array(best), ln_lo, ln_hi)
+    return result(top, eta if top == best else None)

@@ -7,6 +7,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -17,6 +18,8 @@ from gase import coop_threenode as coop
 from gase import relay_dualhop as relay
 from gase.config import (SWEEPABLE, ConfigError, derive_kind, load_preset, parse_config,
                          preset_names, render_config)
+from gase.link_p2p import optimal_inverse_snr
+from gase.propagation import PowerLevel
 
 FIG1_TEXT = """\
 # point-to-point reference scenario
@@ -84,6 +87,21 @@ power.p_r_dbm = 50
 protocol.relay = df
 """
 
+# a = 1.5: GASE along the P_S = 60 dBm face falls and rises again, so that
+# face's far end (60, -40) dBm is a local maximum below the (-40, -40) dBm corner
+U_FACE_TEXT = """\
+scenario.kind = dualhop
+env.path_loss_exponent = 1.5
+env.noise_dbm = -100
+env.p_min_dbm = -90
+geom.d_sr = 500
+geom.d_rd = 500
+power.p_s_dbm = 30
+power.p_r_dbm = 30
+protocol.relay = df
+optimize.p_max_dbm = 60
+"""
+
 # frozen golden rows: 12-significant-digit scientific notation, fixed order
 GOLDEN_FIG1_EVAL = (
     "p_t_dbm,capacity_bps_hz,area_m2,gase_bps_hz_m2\n"
@@ -95,6 +113,10 @@ GOLDEN_FIG6_EVAL = (
     "-8.00000000000e+01,4.93649081413e-02,7.23027812293e+00,2.91025164980e+00,"
     "1.24563560415e+01,4.18668329033e+06,2.78416399842e+06,1.23420354905e+01,"
     "4.37270987797e-06,1.39024208328e-06,4.47400226732e-06\n")
+GOLDEN_U_FACE_OPTIMIZE = (
+    "p_s_star_dbm,p_r_star_dbm,p_s_star_w,p_r_star_w,capacity_bps_hz,gase_bps_hz_m2\n"
+    "-4.00000000000e+01,-4.00000000000e+01,1.00000000000e-07,1.00000000000e-07,"
+    "2.39405162628e+00,1.37891260275e-07\n")
 GOLDEN_FIG4_EVAL = (
     "p_s_dbm,p_direct,p_relay,c_direct_bps_hz,c_relay_bps_hz,capacity_bps_hz,"
     "area_s_m2,area_r_m2,gase_bps_hz_m2\n"
@@ -219,6 +241,29 @@ class TestCliCommands:
     def test_eval_golden_fig4(self, capsys):
         assert self.run("eval", "--preset", "fig4") == 0
         assert capsys.readouterr().out == GOLDEN_FIG4_EVAL
+
+    def test_optimize_golden_u_shaped_face(self, tmp_path, capsys):
+        cfg = tmp_path / "uface.cfg"
+        cfg.write_text(U_FACE_TEXT)
+        assert self.run("optimize", "--config", str(cfg)) == 0
+        assert capsys.readouterr().out == GOLDEN_U_FACE_OPTIMIZE
+
+    def test_optimize_without_convergence_exit_code(self, monkeypatch, tmp_path, capsys):
+        # a gradient that flips sign at every evaluation, with GASE always
+        # rising, keeps the power ascent from settling
+        calls = iter(range(1000))
+
+        def zigzag(protocol, a, ln_c, point):
+            n = next(calls)
+            return float(n), np.array([(-1.0) ** n, 0.0]), -np.eye(2)
+
+        monkeypatch.setattr(relay, "_log_gase", zigzag)
+        cfg = tmp_path / "uface.cfg"
+        cfg.write_text(U_FACE_TEXT)
+        assert self.run("optimize", "--config", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("gase: numerical failure: dual-hop power ascent did not converge")
+        assert len(err.splitlines()) == 1
 
     def test_degenerate_sweep_equals_eval(self, tmp_path):
         base = load_preset("fig1")
@@ -665,3 +710,53 @@ class TestCliRobustness:
     @given(two_transmitter_configs())
     def test_verify_two_transmitters_ends_in_an_exit_code(self, tmp_path, text):
         assert _exit_code(tmp_path, "verify", text, "--samples", "2000") in (0, 1, 2, 3)
+
+
+def _reference_points(cfg, env):
+    """(ln P_S, ln P_R) of the four corners of the optimiser's 10-decade box
+    and, for a > 2, of the DF closed-form optimum clipped to it."""
+    a = env.path_loss_exponent
+    hi = math.log(PowerLevel.from_dbm(cfg.p_max_dbm).watts)
+    lo = hi - 10.0 * math.log(10.0)
+    points = [(u, v) for u in (lo, hi) for v in (lo, hi)]
+    if a > 2.0:
+        ln_c = [a * math.log(cfg.geometry[k]) + math.log(env.noise_w) for k in ("d_sr", "d_rd")]
+        ln_split = a / (a - 2.0) * (ln_c[0] - ln_c[1])  # ln(P_S/P_R)
+        ln_pr = float(np.logaddexp(ln_c[0] - ln_split, ln_c[1])) - math.log(optimal_inverse_snr(a))
+        points.append((min(max(ln_pr + ln_split, lo), hi), min(max(ln_pr, lo), hi)))
+    return points
+
+
+class TestOptimumDominance:
+    # on the optimize fuzz draws, the optimum's GASE is at least that of each
+    # box corner and of the clipped DF closed-form optimum
+
+    @staticmethod
+    def check(text, protocol):
+        cfg = parse_config(text)
+        env = cli._env_of(cfg)
+        d_sr, d_rd = cfg.geometry["d_sr"], cfg.geometry["d_rd"]
+        try:
+            _, _, eta = relay.optimize_relay_powers(env, d_sr, d_rd,
+                                                    PowerLevel.from_dbm(cfg.p_max_dbm), protocol)
+            points = _reference_points(cfg, env)
+        except (ArithmeticError, ValueError):  # a numerical limit: exit 3 in the CLI
+            return
+        for u, v in points:
+            s = relay.DualHopScenario(env, PowerLevel(math.exp(u)), PowerLevel(math.exp(v)),
+                                      d_sr, d_rd)
+            try:
+                reference = relay.gase_dualhop(s, protocol).gase
+            except (ArithmeticError, ValueError):
+                continue
+            assert eta >= reference * (1.0 - 1e-12)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(optimize_configs())
+    def test_df_optimum_dominates(self, text):
+        self.check(text, relay.RelayProtocol.DF)
+
+    @settings(derandomize=True, database=None, max_examples=10, deadline=None)
+    @given(optimize_configs())
+    def test_af_optimum_dominates(self, text):
+        self.check(text, relay.RelayProtocol.AF)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gase import mathkernel
 from gase.link_p2p import P2pScenario, ergodic_capacity_p2p
 from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
 from gase.mc_oracle import (McConfig, McSampler, af_snr_sampler, df_snr_sampler,
@@ -79,6 +80,22 @@ def descent_oracle(env, d_sr, d_rd, p_max, tol):
             if val > best[0]:
                 best = (val, ls, lr)
     return best[1], best[2]
+
+
+def df_grid_optimum(env, d_sr, d_rd, p_max, n=201):
+    """Maximum of the DF GASE closed form over an exhaustive n x n grid in
+    (ln P_S, ln P_R) on the 10-decade box, corners included: returns its
+    (ln P_S, ln P_R), its GASE and the grid step."""
+    a = env.path_loss_exponent
+    hi = math.log(watts_of(p_max))
+    grid = np.linspace(hi - 10.0 * math.log(10.0), hi, n)
+    alpha1 = (d_sr ** a * env.noise_w * np.exp(-grid)[:, None]
+              + d_rd ** a * env.noise_w * np.exp(-grid)[None, :])
+    inv_area = np.exp(grid - math.log(env.p_min_w)) ** (-2.0 / a)
+    eta = (a / (8.0 * math.pi * LN2 * math.gamma(2.0 / a)) * scaled_e1(alpha1)
+           * (inv_area[:, None] + inv_area[None, :]))
+    i, j = np.unravel_index(int(np.argmax(eta)), eta.shape)
+    return (grid[i], grid[j]), eta[i, j], grid[1] - grid[0]
 
 
 _TIGHT = QuadratureSpec(rel_tol=1e-13, abs_tol=0.0)
@@ -302,7 +319,9 @@ class TestPowerOptimisation:
     @pytest.mark.parametrize("a", [1.5, 2.0, 3.0, 4.0, 6.0])
     def test_df_matches_descent_oracle(self, a):
         # p_max below, at and above the interior optimum (a > 2); for a <= 2,
-        # where GASE only grows as the powers shrink, three fixed boxes
+        # where GASE only grows as the powers shrink, three fixed boxes.  There
+        # GASE can fall and rise again along a face, whose far end golden
+        # section cannot see, so the reference is an exhaustive grid.
         env = PropagationEnvironment.from_dbm(a, -100.0, -90.0)
         for d_sr, d_rd in self.GEOMETRIES:
             if a > 2.0:
@@ -313,12 +332,42 @@ class TestPowerOptimisation:
             else:
                 boxes = [PowerLevel.from_dbm(v) for v in (-40.0, 17.0, 60.0)]
             for p_max in boxes:
-                p_s, p_r, _ = optimize_relay_powers(env, d_sr, d_rd, p_max, RelayProtocol.DF)
+                p_s, p_r, eta = optimize_relay_powers(env, d_sr, d_rd, p_max, RelayProtocol.DF)
                 got = (math.log(p_s.watts), math.log(p_r.watts))
-                want = descent_oracle(env, d_sr, d_rd, p_max, 1e-8)
+                if a > 2.0:
+                    want, tol = descent_oracle(env, d_sr, d_rd, p_max, 1e-8), 1e-4
+                else:
+                    want, best, tol = df_grid_optimum(env, d_sr, d_rd, p_max)
+                    assert eta >= best * (1.0 - 1e-12)
                 # equal hops with a <= 2 have two mirror-image optima of equal GASE
                 mirrors = [want, want[::-1]] if d_sr == d_rd else [want]
-                assert min(max(abs(g - w) for g, w in zip(got, m)) for m in mirrors) <= 1e-4
+                assert min(max(abs(g - w) for g, w in zip(got, m)) for m in mirrors) <= tol
+
+    @pytest.mark.parametrize("protocol,gase", [(RelayProtocol.DF, 1.379e-7),
+                                               (RelayProtocol.AF, 1.257e-7)])
+    def test_u_shaped_face_loses_to_the_corner(self, protocol, gase):
+        # a = 1.5: along the P_S = 60 dBm face GASE falls and rises again, so
+        # the face's far end (60, -40) dBm is a local maximum with GASE 8.25e-8,
+        # below the (-40, -40) dBm corner
+        env = PropagationEnvironment.from_dbm(1.5, -100.0, -90.0)
+        p_s, p_r, eta = optimize_relay_powers(env, 500.0, 500.0, PowerLevel.from_dbm(60.0),
+                                              protocol)
+        assert p_s.dbm == pytest.approx(-40.0, abs=1e-9)
+        assert p_r.dbm == pytest.approx(-40.0, abs=1e-9)
+        assert eta == pytest.approx(gase, rel=1e-3)
+
+    def test_af_optimum_quadrature_count(self, monkeypatch):
+        # one quadrature batch per Newton step, plus the corner batch when the
+        # optimum is on a face (the P_R = 40 dBm face for the unequal hops)
+        calls = []
+        batch = mathkernel.integrate_batch
+        monkeypatch.setattr(mathkernel, "integrate_batch",
+                            lambda *args, **kwargs: calls.append(1) or batch(*args, **kwargs))
+        for d_sr, d_rd, most in ((300.0, 700.0, 10), (200.0, 800.0, 10), (100.0, 900.0, 10),
+                                 (500.0, 500.0, 6)):
+            calls.clear()
+            optimize_relay_powers(ENV, d_sr, d_rd, PowerLevel.from_dbm(40.0), RelayProtocol.AF)
+            assert 0 < len(calls) <= most
 
     @pytest.mark.parametrize("a,d_sr,d_rd", [(4.0, 500.0, 500.0), (6.0, 500.0, 500.0),
                                              (3.0, 500.0, 500.0), (3.3, 600.0, 350.0)])
