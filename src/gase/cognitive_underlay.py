@@ -16,14 +16,17 @@ cancel, a quadrature over the admissible interference).
 
 The parallel affected area integrates, over the plane, the tail T of the sum
 of the two received powers (hypoexponential; Erlang-2 where the two means
-coincide).  It is split as
+coincide).  In the thresholds u_p = (m/P1) r^a and u_s = (m/P2) r_s^a, m =
+P_min, normalised by the local mean powers, and with e = exp(-u), it is split as
 
-    A_par = A(P1) + A(P2) + 2 int_0^pi int_0^inf [T - e^(-m/lam_p) - e^(-m/lam_s)] r dr dtheta,
+    A_par = A(P1) + A(P2) + 2 int_0^pi int_0^inf [T - e_p - e_s] r dr dtheta,
 
-in polar coordinates about the primary transmitter, with m = P_min.  The two
-single footprints are the Rayleigh closed form, so a secondary far from the
-primary is never lost; the correction is non-zero only where the footprints
-overlap.  It is integrated by a fixed composite Gauss-Legendre product rule
+in polar coordinates about the primary transmitter.  The two single
+footprints are the Rayleigh closed form, so a secondary far from the primary
+is never lost.  The correction, max(e_p, e_s) lo (1 - e^(-d))/d - min(e_p, e_s)
+with lo the smaller u and d = |u_s - u_p|, is non-zero only where the
+footprints overlap, and costs three transcendentals per node (r_s^a, e_s and
+expm1).  It is integrated by a fixed composite Gauss-Legendre product rule
 (4 x 8 panels of 16 nodes, 64 x 128 nodes) on the map r = L u/(1 - u),
 L = d0 + the larger footprint; the 2 x 4-panel rule (32 x 64 nodes) gives the
 error estimate.  Where the two disagree by more than the area tolerance, the
@@ -71,6 +74,8 @@ _AREA_SPEC = QuadratureSpec(rel_tol=2e-5, abs_tol=0.0, max_subdivisions=4000)
 # capacity is integrated instead (at _MEAN_SPEC)
 _CANCELLATION = 1e-3
 _MEAN_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
+
+_HUGE, _TINY = np.finfo(float).max, np.finfo(float).tiny
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -213,36 +218,36 @@ def x_channel_primary_capacity(s: CognitiveScenario) -> float:
     return _interference_integral(s.rho_p, n1) / LN2
 
 
-def two_source_power_tail(lam_p, lam_s, p_min: float):
-    """P{sum of two exponential received powers >= p_min}.
+def two_source_power_tail(u_p, u_s):
+    """P{sum of two exponential received powers >= p_min} less the single-source
+    tails e_i = exp(-u_i), in the thresholds u_i = p_min r_i^a / P_i.
 
-    lam_p, lam_s are the local mean received powers P_i / r_i^a.  With hi >= lo
-    the two means, u = p_min/hi and d = p_min/lo - u, the hypoexponential tail
-    is exp(-u) * (1 + u * (1 - exp(-d))/d), free of cancellation for every
-    ratio of the means.  d = 0 gives the Erlang-2 tail, d = inf the single
-    source; a mean of inf (at a transmitter) gives 1 and two zero means 0.
+    With lo = min(u_p, u_s) and d = |u_s - u_p| the hypoexponential tail is
+    exp(-lo) (1 + lo (1 - exp(-d))/d), so this is max(e_p, e_s) lo (1 - exp(-d))/d
+    less min(e_p, e_s), free of cancellation for every ratio of the means: d = 0
+    is the Erlang-2 tail, d = inf a single source (0), u = 0 at a transmitter a
+    tail of 1, and u_p = u_s = inf gives 0.
     """
-    hi, lo = np.maximum(lam_p, lam_s), np.minimum(lam_p, lam_s)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u = p_min / hi
-        d = u * ((hi - lo) / lo)
-        ratio = np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
-        tail = np.exp(-u) * (1.0 + u * ratio)
-    return np.where(u < math.inf, tail, 0.0)
+    e_p, e_s = np.exp(-u_p), np.exp(-u_s)
+    lo = np.minimum(np.minimum(u_p, u_s), _HUGE)  # lo * 0, not inf * 0, where both are inf
+    # -d, held below -tiny so that the quotient is 1 at d = 0
+    neg_d = np.minimum(lo - np.maximum(u_p, u_s), -_TINY)
+    excess = np.maximum(e_p, e_s) * lo
+    excess *= np.expm1(neg_d) / neg_d
+    excess -= np.minimum(e_p, e_s)
+    return excess
 
 
 def _overlap_correction(s: CognitiveScenario, r, sin2_half):
-    """T - exp(-p_min/lam_p) - exp(-p_min/lam_s) at distance r from the
-    primary, at the angle theta from the secondary given as sin^2(theta/2)."""
+    """T - e_p - e_s at distance r from the primary, at the angle theta from
+    the secondary given as sin^2(theta/2)."""
     a = s.env.path_loss_exponent
     p_min = s.env.p_min_w
-    with np.errstate(divide="ignore", over="ignore"):
+    with np.errstate(over="ignore"):
         # (r - d0)^2 + 4 r d0 sin^2(theta/2) is r_s^2 without cancellation
         rs2 = (r - s.d0) ** 2 + 4.0 * r * s.d0 * sin2_half
-        lam_p = s.p1.watts / r ** a
-        lam_s = s.p2.watts / rs2 ** (0.5 * a)
-        return (two_source_power_tail(lam_p, lam_s, p_min)
-                - np.exp(-p_min / lam_p) - np.exp(-p_min / lam_s))
+        return two_source_power_tail(p_min / s.p1.watts * r ** a,
+                                     p_min / s.p2.watts * rs2 ** (0.5 * a))
 
 
 def _rule_correction(s: CognitiveScenario, scale: float, rule) -> float:

@@ -14,12 +14,12 @@ the runtime needs nothing beyond numpy:
   array maps element-wise through the same scalar kernel.  Higher orders E_n
   (DLMF 8.19) use the same continued fraction with order-n coefficients, and
   on x <= 1 the upward recurrence from E1, which is stable there.
-* K0/K1: each branch returns both orders in one pass.  Ascending series
-  (DLMF 10.31.2, 10.31.1) for x <= 2 and the truncated asymptotic expansion
-  (DLMF 10.40.2) for x >= 30 are evaluated as powers of x^2/4, resp. 1/x,
-  times coefficient tables built once at import.  In between, fixed 100-node
-  Gauss-Legendre quadrature of the cosh integral on a truncated interval
-  takes both moments from one exponential.
+* K0/K1: two branches, each returning both orders in one pass: for x <= 2
+  the ascending series (DLMF 10.31.2, 10.31.1) in q = x^2/4, above it a
+  Chebyshev fit of exp(x) sqrt(x) K_nu(x) in t = 4/x - 1 (as Cephes' k0e),
+  embedded as constants.  Both are polynomials, summed over one cumulative
+  product of powers in a few numpy calls, so a call of 15 values costs
+  little more than one of a single value; nothing is built at import.
 * erfcx: exp(x^2)*erfc(x) on the C library's erfc, with an asymptotic series
   where the product would overflow; Gaussian-type integrals need it.
 * Adaptive 7/15 Gauss-Kronrod quadrature with QUADPACK's error heuristic,
@@ -169,78 +169,73 @@ def scaled_e1(x):
 # modified Bessel functions of the second kind
 # ---------------------------------------------------------------------------
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(100)
-_GL_NODES += 1.0  # shifted from [-1, 1] onto [0, 2]
-
-
-def _series_table(terms: int = 40) -> np.ndarray:
+def _series_table(terms: int = 13) -> np.ndarray:
     """Coefficients of q^k, q = x^2/4, in I0, sum H_k q^k/k!^2, 2 I1/x and
-    sum (H_k + H_{k+1}) q^k/(k!(k+1)!): the four sums of DLMF 10.31.2/10.31.1."""
+    sum (H_k + H_{k+1}) q^k/(k!(k+1)!): the four sums of DLMF 10.31.2/10.31.1,
+    as a (terms, 4, 1) table.  On q <= 1 the first dropped term is below 1e-19."""
     rows = []
     for k in range(terms):  # exact integers, one rounding per coefficient
         n0 = math.factorial(k) ** 2
         d = n0 * (k + 1)
         hd = sum(d // j for j in range(1, k + 1))  # H_k * d
         rows.append([1 / n0, hd / (d * n0), 1 / d, (2 * hd + n0) / (d * d)])
-    return np.array(rows).T.copy()
+    return np.array(rows)[:, :, None]
 
 
-def _asymptotic_table(terms: int = 15) -> np.ndarray:
-    """Coefficients of x^-k in the K0, K1 asymptotic sums (DLMF 10.40.2)."""
-    return np.array([[math.prod(4 * nu * nu - (2 * j - 1) ** 2 for j in range(1, k + 1))
-                      / (8 ** k * math.factorial(k)) for k in range(terms)] for nu in (0, 1)])
-
+# Chebyshev coefficients of exp(x) sqrt(x) K_nu(x) in t = 4/x - 1 on x > 2, 24
+# for nu = 0, then 24 for nu = 1: the value is sum_k c_k T_k(t).  Fitted from
+# 40-digit mpmath at 48 Chebyshev nodes (tests/test_mathkernel.py rebuilds
+# them); the first dropped coefficient is below 6e-18.
+_CHEBYSHEV = np.array([
+    1.2201515410329777, -0.0314481013119645, 0.0015698838857300533, -0.00012849549581627802,
+    1.39498137188765e-05, -1.8317555227191195e-06, 2.766813639445015e-07, -4.660489897687948e-08,
+    8.574034017414225e-09, -1.6975345093890614e-09, 3.5773972814003283e-10, -7.957489244477396e-11,
+    1.8559491149549264e-11, -4.514597883374519e-12, 1.1403405882073441e-12, -2.9800969231481784e-13,
+    8.032890775068375e-14, -2.2275133267462965e-14, 6.340076476276646e-15, -1.848593377920907e-15,
+    5.5120559994043335e-16, -1.6782311257549006e-16, 5.2103917776435543e-17, -1.6475805939842632e-17,
+    1.3603130952422213, 0.10392373657681724, -0.002857816859622779, 0.00019521551847135162,
+    -1.936197974166083e-05, 2.406484947837217e-06, -3.5019606030878126e-07, 5.7410841254500495e-08,
+    -1.0345762465678097e-08, 2.0150497551970347e-09, -4.1903547593419254e-10, 9.218315187605315e-11,
+    -2.129967838427791e-11, 5.139639673482343e-12, -1.2891739609498229e-12, 3.348419666052243e-13,
+    -8.976705182010146e-14, 2.4771544242195988e-14, -7.0198370892147685e-15, 2.038703166239861e-15,
+    -6.057047270643018e-16, 1.8380935752430455e-16, -5.689462849193648e-17, 1.7940510478863572e-17,
+]).reshape(2, 24)
 
 _SERIES = _series_table()
-_ASYMPTOTIC = _asymptotic_table()
+# the same polynomials in powers of t: their coefficients sum in magnitude to
+# at most 1.18 times the smallest value on (-1, 1], so little cancels
+_SCALED = np.array([np.polynomial.chebyshev.cheb2poly(c) for c in _CHEBYSHEV]).T[:, :, None]
 
 
-# values per block of the K0/K1 kernels, which bounds their (values, terms)
-# temporaries when a quadrature batch passes thousands of nodes
-_BLOCK = 64
-
-
-def _power_sums(u, table):
-    """Rows sum_k table[j, k] * u**k, summed along the contiguous last axis
-    rather than by BLAS, so no element's value depends on the batch size."""
-    out = np.empty((u.size, table.shape[0]))
-    exponents = np.arange(table.shape[1], dtype=float)
-    for i in range(0, u.size, _BLOCK):
-        powers = u[i:i + _BLOCK, None] ** exponents
-        out[i:i + _BLOCK] = np.add.reduce(powers[:, None, :] * table, axis=2)
-    return out.T
+def _power_series(u, table):
+    """Rows sum_k table[k, j] * u**k of a (terms, rows, 1) table.  The powers
+    come from one cumulative product.  The terms are laid out highest power
+    first in C order, so each sum runs term by term from the smallest, and
+    not through BLAS: no value depends on the length of u or its position."""
+    powers = np.empty((len(table), u.size))
+    powers[0] = 1.0
+    powers[1:] = u
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    terms = np.empty((len(table), table.shape[1], u.size))
+    np.multiply(powers[::-1, None], table[::-1], out=terms)
+    return np.add.reduce(terms, axis=0)
 
 
 def _k01_series(x):
     """Ascending series for K0 and K1, accurate for x <= 2."""
-    i0, s0, i1, s1 = _power_sums(0.25 * x * x, _SERIES)
+    i0, s0, i1, s1 = _power_series(0.25 * x * x, _SERIES)
     lg = np.log(0.5 * x) + EULER_GAMMA
     return -lg * i0 + s0, 1.0 / x + 0.5 * x * (lg * i1 - 0.5 * s1)
 
 
-def _k01_quadrature(x):
-    """K0, K1 by Gauss-Legendre on the cosh integral, scaled by exp(x).
-
-    The integrand exp(-x(cosh t - 1)) cosh(nu t) is entire and truncated where
-    the exponent reaches 45 (relative tail < 1e-19), so 100 nodes give full
-    double precision across 2 < x < 30.
-    """
-    out = np.empty((2, x.size))
-    for i in range(0, x.size, _BLOCK):
-        xb = x[i:i + _BLOCK]
-        half_T = 0.5 * np.arccosh(1.0 + 45.0 / xb)[:, None]
-        t = half_T * _GL_NODES
-        w = half_T * _GL_WEIGHTS
-        cosh_t = np.cosh(t)
-        g = np.exp(-xb[:, None] * (cosh_t - 1.0))
-        scale = np.exp(-xb)
-        out[0, i:i + _BLOCK] = scale * np.sum(w * g, axis=1)
-        out[1, i:i + _BLOCK] = scale * np.sum(w * (g * cosh_t), axis=1)
-    return out
-
-
-def _k01_asymptotic(x):
-    return np.sqrt(math.pi / (2.0 * x)) * np.exp(-x) * _power_sums(1.0 / x, _ASYMPTOTIC)
+def _k01_scaled(x):
+    """K0 and K1 for x > 2 from the fit of exp(x) sqrt(x) K_nu(x).  exp(-x/2)
+    enters twice, so a K that is subnormal (x > 705) is rounded only once."""
+    k = _power_series(4.0 / x - 1.0, _SCALED)
+    half = np.exp(-0.5 * x)
+    k *= half / np.sqrt(x)
+    k *= half
+    return k
 
 
 def bessel_k01(x):
@@ -250,8 +245,7 @@ def bessel_k01(x):
     if not np.all((flat > 0.0) & (flat < np.inf)):
         raise ValueError("bessel_k requires x > 0")
     out = np.empty((2, flat.size))
-    for branch, use in ((_k01_series, flat <= 2.0), (_k01_asymptotic, flat >= 30.0),
-                        (_k01_quadrature, (flat > 2.0) & (flat < 30.0))):
+    for branch, use in ((_k01_series, flat <= 2.0), (_k01_scaled, flat > 2.0)):
         if use.any():
             out[:, use] = branch(flat[use])
     return tuple(float(k[0]) if arr.ndim == 0 else k.reshape(arr.shape) for k in out)

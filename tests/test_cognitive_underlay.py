@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gase import cli
 from gase import cognitive_underlay as cg
@@ -56,12 +58,37 @@ def preset_scenarios(name):
                                 dbm_to_watts(point.i_th_dbm))
 
 
+def lam_space_tail(lam_p, lam_s, p_min):
+    """The two-source tail in the local mean powers lam_i = P_i / r_i^a: with
+    hi >= lo the means, u = p_min/hi and d = p_min/lo - u, exp(-u) * (1 + u *
+    (1 - exp(-d))/d); 1 at a transmitter (a mean of inf), 0 where both means
+    are 0."""
+    hi, lo = np.maximum(lam_p, lam_s), np.minimum(lam_p, lam_s)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u = p_min / hi
+        d = u * ((hi - lo) / lo)
+        ratio = np.where(d > 0.0, -np.expm1(-d) / d, 1.0)
+        tail = np.exp(-u) * (1.0 + u * ratio)
+    return np.where(u < math.inf, tail, 0.0)
+
+
+def lam_space_correction(s, r, sin2_half):
+    """The overlap correction T - exp(-p_min/lam_p) - exp(-p_min/lam_s) in
+    the mean powers, independently of the module's normalised thresholds."""
+    a, m = s.env.path_loss_exponent, s.env.p_min_w
+    with np.errstate(divide="ignore", over="ignore"):
+        rs2 = (r - s.d0) ** 2 + 4.0 * r * s.d0 * sin2_half
+        lam_p = s.p1.watts / r ** a
+        lam_s = s.p2.watts / rs2 ** (0.5 * a)
+        return lam_space_tail(lam_p, lam_s, m) - np.exp(-m / lam_p) - np.exp(-m / lam_s)
+
+
 def split_reference(s, tol):
     """A(P1) + A(P2) + the overlap correction by a composite 16-node
     Gauss-Legendre product rule on theta in [0, pi] and u in [0, 1), with
     r = L u/(1 - u), at 4k x 8k panels; k doubles until two successive areas
-    agree to ``tol``.  r_s comes from the law of cosines, independently of
-    the module's own integrand."""
+    agree to ``tol``.  r_s comes from the law of cosines and the tail from
+    lam_space_tail, independently of the module's own integrand."""
     a, m = s.env.path_loss_exponent, s.env.p_min_w
     singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
     scale = s.d0 + (max(s.p1.watts, s.p2.watts) / m) ** (1.0 / a)
@@ -81,8 +108,7 @@ def split_reference(s, tol):
         for rows in np.array_split(np.arange(theta.size), max(1, theta.size // 64)):
             rs = np.sqrt(r * r + s.d0 ** 2 - 2.0 * r * s.d0 * np.cos(theta[rows])[:, None])
             lam_p, lam_s = s.p1.watts / r ** a, s.p2.watts / rs ** a
-            corr = (two_source_power_tail(lam_p, lam_s, m)
-                    - np.exp(-m / lam_p) - np.exp(-m / lam_s))
+            corr = lam_space_tail(lam_p, lam_s, m) - np.exp(-m / lam_p) - np.exp(-m / lam_s)
             total += float(np.sum(w_theta[rows, None] * w_r * corr))
         return singles + 2.0 * total
 
@@ -270,25 +296,27 @@ class TestXChannel:
         assert eta_x < eta_p2p
 
 
+def tail(u_p, u_s):
+    """The two-source tail from its excess over the single-source tails."""
+    return two_source_power_tail(u_p, u_s) + np.exp(-u_p) + np.exp(-u_s)
+
+
 class TestTwoSourceTail:
+    """two_source_power_tail in the normalised thresholds u_i = p_min/lam_i."""
+
     def test_erlang_branch_on_equal_means(self):
-        lam = 2.5e-12
-        m = ENV.p_min_w
-        assert two_source_power_tail(lam, lam, m) == pytest.approx(
-            (1 + m / lam) * math.exp(-m / lam), rel=1e-12)
+        u = ENV.p_min_w / 2.5e-12
+        assert tail(u, u) == pytest.approx((1 + u) * math.exp(-u), rel=1e-12)
+        assert two_source_power_tail(u, u) == pytest.approx((u - 1) * math.exp(-u), rel=1e-12)
 
     def test_single_source_limits(self):
-        m = 1e-12
-        assert two_source_power_tail(1e-11, 1e-25, m) == pytest.approx(
-            math.exp(-m / 1e-11), rel=1e-9)
-        assert two_source_power_tail(1e-25, 1e-11, m) == pytest.approx(
-            math.exp(-m / 1e-11), rel=1e-9)
+        assert tail(0.1, 1e13) == pytest.approx(math.exp(-0.1), rel=1e-9)
+        assert tail(1e13, 0.1) == pytest.approx(math.exp(-0.1), rel=1e-9)
 
     def test_guard_continuity(self):
-        lam = 3e-12
-        m = 1e-12
-        inside = two_source_power_tail(lam * (1 + 5e-10), lam, m)
-        outside = two_source_power_tail(lam * (1 + 5e-9), lam, m)
+        u = 1.0 / 3.0
+        inside = tail(u * (1 + 5e-10), u)
+        outside = tail(u * (1 + 5e-9), u)
         assert inside == pytest.approx(outside, rel=1e-6)
 
     def test_matches_mpmath_across_mean_ratios(self):
@@ -303,16 +331,50 @@ class TestTwoSourceTail:
                         ref = (1 + mm / lp) * mpmath.exp(-mm / lp)
                     else:
                         ref = (lp * mpmath.exp(-mm / lp) - ls * mpmath.exp(-mm / ls)) / (lp - ls)
-                    for got in (two_source_power_tail(lam_p, lam_s, m),
-                                two_source_power_tail(lam_s, lam_p, m)):
+                    ref_excess = ref - mpmath.exp(-mm / lp) - mpmath.exp(-mm / ls)
+                    u_p, u_s = m / lam_p, m / lam_s
+                    for got, got_excess in ((tail(u_p, u_s), two_source_power_tail(u_p, u_s)),
+                                            (tail(u_s, u_p), two_source_power_tail(u_s, u_p))):
                         assert abs(float(got) - float(ref)) <= 1e-14 * float(ref)
+                        assert abs(float(got_excess) - float(ref_excess)) <= 1e-15 * float(ref)
 
     def test_finite_at_a_transmitter_and_far_out(self):
-        m = 1e-12
-        got = two_source_power_tail(np.array([math.inf, math.inf, 0.0, 1e-11, 0.0]),
-                                    np.array([math.inf, 1e-11, 0.0, 0.0, 1e-11]), m)
-        assert got.tolist() == pytest.approx([1.0, 1.0, 0.0, math.exp(-0.1), math.exp(-0.1)],
-                                             rel=1e-15, abs=0.0)
+        u_p = np.array([0.0, 0.0, math.inf, 0.1, math.inf])
+        u_s = np.array([0.0, 0.1, math.inf, math.inf, 0.1])
+        assert tail(u_p, u_s).tolist() == pytest.approx(
+            [1.0, 1.0, 0.0, math.exp(-0.1), math.exp(-0.1)], rel=1e-15, abs=0.0)
+        assert two_source_power_tail(u_p, u_s).tolist() == pytest.approx(
+            [-1.0, -math.exp(-0.1), 0.0, 0.0, 0.0], rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("a", [1.5, 4.0, 12.0])
+    def test_overflow_of_both_thresholds_is_zero(self, a):
+        # r^a and r_s^a overflow, so both u are inf: the correction is 0, not nan
+        s = split_scenario(a, 100.0, 20.0, 20.0)
+        r = np.array([1e300, 10.0 ** (320.0 / a)])
+        sin2 = np.array([[0.0], [0.5], [1.0]])
+        with np.errstate(over="ignore"):
+            assert np.isinf(s.env.p_min_w / s.p1.watts * r ** a).all()
+        assert cg._overlap_correction(s, r, sin2).tolist() == [[0.0, 0.0]] * 3
+        assert lam_space_correction(s, r, sin2).tolist() == [[0.0, 0.0]] * 3
+
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(a=st.floats(0.3, 12.0), d0=st.floats(50.0, 1e4), p1_dbm=st.floats(-30.0, 50.0),
+           p2_dbm=st.floats(-30.0, 50.0), p_min_dbm=st.floats(-130.0, -50.0),
+           log_r=st.lists(st.floats(-6.0, 6.0), min_size=1, max_size=8),
+           sin2=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    @example(a=12.0, d0=1e4, p1_dbm=-30.0, p2_dbm=-30.0, p_min_dbm=-50.0,
+             log_r=[6.0, 0.0, -6.0], sin2=[0.0, 1.0])
+    def test_correction_equals_lam_space_expression(self, a, d0, p1_dbm, p2_dbm, p_min_dbm,
+                                                    log_r, sin2):
+        env = PropagationEnvironment.from_dbm(a, -100.0, p_min_dbm)
+        s = CognitiveScenario(env, PowerLevel.from_dbm(p1_dbm), PowerLevel.from_dbm(p2_dbm),
+                              100.0, 100.0, d0, d0, d0, 1e-11)
+        r = d0 * 10.0 ** np.array(log_r)
+        sin2_half = np.array(sin2)[:, None]
+        got = cg._overlap_correction(s, r, sin2_half)
+        ref = lam_space_correction(s, r, sin2_half)
+        assert np.isfinite(got).all()
+        assert np.abs(got - ref).max() <= 1e-15
 
 
 class TestAffectedAreaParallel:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 from scipy import special as sci_special
 
+from gase import mathkernel
 from gase.mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
                              bessel_k0, bessel_k01, bessel_k1, erfcx, find_root_bracketed,
                              integrate, integrate_batch, integrate_semi_infinite,
@@ -158,6 +159,10 @@ class TestMpmathOracle:
     JOINTS = [1.0 - 1e-12, 1.0, 1.0 + 1e-12, 2.0 - 1e-12, 2.0, 2.0 + 1e-12,
               30.0 - 1e-9, 30.0, 30.0 + 1e-9]
     GRID = sorted([*np.geomspace(1e-6, 600.0, 80).tolist(), *JOINTS])
+    # the K kernel's series/Chebyshev joint at x = 2, its neighbouring floats
+    # and the whole Chebyshev branch up to where K is still normal
+    K_GRID = sorted({*GRID, math.nextafter(2.0, 0.0), math.nextafter(2.0, 3.0),
+                     *np.geomspace(2.0, 700.0, 100).tolist()})
 
     @staticmethod
     def assert_close(value, ref):
@@ -181,9 +186,43 @@ class TestMpmathOracle:
 
     def test_bessel_k0_k1(self):
         with mpmath.workdps(40):
-            for x in self.GRID:
+            for x in self.K_GRID:
                 self.assert_close(bessel_k0(x), mpmath.besselk(0, x))
                 self.assert_close(bessel_k1(x), mpmath.besselk(1, x))
+
+    def test_bessel_k_subnormal_tail(self):
+        # above x ~ 705 K is subnormal: within one subnormal of the truth, and
+        # > 0 wherever the truth is at least the smallest subnormal
+        tiny = 2.0 ** -1074
+        with mpmath.workdps(40):
+            for x in np.linspace(700.0, 746.0, 93).tolist():
+                for nu, value in enumerate(bessel_k01(x)):
+                    ref = mpmath.besselk(nu, x)
+                    assert abs(value - ref) <= 5e-14 * ref + tiny
+                    if ref >= tiny:
+                        assert value > 0.0
+
+    def test_chebyshev_table_rebuilt_from_mpmath(self):
+        # c_k = (2/n) sum_j f(t_j) cos(k theta_j), c_0 halved, at the n = 48
+        # Chebyshev nodes t_j = cos(theta_j), theta_j = pi (j + 1/2)/n, of
+        # f(t) = exp(x) sqrt(x) K_nu(x) with x = 4/(1 + t); the first dropped
+        # coefficient bounds the truncation
+        n = 48
+        table = mathkernel._CHEBYSHEV
+        with mpmath.workdps(40):
+            thetas = [mpmath.pi * (j + mpmath.mpf(1) / 2) / n for j in range(n)]
+            xs = [4 / (1 + mpmath.cos(theta)) for theta in thetas]
+            for nu, row in enumerate(table):
+                f = [mpmath.exp(x) * mpmath.sqrt(x) * mpmath.besselk(nu, x) for x in xs]
+                for k in range(len(row) + 1):
+                    c = 2 * mpmath.fsum(fj * mpmath.cos(k * theta)
+                                        for fj, theta in zip(f, thetas)) / n
+                    if k == 0:
+                        c /= 2
+                    if k < len(row):
+                        assert abs(row[k] - float(c)) <= 1e-17
+                    else:
+                        assert abs(c) < 6e-18
 
 
 # log-uniform on [1e-6, 1e6], so every branch of every kernel is drawn
