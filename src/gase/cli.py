@@ -5,14 +5,14 @@
 Sweeps reproduce the figure presets as CSV tables (header row, comma
 separator, scientific notation with 12 significant digits).  ``verify`` runs
 the closed forms against the seeded Monte Carlo oracles and exits nonzero if
-any check fails its band.  Every value comes from the scenario modules; this
-layer only picks the columns.  A sweep of the dual-hop or cooperative kind
-hands all its points to the scenario module as one batch, whose quadratures
-run in lockstep, and an eval is the batch of one; the other kinds evaluate
-their points one by one.  Rows come out in sweep order.  Verify checks are
-evaluated sequentially, and each Monte Carlo estimate takes the next stream
-id in output order.  ``--workers`` is accepted for compatibility and has no
-effect on the output.
+any check fails its band.  Every value, and every column name after the
+parameter's, comes from the scenario modules: each result carries its CSV
+row.  A sweep hands all its points to the scenario module in one batch call
+(the dual-hop and cooperative quadratures run in lockstep, and an i_th sweep
+takes the parallel area once), and an eval is the batch of one.  Rows come
+out in sweep order.  Verify checks are evaluated sequentially, and each
+Monte Carlo estimate takes the next stream id in output order.
+``--workers`` is accepted for compatibility and has no effect on the output.
 
 Exit codes: 0 success, 1 usage/config error (including a config or output
 path that cannot be read or written), 2 verification failure,
@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Iterator, List, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -82,9 +83,8 @@ def _scenario(cfg: ScenarioConfig):
     if cfg.kind == "coop":
         return coop.CoopScenario(env, _power(cfg, "p_s_dbm"), _power(cfg, "p_r_dbm"),
                                  g["d_sd"], g["d_sr"], g["d_rd"])
-    # xchannel is the no-constraint limit; any finite stand-in for i_th works
-    # because the xchannel paths never read it
-    i_th = 1e6 if cfg.kind == "xchannel" else dbm_to_watts(cfg.i_th_dbm)
+    # xchannel is the no-constraint limit
+    i_th = math.inf if cfg.kind == "xchannel" else dbm_to_watts(cfg.i_th_dbm)
     return cg.CognitiveScenario(env, _power(cfg, "p1_dbm"), _power(cfg, "p2_dbm"),
                                 g["d_p"], g["d_s"], g["d_sp"], g["d_ps"], g["d0"], i_th)
 
@@ -93,54 +93,20 @@ def _scenario(cfg: ScenarioConfig):
 # result rows
 # ---------------------------------------------------------------------------
 
-_COLUMNS = {
-    "p2p": ("capacity_bps_hz", "area_m2", "gase_bps_hz_m2"),
-    "dualhop": ("capacity_bps_hz", "area_sr_m2", "area_rd_m2", "gase_bps_hz_m2"),
-    "coop": ("p_direct", "p_relay", "c_direct_bps_hz", "c_relay_bps_hz",
-             "capacity_bps_hz", "area_s_m2", "area_r_m2", "gase_bps_hz_m2"),
-    "cognitive": ("p_parallel", "c_primary_bps_hz", "c_secondary_bps_hz",
-                  "c_p2p_bps_hz", "area_parallel_m2", "area_p2p_m2",
-                  "se_total_bps_hz", "gase_bps_hz_m2", "gase_x_bps_hz_m2",
-                  "gase_p2p_bps_hz_m2"),
-    "xchannel": ("c_primary_bps_hz", "c_secondary_bps_hz", "se_total_bps_hz",
-                 "area_parallel_m2", "gase_bps_hz_m2"),
-}
-
-
-def _values(cfgs: Sequence[ScenarioConfig], area_parallel: Optional[float] = None):
-    """The result columns of each config, all of one kind and protocol.
-
-    Dual-hop and cooperative configs go to the scenario module as one batch;
-    the other kinds are evaluated one config at a time.
-    """
+def _table(param: str, values: Sequence[float], cfgs: Sequence[ScenarioConfig]):
+    """(header, rows) of configs of one kind and protocol, from one batch call
+    of the scenario module: the parameter value, then each result's CSV row."""
     kind = cfgs[0].kind
     scenarios = [_scenario(cfg) for cfg in cfgs]
-    if kind == "p2p":
-        return [(b.capacity, b.area, b.gase) for b in map(p2p.gase_p2p, scenarios)]
-    if kind == "dualhop":
-        return [(b.capacity, b.components["area_sr_m2"], b.components["area_rd_m2"], b.gase)
-                for b in relay.gase_dualhop_batch(
-                    scenarios, relay.RelayProtocol.parse(cfgs[0].protocol))]
-    if kind == "coop":
-        return [(r.p_direct, r.p_relay, r.c_direct, r.c_relay,
-                 r.components["capacity_bps_hz"], r.components["area_s_m2"],
-                 r.components["area_r_m2"], r.gase)
-                for r in coop.gase_coop_batch(
-                    scenarios, relay.RelayProtocol.parse(cfgs[0].protocol))]
-    rows = []
-    for s in scenarios:
-        if kind == "cognitive":
-            b = cg.gase_cognitive(s, area_parallel=area_parallel)
-            c = b.components
-            rows.append((c["p_parallel"], c["c_primary_bps_hz"], c["c_secondary_bps_hz"],
-                         c["c_p2p_bps_hz"], c["area_parallel_m2"], c["area_p2p_m2"],
-                         b.capacity, b.gase, c["gase_x_channel"], c["gase_silent"]))
-        else:  # xchannel
-            b = cg.gase_x_channel(s)
-            c = b.components
-            rows.append((c["c_primary_bps_hz"], c["c_secondary_bps_hz"], b.capacity, b.area,
-                         b.gase))
-    return rows
+    if kind in ("dualhop", "coop"):
+        batch = relay.gase_dualhop_batch if kind == "dualhop" else coop.gase_coop_batch
+        results = batch(scenarios, relay.RelayProtocol.parse(cfgs[0].protocol))
+    elif kind == "cognitive":
+        results = cg.gase_cognitive_batch(scenarios)
+    else:
+        results = list(map(p2p.gase_p2p if kind == "p2p" else cg.gase_x_channel, scenarios))
+    return ([param, *results[0].components],
+            [[v, *b.components.values()] for v, b in zip(values, results)])
 
 
 def _sweep_values(cfg: ScenarioConfig) -> np.ndarray:
@@ -150,20 +116,17 @@ def _sweep_values(cfg: ScenarioConfig) -> np.ndarray:
     return np.linspace(s.start, s.stop, s.points)
 
 
-def run_eval(cfg: ScenarioConfig) -> List[List[float]]:
+def run_eval(cfg: ScenarioConfig):
     param = cfg.default_parameter()
-    return [[cfg.parameter_value(param), *_values([cfg])[0]]]
+    return _table(param, [cfg.parameter_value(param)], [cfg])
 
 
-def run_sweep(cfg: ScenarioConfig) -> List[List[float]]:
+def run_sweep(cfg: ScenarioConfig):
     if cfg.sweep is None:
         raise ConfigError([(0, "sweep command requires a sweep block")])
     param = cfg.sweep.parameter
     values = [float(v) for v in _sweep_values(cfg)]
-    # the parallel area depends on powers and geometry but not on i_th
-    area = cg.affected_area_parallel(_scenario(cfg)) if param == "i_th_dbm" else None
-    rows = _values([cfg.with_parameter(param, v) for v in values], area)
-    return [[v, *row] for v, row in zip(values, rows)]
+    return _table(param, values, [cfg.with_parameter(param, v) for v in values])
 
 
 def run_optimize(cfg: ScenarioConfig):
@@ -172,18 +135,14 @@ def run_optimize(cfg: ScenarioConfig):
         star = p2p.optimal_power_p2p(env, cfg.geometry["d"])
         b = p2p.gase_p2p(p2p.P2pScenario(env, star, cfg.geometry["d"]))
         residual = p2p.optimal_power_residual(env, cfg.geometry["d"], star)
-        header = ["p_t_star_dbm", "p_t_star_w", "residual", "capacity_bps_hz",
-                  "area_m2", "gase_bps_hz_m2"]
-        return header, [[star.dbm, star.watts, residual, b.capacity, b.area, b.gase]]
+        return (["p_t_star_dbm", "p_t_star_w", "residual", *b.components],
+                [[star.dbm, star.watts, residual, *b.components.values()]])
     if cfg.kind == "dualhop":
         if cfg.p_max_dbm is None:
             raise ConfigError([(0, "optimize on dualhop requires optimize.p_max_dbm")])
-        protocol = relay.RelayProtocol.parse(cfg.protocol)
-        p_s, p_r, _ = relay.optimize_relay_powers(
-            env, cfg.geometry["d_sr"], cfg.geometry["d_rd"],
-            PowerLevel.from_dbm(cfg.p_max_dbm), protocol)
-        b = relay.gase_dualhop(relay.DualHopScenario(
-            env, p_s, p_r, cfg.geometry["d_sr"], cfg.geometry["d_rd"]), protocol)
+        p_s, p_r, b = relay._optimum(env, cfg.geometry["d_sr"], cfg.geometry["d_rd"],
+                                     PowerLevel.from_dbm(cfg.p_max_dbm),
+                                     relay.RelayProtocol.parse(cfg.protocol))
         header = ["p_s_star_dbm", "p_r_star_dbm", "p_s_star_w", "p_r_star_w",
                   "capacity_bps_hz", "gase_bps_hz_m2"]
         return header, [[p_s.dbm, p_r.dbm, p_s.watts, p_r.watts, b.capacity, b.gase]]
@@ -262,15 +221,14 @@ def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyC
 
     elif cfg.kind == "coop":
         protocol = relay.RelayProtocol.parse(cfg.protocol)
-        r = coop.gase_coop(s, protocol)
+        c = coop.gase_coop(s, protocol).components
         out = mc.mc_coop_summary(s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd, protocol.value,
                                  next(streams))
-        for name, key, closed in (("p_direct_vs_mc", "p_direct", r.p_direct),
-                                  ("c_direct_vs_mc", "c_direct", r.c_direct),
-                                  ("c_relay_vs_mc", "c_relay", r.c_relay),
-                                  ("total_capacity_vs_mc", "c_inst",
-                                   r.components["capacity_bps_hz"])):
-            yield VerifyCheck(name, closed, out[key].mean, out[key].std_error,
+        for name, key, column in (("p_direct_vs_mc", "p_direct", "p_direct"),
+                                  ("c_direct_vs_mc", "c_direct", "c_direct_bps_hz"),
+                                  ("c_relay_vs_mc", "c_relay", "c_relay_bps_hz"),
+                                  ("total_capacity_vs_mc", "c_inst", "capacity_bps_hz")):
+            yield VerifyCheck(name, c[column], out[key].mean, out[key].std_error,
                               3 * out[key].std_error)
         direct, relay_mode = coop.conditional_snr_pdfs(s, protocol)
         yield _density_normalization("density_direct_normalization", *direct)
@@ -279,9 +237,8 @@ def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyC
     else:  # cognitive / xchannel
         if cfg.kind == "cognitive":
             b = cg.gase_cognitive(s)
-            interference = s.p2.watts / s.d_sp ** env.path_loss_exponent
             event = mc.McSampler(1, lambda u: (
-                interference * mc.exponential_from_uniform(u[:, 0]) < s.i_th_w))
+                mc.exponential_from_uniform(u[:, 0]) < s.constraint_exponent))
             est = mc.mc_mode_probability(event, next(streams))
             yield VerifyCheck("p_parallel_vs_mc", b.components["p_parallel"], est.mean,
                               est.std_error, 3 * est.std_error)
@@ -372,15 +329,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_cfg(args)
-        if args.command == "eval":
-            rows = run_eval(cfg)
-            _write_csv(args.out, [cfg.default_parameter(), *_COLUMNS[cfg.kind]], rows)
-        elif args.command == "sweep":
-            rows = run_sweep(cfg)
-            _write_csv(args.out, [cfg.sweep.parameter, *_COLUMNS[cfg.kind]], rows)
-        elif args.command == "optimize":
-            header, rows = run_optimize(cfg)
-            _write_csv(args.out, header, rows)
+        if args.command != "verify":
+            run = {"eval": run_eval, "sweep": run_sweep, "optimize": run_optimize}
+            _write_csv(args.out, *run[args.command](cfg))
         else:
             samples = args.samples or cfg.mc_samples or DEFAULT_SAMPLES
             seed = args.seed if args.seed is not None else (

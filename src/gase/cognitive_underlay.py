@@ -34,13 +34,15 @@ nested adaptive Gauss-Kronrod rules integrate the same correction instead.
 
 The composite metric mixes the parallel branch with the silent-secondary
 point-to-point branch by P, and recovers the X-channel (no constraint) and
-pure point-to-point links in the i_th limits.
+pure point-to-point links in the i_th limits.  ``gase_cognitive_batch``
+evaluates a list of scenarios, and ``gase_cognitive`` is the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import List, Sequence
 
 import numpy as np
 
@@ -58,6 +60,7 @@ __all__ = [
     "two_source_power_tail",
     "affected_area_parallel",
     "gase_cognitive",
+    "gase_cognitive_batch",
     "gase_x_channel",
 ]
 
@@ -331,41 +334,39 @@ def affected_area_parallel(s: CognitiveScenario) -> float:
                                           0.5 * _AREA_SPEC.rel_tol * singles)
 
 
-def _p2p_branch(s: CognitiveScenario) -> GaseBreakdown:
-    return gase_p2p(P2pScenario(s.env, s.p1, s.d_p))
+def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[GaseBreakdown]:
+    """gase_cognitive of each scenario, bit for bit.  The parallel area, which
+    does not depend on i_th, is computed again only where a scenario's
+    environment, powers or d0 differ from its predecessor's: once along an
+    i_th sweep."""
+    results, last = [], None
+    for s in scenarios:
+        p = prob_parallel(s)
+        c_p = primary_capacity_parallel(s)
+        c_s = secondary_capacity_parallel(s)
+        if (s.env, s.p1, s.p2, s.d0) != last:  # everything the parallel area reads
+            last, area_par = (s.env, s.p1, s.p2, s.d0), affected_area_parallel(s)
+        p2p = gase_p2p(P2pScenario(s.env, s.p1, s.d_p))
+        # rounded as (p * (C_p + C_s)) / A, the order the golden CSV rows use
+        gase = p * (c_p + c_s) / area_par + (1.0 - p) * p2p.gase
+        se_total = p * (c_p + c_s) + (1.0 - p) * p2p.capacity
+        results.append(GaseBreakdown(se_total, se_total / gase, gase, {
+            "p_parallel": p, "c_primary_bps_hz": c_p, "c_secondary_bps_hz": c_s,
+            "c_p2p_bps_hz": p2p.capacity, "area_parallel_m2": area_par,
+            "area_p2p_m2": p2p.area, "se_total_bps_hz": se_total, "gase_bps_hz_m2": gase,
+            "gase_x_bps_hz_m2": (x_channel_primary_capacity(s) + c_s) / area_par,
+            "gase_p2p_bps_hz_m2": p2p.gase}))
+    return results
 
 
-def gase_cognitive(s: CognitiveScenario, area_parallel: float | None = None) -> GaseBreakdown:
+def gase_cognitive(s: CognitiveScenario) -> GaseBreakdown:
     """Composite underlay GASE: P * parallel branch + (1 - P) * silent branch.
 
-    The breakdown components expose both branch GASEs, the branch capacities,
-    the X-channel GASE at the same point, and the total spectral efficiency
-    P*(C_p + C_s) + (1-P)*C_p2p.  ``area_parallel`` may pass in a precomputed
-    affected_area_parallel(s), which does not depend on i_th.
+    The components (the CSV row) hold P, the branch capacities and areas, the
+    total spectral efficiency P*(C_p + C_s) + (1-P)*C_p2p, and the composite,
+    X-channel and silent-branch GASEs: gase_cognitive_batch of one scenario.
     """
-    p = prob_parallel(s)
-    c_p = primary_capacity_parallel(s)
-    c_s = secondary_capacity_parallel(s)
-    area_par = affected_area_parallel(s) if area_parallel is None else area_parallel
-    p2p = _p2p_branch(s)
-    eta_parallel = (c_p + c_s) / area_par
-    eta_silent = p2p.gase
-    # rounded as (p * (C_p + C_s)) / A, the order the golden CSV rows use
-    gase = p * (c_p + c_s) / area_par + (1.0 - p) * eta_silent
-    se_total = p * (c_p + c_s) + (1.0 - p) * p2p.capacity
-    return GaseBreakdown(
-        capacity=se_total, area=se_total / gase, gase=gase,
-        components={
-            "p_parallel": p,
-            "c_primary_bps_hz": c_p,
-            "c_secondary_bps_hz": c_s,
-            "c_p2p_bps_hz": p2p.capacity,
-            "area_parallel_m2": area_par,
-            "area_p2p_m2": p2p.area,
-            "gase_parallel": eta_parallel,
-            "gase_silent": eta_silent,
-            "gase_x_channel": (x_channel_primary_capacity(s) + c_s) / area_par,
-        })
+    return gase_cognitive_batch([s])[0]
 
 
 def gase_x_channel(s: CognitiveScenario) -> GaseBreakdown:
@@ -375,10 +376,6 @@ def gase_x_channel(s: CognitiveScenario) -> GaseBreakdown:
     area_par = affected_area_parallel(s)
     se_total = c_p + c_s
     gase = se_total / area_par
-    return GaseBreakdown(
-        capacity=se_total, area=area_par, gase=gase,
-        components={
-            "c_primary_bps_hz": c_p,
-            "c_secondary_bps_hz": c_s,
-            "area_parallel_m2": area_par,
-        })
+    return GaseBreakdown(capacity=se_total, area=area_par, gase=gase, components={
+        "c_primary_bps_hz": c_p, "c_secondary_bps_hz": c_s, "se_total_bps_hz": se_total,
+        "area_parallel_m2": area_par, "gase_bps_hz_m2": gase})

@@ -18,25 +18,25 @@ where its tail scale is gbar_SD.
 selection split of their scenarios, ``_split``, and read S, the relay-path
 SNR cdf and pdf and the relay tail scale from it.  A batch evaluates each
 of its integrals (AF selection, direct mode, relay mode) for all scenarios
-in one lockstep quadrature; ``gase_coop`` is the batch of one.
+in one lockstep quadrature; ``gase_coop`` is the batch of one.  Each result
+is a GaseBreakdown whose components are the CSV row.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, NamedTuple, Sequence
 
 import numpy as np
 
-from .link_p2p import LN2
+from .link_p2p import LN2, GaseBreakdown, _footprint
 from .mathkernel import QuadratureSpec, bessel_k1, erfcx, integrate_semi_infinite_batch
-from .propagation import PowerLevel, PropagationEnvironment, affected_area_single, mean_snr
+from .propagation import PowerLevel, PropagationEnvironment, mean_snr
 from .relay_dualhop import RelayProtocol, af_snr_cdf, af_snr_pdf, df_snr_pdf
 
 __all__ = [
     "CoopScenario",
-    "CoopResult",
     "special_integral_D",
     "af_selection_integral",
     "conditional_snr_pdfs",
@@ -71,16 +71,6 @@ class CoopScenario:
     @property
     def mean_snr_rd(self) -> float:
         return mean_snr(self.env, self.p_r, self.d_rd)
-
-
-@dataclass(frozen=True)
-class CoopResult:
-    p_direct: float
-    p_relay: float
-    c_direct: float
-    c_relay: float
-    gase: float
-    components: Dict[str, float] = field(default_factory=dict)
 
 
 def _coeffs(s: CoopScenario):
@@ -180,7 +170,7 @@ def conditional_snr_pdfs(s: CoopScenario, protocol: RelayProtocol):
 
 
 def gase_coop_batch(scenarios: Sequence[CoopScenario],
-                    protocol: RelayProtocol) -> List[CoopResult]:
+                    protocol: RelayProtocol) -> List[GaseBreakdown]:
     """gase_coop of each scenario, each of its integrals as one quadrature
     batch; each result equals gase_coop of its scenario alone."""
     sp = _split(scenarios, protocol)
@@ -202,28 +192,26 @@ def gase_coop_batch(scenarios: Sequence[CoopScenario],
             in zip(scenarios, gsd.tolist(), sp.sel.tolist(), directs, relays)]
 
 
-def _result(s: CoopScenario, gsd: float, sel: float, direct: float, relay: float) -> CoopResult:
+def _result(s: CoopScenario, gsd: float, sel: float, direct: float, relay: float) -> GaseBreakdown:
     p_d = 1.0 - sel / gsd
     p_r = 1.0 - p_d
     c_d = direct / (gsd - sel)
     c_r = gsd * relay / sel
-    area_s = affected_area_single(s.env, s.p_s)
-    area_r = affected_area_single(s.env, s.p_r)
+    area_s = _footprint(s.env, s.p_s, "source")
+    area_r = _footprint(s.env, s.p_r, "relay")
     gase = p_d * c_d / area_s + p_r * 0.5 * (c_r / area_s + c_r / area_r)
     capacity = p_d * c_d + p_r * c_r
-    return CoopResult(
-        p_direct=p_d, p_relay=p_r, c_direct=c_d, c_relay=c_r, gase=gase,
-        components={
-            "capacity_bps_hz": capacity,
-            "area_s_m2": area_s,
-            "area_r_m2": area_r,
-        })
+    return GaseBreakdown(capacity=capacity, area=capacity / gase, gase=gase, components={
+        "p_direct": p_d, "p_relay": p_r, "c_direct_bps_hz": c_d, "c_relay_bps_hz": c_r,
+        "capacity_bps_hz": capacity, "area_s_m2": area_s, "area_r_m2": area_r,
+        "gase_bps_hz_m2": gase})
 
 
-def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> CoopResult:
+def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> GaseBreakdown:
     """Mode probabilities, conditional capacities, and composite GASE.
 
     eta = P_d * C_d / A_S + P_r * (C_r / A_S + C_r / A_R) / 2, with A_S and
-    A_R the single-transmitter footprints of source and relay.
+    A_R the single-transmitter footprints of source and relay; the
+    components hold all of them, and ``capacity`` is P_d * C_d + P_r * C_r.
     """
     return gase_coop_batch([s], protocol)[0]

@@ -15,7 +15,7 @@ from typing import Dict
 
 from .mathkernel import find_root_bracketed, scaled_e1
 from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
-                          mean_snr)
+                          mean_snr, watts_of)
 
 LN2 = math.log(2.0)
 
@@ -50,8 +50,9 @@ class P2pScenario:
 class GaseBreakdown:
     """Ergodic capacity (bps/Hz), affected area (m^2), and their ratio.
 
-    For multi-transmitter scenarios ``area`` is the effective area implied by
-    capacity/gase; the true per-transmitter areas live in ``components``.
+    ``components`` is the scenario's CSV row: each printed column by name, in
+    output order, with the true per-transmitter areas of multi-transmitter
+    scenarios, whose ``area`` is the effective area capacity/gase.
     """
 
     capacity: float
@@ -66,12 +67,23 @@ def ergodic_capacity_p2p(s: P2pScenario) -> float:
     return scaled_e1(x) / LN2
 
 
+def _footprint(env: PropagationEnvironment, p_t, name: str) -> float:
+    """affected_area_single, for a GASE to divide by: refused where it underflows to 0."""
+    area = affected_area_single(env, p_t)
+    if area == 0.0:
+        ratio, a = watts_of(p_t) / env.p_min_w, env.path_loss_exponent
+        raise ZeroDivisionError(f"the {name}'s affected area underflows to 0 m^2 "
+                                f"(P/P_min = {ratio:.3g}, a = {a:g})")
+    return area
+
+
 def gase_p2p(s: P2pScenario) -> GaseBreakdown:
     """Capacity over affected area for a single link."""
     capacity = ergodic_capacity_p2p(s)
-    area = affected_area_single(s.env, s.p_t)
-    return GaseBreakdown(capacity=capacity, area=area, gase=capacity / area,
-                         components={"area_m2": area})
+    area = _footprint(s.env, s.p_t, "transmitter")
+    gase = capacity / area
+    return GaseBreakdown(capacity=capacity, area=area, gase=gase, components={
+        "capacity_bps_hz": capacity, "area_m2": area, "gase_bps_hz_m2": gase})
 
 
 def optimal_power_residual(env: PropagationEnvironment, d: float, p_t) -> float:

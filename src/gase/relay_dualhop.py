@@ -28,11 +28,10 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .link_p2p import LN2, GaseBreakdown, optimal_inverse_snr
+from .link_p2p import LN2, GaseBreakdown, _footprint, optimal_inverse_snr
 from .mathkernel import (QuadratureSpec, bessel_k01, bessel_k1,
                          integrate_semi_infinite_batch, scaled_e1, scaled_en)
-from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
-                          mean_snr, watts_of)
+from .propagation import PowerLevel, PropagationEnvironment, mean_snr, watts_of
 
 __all__ = [
     "RelayProtocol",
@@ -159,11 +158,12 @@ def ergodic_capacity(s: DualHopScenario, protocol: RelayProtocol) -> float:
 
 
 def _breakdown(s: DualHopScenario, capacity: float) -> GaseBreakdown:
-    area_sr = affected_area_single(s.env, s.p_s)
-    area_rd = affected_area_single(s.env, s.p_r)
+    area_sr = _footprint(s.env, s.p_s, "source")
+    area_rd = _footprint(s.env, s.p_r, "relay")
     gase = 0.5 * capacity * (1.0 / area_sr + 1.0 / area_rd)
-    return GaseBreakdown(capacity=capacity, area=capacity / gase, gase=gase,
-                         components={"area_sr_m2": area_sr, "area_rd_m2": area_rd})
+    return GaseBreakdown(capacity=capacity, area=capacity / gase, gase=gase, components={
+        "capacity_bps_hz": capacity, "area_sr_m2": area_sr, "area_rd_m2": area_rd,
+        "gase_bps_hz_m2": gase})
 
 
 def gase_dualhop(s: DualHopScenario, protocol: RelayProtocol) -> GaseBreakdown:
@@ -298,6 +298,13 @@ def optimize_relay_powers(env: PropagationEnvironment, d_sr: float, d_rd: float,
     ``tol`` is kept only for compatibility.  Raises ArithmeticError if an ascent
     does not converge.  Returns (P_S, P_R, GASE at that point).
     """
+    p_s, p_r, b = _optimum(env, d_sr, d_rd, p_max, protocol, span_decades)
+    return p_s, p_r, b.gase
+
+
+def _optimum(env: PropagationEnvironment, d_sr: float, d_rd: float, p_max,
+             protocol: RelayProtocol, span_decades: float = 10.0):
+    """optimize_relay_powers with the whole breakdown at the optimum: (P_S, P_R, breakdown)."""
     a = env.path_loss_exponent
     ln_hi = math.log(watts_of(p_max))
     ln_lo = ln_hi - span_decades * math.log(10.0)
@@ -307,9 +314,9 @@ def optimize_relay_powers(env: PropagationEnvironment, d_sr: float, d_rd: float,
         return DualHopScenario(env, PowerLevel(math.exp(point[0])), PowerLevel(math.exp(point[1])),
                                d_sr, d_rd)
 
-    def result(point, eta=None):
+    def result(point, b=None):
         s = scenario(point)
-        return s.p_s, s.p_r, gase_dualhop(s, protocol).gase if eta is None else eta
+        return s.p_s, s.p_r, gase_dualhop(s, protocol) if b is None else b
 
     end = None
     if a > 2.0:
@@ -324,7 +331,8 @@ def optimize_relay_powers(env: PropagationEnvironment, d_sr: float, d_rd: float,
             return result(end)
     corners = [(u, v) for u in (ln_hi, ln_lo) for v in (ln_hi, ln_lo)]
     points = corners if end is None else [end] + corners
-    etas = [b.gase for b in gase_dualhop_batch([scenario(p) for p in points], protocol)]
-    eta, best = max(zip(etas, points), key=lambda pair: (pair[0], pair[1][0] >= pair[1][1]))
+    breakdowns = gase_dualhop_batch([scenario(p) for p in points], protocol)
+    b, best = max(zip(breakdowns, points),
+                  key=lambda pair: (pair[0].gase, pair[1][0] >= pair[1][1]))
     top = best if best == end else _ascend(protocol, a, ln_c, np.array(best), ln_lo, ln_hi)
-    return result(top, eta if top == best else None)
+    return result(top, b if top == best else None)

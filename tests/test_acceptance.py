@@ -222,17 +222,23 @@ def _with_protocol(cfg, protocol):
     return parse_config(render_config(replace(cfg, protocol=protocol)))
 
 
+def sweep_columns(cfg):
+    """cli.run_sweep of cfg as {column name: values in sweep order}."""
+    header, rows = cli.run_sweep(cfg)
+    return {name: [r[i] for r in rows] for i, name in enumerate(header)}
+
+
 def test_criterion_6_fig3_shapes():
     start = time.monotonic()
     fig3 = load_preset("fig3")
-    df_rows = cli.run_sweep(fig3)
-    af_rows = cli.run_sweep(_with_protocol(fig3, "af"))
-    p2p_rows = cli.run_sweep(derive_kind(fig3, "p2p"))
+    df = sweep_columns(fig3)
+    af = sweep_columns(_with_protocol(fig3, "af"))
+    p2p = sweep_columns(derive_kind(fig3, "p2p"))
 
-    powers = [r[0] for r in df_rows]
-    df_gase = [r[4] for r in df_rows]
-    af_gase = [r[4] for r in af_rows]
-    p2p_gase = [r[3] for r in p2p_rows]
+    powers = df[fig3.sweep.parameter]
+    df_gase = df["gase_bps_hz_m2"]
+    af_gase = af["gase_bps_hz_m2"]
+    p2p_gase = p2p["gase_bps_hz_m2"]
 
     ok = max(df_gase) > max(p2p_gase)
     ok &= max(af_gase) > max(p2p_gase)
@@ -258,12 +264,13 @@ def test_criterion_7_cooperative_consistency():
         for i, (gsd, gsr, grd) in enumerate(COOP_SNR_TRIPLES):
             s = coop_with_snrs(gsd, gsr, grd)
             r = gase_coop(s, proto)
-            ok &= (r.p_direct + r.p_relay) == 1.0
+            c = r.components
+            ok &= (c["p_direct"] + c["p_relay"]) == 1.0
 
             out = mc_coop_summary(gsd, gsr, grd, equivalent,
                                   McConfig(1_000_000, 107, 10 * i + (0 if equivalent == "df" else 5)))
-            ok &= abs(r.p_direct - out["p_direct"].mean) <= 3.0 * out["p_direct"].std_error
-            total = r.p_direct * r.c_direct + r.p_relay * r.c_relay
+            ok &= abs(c["p_direct"] - out["p_direct"].mean) <= 3.0 * out["p_direct"].std_error
+            total = c["p_direct"] * c["c_direct_bps_hz"] + c["p_relay"] * c["c_relay_bps_hz"]
             ok &= abs(total - out["c_inst"].mean) <= 3.0 * out["c_inst"].std_error
 
             gsd_v = s.mean_snr_sd
@@ -291,15 +298,15 @@ def test_criterion_7_cooperative_consistency():
 
 def test_criterion_8_fig4_shapes():
     fig4 = load_preset("fig4")
-    df_rows = cli.run_sweep(fig4)
-    af_rows = cli.run_sweep(_with_protocol(fig4, "af"))
-    p2p_rows = cli.run_sweep(derive_kind(fig4, "p2p"))
+    df = sweep_columns(fig4)
+    af = sweep_columns(_with_protocol(fig4, "af"))
+    p2p = sweep_columns(derive_kind(fig4, "p2p"))
 
-    df_gase = np.array([r[8] for r in df_rows])
-    af_gase = np.array([r[8] for r in af_rows])
-    p2p_gase = np.array([r[3] for r in p2p_rows])
-    df_se = np.array([r[5] for r in df_rows])
-    af_se = np.array([r[5] for r in af_rows])
+    df_gase = np.array(df["gase_bps_hz_m2"])
+    af_gase = np.array(af["gase_bps_hz_m2"])
+    p2p_gase = np.array(p2p["gase_bps_hz_m2"])
+    df_se = np.array(df["capacity_bps_hz"])
+    af_se = np.array(af["capacity_bps_hz"])
 
     ok = bool(np.all(df_gase >= p2p_gase - 1e-18))
     ok &= bool(np.all(af_gase >= p2p_gase - 1e-18))
@@ -374,21 +381,21 @@ def test_criterion_10_limits_and_betweenness():
     eta_x = gase_x_channel(fig6_scenario(1e3)).gase
     ok &= abs(loose - eta_x) <= 5e-3 * eta_x
 
-    rows = cli.run_sweep(load_preset("fig6"))
-    for r in rows:
-        gase, gase_x, gase_ref = r[8], r[9], r[10]
+    fig6 = sweep_columns(load_preset("fig6"))
+    for gase, gase_x, gase_ref in zip(fig6["gase_bps_hz_m2"], fig6["gase_x_bps_hz_m2"],
+                                      fig6["gase_p2p_bps_hz_m2"]):
         lo, hi = min(gase_x, gase_ref), max(gase_x, gase_ref)
         ok &= lo - 1e-15 <= gase <= hi + 1e-15
     report(10, "cognitive i_th limits and fig6 betweenness", ok)
 
 
 def test_criterion_10_fig7a_spectral_efficiency():
-    rows = cli.run_sweep(load_preset("fig7a"))
+    fig7a = sweep_columns(load_preset("fig7a"))
     # the secondary's contribution beats the primary's interference loss on
     # the moderate-power part of the grid (20..50 dBm for this geometry)
     ok = True
-    for r in rows:
-        p2_dbm, se_total, c_p2p = r[0], r[7], r[4]
+    for p2_dbm, se_total, c_p2p in zip(fig7a["p2_dbm"], fig7a["se_total_bps_hz"],
+                                       fig7a["c_p2p_bps_hz"]):
         if 20.0 <= p2_dbm <= 50.0:
             ok &= se_total >= c_p2p - 1e-12
     report(10, "fig7a spectral-efficiency benefit at moderate power", ok)
@@ -401,8 +408,7 @@ def test_criterion_10_fig7a_spectral_efficiency():
     "has an interior minimum, never an interior maximum exceeding the "
     "endpoints"))
 def test_criterion_10_fig7b_interior_maximum():
-    rows = cli.run_sweep(load_preset("fig7b"))
-    gase = np.array([r[8] for r in rows])
+    gase = np.array(sweep_columns(load_preset("fig7b"))["gase_bps_hz_m2"])
     peak = int(np.argmax(gase))
     interior = 0 < peak < len(gase) - 1
     exceeds = interior and gase[peak] > gase[0] and gase[peak] > gase[-1]

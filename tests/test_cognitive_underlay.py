@@ -500,12 +500,30 @@ class TestCompositeGase:
             b = gase_cognitive(fig6_scenario(float(i_dbm)))
             assert lo - 1e-15 <= b.gase <= hi + 1e-15
 
+    def test_batch_takes_the_parallel_area_once_per_i_th_sweep(self, monkeypatch):
+        scenarios = [fig6_scenario(float(i_dbm)) for i_dbm in range(-120, -39, 20)]
+        alone = [gase_cognitive(s) for s in scenarios]
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return affected_area_parallel(s)
+
+        monkeypatch.setattr(cg, "affected_area_parallel", counting)
+        assert cg.gase_cognitive_batch(scenarios) == alone
+        assert len(calls) == 1
+        # another d0 is another parallel area
+        moved = CognitiveScenario(ENV, scenarios[0].p1, scenarios[0].p2, 100.0, 100.0, 150.0,
+                                  150.0, 120.0, scenarios[0].i_th_w)
+        cg.gase_cognitive_batch([moved, *scenarios])
+        assert len(calls) == 3
+
     def test_breakdown_components(self):
         b = gase_cognitive(fig6_scenario())
         c = b.components
-        mix = (c["p_parallel"] * c["gase_parallel"]
-               + (1 - c["p_parallel"]) * c["gase_silent"])
-        assert b.gase == pytest.approx(mix, rel=1e-14)
-        assert b.capacity == pytest.approx(
+        parallel = (c["c_primary_bps_hz"] + c["c_secondary_bps_hz"]) / c["area_parallel_m2"]
+        mix = c["p_parallel"] * parallel + (1 - c["p_parallel"]) * c["gase_p2p_bps_hz_m2"]
+        assert b.gase == c["gase_bps_hz_m2"] == pytest.approx(mix, rel=1e-14)
+        assert b.capacity == c["se_total_bps_hz"] == pytest.approx(
             c["p_parallel"] * (c["c_primary_bps_hz"] + c["c_secondary_bps_hz"])
             + (1 - c["p_parallel"]) * c["c_p2p_bps_hz"], rel=1e-14)

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from gase import cli
 from gase import cognitive_underlay as cg
 from gase import coop_threenode as coop
+from gase import mathkernel
 from gase import relay_dualhop as relay
 from gase.config import (SWEEPABLE, ConfigError, derive_kind, load_preset, parse_config,
                          preset_names, render_config)
@@ -326,6 +328,60 @@ class TestCliCommands:
         assert proc.stderr.startswith("gase: numerical failure:")
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("geometry,footprint", [
+        ("scenario.kind = p2p\ngeom.d = 10\npower.p_t_dbm = -150\n", "transmitter"),
+        ("scenario.kind = dualhop\ngeom.d_sr = 10\ngeom.d_rd = 10\npower.p_s_dbm = -150\n"
+         "power.p_r_dbm = -150\nprotocol.relay = af\n", "source"),
+        ("scenario.kind = coop\ngeom.d_sd = 20\ngeom.d_sr = 10\ngeom.d_rd = 10\n"
+         "power.p_s_dbm = -150\npower.p_r_dbm = -150\nprotocol.relay = df\n", "source"),
+    ], ids=["p2p", "dualhop_af", "coop_df"])
+    def test_underflowing_affected_area_is_named(self, tmp_path, capsys, geometry, footprint):
+        # (P/P_min)^(2/a) = (1e-20)^20 underflows to 0 at a = 0.1
+        cfg = tmp_path / "underflow.cfg"
+        cfg.write_text(geometry + "env.path_loss_exponent = 0.1\nenv.noise_dbm = -100\n"
+                       "env.p_min_dbm = 50\n")
+        assert self.run("eval", "--config", str(cfg)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"gase: numerical failure: the {footprint}'s affected area "
+                              "underflows to 0 m^2")
+        assert len(err.splitlines()) == 1
+
+    def test_optimize_reuses_the_optimum_breakdown(self, monkeypatch, tmp_path, capsys):
+        # the AF capacity at the optimum comes from the optimiser, not from a
+        # second quadrature batch
+        calls = []
+        batch = mathkernel.integrate_batch
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return batch(*args, **kwargs)
+
+        monkeypatch.setattr(mathkernel, "integrate_batch", counting)
+        cfg = tmp_path / "fig3_af.cfg"
+        cfg.write_text(render_config(replace(load_preset("fig3"), protocol="af",
+                                             p_max_dbm=40.0)))
+        assert self.run("optimize", "--config", str(cfg)) == 0
+        assert 1 <= len(calls) <= 4
+
+    def test_eval_headers_match_the_readme(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme[readme.index("### CSV output"):]
+        section = section[:section.index("`verify` emits")]
+        documented = {kind: " ".join(columns.split()).split(", ")
+                      for kind, columns in re.findall(r"\* `(\w+)`: `([^`]+)`", section)}
+        assert sorted(documented) == ["cognitive", "coop", "dualhop", "p2p", "xchannel"]
+        for preset, kind, protocols in (("fig1", "p2p", [None]), ("fig3", "dualhop", ["df", "af"]),
+                                        ("fig4", "coop", ["df", "af"]),
+                                        ("fig6", "cognitive", [None]),
+                                        ("fig7a", "xchannel", [None])):
+            cfg = derive_kind(load_preset(preset), kind)
+            for protocol in protocols:
+                if protocol is not None:
+                    cfg = parse_config(render_config(replace(cfg, protocol=protocol)))
+                header, rows = cli.run_eval(cfg)
+                assert header == [cfg.default_parameter(), *documented[kind]]
+                assert len(rows) == 1 and len(rows[0]) == len(header)
+
     def test_af_capacity_at_low_snr(self, tmp_path, capsys):
         # equal hops at low SNR: C_AF/C_DF -> E[harmonic mean]/E[min] = 2/3
         cfg = tmp_path / "low.cfg"
@@ -605,29 +661,49 @@ def _exit_code(tmp_path, command, text, *flags):
 
 
 def _sweep_rows_checked_against_evals(cfg):
-    """Each sweep row equals its point's eval row byte for byte, and a sweep
-    fails exactly when one of its points does; returns the sweep's rows, all
-    finite, as column dicts (none when the sweep fails)."""
+    """Each sweep row equals its point's eval row byte for byte, under the
+    same header, and a sweep fails exactly when one of its points does;
+    returns the sweep's rows, all finite, as column dicts (none when the
+    sweep fails)."""
     param = cfg.sweep.parameter
     values = [float(v) for v in cli._sweep_values(cfg)]
 
-    def rows(run, *cfgs):
+    def formatted(run, c):
         try:
-            return [[cli._fmt(x) for x in row] for c in cfgs for row in run(c)]
+            header, rows = run(c)
         except (ArithmeticError, ValueError):
             return None
+        return header, [[cli._fmt(x) for x in row] for row in rows]
 
-    evals = [rows(cli.run_eval, cfg.with_parameter(param, v)) for v in values]
-    swept = rows(cli.run_sweep, cfg)
+    evals = [formatted(cli.run_eval, cfg.with_parameter(param, v)) for v in values]
+    swept = formatted(cli.run_sweep, cfg)
     if swept is None:
         assert None in evals
         return []
-    assert swept == [row for e in evals for row in e]
-    result = []
-    for row in cli.run_sweep(cfg):
-        assert all(math.isfinite(x) for x in row)
-        result.append(dict(zip(cli._COLUMNS[cfg.kind], row[1:])))
-    return result
+    header, rows = swept
+    assert evals == [(header, [row]) for row in rows]
+    header, rows = cli.run_sweep(cfg)
+    assert all(math.isfinite(x) for row in rows for x in row)
+    return [dict(zip(header[1:], row[1:])) for row in rows]
+
+
+def test_sweep_rows_are_checked_against_evals(monkeypatch):
+    cfg = parse_config(render_config(load_preset("fig4")).replace("sweep.points = 61",
+                                                                  "sweep.points = 3"))
+    assert len(_sweep_rows_checked_against_evals(cfg)) == 3
+    batch = coop.gase_coop_batch
+
+    def swapped(scenarios, protocol):
+        # a sweep, but not an eval, gets two of its columns swapped
+        results = batch(scenarios, protocol)
+        for b in results if len(results) > 1 else []:
+            c = b.components
+            c["c_direct_bps_hz"], c["c_relay_bps_hz"] = c["c_relay_bps_hz"], c["c_direct_bps_hz"]
+        return results
+
+    monkeypatch.setattr(coop, "gase_coop_batch", swapped)
+    with pytest.raises(AssertionError):
+        _sweep_rows_checked_against_evals(cfg)
 
 
 class TestCliRobustness:

@@ -19,6 +19,11 @@ LN2 = math.log(2.0)
 ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -80.0)
 
 
+def column(s, protocol, name):
+    """One printed column of gase_coop(s, protocol)."""
+    return gase_coop(s, protocol).components[name]
+
+
 def snr_scenario(gsd, gsr, grd, d_sd=1000.0, d_sr=500.0, d_rd=500.0):
     """Scenario with prescribed mean SNRs; source power fixes gsd and gsr jointly,
     so d_sr is adjusted to honour both."""
@@ -94,18 +99,18 @@ class TestSpecialIntegralA:
 class TestProbDirect:
     def test_useless_relay_forces_direct(self):
         s = snr_scenario(10.0, 1e-6, 10.0)
-        assert gase_coop(s, RelayProtocol.DF).p_direct == pytest.approx(1.0, abs=1e-3)
-        assert gase_coop(s, RelayProtocol.AF).p_direct == pytest.approx(1.0, abs=1e-3)
+        assert column(s, RelayProtocol.DF, "p_direct") == pytest.approx(1.0, abs=1e-3)
+        assert column(s, RelayProtocol.AF, "p_direct") == pytest.approx(1.0, abs=1e-3)
 
     def test_df_against_simulation(self):
         s = snr_scenario(10.0, 10.0, 10.0)
-        closed = gase_coop(s, RelayProtocol.DF).p_direct
+        closed = column(s, RelayProtocol.DF, "p_direct")
         out = mc_coop_summary(10.0, 10.0, 10.0, "df", McConfig(1_000_000, 51))
         assert abs(closed - out["p_direct"].mean) <= 3.0 * out["p_direct"].std_error
 
     def test_af_against_simulation(self):
         s = snr_scenario(10.0, 10.0, 10.0)
-        closed = gase_coop(s, RelayProtocol.AF).p_direct
+        closed = column(s, RelayProtocol.AF, "p_direct")
         harmonic = mc_coop_summary(10.0, 10.0, 10.0, "af", McConfig(1_000_000, 52))
         assert abs(closed - harmonic["p_direct"].mean) <= 3.0 * harmonic["p_direct"].std_error
         # against the +1-denominator SNR the density is an approximation; the
@@ -117,7 +122,7 @@ class TestProbDirect:
         # the selection weight is exactly gbar_SD * P{relay}
         s = snr_scenario(10.0, 10.0, 10.0)
         assert af_selection_integral(s) == pytest.approx(
-            (1.0 - gase_coop(s, RelayProtocol.AF).p_direct) * s.mean_snr_sd, rel=1e-12)
+            (1.0 - column(s, RelayProtocol.AF, "p_direct")) * s.mean_snr_sd, rel=1e-12)
 
     def test_probability_range_random_scenarios(self):
         rng = np.random.default_rng(19)
@@ -130,7 +135,7 @@ class TestProbDirect:
         for _ in range(25):
             gsd, gsr, grd = 10.0 ** rng.uniform(-1, 3, size=3)
             s = snr_scenario(float(gsd), float(gsr), float(grd))
-            assert 0.0 <= gase_coop(s, RelayProtocol.AF).p_direct <= 1.0
+            assert 0.0 <= column(s, RelayProtocol.AF, "p_direct") <= 1.0
 
 
 class TestConditionalDensities:
@@ -159,14 +164,14 @@ class TestConditionalCapacities:
         t3 = integrate_semi_infinite(lambda t: np.log(1.0 + t) * np.exp(-a1 * t * t - a2 * t),
                                      QuadratureSpec(1e-11, 1e-16), scale=1.0 / a2).value
         closed = (gsd * scaled_e1(1.0 / gsd) - t3) / (LN2 * (gsd - special_integral_D(a1, a2)))
-        assert gase_coop(s, RelayProtocol.DF).c_direct == pytest.approx(closed, rel=1e-8)
+        assert column(s, RelayProtocol.DF, "c_direct_bps_hz") == pytest.approx(closed, rel=1e-8)
 
     @pytest.mark.parametrize("protocol,equivalent", [(RelayProtocol.DF, "df"),
                                                      (RelayProtocol.AF, "af")])
     def test_total_expectation_against_simulation(self, protocol, equivalent):
         s = snr_scenario(10.0, 10.0, 10.0)
-        r = gase_coop(s, protocol)
-        p_d, c_d, c_r = r.p_direct, r.c_direct, r.c_relay
+        c = gase_coop(s, protocol).components
+        p_d, c_d, c_r = c["p_direct"], c["c_direct_bps_hz"], c["c_relay_bps_hz"]
         out = mc_coop_summary(10.0, 10.0, 10.0, equivalent, McConfig(1_000_000, 54))
         total = p_d * c_d + (1.0 - p_d) * c_r
         assert abs(total - out["c_inst"].mean) <= 3.0 * out["c_inst"].std_error
@@ -178,7 +183,7 @@ class TestConditionalCapacities:
         # with the direct link dead, relay mode is always selected and the
         # conditional capacity reduces to the dual-hop ergodic capacity
         s = snr_scenario(1e-6, 10.0, 10.0)
-        c_r = gase_coop(s, protocol).c_relay
+        c_r = column(s, protocol, "c_relay_bps_hz")
         dh = DualHopScenario(ENV, PowerLevel(10.0 * 500.0 ** 4 * ENV.noise_w),
                              PowerLevel(10.0 * 500.0 ** 4 * ENV.noise_w), 500.0, 500.0)
         ref = (ergodic_capacity_df(dh) if protocol is RelayProtocol.DF
@@ -189,7 +194,7 @@ class TestConditionalCapacities:
         # with gbar_SD huge, direct mode is near-certain and conditioning
         # changes nothing: E[C|direct] -> E[log2(1 + G_SD)]
         s = snr_scenario(1e6, 10.0, 10.0)
-        c_d = gase_coop(s, RelayProtocol.DF).c_direct
+        c_d = column(s, RelayProtocol.DF, "c_direct_bps_hz")
         unconditional = scaled_e1(1e-6) / LN2
         assert c_d == pytest.approx(unconditional, rel=0.01)
 
@@ -207,13 +212,13 @@ class TestConditionalCapacities:
         p = PowerLevel.from_dbm(50.0)
         r = gase_coop(CoopScenario(env, p, p, 5.4e5, 2.7e5, 2.7e5), protocol)
         assert r.components["capacity_bps_hz"] == pytest.approx(capacity, rel=1e-3)
-        assert r.c_direct == pytest.approx(c_direct, rel=1e-3)
-        assert r.c_relay == pytest.approx(c_relay, rel=1e-3)
+        assert r.components["c_direct_bps_hz"] == pytest.approx(c_direct, rel=1e-3)
+        assert r.components["c_relay_bps_hz"] == pytest.approx(c_relay, rel=1e-3)
         assert r.gase > 0
 
     def test_relay_capacity_grows_with_uniform_snr_scaling(self):
-        base = gase_coop(snr_scenario(5.0, 10.0, 10.0), RelayProtocol.DF).c_relay
-        boosted = gase_coop(snr_scenario(10.0, 20.0, 20.0), RelayProtocol.DF).c_relay
+        base = column(snr_scenario(5.0, 10.0, 10.0), RelayProtocol.DF, "c_relay_bps_hz")
+        boosted = column(snr_scenario(10.0, 20.0, 20.0), RelayProtocol.DF, "c_relay_bps_hz")
         assert boosted > base
 
 
@@ -236,10 +241,11 @@ class TestGaseCoop:
     def test_result_invariants(self, protocol):
         s = snr_scenario(8.0, 30.0, 12.0)
         r = gase_coop(s, protocol)
-        assert r.p_direct + r.p_relay == 1.0
-        assert r.c_direct >= 0 and r.c_relay >= 0
-        assert r.gase > 0
-        expected = (r.p_direct * r.c_direct / r.components["area_s_m2"]
-                    + r.p_relay * 0.5 * (r.c_relay / r.components["area_s_m2"]
-                                         + r.c_relay / r.components["area_r_m2"]))
+        c = r.components
+        assert c["p_direct"] + c["p_relay"] == 1.0
+        assert c["c_direct_bps_hz"] >= 0 and c["c_relay_bps_hz"] >= 0
+        assert r.gase > 0 and c["gase_bps_hz_m2"] == r.gase
+        expected = (c["p_direct"] * c["c_direct_bps_hz"] / c["area_s_m2"]
+                    + c["p_relay"] * 0.5 * (c["c_relay_bps_hz"] / c["area_s_m2"]
+                                            + c["c_relay_bps_hz"] / c["area_r_m2"]))
         assert r.gase == pytest.approx(expected, rel=1e-14)

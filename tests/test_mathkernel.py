@@ -253,7 +253,8 @@ class TestKernelProperties:
             assert fn(arr).tolist() == [fn(x) for x in xs]
 
     def test_values_independent_of_length_and_position(self):
-        # every branch, over several of the K kernels' blocks of values
+        # every branch of each kernel: a value does not depend on the array's
+        # length, on its neighbours or on its position
         x = np.geomspace(0.01, 60.0, 301)
         shuffled = np.random.default_rng(5).permutation(x.size)
         k0, k1 = bessel_k01(x)
