@@ -29,7 +29,9 @@ footprints overlap, and costs three transcendentals per node (r_s^a, e_s and
 expm1).  It is integrated by a fixed composite Gauss-Legendre product rule
 (4 x 8 panels of 16 nodes, 64 x 128 nodes) on the map r = L u/(1 - u),
 L = d0 + the larger footprint; the 2 x 4-panel rule (32 x 64 nodes) gives the
-error estimate.  Where the two disagree by more than the area tolerance, the
+error estimate.  Each rule is one numpy pass over its whole grid and one dot
+product with its weight matrix: at these sizes the cost is per numpy call more
+than per node.  Where the two disagree by more than the area tolerance, the
 nested adaptive Gauss-Kronrod rules integrate the same correction instead.
 
 The composite metric mixes the parallel branch with the silent-secondary
@@ -47,8 +49,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .link_p2p import LN2, GaseBreakdown, P2pScenario, gase_p2p
-from .mathkernel import (QuadratureSpec, integrate, integrate_semi_infinite, scaled_e1,
-                         scaled_en)
+from .mathkernel import (EULER_GAMMA, QuadratureSpec, integrate, integrate_semi_infinite,
+                         scaled_e1, scaled_en)
 from .propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 __all__ = [
@@ -88,23 +90,21 @@ def _product_rule(theta_panels: int, u_panels: int):
     """Composite 16-node Gauss-Legendre rule for 2 int_0^pi int_0^inf f r dr dtheta.
 
     theta in [0, pi] and u in [0, 1) are cut into equal panels, with
-    r = L t, t = u/(1 - u).  Returns t as a row and, per angular panel,
-    sin^2(theta/2) as a column with the weights 2 w_theta w_u t/(1 - u)^2,
-    which times L^2 integrate f sampled on that panel's grid.
+    r = L t, t = u/(1 - u).  Returns t as a row, sin^2(theta/2) as a column
+    and the weights 2 w_theta w_u t/(1 - u)^2 as a matrix, which times L^2
+    integrate f sampled on the whole grid.
     """
     x, w = _GL16
 
     def composite(hi, panels):
         half = 0.5 * hi / panels
         mids = half * (2.0 * np.arange(panels) + 1.0)
-        return mids[:, None] + half * x, np.tile(half * w, (panels, 1))
+        return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
 
     theta, w_theta = composite(math.pi, theta_panels)
-    u, w_u = (v.ravel() for v in composite(1.0, u_panels))
+    u, w_u = composite(1.0, u_panels)
     t = u / (1.0 - u)
-    w_r = w_u * t / (1.0 - u) ** 2
-    return t, [(np.sin(0.5 * th)[:, None] ** 2, 2.0 * wt[:, None] * w_r)
-               for th, wt in zip(theta, w_theta)]
+    return t, np.sin(0.5 * theta)[:, None] ** 2, np.outer(2.0 * w_theta, w_u * t / (1.0 - u) ** 2)
 
 
 _FINE = _product_rule(4, 8)     # 64 theta x 128 u nodes
@@ -175,12 +175,17 @@ def _interference_integral(rho: float, n: float) -> float:
     rho/(1-rho) * (h(n rho) - h(n)) with h(x) = exp(x) E1(x).  Near rho = 1
     that is summed as the Taylor series rho * sum_j (1-rho)^j exp(n) E_(j+2)(n)
     of the difference quotient, from h^(k)(n) = (-1)^k k! exp(n) E_(k+1)(n)/n^k
-    (h' = h - 1/x); at rho = 1 it is exp(n) E2(n) = 1 - n h(n).
+    (h' = h - 1/x); at rho = 1 it is exp(n) E2(n) = 1 - n h(n).  Where n rho
+    underflows, h(n rho) = -ln n - ln rho - gamma to within n rho ln(n rho),
+    and the rho -> 0 limit is 0.
     """
     if abs(rho - 1.0) <= _TAYLOR_BAND:
         return rho * math.fsum((1.0 - rho) ** j * scaled_en(n, j + 2)
                                for j in range(_TAYLOR_TERMS))
-    return rho / (1.0 - rho) * (scaled_e1(n * rho) - scaled_e1(n))
+    if rho == 0.0:
+        return 0.0
+    h = scaled_e1(n * rho) if n * rho >= _TINY else -math.log(n) - math.log(rho) - EULER_GAMMA
+    return rho / (1.0 - rho) * (h - scaled_e1(n))
 
 
 def primary_capacity_parallel(s: CognitiveScenario) -> float:
@@ -232,13 +237,18 @@ def two_source_power_tail(u_p, u_s):
     tail of 1, and u_p = u_s = inf gives 0.
     """
     e_p, e_s = np.exp(-u_p), np.exp(-u_s)
-    lo = np.minimum(np.minimum(u_p, u_s), _HUGE)  # lo * 0, not inf * 0, where both are inf
+    # written in place into three buffers, which holds down the temporaries of
+    # a whole-grid call; [()] returns a scalar for scalar thresholds
+    lo, neg_d, excess = (np.empty(np.broadcast(u_p, u_s).shape) for _ in range(3))
+    # lo * 0, not inf * 0, where both are inf
+    np.minimum(np.minimum(u_p, u_s, out=lo), _HUGE, out=lo)
     # -d, held below -tiny so that the quotient is 1 at d = 0
-    neg_d = np.minimum(lo - np.maximum(u_p, u_s), -_TINY)
-    excess = np.maximum(e_p, e_s) * lo
-    excess *= np.expm1(neg_d) / neg_d
-    excess -= np.minimum(e_p, e_s)
-    return excess
+    np.subtract(lo, np.maximum(u_p, u_s, out=neg_d), out=neg_d)
+    np.minimum(neg_d, -_TINY, out=neg_d)
+    np.multiply(np.maximum(e_p, e_s, out=excess), lo, out=excess)
+    excess *= np.divide(np.expm1(neg_d, out=lo), neg_d, out=lo)
+    excess -= np.minimum(e_p, e_s, out=lo)
+    return excess[()]
 
 
 def _overlap_correction(s: CognitiveScenario, r, sin2_half):
@@ -248,17 +258,18 @@ def _overlap_correction(s: CognitiveScenario, r, sin2_half):
     p_min = s.env.p_min_w
     with np.errstate(over="ignore"):
         # (r - d0)^2 + 4 r d0 sin^2(theta/2) is r_s^2 without cancellation
-        rs2 = (r - s.d0) ** 2 + 4.0 * r * s.d0 * sin2_half
-        return two_source_power_tail(p_min / s.p1.watts * r ** a,
-                                     p_min / s.p2.watts * rs2 ** (0.5 * a))
+        u_s = 4.0 * r * s.d0 * sin2_half
+        u_s += (r - s.d0) ** 2
+        u_s **= 0.5 * a
+        u_s *= p_min / s.p2.watts
+        return two_source_power_tail(p_min / s.p1.watts * r ** a, u_s)
 
 
 def _rule_correction(s: CognitiveScenario, scale: float, rule) -> float:
-    """The product rule's 2 int int correction r dr dtheta, one angular panel
-    at a time, which keeps the temporaries at 16 x 128 nodes."""
-    t, panels = rule
-    total = math.fsum(float(np.sum(w * _overlap_correction(s, scale * t, sin2)))
-                      for sin2, w in panels)
+    """The product rule's 2 int int correction r dr dtheta, in one call on the
+    whole grid."""
+    t, sin2, w = rule
+    total = float(np.vdot(w, _overlap_correction(s, scale * t, sin2)))
     return scale * (scale * total)  # stays 0, not nan, where scale^2 overflows
 
 

@@ -68,8 +68,12 @@ def ergodic_capacity_p2p(s: P2pScenario) -> float:
 
 
 def _footprint(env: PropagationEnvironment, p_t, name: str) -> float:
-    """affected_area_single, for a GASE to divide by: refused where it underflows to 0."""
-    area = affected_area_single(env, p_t)
+    """affected_area_single, for a GASE to divide by: refused, by name, where it
+    underflows to 0 or overflows."""
+    try:
+        area = affected_area_single(env, p_t)
+    except OverflowError as exc:
+        raise OverflowError(f"the {name}'s {exc}") from None
     if area == 0.0:
         ratio, a = watts_of(p_t) / env.p_min_w, env.path_loss_exponent
         raise ZeroDivisionError(f"the {name}'s affected area underflows to 0 m^2 "

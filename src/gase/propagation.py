@@ -96,8 +96,16 @@ def affected_area_single(env: PropagationEnvironment, p_t) -> float:
     """Rayleigh closed-form affected area of one transmitter, in m^2.
 
     (2*pi/a) * Gamma(2/a) * (P_t / P_min)^(2/a); grows as P_t^(2/a) and is
-    independent of the noise power and of any link distance.
+    independent of the noise power and of any link distance.  Raises
+    OverflowError, naming P/P_min and a, where it exceeds the float range.
     """
     a = env.path_loss_exponent
     ratio = watts_of(p_t) / env.p_min_w
-    return (2.0 * math.pi / a) * math.gamma(2.0 / a) * ratio ** (2.0 / a)
+    try:
+        area = (2.0 * math.pi / a) * math.gamma(2.0 / a) * ratio ** (2.0 / a)
+    except OverflowError:
+        area = math.inf
+    if area == math.inf:
+        raise OverflowError(f"affected area overflows the float range "
+                            f"(P/P_min = {ratio:.3g}, a = {a:g})")
+    return area

@@ -20,7 +20,7 @@ from gase.mathkernel import QuadratureSpec, integrate_semi_infinite
 from gase.mc_oracle import (McConfig, certified_disk_radius, mc_affected_area,
                             mc_ergodic_capacity, primary_sinr_sampler,
                             secondary_sinr_sampler, two_source_field)
-from gase.config import load_preset
+from gase.config import derive_kind, load_preset
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single, dbm_to_watts
 
 ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -100.0)
@@ -45,17 +45,18 @@ def split_scenario(a, d0, p1_dbm, p2_dbm):
                              100.0, 100.0, d0, d0, d0, dbm_to_watts(-80.0))
 
 
-def preset_scenarios(name):
-    """The cognitive scenario at every point of a preset's sweep."""
-    cfg = load_preset(name)
-    env = PropagationEnvironment.from_dbm(cfg.path_loss_exponent, cfg.noise_dbm, cfg.p_min_dbm)
-    g = cfg.geometry
+def preset_scenarios(name, kind="cognitive"):
+    """The scenario at every point of a preset's sweep, as a cognitive or an
+    X-channel (i_th = inf) scenario."""
+    cfg = derive_kind(load_preset(name), kind)
     for value in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points):
-        point = cfg.with_parameter(cfg.sweep.parameter, float(value))
-        yield CognitiveScenario(env, PowerLevel.from_dbm(point.power_dbm["p1_dbm"]),
-                                PowerLevel.from_dbm(point.power_dbm["p2_dbm"]),
-                                g["d_p"], g["d_s"], g["d_sp"], g["d_ps"], g["d0"],
-                                dbm_to_watts(point.i_th_dbm))
+        yield cli._scenario(cfg.with_parameter(cfg.sweep.parameter, float(value)))
+
+
+def footprint_scale(s):
+    """L = d0 + the larger footprint radius, the product rule's length scale."""
+    big = max(s.p1.watts, s.p2.watts) / s.env.p_min_w
+    return s.d0 + big ** (1.0 / s.env.path_loss_exponent)
 
 
 def lam_space_tail(lam_p, lam_s, p_min):
@@ -91,7 +92,7 @@ def split_reference(s, tol):
     lam_space_tail, independently of the module's own integrand."""
     a, m = s.env.path_loss_exponent, s.env.p_min_w
     singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
-    scale = s.d0 + (max(s.p1.watts, s.p2.watts) / m) ** (1.0 / a)
+    scale = footprint_scale(s)
     x, w = np.polynomial.legendre.leggauss(16)
 
     def composite(hi, panels):
@@ -288,6 +289,29 @@ class TestXChannel:
         eta_x = gase_x_channel(loose).gase
         assert eta_cr == pytest.approx(eta_x, rel=0.005)
 
+    def test_underflowing_interference_ratio_takes_its_limit(self, tmp_path, capsys):
+        # d_sp = d_ps = 1e-323 m: both rho underflow to 0, where an interferer
+        # at the receiver leaves no capacity
+        cfg = tmp_path / "rho0.cfg"
+        cfg.write_text("scenario.kind = xchannel\nenv.path_loss_exponent = 4\n"
+                       "env.noise_dbm = -100\nenv.p_min_dbm = -100\ngeom.d_p = 1\ngeom.d_s = 1\n"
+                       "geom.d_sp = 1e-323\ngeom.d_ps = 1e-323\ngeom.d0 = 1\n"
+                       "power.p1_dbm = 20\npower.p2_dbm = 20\n")
+        assert cli.main(["eval", "--config", str(cfg)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert values["c_primary_bps_hz"] == values["c_secondary_bps_hz"] == 0.0
+        assert values["area_parallel_m2"] > 0.0
+
+    @pytest.mark.parametrize("rho,n", [(1e-300, 1e-10), (1e-200, 1e-120), (1e-30, 1e-3)])
+    def test_small_interference_ratio_against_mpmath(self, rho, n):
+        # n rho underflows in the first two, and is normal in the last
+        with mpmath.workdps(40):
+            r, nn = mpmath.mpf(rho), mpmath.mpf(n)
+            ref = float(r / (1 - r) * (mpmath.exp(nn * r) * mpmath.e1(nn * r)
+                                       - mpmath.exp(nn) * mpmath.e1(nn)))
+        assert cg._interference_integral(rho, n) == pytest.approx(ref, rel=1e-14, abs=0.0)
+
     def test_close_interferers_hurt(self):
         s = CognitiveScenario(ENV, PowerLevel.from_dbm(20.0), PowerLevel.from_dbm(20.0),
                               100.0, 100.0, 60.0, 60.0, 100.0, 1e-11)
@@ -468,6 +492,33 @@ class TestAffectedAreaParallel:
         assert affected_area_parallel(s) == pytest.approx(split_reference(s, 1e-6),
                                                           rel=cg._AREA_SPEC.rel_tol)
         assert fallbacks
+
+    @pytest.mark.parametrize("name", ["_FINE", "_COARSE"])
+    def test_whole_grid_sum_equals_per_node_reference(self, name):
+        # every cognitive preset's sweep, the X channel's, a across the
+        # presets' range, and a far field where r^a overflows to u = inf
+        scenarios = [s for name in ("fig6", "fig7a", "fig7b") for s in preset_scenarios(name)]
+        scenarios += preset_scenarios("fig7a", "xchannel")
+        scenarios += [split_scenario(a, d0, 20.0, p2_dbm) for a in (2.5, 3.0, 4.5, 5.3)
+                      for d0 in (50.0, 250.0, 2e3) for p2_dbm in (-20.0, 20.0, 40.0)]
+        far = split_scenario(40.0, 1e5, 20.0, 20.0)
+        rule = getattr(cg, name)
+        t, sin2, w = rule
+        with np.errstate(over="ignore"):
+            assert np.isinf((footprint_scale(far) * t) ** 40).any()
+        for s in scenarios + [far]:
+            scale = footprint_scale(s)
+            nodes = w * cg._overlap_correction(s, scale * t, sin2)
+            ref = scale * (scale * math.fsum(nodes.ravel()))
+            got = cg._rule_correction(s, scale, rule)
+            assert abs(got - ref) <= 1e-14 * abs(ref)
+
+    def test_rule_correction_is_zero_where_scale_squared_overflows(self):
+        s = split_scenario(4.0, 1e160, 20.0, 20.0)
+        scale = footprint_scale(s)
+        assert math.isinf(scale * scale)
+        for rule in (cg._FINE, cg._COARSE):
+            assert cg._rule_correction(s, scale, rule) == 0.0
 
     def test_fig7a_sweep_stays_on_the_product_rule(self, monkeypatch, tmp_path):
         fallbacks = count_fallbacks(monkeypatch)

@@ -115,6 +115,20 @@ GOLDEN_FIG6_EVAL = (
     "-8.00000000000e+01,4.93649081413e-02,7.23027812293e+00,2.91025164980e+00,"
     "1.24563560415e+01,4.18668329033e+06,2.78416399842e+06,1.23420354905e+01,"
     "4.37270987797e-06,1.39024208328e-06,4.47400226732e-06\n")
+# the fine product rule's error is about 2e-13 at fig7a and 1e-16 at the fig6
+# point, so these rows guard the parallel area's printed digits
+GOLDEN_FIG7A_XCHANNEL_EVAL = (
+    "p2_dbm,c_primary_bps_hz,c_secondary_bps_hz,se_total_bps_hz,area_parallel_m2,"
+    "gase_bps_hz_m2\n"
+    "1.00000000000e+01,8.42137579518e+00,2.61110452399e+00,1.10324803192e+01,"
+    "3.03485415294e+06,3.63525881745e-06\n")
+GOLDEN_FIG7B_EVAL = (
+    "p2_dbm,p_parallel,c_primary_bps_hz,c_secondary_bps_hz,c_p2p_bps_hz,"
+    "area_parallel_m2,area_p2p_m2,se_total_bps_hz,gase_bps_hz_m2,"
+    "gase_x_bps_hz_m2,gase_p2p_bps_hz_m2\n"
+    "1.00000000000e+01,9.79884205973e-01,8.47963598353e+00,2.61110452399e+00,"
+    "1.24563560415e+01,3.03485415294e+06,2.78416399842e+06,1.11182109483e+01,"
+    "3.67094167512e-06,3.63525881745e-06,4.47400226732e-06\n")
 GOLDEN_U_FACE_OPTIMIZE = (
     "p_s_star_dbm,p_r_star_dbm,p_s_star_w,p_r_star_w,capacity_bps_hz,gase_bps_hz_m2\n"
     "-4.00000000000e+01,-4.00000000000e+01,1.00000000000e-07,1.00000000000e-07,"
@@ -240,6 +254,14 @@ class TestCliCommands:
         assert self.run("eval", "--preset", "fig6") == 0
         assert capsys.readouterr().out == GOLDEN_FIG6_EVAL
 
+    def test_eval_golden_fig7a_xchannel(self, capsys):
+        assert self.run("eval", "--preset", "fig7a", "--kind", "xchannel") == 0
+        assert capsys.readouterr().out == GOLDEN_FIG7A_XCHANNEL_EVAL
+
+    def test_eval_golden_fig7b(self, capsys):
+        assert self.run("eval", "--preset", "fig7b") == 0
+        assert capsys.readouterr().out == GOLDEN_FIG7B_EVAL
+
     def test_eval_golden_fig4(self, capsys):
         assert self.run("eval", "--preset", "fig4") == 0
         assert capsys.readouterr().out == GOLDEN_FIG4_EVAL
@@ -345,6 +367,25 @@ class TestCliCommands:
         assert err.startswith(f"gase: numerical failure: the {footprint}'s affected area "
                               "underflows to 0 m^2")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("geometry,area", [
+        ("scenario.kind = p2p\ngeom.d = 1.26\npower.p_t_dbm = 0.1\n",
+         "the transmitter's affected area"),
+        ("scenario.kind = dualhop\ngeom.d_sr = 1.26\ngeom.d_rd = 1.26\npower.p_s_dbm = 0.1\n"
+         "power.p_r_dbm = 0.1\nprotocol.relay = af\n", "the source's affected area"),
+        ("scenario.kind = xchannel\ngeom.d_p = 1.26\ngeom.d_s = 1.26\ngeom.d_sp = 1.26\n"
+         "geom.d_ps = 1.26\ngeom.d0 = 1.26\npower.p1_dbm = 0.1\npower.p2_dbm = 0.1\n",
+         "affected area"),
+    ], ids=["p2p", "dualhop_af", "xchannel"])
+    def test_overflowing_affected_area_is_named(self, tmp_path, capsys, geometry, area):
+        # (P/P_min)^(2/a) = (1.41e18)^20 overflows at a = 0.1
+        cfg = tmp_path / "overflow.cfg"
+        cfg.write_text(geometry + "env.path_loss_exponent = 0.1\nenv.noise_dbm = -100\n"
+                       "env.p_min_dbm = -181.4\n")
+        assert self.run("eval", "--config", str(cfg)) == 3
+        assert capsys.readouterr().err == (
+            f"gase: numerical failure: {area} overflows the float range "
+            "(P/P_min = 1.41e+18, a = 0.1)\n")
 
     def test_optimize_reuses_the_optimum_breakdown(self, monkeypatch, tmp_path, capsys):
         # the AF capacity at the optimum comes from the optimiser, not from a
