@@ -14,6 +14,10 @@ out in sweep order.  Verify checks are evaluated sequentially, and each
 Monte Carlo estimate takes the next stream id in output order.
 ``--workers`` is accepted for compatibility and has no effect on the output.
 
+``main(argv)`` may be called repeatedly and concurrently in one process: the
+argument parser is built on the first call and shared by every later one
+(parsing does not change it, and a usage error raises instead of exiting).
+
 Exit codes: 0 success, 1 usage/config error (including a config or output
 path that cannot be read or written), 2 verification failure,
 3 numerical failure (non-convergence or an arithmetic error in evaluation).
@@ -22,6 +26,7 @@ path that cannot be read or written), 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -36,8 +41,7 @@ from . import link_p2p as p2p
 from . import mc_oracle as mc
 from . import relay_dualhop as relay
 from .config import (DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, ScenarioConfig,
-                     derive_kind, load_preset, parse_config, preset_names,
-                     render_config)
+                     derive_kind, load_preset, parse_config, preset_names)
 from .mathkernel import QuadratureSpec, integrate_semi_infinite
 from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
                           dbm_to_watts, mean_snr)
@@ -285,7 +289,7 @@ def _load_cfg(args) -> ScenarioConfig:
     if getattr(args, "protocol", None):
         if cfg.kind not in ("dualhop", "coop"):
             raise _UsageError(f"--protocol does not apply to kind {cfg.kind}")
-        cfg = parse_config(render_config(replace(cfg, protocol=args.protocol.lower())))
+        cfg = replace(cfg, protocol=args.protocol)
     return cfg
 
 
@@ -299,6 +303,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gase",
                      description="Generalized area spectral efficiency calculator")

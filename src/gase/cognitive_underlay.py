@@ -157,6 +157,22 @@ class CognitiveScenario:
         return (self.p2.watts / self.p1.watts) * (self.d_ps / self.d_s) ** a
 
     @property
+    def n1(self) -> float:
+        """Noise over the primary's mean received power, noise * d_p^a / p1."""
+        return self.d_p ** self.env.path_loss_exponent * self.env.noise_w / self.p1.watts
+
+    @property
+    def n2(self) -> float:
+        """Noise over the secondary's mean received power, noise * d_s^a / p2."""
+        return self.d_s ** self.env.path_loss_exponent * self.env.noise_w / self.p2.watts
+
+    @property
+    def i1(self) -> float:
+        """i_th over the primary's mean received power: the largest admissible
+        normalised interference, c / rho_p."""
+        return self.d_p ** self.env.path_loss_exponent * self.i_th_w / self.p1.watts
+
+    @property
     def constraint_exponent(self) -> float:
         """i_th * d_sp^a / p2; the parallel-transmission probability is 1 - exp(-this)."""
         return self.i_th_w * self.d_sp ** self.env.path_loss_exponent / self.p2.watts
@@ -198,32 +214,30 @@ def primary_capacity_parallel(s: CognitiveScenario) -> float:
     is 0 once exp(-c) rounds to 1).  There the capacity is computed as what
     it equals: the mean of exp(z) E1(z) / ln 2 at z = n1 + x, over the
     normalised interference x in [0, i1] with weight exp(-rho_p x), by
-    quadrature of a positive integrand.
+    quadrature of a positive integrand.  Where the parallel probability P
+    underflows to 0, so does c = rho_p i1, and the weight's normaliser
+    rho_p/P = (1/i1) c/(1 - exp(-c)) is its limit 1/i1: x is uniform on [0, i1].
     """
-    a = s.env.path_loss_exponent
-    n1 = s.d_p ** a * s.env.noise_w / s.p1.watts
-    i1 = s.d_p ** a * s.i_th_w / s.p1.watts
-    rho = s.rho_p
+    n1, i1, rho = s.n1, s.i1, s.rho_p
+    p = prob_parallel(s)
     free = _interference_integral(rho, n1)
     joint = free - math.exp(-s.constraint_exponent) * _interference_integral(rho, n1 + i1)
-    if joint >= _CANCELLATION * free:
-        return joint / LN2 / prob_parallel(s)
+    if p > 0.0 and joint >= _CANCELLATION * free:
+        return joint / LN2 / p
     weighted = integrate(lambda x: scaled_e1(n1 + x) * np.exp(-rho * x), 0.0, i1, _MEAN_SPEC)
-    return weighted.value * rho / LN2 / prob_parallel(s)
+    if p > 0.0:
+        return weighted.value * rho / LN2 / p
+    return weighted.value / i1 / LN2
 
 
 def secondary_capacity_parallel(s: CognitiveScenario) -> float:
     """Secondary ergodic capacity under primary interference (no constraint)."""
-    a = s.env.path_loss_exponent
-    n2 = s.d_s ** a * s.env.noise_w / s.p2.watts
-    return _interference_integral(s.rho_s, n2) / LN2
+    return _interference_integral(s.rho_s, s.n2) / LN2
 
 
 def x_channel_primary_capacity(s: CognitiveScenario) -> float:
     """Primary capacity with the interference constraint removed (i_th -> inf)."""
-    a = s.env.path_loss_exponent
-    n1 = s.d_p ** a * s.env.noise_w / s.p1.watts
-    return _interference_integral(s.rho_p, n1) / LN2
+    return _interference_integral(s.rho_p, s.n1) / LN2
 
 
 def two_source_power_tail(u_p, u_s):

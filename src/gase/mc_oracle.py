@@ -70,6 +70,8 @@ TAIL_FRACTION_LIMIT = 1e-5
 
 _EXPONENT_CUT = 45.0
 
+_EPS = np.finfo(float).eps
+
 
 class TailCertificationError(ValueError):
     """The bounding disk cannot certify a negligible excluded tail."""
@@ -324,38 +326,53 @@ def af_snr_sampler(gsr: float, grd: float, exact: bool = True) -> McSampler:
     return McSampler(2, fn)
 
 
+def _interference_sinr_sampler(rho: float, n: float) -> McSampler:
+    """z/(z'/rho + n) for two unit exponential gains: the SINR over the
+    desired link's mean power, with the interference ratio rho and the
+    normalised noise n of the closed forms.  It is 0 at rho = 0."""
+    if rho == 0.0:
+        return McSampler(2, lambda u: np.zeros(len(u)))
+
+    def fn(u):
+        z = exponential_from_uniform(u)
+        with np.errstate(over="ignore"):  # z'/rho = inf at a subnormal rho: an SINR of 0
+            x = z[:, 1] / rho
+        x += n
+        return np.divide(z[:, 0], x, out=x)
+
+    return McSampler(2, fn)
+
+
 def primary_sinr_sampler(s) -> McSampler:
     """Primary SINR conditioned on the interference constraint.
 
-    The interfering gain is drawn from the exponential truncated to the
-    constraint event by inverse cdf (no rejection).
+    In the closed forms' terms it is z_p/(x + n1), with x = z_sp/rho_p the
+    normalised interference.  The interfering gain z_sp is drawn from the
+    exponential truncated to the constraint event z_sp <= c by inverse cdf
+    (no rejection), and x = i1 (z_sp/c), which tends to i1 u as c -> 0.
+    Without a constraint (c = inf) the draw is the unconstrained one.
     """
-    a = s.env.path_loss_exponent
-    sig = s.p1.watts / s.d_p ** a
-    intf = s.p2.watts / s.d_sp ** a
-    noise = s.env.noise_w
-    cap = -math.expm1(-s.constraint_exponent)
+    c = s.constraint_exponent
+    if not c < math.inf:  # no constraint: c = inf, or nan where i_th = inf meets d_sp^a = 0
+        return _interference_sinr_sampler(s.rho_p, s.n1)
+    n1, i1, cap = s.n1, s.i1, -math.expm1(-c)
 
     def fn(u):
-        z_p = exponential_from_uniform(u[:, 0])
-        z_sp = -np.log1p(-u[:, 1] * cap)
-        return sig * z_p / (intf * z_sp + noise)
+        if c < _EPS:  # z_sp/c is u to within c/8
+            x = u[:, 1] * i1
+        else:
+            x = np.log1p(u[:, 1] * -cap)
+            x /= -c
+            x *= i1
+        x += n1
+        return np.divide(exponential_from_uniform(u[:, 0]), x, out=x)
 
     return McSampler(2, fn)
 
 
 def secondary_sinr_sampler(s) -> McSampler:
     """Secondary SINR under unconstrained primary interference."""
-    a = s.env.path_loss_exponent
-    sig = s.p2.watts / s.d_s ** a
-    intf = s.p1.watts / s.d_ps ** a
-    noise = s.env.noise_w
-
-    def fn(u):
-        z = exponential_from_uniform(u)
-        return sig * z[:, 0] / (intf * z[:, 1] + noise)
-
-    return McSampler(2, fn)
+    return _interference_sinr_sampler(s.rho_s, s.n2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Underlay cognitive radio: SINR capacities, parallel area, composite GASE."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -20,7 +21,7 @@ from gase.mathkernel import QuadratureSpec, integrate_semi_infinite
 from gase.mc_oracle import (McConfig, certified_disk_radius, mc_affected_area,
                             mc_ergodic_capacity, primary_sinr_sampler,
                             secondary_sinr_sampler, two_source_field)
-from gase.config import derive_kind, load_preset
+from gase.config import derive_kind, load_preset, parse_config
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single, dbm_to_watts
 
 ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -100.0)
@@ -51,6 +52,16 @@ def preset_scenarios(name, kind="cognitive"):
     cfg = derive_kind(load_preset(name), kind)
     for value in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points):
         yield cli._scenario(cfg.with_parameter(cfg.sweep.parameter, float(value)))
+
+
+def underflow_config(kind, a, noise_dbm, power_dbm, i_th_dbm=None):
+    """d_p = d_s = d0 = 1 m and d_sp = d_ps = 1e-323 m, whose d^a underflows to 0:
+    both interference ratios and the constraint exponent c are 0."""
+    return (f"scenario.kind = {kind}\nenv.path_loss_exponent = {a!r}\n"
+            f"env.noise_dbm = {noise_dbm}\nenv.p_min_dbm = {noise_dbm}\n"
+            "geom.d_p = 1\ngeom.d_s = 1\ngeom.d_sp = 1e-323\ngeom.d_ps = 1e-323\ngeom.d0 = 1\n"
+            f"power.p1_dbm = {power_dbm}\npower.p2_dbm = {power_dbm}\n"
+            + ("" if i_th_dbm is None else f"threshold.i_th_dbm = {i_th_dbm}\n"))
 
 
 def footprint_scale(s):
@@ -191,6 +202,26 @@ class TestPrimaryCapacity:
         est = mc_ergodic_capacity(primary_sinr_sampler(s), McConfig(1_000_000, 61))
         assert abs(closed - est.mean) <= 3.0 * est.std_error
 
+    def test_underflowing_parallel_probability_takes_its_limit(self, tmp_path, capsys):
+        # P = 0 leaves the normalised interference x uniform on [0, i1]: the
+        # capacity is (1/i1) int_0^i1 h(n1 + x) dx / ln 2, h(z) = exp(z) E1(z),
+        # whose antiderivative is h(z) + ln z
+        cfg = tmp_path / "p0.cfg"
+        cfg.write_text(underflow_config("cognitive", 4, -100, 20, i_th_dbm=-80))
+        assert cli.main(["eval", "--config", str(cfg)]) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        values = dict(zip(header.split(","), map(float, row.split(","))))
+        assert values["p_parallel"] == values["c_secondary_bps_hz"] == 0.0
+        assert values["gase_bps_hz_m2"] == values["gase_p2p_bps_hz_m2"]
+        s = cli._scenario(parse_config(cfg.read_text()))
+        assert prob_parallel(s) == 0.0
+        with mpmath.workdps(40):
+            n1, i1 = mpmath.mpf(s.n1), mpmath.mpf(s.i1)
+            antiderivative = lambda z: mpmath.exp(z) * mpmath.e1(z) + mpmath.log(z)
+            ref = float((antiderivative(n1 + i1) - antiderivative(n1)) / i1 / mpmath.log(2))
+        assert primary_capacity_parallel(s) == pytest.approx(ref, rel=1e-12)
+        assert values["c_primary_bps_hz"] == pytest.approx(ref, rel=1e-11)
+
     def test_branch_continuity_at_rho_one(self):
         base = primary_capacity_parallel(rho_p_scenario(1.0))
         # both points sum the Taylor series about rho = 1; only the tiny
@@ -293,10 +324,7 @@ class TestXChannel:
         # d_sp = d_ps = 1e-323 m: both rho underflow to 0, where an interferer
         # at the receiver leaves no capacity
         cfg = tmp_path / "rho0.cfg"
-        cfg.write_text("scenario.kind = xchannel\nenv.path_loss_exponent = 4\n"
-                       "env.noise_dbm = -100\nenv.p_min_dbm = -100\ngeom.d_p = 1\ngeom.d_s = 1\n"
-                       "geom.d_sp = 1e-323\ngeom.d_ps = 1e-323\ngeom.d0 = 1\n"
-                       "power.p1_dbm = 20\npower.p2_dbm = 20\n")
+        cfg.write_text(underflow_config("xchannel", 4, -100, 20))
         assert cli.main(["eval", "--config", str(cfg)]) == 0
         header, row = capsys.readouterr().out.splitlines()
         values = dict(zip(header.split(","), map(float, row.split(","))))
@@ -323,6 +351,57 @@ class TestXChannel:
 def tail(u_p, u_s):
     """The two-source tail from its excess over the single-source tails."""
     return two_source_power_tail(u_p, u_s) + np.exp(-u_p) + np.exp(-u_s)
+
+
+class TestSinrSamplers:
+    UNIFORMS = np.vstack([np.random.default_rng(7).random((2000, 2)),
+                          [[0.0, 0.0], [0.5, 1.0 - 2.0 ** -53]]])
+
+    @pytest.mark.parametrize("s", [
+        fig6_scenario(), fig6_scenario(-200.0), fig6_scenario(-250.0), rho_p_scenario(1.0),
+        CognitiveScenario(ENV, PowerLevel.from_dbm(20.0), PowerLevel.from_dbm(35.0),
+                          100.0, 100.0, 150.0, 150.0, 100.0, math.inf)],
+        ids=["fig6", "c-5e-14", "c-5e-19", "rho-1", "xchannel"])
+    def test_normalised_draws_equal_the_received_powers(self, s):
+        # z_p/(x + n1) against P1 d_p^-a z_p/(P2 d_sp^-a z_sp + noise), with z_sp
+        # truncated at c; c = 5e-19 takes z_sp/c = u
+        a, u = s.env.path_loss_exponent, self.UNIFORMS
+        z = -np.log1p(-u)
+        z_sp = -np.log1p(-u[:, 1] * -math.expm1(-s.constraint_exponent))
+        primary = s.p1.watts / s.d_p ** a * z[:, 0] / (
+            s.p2.watts / s.d_sp ** a * z_sp + s.env.noise_w)
+        secondary = s.p2.watts / s.d_s ** a * z[:, 0] / (
+            s.p1.watts / s.d_ps ** a * z[:, 1] + s.env.noise_w)
+        np.testing.assert_allclose(primary_sinr_sampler(s).fn(u), primary, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(secondary_sinr_sampler(s).fn(u), secondary, rtol=1e-13,
+                                   atol=0)
+
+    @pytest.mark.parametrize("d_sp", [1e-80, 1e-323])
+    def test_vanishing_interference_ratio_draws_zero_quietly(self, d_sp):
+        # rho = (d_sp/d_p)^a = 1e-320, where z'/rho overflows to inf, and 0:
+        # the SINR's limit 0
+        p = PowerLevel.from_dbm(20.0)
+        s = CognitiveScenario(ENV, p, p, 1.0, 1.0, d_sp, d_sp, 1.0, math.inf)
+        assert s.rho_p < 1e-300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not primary_sinr_sampler(s).fn(self.UNIFORMS).any()
+            assert not secondary_sinr_sampler(s).fn(self.UNIFORMS).any()
+
+    @pytest.mark.parametrize("kind,a,noise_dbm,power_dbm,i_th_dbm", [
+        ("xchannel", 9.432950678495303, 0, 0, None), ("cognitive", 4, -100, 20, -80)])
+    def test_verify_where_the_interference_ratios_underflow(self, tmp_path, capsys, kind, a,
+                                                            noise_dbm, power_dbm, i_th_dbm):
+        # rho = 0 draws an SINR of 0; with c = 0 as well the cognitive draw
+        # is z_p/(i1 u + n1), the oracle of the P = 0 limit
+        cfg = tmp_path / "rho0.cfg"
+        cfg.write_text(underflow_config(kind, a, noise_dbm, power_dbm, i_th_dbm))
+        assert cli.main(["verify", "--config", str(cfg), "--samples", "20000"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert len(rows) == (5 if kind == "cognitive" else 4)
+        assert all(row[-1] == "pass" for row in rows)
+        primary = next(row for row in rows if row[0] == "c_primary_vs_mc")
+        assert (float(primary[1]) > 0.0) == (kind == "cognitive")
 
 
 class TestTwoSourceTail:

@@ -1,10 +1,12 @@
 """Config grammar, presets, CSV schema, CLI exit codes, and determinism."""
 
+import argparse
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -515,6 +517,125 @@ class TestCliCommands:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == GOLDEN_FIG1_EVAL
+
+
+class TestParserReuse:
+    """cli.main builds its parser once per process and shares it between calls."""
+
+    @staticmethod
+    def call(argv, capsys, fresh=False):
+        """(exit code, stdout, stderr) of one cli.main call; fresh=True first
+        drops the shared parser, which makes the call an isolated one."""
+        if fresh:
+            cli._build_parser.cache_clear()
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = ("SystemExit", exc.code)
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_import_builds_no_parser(self):
+        proc = run_python("-c", "import argparse\n"
+                          "inits = []\n"
+                          "init = argparse.ArgumentParser.__init__\n"
+                          "def counted(self, *a, **k):\n"
+                          "    inits.append(1)\n"
+                          "    init(self, *a, **k)\n"
+                          "argparse.ArgumentParser.__init__ = counted\n"
+                          "import gase.cli\n"
+                          "print(len(inits), gase.cli._build_parser.cache_info().currsize)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0 0\n"
+
+    def test_calls_build_one_parser(self, monkeypatch, capsys):
+        inits = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            inits.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        cli._build_parser.cache_clear()
+        assert self.call(["eval", "--preset", "fig1"], capsys)[0] == 0
+        built = len(inits)
+        # the top-level parser, the shared options and the four subcommands
+        assert built == 6
+        for argv in (["eval", "--preset", "fig3", "--protocol", "af"], ["eval"],
+                     ["sweep", "--preset", "fig1"], ["optimize", "--preset", "fig1"]):
+            self.call(argv, capsys)
+        assert len(inits) == built
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
+
+    @pytest.mark.parametrize("first,second", [
+        (["verify", "--preset", "fig1", "--samples", "20000", "--seed", "5"],
+         ["verify", "--preset", "fig1", "--samples", "20000"]),
+        (["eval", "--preset", "fig3", "--protocol", "af"], ["eval", "--preset", "fig3"]),
+        (["eval", "--preset", "fig3", "--kind", "p2p"], ["eval", "--preset", "fig3"]),
+        (["eval", "--preset", "nosuch"], ["eval", "--preset", "fig1"]),
+        (["eval", "--preset", "fig1", "--config", "x.cfg"], ["eval", "--preset", "fig1"]),
+        (["verify", "--preset", "fig1", "--samples", "0"], ["verify", "--preset", "fig1",
+                                                            "--samples", "20000"]),
+        (["--help"], ["eval", "--preset", "fig1"]),
+        (["sweep", "--help"], ["sweep", "--preset", "fig1"])],
+        ids=["seed", "protocol", "kind", "bad-choice", "config-and-preset", "bad-samples",
+             "help", "sub-help"])
+    def test_alternating_calls_equal_isolated_calls(self, capsys, first, second):
+        isolated = [self.call(argv, capsys, fresh=True) for argv in (first, second)]
+        cli._build_parser.cache_clear()
+        shared = [self.call(argv, capsys) for argv in (first, second, first, second)]
+        assert shared == isolated * 2
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_help_and_usage_error_exits(self, capsys):
+        code, out, _ = self.call(["--help"], capsys)
+        assert code == ("SystemExit", 0)
+        assert out.startswith("usage: gase ")
+        code, _, err = self.call(["eval", "--preset", "nosuch"], capsys)
+        assert code == 1
+        assert err.startswith("gase: error: argument --preset: invalid choice: 'nosuch'")
+
+    def test_concurrent_calls_equal_serial_calls(self, tmp_path):
+        jobs = [["sweep", "--preset", "fig1"], ["eval", "--preset", "fig6"],
+                ["sweep", "--preset", "fig3", "--protocol", "af"],
+                ["verify", "--preset", "fig1", "--samples", "20000", "--seed", "9"],
+                ["optimize", "--preset", "fig1"], ["eval", "--preset", "nosuch"]]
+
+        def run_all(tag, order, results):
+            for i in order:
+                out = tmp_path / f"{tag}{i}.csv"
+                results[i] = (cli.main([*jobs[i], "--out", str(out)]),
+                              out.read_bytes() if out.exists() else None)
+
+        serial = {}
+        run_all("serial", range(len(jobs)), serial)
+        assert [code for code, _ in serial.values()] == [0, 0, 0, 0, 0, 1]
+        threaded = [{}, {}]
+        barrier = threading.Barrier(2)
+
+        def worker(k):
+            barrier.wait()
+            run_all(f"t{k}_", range(len(jobs)) if k else reversed(range(len(jobs))),
+                    threaded[k])
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert threaded[0] == threaded[1] == serial
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig4"])
+    @pytest.mark.parametrize("protocol", ["df", "af"])
+    def test_protocol_override_equals_a_reparsed_config(self, preset, protocol):
+        base = load_preset(preset)
+        reparsed = parse_config(render_config(replace(base, protocol=protocol)))
+        args = cli._build_parser().parse_args(["eval", "--preset", preset,
+                                               "--protocol", protocol])
+        assert cli._load_cfg(args) == reparsed
+        assert cli._load_cfg(args).protocol == protocol
 
 
 class TestDeterminism:
