@@ -7,10 +7,11 @@ separator, scientific notation with 12 significant digits).  ``verify`` runs
 the closed forms against the seeded Monte Carlo oracles and exits nonzero if
 any check fails its band.  Every value, and every column name after the
 parameter's, comes from the scenario modules: each result carries its CSV
-row.  A sweep hands all its points to the scenario module in one batch call
-(the dual-hop and cooperative quadratures run in lockstep, and an i_th sweep
-takes the parallel area once), and an eval is the batch of one.  Rows come
-out in sweep order.  Verify checks are evaluated sequentially, and each
+row.  A sweep builds per point only the swept power or i_th, and hands all
+its points to the scenario module in one batch call (the dual-hop and
+cooperative quadratures run in lockstep, and an i_th sweep takes the
+i_th-free closed forms once); an eval is the batch of one.  Rows come out
+in sweep order.  Verify checks are evaluated sequentially, and each
 Monte Carlo estimate takes the next stream id in output order.
 ``--workers`` is accepted for compatibility and has no effect on the output.
 
@@ -63,48 +64,56 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.11e}"
-
-
 def _env_of(cfg: ScenarioConfig) -> PropagationEnvironment:
     return PropagationEnvironment.from_dbm(cfg.path_loss_exponent, cfg.noise_dbm,
                                            cfg.p_min_dbm)
 
 
-def _power(cfg: ScenarioConfig, key: str) -> PowerLevel:
-    return PowerLevel.from_dbm(cfg.power_dbm[key])
+def _scenarios(cfg: ScenarioConfig, param: Optional[str] = None, values=(None,)) -> list:
+    """The scenario at each value (dBm) of the swept ``param``, or cfg's own.
 
+    Per point only the swept power (both of a relay's for p_t_dbm) or i_th is
+    built.  The rest is built once, where the first point needs it, so a bad
+    input fails where, and as, a scenario built from scratch does.
+    """
+    env, g = _env_of(cfg), cfg.geometry
+    swept = ("p_s_dbm", "p_r_dbm") if param == "p_t_dbm" and cfg.kind != "p2p" else (param,)
+    unswept = functools.cache(lambda key: PowerLevel.from_dbm(cfg.power_dbm[key]))
 
-def _scenario(cfg: ScenarioConfig):
-    env = _env_of(cfg)
-    g = cfg.geometry
+    def power(key, value):
+        return PowerLevel.from_dbm(value) if key in swept else unswept(key)
+
     if cfg.kind == "p2p":
-        return p2p.P2pScenario(env, _power(cfg, "p_t_dbm"), g["d"])
+        return [p2p.P2pScenario(env, power("p_t_dbm", v), g["d"]) for v in values]
     if cfg.kind == "dualhop":
-        return relay.DualHopScenario(env, _power(cfg, "p_s_dbm"), _power(cfg, "p_r_dbm"),
-                                     g["d_sr"], g["d_rd"])
+        return [relay.DualHopScenario(env, power("p_s_dbm", v), power("p_r_dbm", v),
+                                      g["d_sr"], g["d_rd"]) for v in values]
     if cfg.kind == "coop":
-        return coop.CoopScenario(env, _power(cfg, "p_s_dbm"), _power(cfg, "p_r_dbm"),
-                                 g["d_sd"], g["d_sr"], g["d_rd"])
+        return [coop.CoopScenario(env, power("p_s_dbm", v), power("p_r_dbm", v),
+                                  g["d_sd"], g["d_sr"], g["d_rd"]) for v in values]
+
+    def cognitive(i_th, v):  # i_th is built before the powers
+        return cg.CognitiveScenario(env, power("p1_dbm", v), power("p2_dbm", v), g["d_p"],
+                                    g["d_s"], g["d_sp"], g["d_ps"], g["d0"], i_th)
+
+    if param == "i_th_dbm" and cfg.kind == "cognitive":
+        return [cognitive(dbm_to_watts(v), v) for v in values]
     # xchannel is the no-constraint limit
     i_th = math.inf if cfg.kind == "xchannel" else dbm_to_watts(cfg.i_th_dbm)
-    return cg.CognitiveScenario(env, _power(cfg, "p1_dbm"), _power(cfg, "p2_dbm"),
-                                g["d_p"], g["d_s"], g["d_sp"], g["d_ps"], g["d0"], i_th)
+    return [cognitive(i_th, v) for v in values]
 
 
 # ---------------------------------------------------------------------------
 # result rows
 # ---------------------------------------------------------------------------
 
-def _table(param: str, values: Sequence[float], cfgs: Sequence[ScenarioConfig]):
-    """(header, rows) of configs of one kind and protocol, from one batch call
-    of the scenario module: the parameter value, then each result's CSV row."""
-    kind = cfgs[0].kind
-    scenarios = [_scenario(cfg) for cfg in cfgs]
+def _table(cfg: ScenarioConfig, param: str, values: Sequence[float], scenarios):
+    """(header, rows) of scenarios of cfg's kind and protocol, from one batch
+    call of the scenario module: the parameter value, then each result's CSV row."""
+    kind = cfg.kind
     if kind in ("dualhop", "coop"):
         batch = relay.gase_dualhop_batch if kind == "dualhop" else coop.gase_coop_batch
-        results = batch(scenarios, relay.RelayProtocol.parse(cfgs[0].protocol))
+        results = batch(scenarios, relay.RelayProtocol.parse(cfg.protocol))
     elif kind == "cognitive":
         results = cg.gase_cognitive_batch(scenarios)
     else:
@@ -122,7 +131,7 @@ def _sweep_values(cfg: ScenarioConfig) -> np.ndarray:
 
 def run_eval(cfg: ScenarioConfig):
     param = cfg.default_parameter()
-    return _table(param, [cfg.parameter_value(param)], [cfg])
+    return _table(cfg, param, [cfg.parameter_value(param)], _scenarios(cfg))
 
 
 def run_sweep(cfg: ScenarioConfig):
@@ -130,7 +139,7 @@ def run_sweep(cfg: ScenarioConfig):
         raise ConfigError([(0, "sweep command requires a sweep block")])
     param = cfg.sweep.parameter
     values = [float(v) for v in _sweep_values(cfg)]
-    return _table(param, values, [cfg.with_parameter(param, v) for v in values])
+    return _table(cfg, param, values, _scenarios(cfg, param, values))
 
 
 def run_optimize(cfg: ScenarioConfig):
@@ -192,7 +201,7 @@ def _density_normalization(name, pdf, scale):
 def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyCheck]:
     """Yield the checks in output order; each MC estimate takes the next stream id."""
     env = _env_of(cfg)
-    s = _scenario(cfg)
+    s, = _scenarios(cfg)
     streams = (mc.McConfig(samples, seed, stream) for stream in itertools.count())
 
     if cfg.kind == "p2p":
@@ -265,10 +274,9 @@ def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyC
 # ---------------------------------------------------------------------------
 
 def _write_csv(path: Optional[str], header: Sequence[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
-    text = "\n".join(lines) + "\n"
+    # one format per table, from the first row: numbers as f"{x:.11e}" writes them
+    row_format = ",".join("%s" if isinstance(cell, str) else "%.11e" for cell in rows[0])
+    text = "\n".join([",".join(header), *(row_format % tuple(row) for row in rows)]) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:

@@ -38,6 +38,8 @@ The composite metric mixes the parallel branch with the silent-secondary
 point-to-point branch by P, and recovers the X-channel (no constraint) and
 pure point-to-point links in the i_th limits.  ``gase_cognitive_batch``
 evaluates a list of scenarios, and ``gase_cognitive`` is the batch of one.
+Only P and the primary's joint term read i_th, and the batch computes the
+rest once per run of scenarios that differ only in i_th.
 """
 
 from __future__ import annotations
@@ -218,9 +220,13 @@ def primary_capacity_parallel(s: CognitiveScenario) -> float:
     underflows to 0, so does c = rho_p i1, and the weight's normaliser
     rho_p/P = (1/i1) c/(1 - exp(-c)) is its limit 1/i1: x is uniform on [0, i1].
     """
+    return _primary_capacity(s, prob_parallel(s), _interference_integral(s.rho_p, s.n1))
+
+
+def _primary_capacity(s: CognitiveScenario, p: float, free: float) -> float:
+    """primary_capacity_parallel, given the parallel probability p and the
+    unconstrained integral free = _interference_integral(rho_p, n1)."""
     n1, i1, rho = s.n1, s.i1, s.rho_p
-    p = prob_parallel(s)
-    free = _interference_integral(rho, n1)
     joint = free - math.exp(-s.constraint_exponent) * _interference_integral(rho, n1 + i1)
     if p > 0.0 and joint >= _CANCELLATION * free:
         return joint / LN2 / p
@@ -360,18 +366,26 @@ def affected_area_parallel(s: CognitiveScenario) -> float:
 
 
 def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[GaseBreakdown]:
-    """gase_cognitive of each scenario, bit for bit.  The parallel area, which
-    does not depend on i_th, is computed again only where a scenario's
-    environment, powers or d0 differ from its predecessor's: once along an
-    i_th sweep."""
-    results, last = [], None
+    """gase_cognitive of each scenario, bit for bit.  The parallel area, the
+    unconstrained primary integral with the secondary capacity, and the
+    silent branch, which do not read i_th, are computed again only where the
+    inputs each reads differ from the predecessor's."""
+    results, area_key, free_key, p2p_key = [], None, None, None
     for s in scenarios:
         p = prob_parallel(s)
-        c_p = primary_capacity_parallel(s)
-        c_s = secondary_capacity_parallel(s)
-        if (s.env, s.p1, s.p2, s.d0) != last:  # everything the parallel area reads
-            last, area_par = (s.env, s.p1, s.p2, s.d0), affected_area_parallel(s)
-        p2p = gase_p2p(P2pScenario(s.env, s.p1, s.d_p))
+        key = (s.env, s.p1, s.p2, s.d_p, s.d_s, s.d_sp, s.d_ps)
+        fresh = key != free_key
+        if fresh:
+            free_key, free = key, _interference_integral(s.rho_p, s.n1)
+        c_p = _primary_capacity(s, p, free)
+        if fresh:  # after C_p, so that a point that fails raises what a lone one does
+            c_s = secondary_capacity_parallel(s)
+        key = (s.env, s.p1, s.p2, s.d0)
+        if key != area_key:
+            area_key, area_par = key, affected_area_parallel(s)
+        key = (s.env, s.p1, s.d_p)
+        if key != p2p_key:
+            p2p_key, p2p = key, gase_p2p(P2pScenario(s.env, s.p1, s.d_p))
         # rounded as (p * (C_p + C_s)) / A, the order the golden CSV rows use
         gase = p * (c_p + c_s) / area_par + (1.0 - p) * p2p.gase
         se_total = p * (c_p + c_s) + (1.0 - p) * p2p.capacity
@@ -379,7 +393,7 @@ def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[GaseBre
             "p_parallel": p, "c_primary_bps_hz": c_p, "c_secondary_bps_hz": c_s,
             "c_p2p_bps_hz": p2p.capacity, "area_parallel_m2": area_par,
             "area_p2p_m2": p2p.area, "se_total_bps_hz": se_total, "gase_bps_hz_m2": gase,
-            "gase_x_bps_hz_m2": (x_channel_primary_capacity(s) + c_s) / area_par,
+            "gase_x_bps_hz_m2": (free / LN2 + c_s) / area_par,
             "gase_p2p_bps_hz_m2": p2p.gase}))
     return results
 

@@ -113,18 +113,6 @@ class ScenarioConfig:
             return self.power_dbm["p_s_dbm"]
         return self.power_dbm[name]
 
-    def with_parameter(self, name: str, value: float) -> "ScenarioConfig":
-        """Return a copy with the swept parameter set to ``value`` (dBm)."""
-        if name == "i_th_dbm":
-            return replace(self, i_th_dbm=value)
-        power = dict(self.power_dbm)
-        if name == "p_t_dbm" and self.kind != "p2p":
-            power["p_s_dbm"] = value
-            power["p_r_dbm"] = value
-        else:
-            power[name] = value
-        return replace(self, power_dbm=power)
-
 
 def _parse_number(text: str):
     """int or float; nan, inf and values beyond the float range raise ValueError."""

@@ -128,7 +128,11 @@ def scaled_en(x: float, n: int) -> float:
         p = 1.0
         for k in range(1, 30):
             p *= -x / k
-            acc -= p / k
+            term = p / k
+            # |terms| shrink; one under a quarter ulp (half the lower spacing) moves no acc
+            if 4.0 * abs(term) < math.ulp(acc):
+                break
+            acc -= term
         h = math.exp(x) * (-EULER_GAMMA - math.log(x) + acc)
         # upward recurrence E_(k+1) = (exp(-x) - x E_k)/k: errors shrink by x/k <= 1
         for k in range(1, n):

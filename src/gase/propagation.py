@@ -56,8 +56,10 @@ class PowerLevel:
 
 
 def watts_of(p) -> float:
-    """Accept a PowerLevel or a plain positive wattage."""
-    w = p.watts if isinstance(p, PowerLevel) else float(p)
+    """Accept a PowerLevel (checked when it was made) or a plain positive wattage."""
+    if isinstance(p, PowerLevel):
+        return p.watts
+    w = float(p)
     if not (w > 0 and math.isfinite(w)):
         raise ValueError("power must be positive and finite")
     return w

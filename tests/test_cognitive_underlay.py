@@ -50,8 +50,7 @@ def preset_scenarios(name, kind="cognitive"):
     """The scenario at every point of a preset's sweep, as a cognitive or an
     X-channel (i_th = inf) scenario."""
     cfg = derive_kind(load_preset(name), kind)
-    for value in np.linspace(cfg.sweep.start, cfg.sweep.stop, cfg.sweep.points):
-        yield cli._scenario(cfg.with_parameter(cfg.sweep.parameter, float(value)))
+    return cli._scenarios(cfg, cfg.sweep.parameter, [float(v) for v in cli._sweep_values(cfg)])
 
 
 def underflow_config(kind, a, noise_dbm, power_dbm, i_th_dbm=None):
@@ -213,7 +212,7 @@ class TestPrimaryCapacity:
         values = dict(zip(header.split(","), map(float, row.split(","))))
         assert values["p_parallel"] == values["c_secondary_bps_hz"] == 0.0
         assert values["gase_bps_hz_m2"] == values["gase_p2p_bps_hz_m2"]
-        s = cli._scenario(parse_config(cfg.read_text()))
+        s, = cli._scenarios(parse_config(cfg.read_text()))
         assert prob_parallel(s) == 0.0
         with mpmath.workdps(40):
             n1, i1 = mpmath.mpf(s.n1), mpmath.mpf(s.i1)
@@ -647,6 +646,56 @@ class TestCompositeGase:
                                   150.0, 120.0, scenarios[0].i_th_w)
         cg.gase_cognitive_batch([moved, *scenarios])
         assert len(calls) == 3
+
+    def test_batch_takes_the_i_th_free_forms_once_per_i_th_sweep(self, monkeypatch):
+        # only P and the primary's joint term read i_th: the unconstrained
+        # primary and the secondary integral are taken once, the joint one per
+        # point, and the silent branch once
+        scenarios = [fig6_scenario(float(i_dbm)) for i_dbm in range(-120, -39, 20)]
+        alone = [gase_cognitive(s) for s in scenarios]
+        integrals, silent = [], []
+        integral, p2p = cg._interference_integral, cg.gase_p2p
+        monkeypatch.setattr(cg, "_interference_integral",
+                            lambda rho, n: integrals.append(rho) or integral(rho, n))
+        monkeypatch.setattr(cg, "gase_p2p", lambda s: silent.append(s) or p2p(s))
+        batch = cg.gase_cognitive_batch(scenarios)
+        assert batch == alone
+        assert len(integrals) == 2 + len(scenarios) and len(silent) == 1
+        for s, b in zip(scenarios, batch):
+            c = b.components
+            assert c["c_primary_bps_hz"] == primary_capacity_parallel(s)
+            assert c["c_secondary_bps_hz"] == secondary_capacity_parallel(s)
+            assert c["gase_x_bps_hz_m2"] == ((x_channel_primary_capacity(s)
+                                               + secondary_capacity_parallel(s))
+                                              / affected_area_parallel(s))
+
+    def test_batch_takes_the_silent_branch_once_per_p2_sweep(self, monkeypatch):
+        s = fig6_scenario()
+        scenarios = [CognitiveScenario(ENV, s.p1, PowerLevel.from_dbm(p2_dbm), s.d_p, s.d_s,
+                                       s.d_sp, s.d_ps, s.d0, s.i_th_w)
+                     for p2_dbm in (0.0, 10.0, 20.0, 30.0)]
+        alone = [gase_cognitive(s) for s in scenarios]
+        integrals, silent = [], []
+        integral, p2p = cg._interference_integral, cg.gase_p2p
+        monkeypatch.setattr(cg, "_interference_integral",
+                            lambda rho, n: integrals.append(rho) or integral(rho, n))
+        monkeypatch.setattr(cg, "gase_p2p", lambda s: silent.append(s) or p2p(s))
+        assert cg.gase_cognitive_batch(scenarios) == alone
+        assert len(integrals) == 3 * len(scenarios) and len(silent) == 1
+
+    def test_batch_recomputes_what_a_changed_input_reads(self):
+        # each scenario differs from its predecessor in one input
+        s = fig6_scenario()
+        env = PropagationEnvironment.from_dbm(3.5, -100.0, -100.0)
+        steps = [{}, {"i_th_w": 1e-12}, {"d_ps": 160.0}, {"d_sp": 140.0}, {"d_s": 90.0},
+                 {"d_p": 110.0}, {"d0": 120.0}, {"env": env}, {"p1": PowerLevel.from_dbm(25.0)},
+                 {"p2": PowerLevel.from_dbm(15.0)}, {"i_th_w": 1e-9}]
+        fields = dict(vars(s))
+        scenarios = []
+        for step in steps:
+            fields.update(step)
+            scenarios.append(CognitiveScenario(**fields))
+        assert cg.gase_cognitive_batch(scenarios) == [gase_cognitive(s) for s in scenarios]
 
     def test_breakdown_components(self):
         b = gase_cognitive(fig6_scenario())

@@ -1,6 +1,8 @@
 """Config grammar, presets, CSV schema, CLI exit codes, and determinism."""
 
 import argparse
+import contextlib
+import io
 import math
 import os
 import re
@@ -20,8 +22,8 @@ from gase import cognitive_underlay as cg
 from gase import coop_threenode as coop
 from gase import mathkernel
 from gase import relay_dualhop as relay
-from gase.config import (SWEEPABLE, ConfigError, derive_kind, load_preset, parse_config,
-                         preset_names, render_config)
+from gase.config import (SWEEPABLE, ConfigError, SweepBlock, derive_kind, load_preset,
+                         parse_config, preset_names, render_config)
 from gase.link_p2p import optimal_inverse_snr
 from gase.propagation import PowerLevel
 
@@ -219,7 +221,8 @@ class TestPresetsAndRendering:
             assert parse_config(render_config(cfg)) == cfg
 
     def test_round_trip_survives_mutation(self):
-        cfg = load_preset("fig4").with_parameter("p_s_dbm", 17.25)
+        cfg = load_preset("fig4")
+        cfg = replace(cfg, power_dbm={**cfg.power_dbm, "p_s_dbm": 17.25})
         assert parse_config(render_config(cfg)) == cfg
 
     def test_preset_values(self):
@@ -684,9 +687,8 @@ class TestDeterminism:
         # value, error and panels of each integral of the 61-point batch
         # equal those of its point evaluated alone
         cfg = replace(load_preset(preset), protocol=protocol)
-        points = [cfg.with_parameter(cfg.sweep.parameter, float(v))
-                  for v in cli._sweep_values(cfg)]
-        scenarios = [cli._scenario(c) for c in points]
+        scenarios = cli._scenarios(cfg, cfg.sweep.parameter,
+                                   [float(v) for v in cli._sweep_values(cfg)])
         module, batch = ((relay, relay.gase_dualhop_batch) if cfg.kind == "dualhop"
                          else (coop, coop.gase_coop_batch))
         calls = []
@@ -822,6 +824,16 @@ def _exit_code(tmp_path, command, text, *flags):
                      *flags])
 
 
+def _point_config(cfg, param, value):
+    """cfg at one value (dBm) of a sweep parameter, from scratch: i_th_dbm sets
+    the threshold, p_t_dbm on a relay kind both powers, any other parameter
+    the named power."""
+    if param == "i_th_dbm":
+        return replace(cfg, i_th_dbm=value)
+    keys = ("p_s_dbm", "p_r_dbm") if param == "p_t_dbm" and cfg.kind != "p2p" else (param,)
+    return replace(cfg, power_dbm={**cfg.power_dbm, **dict.fromkeys(keys, value)})
+
+
 def _sweep_rows_checked_against_evals(cfg):
     """Each sweep row equals its point's eval row byte for byte, under the
     same header, and a sweep fails exactly when one of its points does;
@@ -835,9 +847,9 @@ def _sweep_rows_checked_against_evals(cfg):
             header, rows = run(c)
         except (ArithmeticError, ValueError):
             return None
-        return header, [[cli._fmt(x) for x in row] for row in rows]
+        return header, [[f"{x:.11e}" for x in row] for row in rows]
 
-    evals = [formatted(cli.run_eval, cfg.with_parameter(param, v)) for v in values]
+    evals = [formatted(cli.run_eval, _point_config(cfg, param, v)) for v in values]
     swept = formatted(cli.run_sweep, cfg)
     if swept is None:
         assert None in evals
@@ -866,6 +878,117 @@ def test_sweep_rows_are_checked_against_evals(monkeypatch):
     monkeypatch.setattr(coop, "gase_coop_batch", swapped)
     with pytest.raises(AssertionError):
         _sweep_rows_checked_against_evals(cfg)
+
+
+_BUILD = cli._scenarios
+
+
+def _built_from_scratch(cfg, param=None, values=(None,)):
+    """cli._scenarios with each point built from its own config, as a lone eval
+    builds it: environment and every power anew."""
+    if param is None:
+        return _BUILD(cfg)
+    return [_BUILD(_point_config(cfg, param, v))[0] for v in values]
+
+
+# (preset, overrides, sweep parameter): every sweepable parameter of every kind,
+# p_t_dbm on coop (both powers, through the library API), both relay
+# protocols, and the --kind p2p re-targets of fig3 and fig4
+_SWEEP_CASES = [
+    ("fig1", {}, "p_t_dbm"),
+    ("fig3", {}, "p_t_dbm"), ("fig3", {}, "p_s_dbm"), ("fig3", {}, "p_r_dbm"),
+    ("fig3", {"protocol": "af"}, "p_t_dbm"),
+    ("fig4", {}, "p_s_dbm"), ("fig4", {}, "p_r_dbm"), ("fig4", {}, "p_t_dbm"),
+    ("fig4", {"protocol": "af"}, "p_r_dbm"),
+    ("fig6", {}, "i_th_dbm"), ("fig6", {}, "p1_dbm"), ("fig6", {}, "p2_dbm"),
+    ("fig7a", {"kind": "xchannel"}, "p1_dbm"), ("fig7a", {"kind": "xchannel"}, "p2_dbm"),
+    ("fig3", {"kind": "p2p"}, "p_t_dbm"), ("fig4", {"kind": "p2p"}, "p_t_dbm"),
+]
+
+# sweeps whose scenarios cannot be built: a power or i_th beyond the float
+# range (OverflowError) or rounding to 0 W, at the first point or a later one,
+# with a bad unswept power listed after or before the swept one
+_BAD_SWEEPS = [
+    ("fig3", {"p_r_dbm": -5000.0}, ("p_s_dbm", 4000.0, 0.0)),
+    ("fig3", {"p_s_dbm": -5000.0}, ("p_r_dbm", 4000.0, 0.0)),
+    ("fig3", {"p_r_dbm": 4000.0}, ("p_s_dbm", -5000.0, 0.0)),
+    ("fig3", {}, ("p_t_dbm", 0.0, 4000.0)),
+    ("fig4", {"p_s_dbm": 4000.0}, ("p_r_dbm", 0.0, -5000.0)),
+    ("fig1", {}, ("p_t_dbm", 0.0, -5000.0)),
+    ("fig6", {"p1_dbm": 5000.0}, ("i_th_dbm", -5000.0, 0.0)),
+    ("fig6", {"p1_dbm": 5000.0}, ("i_th_dbm", 5000.0, 0.0)),
+    ("fig6", {"p1_dbm": -5000.0}, ("i_th_dbm", 5000.0, 0.0)),
+    ("fig6", {}, ("i_th_dbm", 0.0, -5000.0)),
+    ("fig6", {}, ("i_th_dbm", 0.0, 5000.0)),
+    ("fig6", {"p2_dbm": -5000.0}, ("p1_dbm", 5000.0, 0.0)),
+    ("fig7a", {"p1_dbm": -5000.0}, ("p2_dbm", 0.0, 5000.0)),
+]
+
+
+def _run_cli(tmp_path, text, *argv):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main([*argv, "--config", str(path)])
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestSweepPoints:
+    # a sweep builds per point only the swept power or i_th; its rows,
+    # messages and exit codes are those of its points built from scratch
+
+    @pytest.mark.parametrize("spacing", ["linear", "log"])
+    @pytest.mark.parametrize("preset,overrides,param", _SWEEP_CASES)
+    def test_sweep_rows_equal_point_evals(self, preset, overrides, param, spacing):
+        cfg = load_preset(preset)
+        if "kind" in overrides:
+            cfg = derive_kind(cfg, overrides["kind"])
+        start, stop = (-110.0, -50.0) if param == "i_th_dbm" else (5.0, 35.0)
+        cfg = replace(cfg, protocol=overrides.get("protocol", cfg.protocol),
+                      sweep=SweepBlock(param, start, stop, 4, spacing))
+        header, rows = cli.run_sweep(cfg)
+        spaced = np.geomspace if spacing == "log" else np.linspace
+        assert [row[0] for row in rows] == spaced(start, stop, 4).tolist()
+        for row in rows:
+            eval_header, (eval_row,) = cli.run_eval(
+                replace(_point_config(cfg, param, row[0]), sweep=None))
+            assert eval_header[1:] == header[1:]
+            assert eval_row[1:] == row[1:]
+
+    @pytest.mark.parametrize("preset,powers,sweep", _BAD_SWEEPS)
+    def test_bad_point_fails_as_when_built_from_scratch(self, monkeypatch, tmp_path, preset,
+                                                        powers, sweep):
+        cfg = load_preset(preset)
+        cfg = replace(cfg, power_dbm={**cfg.power_dbm, **powers},
+                      sweep=SweepBlock(*sweep, points=3))
+        text = render_config(cfg)
+        got = _run_cli(tmp_path, text, "sweep")
+        monkeypatch.setattr(cli, "_scenarios", _built_from_scratch)
+        assert got == _run_cli(tmp_path, text, "sweep")
+        assert got[0] == 3 and got[1] == ""
+
+    @settings(derandomize=True, database=None, max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(sweep_configs(max_points=4), two_transmitter_configs(max_points=4)))
+    def test_sweep_equals_one_built_from_scratch(self, monkeypatch, tmp_path, text):
+        # stdout, stderr and exit code, failing points included
+        got = _run_cli(tmp_path, text, "sweep")
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_scenarios", _built_from_scratch)
+            assert got == _run_cli(tmp_path, text, "sweep")
+
+
+def test_write_csv_formats_each_cell_alone(tmp_path):
+    cells = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+             -2.5e-7, 1.0 / 3.0, np.float64(0.1), 7]
+    header = ["check", *(f"c{i}" for i in range(len(cells))), "status"]
+    rows = [["first", *cells, "pass"], ["second", *reversed(cells), "FAIL"]]
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), header, rows)
+    expected = [",".join(header)] + [
+        ",".join(c if isinstance(c, str) else f"{c:.11e}" for c in row) for row in rows]
+    assert path.read_text(encoding="utf-8") == "\n".join(expected) + "\n"
 
 
 class TestCliRobustness:
@@ -949,6 +1072,75 @@ class TestCliRobustness:
     def test_verify_two_transmitters_ends_in_an_exit_code(self, tmp_path, text):
         assert _exit_code(tmp_path, "verify", text, "--samples", "2000") in (0, 1, 2, 3)
 
+
+def _sweep_columns(text, protocol=None):
+    """The sweep of a drawn config (re-targeted at ``protocol``) as
+    (parameter, {column: values in ascending parameter order}); None where it
+    ends in a numerical limit."""
+    cfg = parse_config(text)
+    if protocol is not None:
+        cfg = replace(cfg, protocol=protocol)
+    try:
+        header, rows = cli.run_sweep(cfg)
+    except (ArithmeticError, ValueError):
+        return None
+    rows = sorted(rows, key=lambda row: row[0])
+    return header[0], {name: [row[i] for row in rows] for i, name in enumerate(header)}
+
+
+def _rises(values):
+    return all(a <= b for a, b in zip(values, values[1:]))
+
+
+class TestMonotoneLaws:
+    # the laws of the closed forms in the swept power or threshold, checked
+    # along whole sweeps of drawn configs, so that the per-point sweep path
+    # is checked with them
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(sweep_configs(("p2p",), 8))
+    def test_p2p_capacity_and_area_rise_with_power(self, text):
+        sweep = _sweep_columns(text)
+        assume(sweep is not None)
+        _, c = sweep
+        assert _rises(c["capacity_bps_hz"]) and _rises(c["area_m2"])
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(sweep_configs(("dualhop",), 8))
+    def test_df_capacity_rises_with_either_power(self, text):
+        sweep = _sweep_columns(text, "df")
+        assume(sweep is not None)
+        _, c = sweep
+        assert _rises(c["capacity_bps_hz"])
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None)
+    @given(two_transmitter_configs(max_points=8))
+    def test_parallel_probability_and_area_along_a_sweep(self, text):
+        # P rises with i_th and falls with p2; the parallel area rises with
+        # either power, to within the tolerance it is computed to
+        try:
+            sweep = _sweep_columns(text)
+        except ConfigError:  # a distance at a triangle bound can round to 0
+            sweep = None
+        assume(sweep is not None)
+        param, c = sweep
+        if param == "i_th_dbm":
+            assert _rises(c["p_parallel"])
+            return
+        if param == "p2_dbm" and "p_parallel" in c:
+            assert _rises(c["p_parallel"][::-1])
+        area = c["area_parallel_m2"]
+        assert all(b >= a * (1.0 - cg._AREA_SPEC.rel_tol) for a, b in zip(area, area[1:]))
+
+    @pytest.mark.xfail(strict=True, reason="the parallel area is computed to 2e-5 relative, "
+                       "and falls by 8e-7 between these points")
+    def test_parallel_area_rises_with_power_exactly(self):
+        text = ("scenario.kind = xchannel\nenv.path_loss_exponent = 3.5\nenv.noise_dbm = 0\n"
+                "env.p_min_dbm = 0\ngeom.d_p = 1\ngeom.d_s = 1\ngeom.d0 = 0.1\n"
+                "geom.d_sp = 1.1\ngeom.d_ps = 1.1\npower.p1_dbm = 0\npower.p2_dbm = 0\n"
+                "sweep.parameter = p1_dbm\nsweep.start = -200\nsweep.stop = 0\n"
+                "sweep.points = 3\n")
+        assert _rises(_sweep_columns(text)[1]["area_parallel_m2"])
 
 def _reference_points(cfg, env):
     """(ln P_S, ln P_R) of the four corners of the optimiser's 10-decade box

@@ -112,6 +112,25 @@ class TestScaledE1:
         for x in (0.25, 0.999, 1.001, 3.0, 30.0, 300.0):
             assert scaled_e1(x) == pytest.approx(math.exp(x) * float(sci_special.exp1(x)), rel=1e-10)
 
+    def test_series_stop_equals_the_full_loop(self):
+        # the series on (0, 1] stops at its first term below a quarter ulp of
+        # the sum, which cannot move it: bit for bit the fixed 29-term loop
+        def full_loop(x):  # exp(x) E_n(x) for n = 1, 2, 3
+            acc, p = 0.0, 1.0
+            for k in range(1, 30):
+                p *= -x / k
+                acc -= p / k
+            h = [math.exp(x) * (-mathkernel.EULER_GAMMA - math.log(x) + acc)]
+            for k in (1, 2):
+                h.append((1.0 - x * h[-1]) / k)
+            return h
+
+        rng = np.random.default_rng(17)
+        xs = np.exp(rng.uniform(math.log(5e-324), 0.0, 100_000)).tolist()
+        xs += rng.uniform(0.0, 1.0, 20_000).tolist() + [1.0, 5e-324, math.nextafter(1.0, 0.0)]
+        xs = [x for x in xs if x > 0.0]
+        assert [[scaled_en(x, n) for n in (1, 2, 3)] for x in xs] == list(map(full_loop, xs))
+
 
 class TestBesselK:
     def test_frozen_values(self):
