@@ -26,13 +26,12 @@ footprints are the Rayleigh closed form, so a secondary far from the primary
 is never lost.  The correction, max(e_p, e_s) lo (1 - e^(-d))/d - min(e_p, e_s)
 with lo the smaller u and d = |u_s - u_p|, is non-zero only where the
 footprints overlap, and costs three transcendentals per node (r_s^a, e_s and
-expm1).  It is integrated by a fixed composite Gauss-Legendre product rule
-(4 x 8 panels of 16 nodes, 64 x 128 nodes) on the map r = L u/(1 - u),
-L = d0 + the larger footprint; the 2 x 4-panel rule (32 x 64 nodes) gives the
-error estimate.  Each rule is one numpy pass over its whole grid and one dot
-product with its weight matrix: at these sizes the cost is per numpy call more
-than per node.  Where the two disagree by more than the area tolerance, the
-nested adaptive Gauss-Kronrod rules integrate the same correction instead.
+expm1).  It is integrated by globally adaptive subdivision: 16 x 16-node
+Gauss-Legendre panels on (theta, u) in [0, pi] x [0, 1), r = L u/(1 - u),
+each checked against the sum of the rules on its quarters; the panels whose
+checks disagree most are replaced by their quarters.  Round 0, 2 x 4 panels
+and their quarters, is one numpy pass over 10,240 nodes and is accepted on
+every preset.
 
 The composite metric mixes the parallel branch with the silent-secondary
 point-to-point branch by P, and recovers the X-channel (no constraint) and
@@ -45,14 +44,14 @@ rest once per run of scenarios that differ only in i_th.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
 
 from .link_p2p import LN2, GaseBreakdown, P2pScenario, gase_p2p
-from .mathkernel import (EULER_GAMMA, QuadratureSpec, integrate, integrate_semi_infinite,
-                         scaled_e1, scaled_en)
+from .mathkernel import (EULER_GAMMA, QuadratureError, QuadratureSpec, integrate, scaled_e1,
+                         scaled_en)
 from .propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 __all__ = [
@@ -86,31 +85,39 @@ _HUGE, _TINY = np.finfo(float).max, np.finfo(float).tiny
 
 
 _GL16 = np.polynomial.legendre.leggauss(16)
+# The area's refinement raises QuadratureError past these.  Each split costs
+# 16 new panels of 256 nodes, so a round evaluates at most 2.8e6 nodes
+_MAX_ROUNDS, _MAX_PANELS = 200, 2048
 
 
-def _product_rule(theta_panels: int, u_panels: int):
-    """Composite 16-node Gauss-Legendre rule for 2 int_0^pi int_0^inf f r dr dtheta.
-
-    theta in [0, pi] and u in [0, 1) are cut into equal panels, with
-    r = L t, t = u/(1 - u).  Returns t as a row, sin^2(theta/2) as a column
-    and the weights 2 w_theta w_u t/(1 - u)^2 as a matrix, which times L^2
-    integrate f sampled on the whole grid.
-    """
+def _nodes(box):
+    """16 x 16-node Gauss-Legendre rules for 2 int int f r dr dtheta on panels
+    (theta centre, half-width, u centre, half-width), r = L u/(1 - u): the
+    sin^2(theta/2) (n, 16, 1), t = r/L (n, 1, 16) and weights (n, 16, 16),
+    which times L^2 integrate f on each panel."""
     x, w = _GL16
-
-    def composite(hi, panels):
-        half = 0.5 * hi / panels
-        mids = half * (2.0 * np.arange(panels) + 1.0)
-        return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
-
-    theta, w_theta = composite(math.pi, theta_panels)
-    u, w_u = composite(1.0, u_panels)
+    mid_th, half_th, mid_u, half_u = (c[:, None] for c in box.T)
+    theta, u = mid_th + half_th * x, mid_u + half_u * x
     t = u / (1.0 - u)
-    return t, np.sin(0.5 * theta)[:, None] ** 2, np.outer(2.0 * w_theta, w_u * t / (1.0 - u) ** 2)
+    weights = (2.0 * half_th * w)[:, :, None] * (half_u * w * t / (1.0 - u) ** 2)[:, None, :]
+    return np.sin(0.5 * theta)[:, :, None] ** 2, t[:, None, :], weights
 
 
-_FINE = _product_rule(4, 8)     # 64 theta x 128 u nodes
-_COARSE = _product_rule(2, 4)   # 32 x 64 on panels twice as wide: the error estimate
+def _quarters(box, u_only):
+    """Each panel's four quarters, consecutive: 2 x 2, or four strips in u."""
+    q = u_only[:, None]
+    mid_th, half_th, mid_u, half_u = (c[:, None] for c in box.T)
+    return np.stack(np.broadcast_arrays(
+        mid_th + np.where(q, 0.0, [-0.5, -0.5, 0.5, 0.5]) * half_th, np.where(q, 1.0, 0.5) * half_th,
+        mid_u + np.where(q, [-0.75, -0.25, 0.25, 0.75], [-0.5, 0.5, -0.5, 0.5]) * half_u,
+        np.where(q, 0.25, 0.5) * half_u), axis=-1).reshape(-1, 4)
+
+
+# Round 0: 2 x 4 panels and their quarters, whose nodes are those of the
+# composite rules on 32 x 64 and 64 x 128 nodes
+_START = _quarters(np.array([[1.0, 1.0, 2.0, 2.0], [3.0, 1.0, 2.0, 2.0]])
+                   * [0.25 * math.pi, 0.25 * math.pi, 0.25, 0.25], np.ones(2, bool))
+_START_NODES = _nodes(np.concatenate([_START, _quarters(_START, np.zeros(8, bool))]))
 
 
 @dataclass(frozen=True)
@@ -285,84 +292,74 @@ def _overlap_correction(s: CognitiveScenario, r, sin2_half):
         return two_source_power_tail(p_min / s.p1.watts * r ** a, u_s)
 
 
-def _rule_correction(s: CognitiveScenario, scale: float, rule) -> float:
-    """The product rule's 2 int int correction r dr dtheta, in one call on the
-    whole grid."""
-    t, sin2, w = rule
-    total = float(np.vdot(w, _overlap_correction(s, scale * t, sin2)))
-    return scale * (scale * total)  # stays 0, not nan, where scale^2 overflows
-
-
-def _weaker_footprint_missed(s: CognitiveScenario, scale: float, x: float, radius: float,
-                             singles: float) -> bool:
-    """Whether both fixed rules can miss the weaker footprint (radius R, at
-    distance x from the primary) alike.
-
-    That needs R below 4 node spacings of the fine rule there: (x + L)^2/(128 L)
-    radially (du = 1/128 on r = L u/(1 - u)) and x pi/64 angularly.  It also
-    needs the stronger field to reach it: the correction there is bounded by
-    about A_weak times lam_strong(d0)/P_min = min(1, (R_strong/d0)^a), which
-    must exceed a tenth of the area tolerance.
-    """
-    spacing = max((x + scale) ** 2 / (128.0 * scale), x * math.pi / 64.0)
-    if radius >= 4.0 * spacing:
-        return False
-    ratio = (scale - s.d0) / s.d0
-    reach = 1.0 if ratio >= 1.0 else ratio ** s.env.path_loss_exponent
-    weak = affected_area_single(s.env, min(s.p1.watts, s.p2.watts))
-    return weak * reach > 0.1 * _AREA_SPEC.rel_tol * singles
-
-
-def _adaptive_correction(s: CognitiveScenario, scale: float, x: float, width: float,
-                         tol: float) -> float:
-    """2 int_0^pi int_0^inf of the overlap correction r dr dtheta by adaptive
-    Gauss-Kronrod, to the absolute tolerance ``tol``.
-
-    The radial integrals break at x +- width, so that a footprint of that
-    size around the weaker transmitter at distance x lies inside its own
-    panel instead of between nodes.  Each of the (up to) three radial pieces
-    gets tol/(12 pi) and the angular integral tol/4, so twice the angular
-    plus pi times the radial errors stay within tol.
-    """
-    radial_spec = replace(_AREA_SPEC, abs_tol=tol / (12.0 * math.pi))
-    cuts = sorted({0.0, max(x - width, 0.0), x + width})
-
-    def radial(sin2_half: float) -> float:
-        def f(r):
-            return _overlap_correction(s, r, sin2_half) * r
-        total = sum(integrate(f, lo, hi, radial_spec).value for lo, hi in zip(cuts, cuts[1:]))
-        return total + integrate_semi_infinite(lambda t: f(cuts[-1] + t), radial_spec,
-                                               scale=scale).value
-
-    angular = integrate(lambda theta: np.array([radial(math.sin(0.5 * t) ** 2) for t in theta]),
-                        0.0, math.pi, replace(_AREA_SPEC, abs_tol=tol / 4.0))
-    return 2.0 * angular.value
+def _too_coarse(x, radius, scale, half_th, half_u):
+    """Whether a radius at distance x from the primary is under four node spacings
+    of the 2 x 2 quarters there: (x + L)^2/L du/16 or x dtheta/16."""
+    return ((4.0 * radius < (x + scale) * ((x + scale) / scale) * half_u)
+            | (4.0 * radius < x * half_th))
 
 
 def affected_area_parallel(s: CognitiveScenario) -> float:
     """Affected area while both transmitters are active, in m^2.
 
-    The closed-form single footprints A(P1) + A(P2) plus the overlap
-    correction, integrated by the fixed product rule on r = L u/(1 - u) with
-    L = d0 + the larger footprint.  The result is accepted when the 64 x 128
-    and 32 x 64 rules agree to the area tolerance and neither can have missed
-    the weaker footprint (_weaker_footprint_missed).  Otherwise the correction is
-    integrated again by adaptive Gauss-Kronrod, radially (semi-infinite) at
-    each node of an angular rule on [0, pi], with radial breaks around the
-    weaker transmitter and an absolute tolerance set by the whole area, so
-    that a vanishing correction ends at once.
+    A(P1) + A(P2) plus the overlap correction, on r = L u/(1 - u) with
+    L = d0 + the larger footprint radius R_i, widened at a < 2 by (2/a)^(1/a)
+    to where the correction around a footprint lies.  Round 0, 2 x 4 panels
+    and their quarters, is accepted when its sums over both agree to the
+    area tolerance and no panel is blind: within its own width of a
+    transmitter whose R_i is under four node spacings there, while the other
+    field reaches it (A(P_i) min(1, (R_j/d0)^a) over a tenth of the
+    tolerance).  Else each round replaces by their quarters the blind panels
+    and the fewest, largest first, whose local estimates (quarters less
+    panel) make up half of the total; the quarters are strips in u where the
+    correction barely depends on theta (r <= d0/8 or r >= 8 d0).
     """
-    a = s.env.path_loss_exponent
-    singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
-    scale = s.d0 + (max(s.p1.watts, s.p2.watts) / s.env.p_min_w) ** (1.0 / a)
-    fine, coarse = (singles + _rule_correction(s, scale, rule) for rule in (_FINE, _COARSE))
-    x = s.d0 if s.p2.watts < s.p1.watts else 0.0  # the weaker transmitter's distance
-    radius = (min(s.p1.watts, s.p2.watts) / s.env.p_min_w) ** (1.0 / a)
-    if (abs(fine - coarse) <= _AREA_SPEC.rel_tol * fine
-            and not _weaker_footprint_missed(s, scale, x, radius, singles)):
-        return fine
-    return singles + _adaptive_correction(s, scale, x, 4.0 * radius,
-                                          0.5 * _AREA_SPEC.rel_tol * singles)
+    env, a, tol = s.env, s.env.path_loss_exponent, _AREA_SPEC.rel_tol
+    area1, area2 = affected_area_single(env, s.p1), affected_area_single(env, s.p2)
+    singles = area1 + area2
+    radius1, radius2 = ((p.watts / env.p_min_w * max(1.0, 2.0 / a)) ** (1.0 / a)
+                        for p in (s.p1, s.p2))
+    scale = s.d0 + max(radius1, radius2)
+    # (distance from the primary, radius) of each transmitter the other field reaches
+    reached = [(x, radius) for x, radius, area, other in ((0.0, radius1, area1, radius2),
+                                                           (s.d0, radius2, area2, radius1))
+               if area * min(other / s.d0, 1.0) ** a > 0.1 * tol * singles]
+    sin2, t, w = _START_NODES
+    corr = _overlap_correction(s, scale * t, sin2)
+    # stays 0, not nan, where L^2 overflows
+    fine, coarse = (singles + scale * (scale * float(np.vdot(w[rows], corr[rows])))
+                    for rows in (slice(8, None), slice(8)))
+    converged = abs(fine - coarse) <= tol * fine
+    if converged and not any(_too_coarse(x, radius, scale, 0.25 * math.pi, 0.125)
+                             for x, radius in reached):
+        return fine  # no panel is blind, as none of round 0 is
+    values = np.einsum("pij,pij->p", w, corr)
+    box, u_only, own, kids = _START, np.zeros(8, bool), values[:8], values[8:].reshape(8, 4)
+    near, far = s.d0 / (s.d0 + 8.0 * scale), 8.0 * s.d0 / (8.0 * s.d0 + scale)
+    for _ in range(_MAX_ROUNDS):
+        mid_th, half_th, mid_u, half_u = box.T
+        split = np.zeros(len(box), bool)
+        for x, radius in reached:
+            split |= ((np.abs(mid_u - x / (x + scale)) <= 2.0 * half_u)
+                      & ((mid_th <= 2.0 * half_th) | (x == 0.0))
+                      & _too_coarse(x, radius, scale, half_th, half_u))
+        if converged and not split.any():
+            return fine
+        local = np.abs(kids.sum(axis=1) - own)
+        order = np.argsort(-local)
+        split[order[:np.searchsorted(np.cumsum(local[order]), 0.5 * local.sum()) + 1]] = True
+        if len(box) + 3 * np.count_nonzero(split) > _MAX_PANELS:
+            break
+        children = _quarters(box[split], u_only[split])
+        strips = (children[:, 2] + children[:, 3] <= near) | (children[:, 2] - children[:, 3] >= far)
+        sin2, t, w = _nodes(_quarters(children, strips))
+        rules = np.einsum("pij,pij->p", w, _overlap_correction(s, scale * t, sin2)).reshape(-1, 4)
+        box, u_only = np.concatenate([box[~split], children]), np.append(u_only[~split], strips)
+        own, kids = np.append(own[~split], kids[split]), np.concatenate([kids[~split], rules])
+        fine, coarse = (singles + scale * (scale * v.sum()) for v in (kids, own))
+        converged = abs(fine - coarse) <= tol * fine
+    raise QuadratureError(f"parallel affected area did not converge in {len(box)} panels",
+                          fine, abs(fine - coarse))
 
 
 def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[GaseBreakdown]:

@@ -6,8 +6,9 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
 from gase import cli
 from gase import cognitive_underlay as cg
@@ -17,12 +18,13 @@ from gase.cognitive_underlay import (CognitiveScenario, affected_area_parallel,
                                      secondary_capacity_parallel, two_source_power_tail,
                                      x_channel_primary_capacity)
 from gase.link_p2p import P2pScenario, ergodic_capacity_p2p, gase_p2p
-from gase.mathkernel import QuadratureSpec, integrate_semi_infinite
+from gase.mathkernel import QuadratureError, QuadratureSpec, integrate_semi_infinite
 from gase.mc_oracle import (McConfig, certified_disk_radius, mc_affected_area,
                             mc_ergodic_capacity, primary_sinr_sampler,
                             secondary_sinr_sampler, two_source_field)
 from gase.config import derive_kind, load_preset, parse_config
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single, dbm_to_watts
+from test_config_cli import two_transmitter_configs
 
 ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -100.0)
 
@@ -131,17 +133,57 @@ def split_reference(s, tol):
         prev, k = cur, 2 * k
 
 
-def count_fallbacks(monkeypatch):
-    """Count the adaptive fallback's angular integrals."""
+def local_frame_reference(s, tol=1e-11, nodes=64):
+    """A(P1) + A(P2) + the overlap correction, split between two polar frames,
+    one centred on each transmitter, by the partition of unity
+    w = 1/(1 + (r/r_o)^8) in the distances r to the centre and r_o to the other
+    transmitter.  Each frame covers the whole plane: Gauss-Legendre in the
+    angle from the other transmitter, and scipy's adaptive quad_vec in ln r,
+    from 20 e-folds inside the centre's footprint (or d0) out to where every
+    threshold exceeds 800.  It shares neither the module's grid nor its
+    integrand: r_o comes from the law of cosines and the tail from
+    lam_space_tail."""
+    a, m, d0 = s.env.path_loss_exponent, s.env.p_min_w, s.d0
+    singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+    radii = [(p.watts / m) ** (1.0 / a) for p in (s.p1, s.p2)]
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    sin2 = np.sin(0.25 * math.pi * (x + 1.0)) ** 2
+    far = math.log(d0 + max(radii)) + math.log(800.0) / a
+    total = 0.0
+    for (p_c, p_o), radius in zip(((s.p1.watts, s.p2.watts), (s.p2.watts, s.p1.watts)), radii):
+        def f(log_r):
+            r = math.exp(log_r)
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                r_o = np.sqrt((d0 - r) ** 2 + 4.0 * d0 * r * sin2)
+                lam_c, lam_o = p_c / r ** a, p_o / r_o ** a
+                corr = lam_space_tail(lam_c, lam_o, m) - np.exp(-m / lam_c) - np.exp(-m / lam_o)
+                return np.nan_to_num(corr / (1.0 + (r / r_o) ** 8)) * r * r
+
+        near = math.log(min(radius, d0)) - 20.0
+        breaks = sorted(b for b in {math.log(radius), math.log(d0), math.log(max(radii))}
+                        if near < b < far)
+        radial, _ = quad_vec(f, near, far, epsrel=tol, epsabs=0.1 * tol * singles, norm="max",
+                             points=breaks or None, limit=100_000)
+        total += math.pi * float(np.dot(w, radial))
+    return singles + total
+
+
+def count_rounds(monkeypatch):
+    """Count the area's refinement rounds: each builds the rules of its new
+    panels once."""
     count = []
-    integrate = cg.integrate
+    nodes = cg._nodes
 
-    def counting(*args, **kwargs):
-        count.append(1)
-        return integrate(*args, **kwargs)
+    def counting(box):
+        count.append(len(box))
+        return nodes(box)
 
-    monkeypatch.setattr(cg, "integrate", counting)
+    monkeypatch.setattr(cg, "_nodes", counting)
     return count
+
+
+def draw_scenario(text):
+    return cli._scenarios(parse_config(text))[0]
 
 
 class TestScenarioInvariants:
@@ -543,36 +585,75 @@ class TestAffectedAreaParallel:
                                                               rel=1e-10)
 
     def test_stress_grid_matches_converged_reference(self, monkeypatch):
-        # the reference stops at 1e-9 agreement, which is within 2e-10 of its
-        # 1e-12 limit on this grid and takes a few seconds instead of 35
-        fallbacks = count_fallbacks(monkeypatch)
+        rounds = count_rounds(monkeypatch)
         for a in (2.1, 2.5, 3.3, 4.0, 6.0):
             for d0 in (50.0, 250.0, 2e3, 20e3):
                 for dp in (-40.0, 0.0, 40.0):
                     s = split_scenario(a, d0, 20.0, 20.0 + dp)
                     assert affected_area_parallel(s) == pytest.approx(
-                        split_reference(s, 1e-9), rel=2e-5)
+                        local_frame_reference(s), rel=2e-5, abs=0.0)
         # a small secondary footprint inside the primary's (a = 4, d0 = 2 km,
-        # -40 dB) defeats the fixed rule's estimate and takes the adaptive path
-        assert len(fallbacks) >= 1
+        # -40 dB) defeats round 0's estimate and is refined
+        assert rounds
 
     @pytest.mark.parametrize("d0,p2_dbm", [(0.215, -129.9), (0.05, -130.0), (0.25, -120.0)])
-    def test_footprint_between_nodes_takes_the_adaptive_path(self, monkeypatch, d0, p2_dbm):
+    def test_footprint_between_nodes_is_refined(self, monkeypatch, d0, p2_dbm):
         # a secondary footprint of a few mm, d0 from a 0.26 m primary one,
-        # falls between the fixed rule's nodes, where both rules agree on
-        # missing it; without its own breaks the adaptive rule missed the
-        # last two by up to 9e-5
+        # falls between round 0's nodes, where both of its rules agree on
+        # missing it
         env = PropagationEnvironment.from_dbm(6.076, -100.0, 29.0)
         s = CognitiveScenario(env, PowerLevel.from_dbm(-7.0), PowerLevel.from_dbm(p2_dbm),
                               100.0, 100.0, 100.0, 100.0, d0, dbm_to_watts(-80.0))
-        fallbacks = count_fallbacks(monkeypatch)
-        # at the first point the 1e-6 reference is within 3e-8 of the 1e-9 one
-        assert affected_area_parallel(s) == pytest.approx(split_reference(s, 1e-6),
-                                                          rel=cg._AREA_SPEC.rel_tol)
-        assert fallbacks
+        rounds = count_rounds(monkeypatch)
+        assert affected_area_parallel(s) == pytest.approx(local_frame_reference(s), rel=2e-5,
+                                                          abs=0.0)
+        assert rounds
 
-    @pytest.mark.parametrize("name", ["_FINE", "_COARSE"])
-    def test_whole_grid_sum_equals_per_node_reference(self, name):
+    # footprints of a few um, 3.8 m apart at a = 0.58, and of a few mm, 2.7 mm
+    # apart at a = 0.68: each transmitter's footprint is far narrower than the
+    # round-0 node spacing, and the correction around the stronger one (the
+    # first) is 1.2e-3 and 3.2e-5 of the area
+    NARROW = [
+        ("scenario.kind = cognitive\nenv.path_loss_exponent = 0.582568209305757\n"
+         "env.noise_dbm = 22.915982914225907\nenv.p_min_dbm = 31.517460720124035\n"
+         "geom.d_p = 3.824443147776326\ngeom.d_s = 3.824443147776326\n"
+         "geom.d0 = 3.824443147776326\ngeom.d_sp = 9.113810849587259e-263\n"
+         "geom.d_ps = 1.337644497563862\npower.p1_dbm = 0.582568209305757\n"
+         "power.p2_dbm = -9.052246838775558e-63\nthreshold.i_th_dbm = -20.35392577674611\n",
+         1.30449239612e-09),
+        ("scenario.kind = xchannel\nenv.path_loss_exponent = 0.6782730596074411\n"
+         "env.noise_dbm = -199\nenv.p_min_dbm = 67.14312682868962\n"
+         "geom.d_p = 0.0026899282419095495\ngeom.d_s = 0.0026899282419095495\n"
+         "geom.d0 = 0.0026899282419095495\ngeom.d_sp = 0.004601695338942171\n"
+         "geom.d_ps = 0.0035046709154807655\npower.p1_dbm = 5.960464477539063e-08\n"
+         "power.p2_dbm = 2.4771544242195988e-14\n",
+         5.62658621597e-19),
+    ]
+
+    @pytest.mark.parametrize("text,expected", NARROW, ids=["um_at_a0.58", "mm_at_a0.68"])
+    def test_footprints_far_narrower_than_d0_keep_their_correction(self, text, expected):
+        # expected is scipy's dblquad at epsrel 1e-10 in local polar frames of
+        # radius d0/2 about each transmitter; the first-order law
+        # sum_i A_i (2/a) P_j/(P_min d0^a) puts the correction at 1.17e-3 and
+        # 3.15e-5 of A(P1) + A(P2), which alone is what the area was before
+        s = draw_scenario(text)
+        singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+        assert local_frame_reference(s) == pytest.approx(expected, rel=1e-10, abs=0.0)
+        assert affected_area_parallel(s) == pytest.approx(expected, rel=2e-5, abs=0.0)
+        assert affected_area_parallel(s) > singles * (1.0 + 1e-5)
+
+    @settings(derandomize=True, database=None, max_examples=40, deadline=None,
+              suppress_health_check=list(HealthCheck))
+    @given(text=two_transmitter_configs())
+    def test_drawn_areas_match_local_frame_reference(self, text):
+        try:
+            s = draw_scenario(text)
+            area = affected_area_parallel(s)
+        except (ArithmeticError, ValueError):
+            return  # a named float-range limit or a rejected config
+        assert area == pytest.approx(local_frame_reference(s), rel=2e-5, abs=0.0)
+
+    def test_round_zero_sum_equals_per_node_reference(self, monkeypatch):
         # every cognitive preset's sweep, the X channel's, a across the
         # presets' range, and a far field where r^a overflows to u = inf
         scenarios = [s for name in ("fig6", "fig7a", "fig7b") for s in preset_scenarios(name)]
@@ -580,28 +661,68 @@ class TestAffectedAreaParallel:
         scenarios += [split_scenario(a, d0, 20.0, p2_dbm) for a in (2.5, 3.0, 4.5, 5.3)
                       for d0 in (50.0, 250.0, 2e3) for p2_dbm in (-20.0, 20.0, 40.0)]
         far = split_scenario(40.0, 1e5, 20.0, 20.0)
-        rule = getattr(cg, name)
-        t, sin2, w = rule
+        sin2, t, w = cg._START_NODES
+        assert w.shape == (8 + 32, 16, 16)
+        rounds, accepted = count_rounds(monkeypatch), 0
         with np.errstate(over="ignore"):
             assert np.isinf((footprint_scale(far) * t) ** 40).any()
         for s in scenarios + [far]:
             scale = footprint_scale(s)
             nodes = w * cg._overlap_correction(s, scale * t, sin2)
-            ref = scale * (scale * math.fsum(nodes.ravel()))
-            got = cg._rule_correction(s, scale, rule)
-            assert abs(got - ref) <= 1e-14 * abs(ref)
+            # where round 0 is accepted, its value is the sum over its 32 quarters
+            rounds.clear()
+            singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+            ref = scale * (scale * math.fsum(nodes[8:].ravel()))
+            area = affected_area_parallel(s)
+            if not rounds:
+                accepted += 1
+                assert abs(area - singles - ref) <= 1e-14 * abs(ref) + 2.0 * math.ulp(area)
+        assert accepted > 0.9 * len(scenarios)
 
-    def test_rule_correction_is_zero_where_scale_squared_overflows(self):
+    def test_round_zero_holds_the_composite_rule_nodes(self):
+        # the 2 x 4 panels and their 4 x 8 quarters hold, bit for bit, the
+        # (sin^2(theta/2), t, weight) of the composite 16-node rules on
+        # 32 x 64 and 64 x 128 nodes
+        x, w16 = np.polynomial.legendre.leggauss(16)
+        sin2, t, w = np.broadcast_arrays(*cg._START_NODES)
+        for rows, theta_panels, u_panels in ((slice(0, 8), 2, 4), (slice(8, 40), 4, 8)):
+            half_th, half_u = 0.5 * math.pi / theta_panels, 0.5 / u_panels
+            theta = (half_th * (2.0 * np.arange(theta_panels) + 1.0))[:, None] + half_th * x
+            u = ((half_u * (2.0 * np.arange(u_panels) + 1.0))[:, None] + half_u * x).ravel()
+            grid = np.broadcast_arrays(
+                np.sin(0.5 * theta.ravel())[:, None] ** 2, u / (1.0 - u),
+                np.outer(2.0 * np.tile(half_th * w16, theta_panels),
+                         np.tile(half_u * w16, u_panels) * (u / (1.0 - u)) / (1.0 - u) ** 2))
+            assert (sorted(zip(*(a.ravel().tolist() for a in grid)))
+                    == sorted(zip(*(a[rows].ravel().tolist() for a in (sin2, t, w)))))
+
+    def test_correction_is_zero_where_scale_squared_overflows(self):
         s = split_scenario(4.0, 1e160, 20.0, 20.0)
-        scale = footprint_scale(s)
-        assert math.isinf(scale * scale)
-        for rule in (cg._FINE, cg._COARSE):
-            assert cg._rule_correction(s, scale, rule) == 0.0
+        assert math.isinf(footprint_scale(s) * footprint_scale(s))
+        singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+        assert affected_area_parallel(s) == singles
 
-    def test_fig7a_sweep_stays_on_the_product_rule(self, monkeypatch, tmp_path):
-        fallbacks = count_fallbacks(monkeypatch)
-        assert cli.main(["sweep", "--preset", "fig7a", "--out", str(tmp_path / "s.csv")]) == 0
-        assert fallbacks == []
+    @pytest.mark.parametrize("preset,kind", [("fig6", "cognitive"), ("fig7a", "cognitive"),
+                                             ("fig7a", "xchannel")])
+    def test_preset_sweeps_take_no_refinement_round(self, monkeypatch, tmp_path, preset, kind):
+        rounds = count_rounds(monkeypatch)
+        assert cli.main(["sweep", "--preset", preset, "--kind", kind,
+                         "--out", str(tmp_path / "s.csv")]) == 0
+        assert rounds == []
+
+    @pytest.mark.parametrize("cap,value", [("_MAX_PANELS", 64), ("_MAX_ROUNDS", 2)])
+    def test_refinement_is_bounded(self, monkeypatch, tmp_path, capsys, cap, value):
+        text, _ = self.NARROW[0]
+        monkeypatch.setattr(cg, cap, value)
+        with pytest.raises(QuadratureError, match="parallel affected area"):
+            affected_area_parallel(draw_scenario(text))
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text(text)
+        assert cli.main(["eval", "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("gase: numerical failure: parallel affected area")
 
     def test_dominates_single_footprints(self):
         for p2_dbm in (0.0, 20.0, 35.0):

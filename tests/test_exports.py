@@ -1,13 +1,21 @@
-"""Every name a ``gase`` module advertises resolves."""
+"""Every name a ``gase`` module advertises resolves, and so does every name
+the benchmark harness under ``bench/`` looks up."""
 
 import ast
 import importlib
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gase
+from gase import cognitive_underlay as cg
+from gase import coop_threenode as coop
+from gase import mathkernel as mk
+from gase import mc_oracle as mc
+from gase import relay_dualhop as relay
+from gase.propagation import PowerLevel, PropagationEnvironment
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gase.__path__)
                  if not m.name.startswith("__"))
@@ -28,3 +36,60 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert alias.name in getattr(mod, "__all__", ())
             assert getattr(gase, alias.asname or alias.name) is getattr(mod, alias.name)
+
+
+# The functions the benchmark harness looks up by name: the tracer's layer
+# metrics (a metric whose name is missing is silently left out), its layer
+# microbenchmarks, and the AF optimize workload.
+TRACED = ["mathkernel.scaled_e1", "mathkernel.bessel_k0", "mathkernel.bessel_k1",
+          "mathkernel.erfcx", "mathkernel.integrate", "mathkernel.integrate_semi_infinite",
+          "mathkernel.find_root_bracketed", "link_p2p.gase_p2p", "relay_dualhop.gase_dualhop",
+          "relay_dualhop.optimize_relay_powers", "relay_dualhop.ergodic_capacity",
+          "coop_threenode.gase_coop", "cognitive_underlay.affected_area_parallel",
+          "mc_oracle.mc_ergodic_capacity", "mc_oracle.mc_affected_area", "config.parse_config"]
+
+
+@pytest.mark.parametrize("name", TRACED)
+def test_traced_name_resolves(name):
+    module, attr = name.split(".")
+    assert callable(getattr(importlib.import_module(f"gase.{module}"), attr))
+
+
+def test_traced_results_keep_what_the_tracer_reads():
+    assert mk.integrate(lambda x: x, 0.0, 1.0).panels >= 1
+    assert mk.find_root_bracketed(lambda x: x - 1.0, 0.0, 2.0) == pytest.approx(1.0)
+
+
+def test_benchmark_calls_accept_their_arguments():
+    env = PropagationEnvironment.from_dbm(4.0, -100.0, -100.0)
+    p1, p2 = PowerLevel.from_dbm(20.0), PowerLevel.from_dbm(20.0)
+    for fn in (mk.scaled_e1, mk.bessel_k0, mk.bessel_k1):
+        assert np.shape(fn(np.geomspace(0.1, 20.0, 15))) == (15,)
+        assert np.isfinite(fn(1.0))
+    assert np.isfinite(mk.erfcx(1.7))
+    hop = relay.DualHopScenario(env, p1, p2, 500.0, 500.0)
+    assert relay.ergodic_capacity_af(hop) > 0.0
+    assert coop.af_selection_integral(coop.CoopScenario(env, p1, p2, 1000.0, 500.0, 500.0)) > 0.0
+    cog = cg.CognitiveScenario(env, p1, p2, 100.0, 100.0, 150.0, 150.0, 100.0, 1e-11)
+    assert cg.affected_area_parallel(cog) > 0.0
+
+    cfg = mc.McConfig(1024, 7, 0)
+    radius1, tail1 = mc.certified_disk_radius(env, p1)
+    radius2, tail2 = mc.certified_disk_radius(env, p1.watts + p2.watts, d0=100.0)
+    samplers = [mc.p2p_snr_sampler(100.0), mc.df_snr_sampler(100.0, 50.0),
+                mc.af_snr_sampler(100.0, 50.0, exact=False), mc.af_snr_sampler(100.0, 50.0),
+                mc.primary_sinr_sampler(cog), mc.secondary_sinr_sampler(cog)]
+    for sampler in samplers:
+        assert np.isfinite(mc.mc_ergodic_capacity(sampler, cfg).mean)
+    for field, radius, tail in ((mc.single_source_field(env, p1), radius1, tail1),
+                                (mc.two_source_field(env, p1, p2, 100.0), radius2, tail2)):
+        assert mc.mc_affected_area(field, radius, cfg, tail, env.p_min_w).mean > 0.0
+    for protocol in ("df", "af"):
+        assert mc.mc_coop_summary(1.0, 100.0, 50.0, protocol, cfg)
+    event = mc.McSampler(1, lambda u: mc.exponential_from_uniform(u[:, 0]) < 0.5)
+    assert 0.0 < mc.mc_mode_probability(event, cfg).mean < 1.0
+
+    *_, eta = relay.optimize_relay_powers(
+        PropagationEnvironment.from_dbm(4.0, -100.0, -90.0), 500.0, 500.0,
+        PowerLevel.from_dbm(30.0), relay.RelayProtocol.AF, span_decades=0.5, tol=3e-2)
+    assert eta > 0.0
