@@ -609,10 +609,9 @@ class TestAffectedAreaParallel:
                                                           abs=0.0)
         assert rounds
 
-    # footprints of a few um, 3.8 m apart at a = 0.58, and of a few mm, 2.7 mm
-    # apart at a = 0.68: each transmitter's footprint is far narrower than the
-    # round-0 node spacing, and the correction around the stronger one (the
-    # first) is 1.2e-3 and 3.2e-5 of the area
+    # footprint radii of 4-5 um, 3.8 m apart at a = 0.58, and of 0.13 nm,
+    # 2.7 mm apart at a = 0.68: far narrower than round 0's node spacing, with
+    # an overlap correction of 1.2e-3 and 3.2e-5 of the area
     NARROW = [
         ("scenario.kind = cognitive\nenv.path_loss_exponent = 0.582568209305757\n"
          "env.noise_dbm = 22.915982914225907\nenv.p_min_dbm = 31.517460720124035\n"
@@ -630,12 +629,12 @@ class TestAffectedAreaParallel:
          5.62658621597e-19),
     ]
 
-    @pytest.mark.parametrize("text,expected", NARROW, ids=["um_at_a0.58", "mm_at_a0.68"])
+    @pytest.mark.parametrize("text,expected", NARROW, ids=["um_at_a0.58", "nm_at_a0.68"])
     def test_footprints_far_narrower_than_d0_keep_their_correction(self, text, expected):
         # expected is scipy's dblquad at epsrel 1e-10 in local polar frames of
         # radius d0/2 about each transmitter; the first-order law
         # sum_i A_i (2/a) P_j/(P_min d0^a) puts the correction at 1.17e-3 and
-        # 3.15e-5 of A(P1) + A(P2), which alone is what the area was before
+        # 3.15e-5 of A(P1) + A(P2)
         s = draw_scenario(text)
         singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
         assert local_frame_reference(s) == pytest.approx(expected, rel=1e-10, abs=0.0)
