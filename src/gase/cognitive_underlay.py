@@ -158,12 +158,12 @@ class CognitiveScenario:
     @property
     def rho_p(self) -> float:
         a = self.env.path_loss_exponent
-        return (self.p1.watts / self.p2.watts) * (self.d_sp / self.d_p) ** a
+        return (self.p1.watts / self.p2.watts) * _power(self.d_sp / self.d_p, a)
 
     @property
     def rho_s(self) -> float:
         a = self.env.path_loss_exponent
-        return (self.p2.watts / self.p1.watts) * (self.d_ps / self.d_s) ** a
+        return (self.p2.watts / self.p1.watts) * _power(self.d_ps / self.d_s, a)
 
     @property
     def n1(self) -> float:
@@ -184,7 +184,15 @@ class CognitiveScenario:
     @property
     def constraint_exponent(self) -> float:
         """i_th * d_sp^a / p2; the parallel-transmission probability is 1 - exp(-this)."""
-        return self.i_th_w * self.d_sp ** self.env.path_loss_exponent / self.p2.watts
+        return self.i_th_w * _power(self.d_sp, self.env.path_loss_exponent) / self.p2.watts
+
+
+def _power(x: float, a: float) -> float:
+    """x ** a, or its limit inf where that overflows the float range."""
+    try:
+        return x ** a
+    except OverflowError:
+        return math.inf
 
 
 def prob_parallel(s: CognitiveScenario) -> float:
@@ -202,13 +210,16 @@ def _interference_integral(rho: float, n: float) -> float:
     of the difference quotient, from h^(k)(n) = (-1)^k k! exp(n) E_(k+1)(n)/n^k
     (h' = h - 1/x); at rho = 1 it is exp(n) E2(n) = 1 - n h(n).  Where n rho
     underflows, h(n rho) = -ln n - ln rho - gamma to within n rho ln(n rho),
-    and the rho -> 0 limit is 0.
+    and the rho -> 0 limit is 0.  Where n rho overflows, rho = inf included,
+    the tail is exp(-n g) to within 1/rho, and the integral h(n).
     """
     if abs(rho - 1.0) <= _TAYLOR_BAND:
         return rho * math.fsum((1.0 - rho) ** j * scaled_en(n, j + 2)
                                for j in range(_TAYLOR_TERMS))
     if rho == 0.0:
         return 0.0
+    if n * rho == math.inf:
+        return scaled_e1(n)
     h = scaled_e1(n * rho) if n * rho >= _TINY else -math.log(n) - math.log(rho) - EULER_GAMMA
     return rho / (1.0 - rho) * (h - scaled_e1(n))
 

@@ -44,7 +44,7 @@ __all__ = [
     "gase_coop_batch",
 ]
 
-_CAP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-16)
+_CAP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=0.0)
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,7 @@ __all__ = [
     "bessel_k0",
     "bessel_k1",
     "bessel_k01",
+    "one_minus_xk1",
     "erfcx",
     "integrate",
     "integrate_batch",
@@ -253,6 +254,23 @@ def bessel_k01(x):
         if use.any():
             out[:, use] = branch(flat[use])
     return tuple(float(k[0]) if arr.ndim == 0 else k.reshape(arr.shape) for k in out)
+
+
+def one_minus_xk1(x):
+    """1 - x K1(x), shaped like x.  Up to x = 2 it is -(x^2/2)(lg (2/x) I1(x)
+    - s1/2) in the sums of _k01_series, lg = ln(x/2) + gamma, which keeps its
+    digits where x K1(x) -> 1; above that it is 1 - x K1(x), at most 0.72."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    if not np.all((flat > 0.0) & (flat < np.inf)):
+        raise ValueError("bessel_k requires x > 0")
+    small = flat <= 2.0
+    out = np.empty(flat.size)
+    xs, big = flat[small], flat[~small]
+    _, _, i1, s1 = _power_series(0.25 * xs * xs, _SERIES)
+    out[small] = -0.5 * xs * xs * ((np.log(0.5 * xs) + EULER_GAMMA) * i1 - 0.5 * s1)
+    out[~small] = 1.0 - big * _k01_scaled(big)[1]
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def bessel_k0(x):

@@ -5,17 +5,20 @@ Randomness comes from counter-based Philox streams keyed by
 always receives the same underlying uniforms whatever the sample count.
 Exponential fading gains are drawn by inverse cdf (-log1p(-u)).
 
-Every estimator runs one chunk loop.  The calling thread evaluates each
-chunk in blocks of _BLOCK rows, small enough for the numpy temporaries to
-stay in cache, and writes each block's values into one buffer per chunk;
-meanwhile one helper thread, started and joined within the estimate, fills
-the next chunk's uniforms (numpy releases the GIL while Philox fills).
-Sampler and field callbacks run on the calling thread only, in sample order.
-None of this reaches the numbers: a chunk's uniforms depend only on its key,
-the per-sample arithmetic is elementwise, and each chunk's partial sums are
-taken over its whole buffer and added up in chunk order, so every McEstimate
-is bit-reproducible for a fixed McConfig and equals the one of a plain loop
-that draws and evaluates each whole chunk at once.
+Every estimator runs one chunk loop on two threads: the calling thread and
+one helper, started and joined within the estimate, each take the next
+chunk, draw it in blocks of _BLOCK rows just before evaluating each block
+(small enough for the uniforms and numpy temporaries to stay in cache;
+numpy releases the GIL while Philox fills), and write the block's values
+into one buffer per chunk.  So a sampler or field callback may run on
+either thread, each call gets one block of one chunk, one thread evaluates
+a chunk's blocks in order, and callbacks must be pure functions of their
+arguments.  The first exception of either worker reaches the caller once
+the helper is joined.  None of this reaches the numbers: a chunk's uniforms
+depend only on its key, the per-sample arithmetic is elementwise, and each
+chunk's partial sums are taken over its whole buffer and added up in chunk
+order, so every McEstimate is bit-reproducible for a fixed McConfig and
+equals the one of a plain loop that draws and evaluates each chunk whole.
 
 Spatial fields take polar coordinates: a field callback maps
 (r, v, fading uniforms) to received power, where r is the distance from the
@@ -33,6 +36,7 @@ provided as (draws-per-sample, vectorised map) pairs.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import threading
 from dataclasses import dataclass, field
@@ -110,80 +114,75 @@ class McSampler:
     ``fn`` takes a (samples, draws_per_sample) array of uniforms; a spatial
     field for mc_affected_area instead takes (r, v, fading uniforms), with r
     the distance from the origin and v the angular uniform, and
-    ``draws_per_sample`` counts only the fading columns.
+    ``draws_per_sample`` counts only the fading columns.  ``fn`` must be a
+    pure function of its arguments: it may run on the calling thread or on
+    the estimate's helper thread, and each call gets one block of at most
+    _BLOCK consecutive samples of one chunk.
     """
 
     draws_per_sample: int
     fn: Callable[[np.ndarray], np.ndarray]
 
 
-def _fill_uniforms(cfg: McConfig, chunk_index: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the first rows of chunk ``chunk_index``'s uniforms.
-
-    Philox fills row by row, so the first rows are bit-for-bit those of a
-    full chunk: sample i keeps its uniforms whatever the sample count.
-    numpy releases the GIL while it fills.
-    """
+def _chunk_generator(cfg: McConfig, chunk_index: int) -> np.random.Generator:
+    """Chunk ``chunk_index``'s Philox generator.  Successive ``random(out=...)``
+    calls continue its stream: a chunk drawn in blocks has the bits of the
+    chunk drawn whole, and sample i its uniforms whatever the sample count."""
     key = np.array(
         [np.uint64(cfg.seed % 2 ** 64),
          (np.uint64(cfg.stream_id) << np.uint64(32)) | np.uint64(chunk_index)],
         dtype=np.uint64)
-    np.random.Generator(np.random.Philox(key=key)).random(out=out)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _chunk_sums(cfg: McConfig, cols: int, evaluate, dtypes, partials) -> List[float]:
     """Evaluate the sample stream chunk by chunk and total its partial sums.
 
-    ``evaluate`` maps a block of at most _BLOCK rows of uniforms to one array
-    per entry of ``dtypes``; the blocks of a chunk are written into one
-    buffer per dtype, ``partials`` reduces the chunk's filled buffers to a
-    tuple of floats, and those are added up in chunk order.  One helper
-    thread fills the next chunk's uniforms into the other of two buffers
-    while the calling thread evaluates the current one; it is joined before
-    this returns, also when ``evaluate`` raises.
+    The calling thread and one helper each take the next chunk index from a
+    shared counter and draw that chunk _BLOCK rows at a time into one
+    block-sized buffer.  ``evaluate`` maps each block to one array per entry
+    of ``dtypes``, written into the worker's chunk-sized buffers, and
+    ``partials`` reduces the filled buffers to the chunk's tuple of floats;
+    the tuples are added up in chunk order once the helper is joined.  The
+    helper runs in a copy of the caller's context, numpy's error state
+    included; the first exception of either worker stops both and is raised.
     """
     takes = [min(_CHUNK, cfg.samples - start) for start in range(0, cfg.samples, _CHUNK)]
-    uniforms = [np.empty((takes[0], cols)) for _ in takes[:2]]
-    outs = [np.empty(takes[0], dtype) for dtype in dtypes]
-    ready = threading.Semaphore(0)  # chunks filled by the helper, not yet evaluated
-    free = threading.Semaphore(1)   # buffers the helper may fill
-    stopping = threading.Event()
+    slots = [None] * len(takes)
+    chunks = iter(range(len(takes)))
+    lock = threading.Lock()
     failed = []
 
-    def prefetch():
+    def work():
         try:
-            for k in range(1, len(takes)):
-                free.acquire()
-                if stopping.is_set():
+            u = np.empty((min(_BLOCK, takes[0]), cols))
+            outs = [np.empty(takes[0], dtype) for dtype in dtypes]
+            while not failed:
+                with lock:
+                    k = next(chunks, None)
+                if k is None:
                     return
-                _fill_uniforms(cfg, k, uniforms[k % 2][:takes[k]])
-                ready.release()
-        except BaseException as exc:  # re-raised by the caller, which waits on `ready`
+                draw, take = _chunk_generator(cfg, k).random, takes[k]
+                for start in range(0, take, _BLOCK):
+                    block = u[:min(_BLOCK, take - start)]
+                    draw(out=block)
+                    for out, values in zip(outs, evaluate(block)):
+                        out[start:start + len(block)] = values
+                slots[k] = partials(*(out[:take] for out in outs))
+        except BaseException as exc:  # raised by the caller once both workers are done
             failed.append(exc)
-            ready.release()
 
-    helper = threading.Thread(target=prefetch)
+    helper = threading.Thread(target=contextvars.copy_context().run, args=(work,))
     helper.start()
-    totals = []
     try:
-        _fill_uniforms(cfg, 0, uniforms[0])
-        for k, take in enumerate(takes):
-            if k:
-                ready.acquire()
-                if failed:
-                    raise failed[0]
-            u = uniforms[k % 2][:take]
-            for start in range(0, take, _BLOCK):
-                block = slice(start, min(start + _BLOCK, take))
-                for out, values in zip(outs, evaluate(u[block])):
-                    out[block] = values
-            free.release()
-            part = partials(*(out[:take] for out in outs))
-            totals = [t + x for t, x in zip(totals or [0.0] * len(part), part)]
+        work()
     finally:
-        stopping.set()
-        free.release()
         helper.join()
+    if failed:
+        raise failed[0]
+    totals = [0.0] * len(slots[0])
+    for part in slots:
+        totals = [t + x for t, x in zip(totals, part)]
     return totals
 
 

@@ -29,8 +29,8 @@ from typing import List, Sequence
 import numpy as np
 
 from .link_p2p import LN2, GaseBreakdown, _footprint, optimal_inverse_snr
-from .mathkernel import (QuadratureSpec, bessel_k01, bessel_k1,
-                         integrate_semi_infinite_batch, scaled_e1, scaled_en)
+from .mathkernel import (QuadratureSpec, bessel_k01, integrate_semi_infinite_batch,
+                         one_minus_xk1, scaled_e1, scaled_en)
 from .propagation import PowerLevel, PropagationEnvironment, mean_snr, watts_of
 
 __all__ = [
@@ -111,11 +111,12 @@ def af_snr_pdf(a1: float, b1: float):
 
 
 def af_snr_cdf(a1: float, b1: float):
-    """cdf matching af_snr_pdf: F(g) = 1 - 2*b1*g*exp(-a1*g)*K1(2*b1*g)."""
+    """cdf matching af_snr_pdf: F(g) = 1 - 2*b1*g*exp(-a1*g)*K1(2*b1*g),
+    summed as (1 - exp(-a1*g)) + exp(-a1*g) (1 - z K1(z)), z = 2*b1*g, so
+    that it keeps its digits at small g, where both terms are small."""
     def cdf(g):
         g = np.asarray(g, dtype=float)
-        z = 2.0 * b1 * g
-        return 1.0 - z * np.exp(-a1 * g) * bessel_k1(z)
+        return -np.expm1(-a1 * g) + np.exp(-a1 * g) * one_minus_xk1(2.0 * b1 * g)
     return cdf
 
 

@@ -65,6 +65,17 @@ def underflow_config(kind, a, noise_dbm, power_dbm, i_th_dbm=None):
             + ("" if i_th_dbm is None else f"threshold.i_th_dbm = {i_th_dbm}\n"))
 
 
+def overflow_config(kind):
+    """d_p = d_s = 100 m and d0 = d_sp = d_ps = 1e160 m, whose d^a (a = 4)
+    overflows the float range: both interference ratios and the constraint
+    exponent c are inf."""
+    return (f"scenario.kind = {kind}\nenv.path_loss_exponent = 4\n"
+            "env.noise_dbm = -100\nenv.p_min_dbm = -100\n"
+            "geom.d_p = 100\ngeom.d_s = 100\ngeom.d_sp = 1e160\ngeom.d_ps = 1e160\n"
+            "geom.d0 = 1e160\npower.p1_dbm = 20\npower.p2_dbm = 20\n"
+            + ("threshold.i_th_dbm = -80\n" if kind == "cognitive" else ""))
+
+
 def footprint_scale(s):
     """L = d0 + the larger footprint radius, the product rule's length scale."""
     big = max(s.p1.watts, s.p2.watts) / s.env.p_min_w
@@ -371,6 +382,36 @@ class TestXChannel:
         values = dict(zip(header.split(","), map(float, row.split(","))))
         assert values["c_primary_bps_hz"] == values["c_secondary_bps_hz"] == 0.0
         assert values["area_parallel_m2"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["cognitive", "xchannel"])
+    def test_overflowing_interference_ratio_takes_its_limit(self, tmp_path, capsys, kind):
+        # (d_sp/d_p)^a and d_sp^a pass the float range, which raised
+        # OverflowError; in the limit the interference vanishes, and each pair
+        # is the point-to-point link of its own distance and power
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(overflow_config(kind))
+        assert cli.main(["eval", "--config", str(cfg)]) == 0
+        assert capsys.readouterr().err == ""
+        s, = cli._scenarios(parse_config(cfg.read_text()))
+        assert s.rho_p == s.rho_s == s.constraint_exponent == math.inf
+        c = (gase_cognitive(s) if kind == "cognitive" else gase_x_channel(s)).components
+        assert c.get("p_parallel", 1.0) == 1.0
+        for power, d, column in ((s.p1, s.d_p, "c_primary_bps_hz"),
+                                 (s.p2, s.d_s, "c_secondary_bps_hz")):
+            p2p = gase_p2p(P2pScenario(s.env, power, d))
+            assert c[column] == pytest.approx(p2p.capacity, rel=1e-15, abs=0.0)
+        # d0 = 1e160 m: the footprints do not overlap
+        singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
+        assert c["area_parallel_m2"] == pytest.approx(singles, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("rho", [1e300, math.inf])
+    def test_interference_integral_past_the_float_range(self, rho):
+        # n rho overflows: the integral is its rho -> inf limit exp(n) E1(n),
+        # which a finite rho this large meets to within 1/rho
+        n = 1e10
+        with mpmath.workdps(40):
+            ref = float(mpmath.exp(n) * mpmath.e1(n))
+        assert cg._interference_integral(rho, n) == pytest.approx(ref, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("rho,n", [(1e-300, 1e-10), (1e-200, 1e-120), (1e-30, 1e-3)])
     def test_small_interference_ratio_against_mpmath(self, rho, n):

@@ -93,6 +93,37 @@ power.p_r_dbm = 50
 protocol.relay = df
 """
 
+# AF with S = gbar_SD P{relay} about 4.6e-22, far below the coop quadrature's
+# former absolute floor of 1e-16; no sample of 20,000 chooses the relay
+COOP_RELAY_FLOOR_TEXT = """\
+scenario.kind = coop
+env.path_loss_exponent = 5.004318661231725
+env.noise_dbm = -11.136252953917364
+env.p_min_dbm = -2.2275133267462965e-14
+geom.d_sd = 2.616989453780738
+geom.d_sr = 26713.05069247967
+geom.d_rd = 2.616989453780738
+geom.theta = 0
+power.p_s_dbm = 8.652319531856939e-69
+power.p_r_dbm = -125.91934497731978
+protocol.relay = af
+"""
+
+# AF with gbar_SD about 2e-33: the direct-mode integral evaluates the relay-path
+# cdf at g near 1e-33, where 1 - z exp(-a1 g) K1(z) read rounding noise
+COOP_AF_TINY_DIRECT_TEXT = """\
+scenario.kind = coop
+env.path_loss_exponent = 9.283160501695114
+env.noise_dbm = -60.927621500502795
+env.p_min_dbm = -1.0345762465678097e-08
+geom.d_sd = 14963.55513281024
+geom.d_sr = 0.10679036629148236
+geom.d_rd = 2.4089625613414194
+power.p_s_dbm = 2.2250738585072014e-308
+power.p_r_dbm = 11.01570288928346
+protocol.relay = af
+"""
+
 # a = 1.5: GASE along the P_S = 60 dBm face falls and rises again, so that
 # face's far end (60, -40) dBm is a local maximum below the (-40, -40) dBm corner
 U_FACE_TEXT = """\
@@ -470,13 +501,36 @@ class TestCliCommands:
                 assert values[column] > 0
         assert self.run("verify", "--config", str(cfg), "--samples", "20000") == 0
         capsys.readouterr()
-        # with AF only the density normalisations fail: they normalise against
-        # gbar_SD - S, which loses its digits at this gbar_SD
+        # with AF the density normalisations read 0.999909 and 1.0000128 while
+        # the AF selection integral S (about 1e-31) stopped at an absolute
+        # quadrature floor of 1e-16; they normalise against S
         assert self.run("verify", "--config", str(cfg), "--samples", "20000",
-                        "--protocol", "af") == 2
+                        "--protocol", "af") == 0
         status = dict(line.split(",")[::6] for line in capsys.readouterr().out.splitlines()[1:])
-        assert {name for name, value in status.items() if value == "FAIL"} == {
-            "density_direct_normalization", "density_relay_normalization"}
+        assert status["density_direct_normalization"] == "pass"
+        assert status["density_relay_normalization"] == "pass"
+
+    def test_coop_relay_weight_below_the_absolute_floor(self, tmp_path, capsys):
+        # the floor ended S 1.1e-5 short: eval printed c_relay 1.31921157997e-21
+        # and density_relay_normalization read 1.00001128 (FAIL)
+        cfg = tmp_path / "floor.cfg"
+        cfg.write_text(COOP_RELAY_FLOOR_TEXT)
+        assert self.run("eval", "--config", str(cfg)) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(","), row.split(",")))["c_relay_bps_hz"] == "1.31845108864e-21"
+        # c_relay_vs_mc still fails: its oracle is NaN, as no sample chose the relay
+        assert self.run("verify", "--config", str(cfg), "--samples", "20000") == 2
+        status = dict(line.split(",")[::6] for line in capsys.readouterr().out.splitlines()[1:])
+        assert status.pop("c_relay_vs_mc") == "FAIL"
+        assert set(status.values()) == {"pass"}
+
+    def test_coop_direct_mode_at_tiny_mean_snr(self, tmp_path, capsys):
+        # with no absolute floor the direct-mode quadrature ran into its
+        # subdivision limit on the noise of the relay-path cdf (exit 3)
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(COOP_AF_TINY_DIRECT_TEXT)
+        assert self.run("eval", "--config", str(cfg)) == 0
+        assert capsys.readouterr().err == ""
 
     def test_verification_failure_exit_code(self, monkeypatch, tmp_path):
         failed = cli.VerifyCheck("synthetic", 1.0, 2.0, 0.1, 0.05)

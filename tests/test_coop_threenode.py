@@ -7,6 +7,7 @@ import pytest
 from scipy import integrate as sci_integrate
 from scipy import special as sci_special
 
+from gase import coop_threenode as coop
 from gase.coop_threenode import (CoopScenario, af_selection_integral, conditional_snr_pdfs,
                                  gase_coop, special_integral_D)
 from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
@@ -198,6 +199,25 @@ class TestConditionalCapacities:
         unconditional = scaled_e1(1e-6) / LN2
         assert c_d == pytest.approx(unconditional, rel=0.01)
 
+    def test_af_relay_weight_below_the_absolute_floor(self, monkeypatch):
+        # S = gbar_SD P{relay} is about 4.6e-22 here: an absolute quadrature
+        # floor of 1e-16 ended its integral 1.1e-5 short, and c_relay and the
+        # relay density's normalisation carried that error
+        env = PropagationEnvironment.from_dbm(5.004318661231725, -11.136252953917364,
+                                              -2.2275133267462965e-14)
+        s = CoopScenario(env, PowerLevel.from_dbm(8.652319531856939e-69),
+                         PowerLevel.from_dbm(-125.91934497731978),
+                         2.616989453780738, 26713.05069247967, 2.616989453780738)
+        sel = af_selection_integral(s)
+        c_relay = column(s, RelayProtocol.AF, "c_relay_bps_hz")
+        _, (relay_pdf, scale) = conditional_snr_pdfs(s, RelayProtocol.AF)
+        assert integrate_semi_infinite(relay_pdf, QuadratureSpec(1e-9, 1e-14),
+                                       scale=scale).value == pytest.approx(1.0, abs=1e-6)
+        monkeypatch.setattr(coop, "_CAP_SPEC", QuadratureSpec(rel_tol=1e-12, abs_tol=0.0))
+        assert sel == pytest.approx(af_selection_integral(s), rel=1e-8, abs=0.0)
+        assert c_relay == pytest.approx(column(s, RelayProtocol.AF, "c_relay_bps_hz"),
+                                        rel=1e-8, abs=0.0)
+
     @pytest.mark.parametrize("protocol,capacity,c_direct,c_relay", [
         (RelayProtocol.DF, 2.7418009221837384e-31, 5.950128673165683e-32,
          2.990449445064834e-31),
@@ -206,14 +226,13 @@ class TestConditionalCapacities:
     def test_capacities_at_low_snr(self, protocol, capacity, c_direct, c_relay):
         # mean SNRs near 1e-31: log2(1 + g) and sqrt(1 + g) - 1 both read 0
         # there, which made every capacity exactly 0.  References: the same
-        # integrals at rel_tol 1e-12 and abs_tol 0; the remaining gap is the
-        # capacity quadrature's absolute-tolerance floor
+        # integrals at rel_tol 1e-12 and abs_tol 0
         env = PropagationEnvironment.from_dbm(5.11, 73.7, -90.0)
         p = PowerLevel.from_dbm(50.0)
         r = gase_coop(CoopScenario(env, p, p, 5.4e5, 2.7e5, 2.7e5), protocol)
-        assert r.components["capacity_bps_hz"] == pytest.approx(capacity, rel=1e-3)
-        assert r.components["c_direct_bps_hz"] == pytest.approx(c_direct, rel=1e-3)
-        assert r.components["c_relay_bps_hz"] == pytest.approx(c_relay, rel=1e-3)
+        assert r.components["capacity_bps_hz"] == pytest.approx(capacity, rel=1e-8, abs=0.0)
+        assert r.components["c_direct_bps_hz"] == pytest.approx(c_direct, rel=1e-8, abs=0.0)
+        assert r.components["c_relay_bps_hz"] == pytest.approx(c_relay, rel=1e-8, abs=0.0)
         assert r.gase > 0
 
     def test_relay_capacity_grows_with_uniform_snr_scaling(self):

@@ -2,14 +2,18 @@
 the benchmark harness under ``bench/`` looks up."""
 
 import ast
+import functools
 import importlib
+import importlib.util
 import pkgutil
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gase
+from gase import cli
 from gase import cognitive_underlay as cg
 from gase import coop_threenode as coop
 from gase import mathkernel as mk
@@ -93,3 +97,45 @@ def test_benchmark_calls_accept_their_arguments():
         PropagationEnvironment.from_dbm(4.0, -100.0, -90.0), 500.0, 500.0,
         PowerLevel.from_dbm(30.0), relay.RelayProtocol.AF, span_decades=0.5, tol=3e-2)
     assert eta > 0.0
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    """bench/tracing.py, imported by path; it imports bench/speed.py as ``speed``."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    monkeypatch.syspath_prepend(str(bench))
+    spec = importlib.util.spec_from_file_location("bench_tracing", bench / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flags", [("--preset", "fig6"), ("--preset", "fig4", "--protocol", "af")])
+def test_traced_verify_keeps_its_spans_on_the_calling_thread(tracing, capsys, flags):
+    # the tracer keeps one span stack for the process: a wrapped function
+    # called on the Monte Carlo helper thread would interleave two threads' spans
+    args = ["verify", *flags, "--samples", "20000"]
+    untraced = cli.main(args), capsys.readouterr().out
+    threads = []
+
+    class ThreadRecordingTracer(tracing.Tracer):
+        def _wrap(self, name, fn):
+            traced = super()._wrap(name, fn)
+
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                threads.append(threading.get_ident())
+                return traced(*args, **kwargs)
+
+            return wrapper
+
+    tracer = ThreadRecordingTracer()
+    tracer.install()
+    try:
+        with tracer.root(0):
+            traced = cli.main(args), capsys.readouterr().out
+    finally:
+        tracer.restore()
+    assert threads and set(threads) == {threading.get_ident()}
+    assert tracing.span_accounting_error(tracer.spans) < 1e-6
+    assert traced == untraced

@@ -14,7 +14,8 @@ from gase import mathkernel
 from gase.mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
                              bessel_k0, bessel_k01, bessel_k1, erfcx, find_root_bracketed,
                              integrate, integrate_batch, integrate_semi_infinite,
-                             integrate_semi_infinite_batch, scaled_e1, scaled_en)
+                             integrate_semi_infinite_batch, one_minus_xk1, scaled_e1,
+                             scaled_en)
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 EULER_GAMMA = 0.5772156649015328606
@@ -164,8 +165,20 @@ class TestBesselK:
             deriv = (bessel_k0(x + h) - bessel_k0(x - h)) / (2 * h)
             assert deriv == pytest.approx(-bessel_k1(x), rel=1e-6)
 
+    def test_one_minus_xk1_against_mpmath(self):
+        # 1 - x K1(x) -> 0 as x -> 0, where the difference of the two cancels;
+        # x = 2 and its neighbours straddle the joint of the two branches
+        xs = [1e-30, 1e-20, 1e-8, 1e-3, 0.5, 1.99, 2.0, 2.01, 5.0, 30.0, 700.0]
+        ref = []
+        for x in xs:  # 1 - x K1(x) is about x^2 ln(1/x): twice x's decades, and 40 more
+            with mpmath.workdps(40 + 2 * max(0, -math.floor(math.log10(x)))):
+                ref.append(float(1 - mpmath.mpf(x) * mpmath.besselk(1, x)))
+        got = one_minus_xk1(np.array(xs))
+        assert np.max(np.abs(got / ref - 1.0)) <= 4e-15
+        assert one_minus_xk1(1e-8) == got[2]
+
     def test_domain_error(self):
-        for fn in (bessel_k0, bessel_k1):
+        for fn in (bessel_k0, bessel_k1, one_minus_xk1):
             for bad in (0.0, -2.0, math.nan, math.inf, np.array([1.0, math.nan]),
                         np.array([1.0, math.inf])):
                 with pytest.raises(ValueError):

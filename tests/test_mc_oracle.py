@@ -33,19 +33,10 @@ class TestDeterminism:
         b = mc_ergodic_capacity(p2p_snr_sampler(10.0), McConfig(100_000, 5, 1))
         assert a.mean != b.mean
 
-    def test_sample_prefix_stability(self):
+    def test_sample_prefix_stability(self, monkeypatch):
         # sample i depends only on (seed, stream, i), not on the total count;
         # both counts end mid-chunk, and 70,000 ends where 140,000 has a full chunk
-        seen = {}
-        for n in (70_000, 140_000):
-            rows = []
-
-            def record(u):
-                rows.append(u.copy())
-                return u[:, 0] < 0.25
-
-            mc_mode_probability(McSampler(2, record), McConfig(n, 9, 3))
-            seen[n] = np.concatenate(rows)
+        seen = {n: drawn_uniforms(monkeypatch, McConfig(n, 9, 3), 2) for n in (70_000, 140_000)}
         assert seen[70_000].shape == (70_000, 2)
         np.testing.assert_array_equal(seen[140_000][:70_000], seen[70_000])
         # the stream layout: chunk k of stream s is Philox keyed (seed, s << 32 | k)
@@ -66,6 +57,29 @@ def chunk_uniforms(cfg, cols):
         key = [cfg.seed, (cfg.stream_id << 32) | k]
         yield np.random.Generator(np.random.Philox(key=key)).random(
             (min(1 << 16, cfg.samples - start), cols))
+
+
+def drawn_uniforms(monkeypatch, cfg, cols):
+    """The uniforms that a mode-probability estimate draws, in stream order.
+
+    Each chunk's generator records the blocks drawn from it; one thread draws
+    a chunk's blocks in order, so they concatenate to the chunk."""
+    blocks = {}
+    generator = mc_oracle._chunk_generator
+
+    class Recording:
+        def __init__(self, cfg, chunk_index):
+            self.gen = generator(cfg, chunk_index)
+            self.blocks = blocks.setdefault(chunk_index, [])
+
+        def random(self, out):
+            self.gen.random(out=out)
+            self.blocks.append(out.copy())
+
+    monkeypatch.setattr(mc_oracle, "_chunk_generator", Recording)
+    mc_mode_probability(McSampler(cols, lambda u: u[:, 0] < 0.25), cfg)
+    monkeypatch.undo()
+    return np.concatenate([np.concatenate(blocks[k]) for k in sorted(blocks)])
 
 
 def plain_chunk_sums(cfg, cols, evaluate, dtypes, partials):
@@ -107,7 +121,7 @@ class TestChunkLoop:
         # (an empty conditional mode of mc_coop_summary)
         assert repr(blocked) == repr(plain)
 
-    def test_callbacks_run_on_the_calling_thread_in_sample_order(self):
+    def test_callbacks_get_each_block_once_and_a_chunk_in_order_on_one_thread(self):
         baseline = threading.active_count()
         calls = []
 
@@ -117,10 +131,38 @@ class TestChunkLoop:
 
         cfg = McConfig(140_000, 9, 3)
         mc_ergodic_capacity(McSampler(2, record), cfg)
-        assert {ident for ident, _ in calls} == {threading.get_ident()}
-        np.testing.assert_array_equal(np.concatenate([u for _, u in calls]),
-                                      np.concatenate(list(chunk_uniforms(cfg, 2))))
         assert threading.active_count() == baseline
+        # every call is one whole block of one chunk, and the calls cover the stream once
+        blocks = {chunk[start:start + (1 << 13)].tobytes(): (k, start)
+                  for k, chunk in enumerate(chunk_uniforms(cfg, 2))
+                  for start in range(0, len(chunk), 1 << 13)}
+        got = [(blocks[u.tobytes()], ident) for ident, u in calls]
+        assert sorted(place for place, _ in got) == sorted(blocks.values())
+        # one thread evaluates a chunk's blocks in order; at most two threads in all
+        for k in {k for (k, _), _ in got}:
+            mine = [(start, ident) for (chunk, start), ident in got if chunk == k]
+            assert [start for start, _ in mine] == sorted(start for start, _ in mine)
+            assert len({ident for _, ident in mine}) == 1
+        assert len({ident for _, ident in got}) <= 2
+
+    def test_the_helper_keeps_the_callers_numpy_error_state(self):
+        # the caller's first block waits until the helper has taken a chunk,
+        # and only the helper overflows: errstate(over="raise") must reach it
+        caller = threading.get_ident()
+        helper_started, waited = threading.Event(), []
+
+        def overflow_off_the_caller(u):
+            if threading.get_ident() != caller:
+                helper_started.set()
+                return np.exp(np.full(len(u), 1e3))
+            if not waited:
+                waited.append(helper_started.wait(timeout=10))
+            return u[:, 0]
+
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            mc_ergodic_capacity(McSampler(1, overflow_off_the_caller), McConfig(3 << 16, 9, 3))
+        # the caller evaluates nothing if the helper has failed before it starts
+        assert helper_started.is_set() and False not in waited
 
     @pytest.mark.parametrize("fail_at", [0, 70_000, 139_999])
     def test_a_raising_callback_leaves_no_thread(self, fail_at):
@@ -164,14 +206,16 @@ class TestChunkLoop:
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch):
         baseline = threading.active_count()
         error = MemoryError("draw failed")
-        fill = mc_oracle._fill_uniforms
+        generator = mc_oracle._chunk_generator
 
-        def failing(cfg, chunk_index, out):
-            if chunk_index == 2:
+        class FailingDraw:
+            def random(self, out):
                 raise error
-            fill(cfg, chunk_index, out)
 
-        monkeypatch.setattr(mc_oracle, "_fill_uniforms", failing)
+        def failing(cfg, chunk_index):
+            return FailingDraw() if chunk_index == 2 else generator(cfg, chunk_index)
+
+        monkeypatch.setattr(mc_oracle, "_chunk_generator", failing)
         with pytest.raises(MemoryError) as excinfo:
             mc_ergodic_capacity(p2p_snr_sampler(1.0), McConfig(200_000, 9, 3))
         assert excinfo.value is error

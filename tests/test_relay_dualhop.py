@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -188,6 +189,17 @@ class TestAfDensity:
         harm = 10 * z[:, 0] * 10 * z[:, 1] / (10 * z[:, 0] + 10 * z[:, 1])
         median = float(np.median(harm))
         assert af_snr_cdf(a1, b1)(median) == pytest.approx(0.5, abs=0.01)
+
+
+    @pytest.mark.parametrize("g", [1e-40, 1e-20, 1e-8, 1e-2, 1.0, 30.0])
+    def test_cdf_keeps_its_digits_at_small_snr(self, g):
+        # 1 - z exp(-a1 g) K1(z), z = 2 b1 g, cancels as g -> 0, where it read
+        # rounding noise of 1e-16 instead of about a1 g
+        a1, b1 = 0.2, 0.1
+        with mpmath.workdps(120):
+            x, z = mpmath.mpf(g), 2 * mpmath.mpf(b1) * mpmath.mpf(g)
+            ref = float(1 - z * mpmath.exp(-mpmath.mpf(a1) * x) * mpmath.besselk(1, z))
+        assert af_snr_cdf(a1, b1)(g) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestAfCapacity:
