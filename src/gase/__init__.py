@@ -15,8 +15,7 @@ from .cognitive_underlay import (CognitiveScenario, affected_area_parallel,
                                  primary_capacity_parallel, prob_parallel,
                                  secondary_capacity_parallel,
                                  x_channel_primary_capacity)
-from .config import (ConfigError, ScenarioConfig, load_preset, parse_config,
-                     preset_names, render_config)
+from .config import ConfigError, ScenarioConfig, load_preset, parse_config, preset_names
 from .coop_threenode import CoopScenario, gase_coop, special_integral_D
 from .link_p2p import (GaseBreakdown, NoInteriorOptimumError, P2pScenario,
                        ergodic_capacity_p2p, gase_p2p, optimal_power_p2p)

@@ -41,9 +41,9 @@ from . import coop_threenode as coop
 from . import link_p2p as p2p
 from . import mc_oracle as mc
 from . import relay_dualhop as relay
-from .config import (DEFAULT_SAMPLES, DEFAULT_SEED, ConfigError, ScenarioConfig,
+from .config import (DEFAULT_SAMPLES, DEFAULT_SEED, KINDS, ConfigError, ScenarioConfig,
                      derive_kind, load_preset, parse_config, preset_names)
-from .mathkernel import QuadratureSpec, integrate_semi_infinite
+from .mathkernel import QuadratureSpec, integrate, integrate_semi_infinite
 from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
                           dbm_to_watts, mean_snr)
 
@@ -192,9 +192,12 @@ def _area_check(name, env, field, total_power, closed, mc_cfg, d0=0.0):
     return VerifyCheck(name, closed, est.mean, est.std_error, 3.0 * est.std_error)
 
 
-def _density_normalization(name, pdf, scale):
-    total = integrate_semi_infinite(pdf, QuadratureSpec(rel_tol=1e-9, abs_tol=1e-14),
-                                    scale=scale).value
+def _density_normalization(name, pdf, scale, rise):
+    # [0, 50 min(rise, scale)] on its own, so that a factor rising on the other
+    # mode's much shorter scale is sampled, then the rest on the tail's scale
+    spec, split = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0), 50.0 * min(rise, scale)
+    total = (integrate(pdf, 0.0, split, spec).value
+             + integrate_semi_infinite(lambda t: pdf(split + t), spec, scale=scale).value)
     return VerifyCheck(name, total, 1.0, 0.0, 1e-6)
 
 
@@ -243,9 +246,11 @@ def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyC
                                   ("total_capacity_vs_mc", "c_inst", "capacity_bps_hz")):
             yield VerifyCheck(name, c[column], out[key].mean, out[key].std_error,
                               3 * out[key].std_error)
-        direct, relay_mode = coop.conditional_snr_pdfs(s, protocol)
-        yield _density_normalization("density_direct_normalization", *direct)
-        yield _density_normalization("density_relay_normalization", *relay_mode)
+        (direct, direct_scale), (relay_pdf, relay_scale) = coop.conditional_snr_pdfs(s, protocol)
+        yield _density_normalization("density_direct_normalization", direct, direct_scale,
+                                     relay_scale)
+        yield _density_normalization("density_relay_normalization", relay_pdf, relay_scale,
+                                     direct_scale)
 
     else:  # cognitive / xchannel
         if cfg.kind == "cognitive":
@@ -324,7 +329,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--seed", type=int, help="Monte Carlo seed override")
     common.add_argument("--samples", type=_positive_int,
                         help="Monte Carlo sample count override")
-    common.add_argument("--kind", choices=("p2p", "dualhop", "coop", "cognitive", "xchannel"),
+    common.add_argument("--kind", choices=KINDS,
                         help="re-target the config at another scenario kind")
     common.add_argument("--protocol", choices=("df", "af"), help="relay protocol override")
     common.add_argument("--workers", type=int, default=1,

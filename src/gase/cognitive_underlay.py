@@ -73,7 +73,7 @@ __all__ = [
 _TAYLOR_BAND = 0.05
 _TAYLOR_TERMS = 14
 
-_AREA_SPEC = QuadratureSpec(rel_tol=2e-5, abs_tol=0.0, max_subdivisions=4000)
+_AREA_TOL = 2e-5   # relative tolerance of the parallel affected area
 
 # Below this fraction of the unconstrained capacity the joint closed form of
 # the primary has lost over 3 digits to cancellation, and the conditional
@@ -325,7 +325,7 @@ def affected_area_parallel(s: CognitiveScenario) -> float:
     panel) make up half of the total; the quarters are strips in u where the
     correction barely depends on theta (r <= d0/8 or r >= 8 d0).
     """
-    env, a, tol = s.env, s.env.path_loss_exponent, _AREA_SPEC.rel_tol
+    env, a, tol = s.env, s.env.path_loss_exponent, _AREA_TOL
     area1, area2 = affected_area_single(env, s.p1), affected_area_single(env, s.p2)
     singles = area1 + area2
     radius1, radius2 = ((p.watts / env.p_min_w * max(1.0, 2.0 / a)) ** (1.0 / a)

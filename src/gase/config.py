@@ -7,8 +7,7 @@ Grammar (one statement per line):
 
 Values are numbers or bare words; blank lines are ignored.  Parsing collects
 every diagnostic (unknown key, missing key, violated invariant) with its line
-number instead of stopping at the first.  ``render`` emits the canonical text
-for a config and round-trips exactly through ``parse_config``.
+number instead of stopping at the first.
 
 The built-in presets carry the figure parameter sets used throughout the test
 suite and are exposed by name (fig1, fig3, fig4, fig6, fig7a, fig7b).
@@ -18,50 +17,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 __all__ = [
     "ScenarioConfig",
     "SweepBlock",
     "ConfigError",
     "parse_config",
-    "render_config",
     "preset_names",
     "load_preset",
     "derive_kind",
 ]
 
-KINDS = ("p2p", "dualhop", "coop", "cognitive", "xchannel")
 
-# geometry / power keys required (or optionally accepted) per scenario kind
-_GEOM_KEYS = {
-    "p2p": {"required": ("d",), "optional": ("theta",)},
-    "dualhop": {"required": ("d_sr", "d_rd"), "optional": ("d_sd", "theta")},
-    "coop": {"required": ("d_sd", "d_sr", "d_rd"), "optional": ("theta",)},
-    "cognitive": {"required": ("d_p", "d_s", "d_sp", "d_ps", "d0"), "optional": ()},
-    "xchannel": {"required": ("d_p", "d_s", "d_sp", "d_ps", "d0"), "optional": ()},
+class _Kind(NamedTuple):
+    """The config keys of one scenario kind."""
+
+    geom: Tuple[str, ...]           # required geom keys
+    optional_geom: Tuple[str, ...]
+    powers: Tuple[str, ...]         # required power keys
+    sweepable: Tuple[str, ...]      # valid sweep.parameter values
+    default: str                    # the parameter an eval reports without a sweep
+
+
+_KINDS = {
+    "p2p": _Kind(("d",), ("theta",), ("p_t_dbm",), ("p_t_dbm",), "p_t_dbm"),
+    "dualhop": _Kind(("d_sr", "d_rd"), ("d_sd", "theta"), ("p_s_dbm", "p_r_dbm"),
+                     ("p_t_dbm", "p_s_dbm", "p_r_dbm"), "p_s_dbm"),
+    "coop": _Kind(("d_sd", "d_sr", "d_rd"), ("theta",), ("p_s_dbm", "p_r_dbm"),
+                  ("p_s_dbm", "p_r_dbm"), "p_s_dbm"),
+    "cognitive": _Kind(("d_p", "d_s", "d_sp", "d_ps", "d0"), (), ("p1_dbm", "p2_dbm"),
+                       ("i_th_dbm", "p1_dbm", "p2_dbm"), "i_th_dbm"),
+    "xchannel": _Kind(("d_p", "d_s", "d_sp", "d_ps", "d0"), (), ("p1_dbm", "p2_dbm"),
+                      ("p1_dbm", "p2_dbm"), "p2_dbm"),
 }
-_POWER_KEYS = {
-    "p2p": ("p_t_dbm",),
-    "dualhop": ("p_s_dbm", "p_r_dbm"),
-    "coop": ("p_s_dbm", "p_r_dbm"),
-    "cognitive": ("p1_dbm", "p2_dbm"),
-    "xchannel": ("p1_dbm", "p2_dbm"),
-}
-SWEEPABLE = {
-    "p2p": ("p_t_dbm",),
-    "dualhop": ("p_t_dbm", "p_s_dbm", "p_r_dbm"),
-    "coop": ("p_s_dbm", "p_r_dbm"),
-    "cognitive": ("i_th_dbm", "p1_dbm", "p2_dbm"),
-    "xchannel": ("p1_dbm", "p2_dbm"),
-}
-DEFAULT_PARAMETER = {
-    "p2p": "p_t_dbm",
-    "dualhop": "p_s_dbm",
-    "coop": "p_s_dbm",
-    "cognitive": "i_th_dbm",
-    "xchannel": "p2_dbm",
-}
+KINDS = tuple(_KINDS)
 
 DEFAULT_SEED = 42
 DEFAULT_SAMPLES = 1_000_000
@@ -104,7 +94,7 @@ class ScenarioConfig:
     def default_parameter(self) -> str:
         if self.sweep is not None:
             return self.sweep.parameter
-        return DEFAULT_PARAMETER[self.kind]
+        return _KINDS[self.kind].default
 
     def parameter_value(self, name: str) -> float:
         if name == "i_th_dbm":
@@ -188,15 +178,15 @@ def parse_config(text: str) -> ScenarioConfig:
     geom_lines: Dict[str, int] = {}
 
     if kind is not None:
-        required = _GEOM_KEYS[kind]["required"]
-        for key in required + _GEOM_KEYS[kind]["optional"]:
+        required = _KINDS[kind].geom
+        for key in required + _KINDS[kind].optional_geom:
             val, ln = take_number(f"geom.{key}", required=key in required)
             if val is not None:
                 if key != "theta" and val <= 0:
                     errors.append((ln, f"geom.{key} must be > 0"))
                 geometry[key] = float(val)
                 geom_lines[key] = ln
-        for key in _POWER_KEYS[kind]:
+        for key in _KINDS[kind].powers:
             val, _ = take_number(f"power.{key}", required=True)
             if val is not None:
                 power[key] = float(val)
@@ -250,10 +240,10 @@ def parse_config(text: str) -> ScenarioConfig:
                 errors.append((sweep_items["start"][1],
                                "log spacing requires start and stop of the same sign"))
             param = sweep_param[1]
-            if kind is not None and param not in SWEEPABLE[kind]:
+            if kind is not None and param not in _KINDS[kind].sweepable:
                 errors.append((sweep_param[0],
                                f"sweep parameter {param!r} not valid for kind {kind}; "
-                               f"expected one of {', '.join(SWEEPABLE[kind])}"))
+                               f"expected one of {', '.join(_KINDS[kind].sweepable)}"))
             if not errors:
                 sweep = SweepBlock(param, float(start), float(stop), int(pts), spacing)
 
@@ -287,81 +277,34 @@ def parse_config(text: str) -> ScenarioConfig:
     )
 
 
-def _fmt(value: float) -> str:
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def render_config(cfg: ScenarioConfig) -> str:
-    """Canonical text for a config; parse_config(render_config(cfg)) == cfg."""
-    lines = [f"scenario.kind = {cfg.kind}",
-             f"env.path_loss_exponent = {_fmt(cfg.path_loss_exponent)}",
-             f"env.noise_dbm = {_fmt(cfg.noise_dbm)}",
-             f"env.p_min_dbm = {_fmt(cfg.p_min_dbm)}"]
-    order = _GEOM_KEYS[cfg.kind]["required"] + _GEOM_KEYS[cfg.kind]["optional"]
-    for key in order:
-        if key in cfg.geometry:
-            lines.append(f"geom.{key} = {_fmt(cfg.geometry[key])}")
-    for key in _POWER_KEYS[cfg.kind]:
-        lines.append(f"power.{key} = {_fmt(cfg.power_dbm[key])}")
-    if cfg.protocol is not None:
-        lines.append(f"protocol.relay = {cfg.protocol}")
-    if cfg.i_th_dbm is not None:
-        lines.append(f"threshold.i_th_dbm = {_fmt(cfg.i_th_dbm)}")
-    if cfg.sweep is not None:
-        s = cfg.sweep
-        lines += [f"sweep.parameter = {s.parameter}",
-                  f"sweep.start = {_fmt(s.start)}",
-                  f"sweep.stop = {_fmt(s.stop)}",
-                  f"sweep.points = {s.points}",
-                  f"sweep.spacing = {s.spacing}"]
-    if cfg.mc_samples is not None:
-        lines.append(f"mc.samples = {cfg.mc_samples}")
-    if cfg.mc_seed is not None:
-        lines.append(f"mc.seed = {cfg.mc_seed}")
-    if cfg.p_max_dbm is not None:
-        lines.append(f"optimize.p_max_dbm = {_fmt(cfg.p_max_dbm)}")
-    return "\n".join(lines) + "\n"
-
-
 def derive_kind(cfg: ScenarioConfig, new_kind: str) -> ScenarioConfig:
     """Re-target a config at another scenario kind for comparison runs.
 
     Supports the relay/cooperative -> p2p collapse (direct-link distance taken
-    from geom.d_sd, transmit power from the source power) and
-    cognitive <-> xchannel.  Anything else re-validates from scratch and will
-    surface missing keys.
+    from geom.d_sd, transmit power from the source power, a power sweep
+    taken as a p_t_dbm sweep) and cognitive -> xchannel (the threshold
+    dropped); every other pair raises ConfigError.  The result only
+    recombines values of cfg, so a config from parse_config gives a valid
+    one.  Nothing else is validated here: a hand-built cfg is validated where
+    its result is evaluated, as one used without re-targeting is.
     """
     if new_kind == cfg.kind:
         return cfg
     if new_kind not in KINDS:
         raise ConfigError([(0, f"unknown scenario kind {new_kind!r}")])
-    geometry = dict(cfg.geometry)
-    power = dict(cfg.power_dbm)
-    protocol = cfg.protocol
-    i_th = cfg.i_th_dbm
-    sweep = cfg.sweep
     if new_kind == "p2p" and cfg.kind in ("dualhop", "coop"):
-        if "d_sd" not in geometry:
+        if "d_sd" not in cfg.geometry:
             raise ConfigError([(0, "kind override to p2p requires geom.d_sd")])
-        geometry = {"d": geometry["d_sd"]}
-        power = {"p_t_dbm": power["p_s_dbm"]}
-        protocol = None
-        if sweep is not None and sweep.parameter != "i_th_dbm":
-            sweep = replace(sweep, parameter="p_t_dbm")
-    elif new_kind == "xchannel" and cfg.kind == "cognitive":
-        i_th = None
-        if sweep is not None and sweep.parameter == "i_th_dbm":
+        return replace(cfg, kind=new_kind, geometry={"d": cfg.geometry["d_sd"]},
+                       power_dbm={"p_t_dbm": cfg.power_dbm["p_s_dbm"]}, protocol=None,
+                       sweep=cfg.sweep and replace(cfg.sweep, parameter="p_t_dbm"))
+    if new_kind == "xchannel" and cfg.kind == "cognitive":
+        if cfg.sweep is not None and cfg.sweep.parameter == "i_th_dbm":
             raise ConfigError([(0, "an i_th sweep cannot be re-targeted at xchannel")])
-    elif new_kind == "cognitive" and cfg.kind == "xchannel":
+        return replace(cfg, kind=new_kind, i_th_dbm=None)
+    if new_kind == "cognitive" and cfg.kind == "xchannel":
         raise ConfigError([(0, "xchannel -> cognitive override needs threshold.i_th_dbm")])
-    else:
-        raise ConfigError([(0, f"cannot derive kind {new_kind} from {cfg.kind}")])
-    out = replace(cfg, kind=new_kind, geometry=geometry, power_dbm=power,
-                  protocol=protocol, i_th_dbm=i_th, sweep=sweep)
-    # re-validate through the canonical text
-    return parse_config(render_config(out))
+    raise ConfigError([(0, f"cannot derive kind {new_kind} from {cfg.kind}")])
 
 
 # ---------------------------------------------------------------------------

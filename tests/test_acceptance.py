@@ -14,6 +14,7 @@ strict-xfail so the gap stays visible without masking regressions:
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -215,13 +216,6 @@ def test_criterion_5_dualhop_af():
 # 6. Fig. 3 shape properties
 # ---------------------------------------------------------------------------
 
-def _with_protocol(cfg, protocol):
-    from dataclasses import replace
-
-    from gase.config import parse_config, render_config
-    return parse_config(render_config(replace(cfg, protocol=protocol)))
-
-
 def sweep_columns(cfg):
     """cli.run_sweep of cfg as {column name: values in sweep order}."""
     header, rows = cli.run_sweep(cfg)
@@ -232,7 +226,7 @@ def test_criterion_6_fig3_shapes():
     start = time.monotonic()
     fig3 = load_preset("fig3")
     df = sweep_columns(fig3)
-    af = sweep_columns(_with_protocol(fig3, "af"))
+    af = sweep_columns(replace(fig3, protocol="af"))
     p2p = sweep_columns(derive_kind(fig3, "p2p"))
 
     powers = df[fig3.sweep.parameter]
@@ -299,7 +293,7 @@ def test_criterion_7_cooperative_consistency():
 def test_criterion_8_fig4_shapes():
     fig4 = load_preset("fig4")
     df = sweep_columns(fig4)
-    af = sweep_columns(_with_protocol(fig4, "af"))
+    af = sweep_columns(replace(fig4, protocol="af"))
     p2p = sweep_columns(derive_kind(fig4, "p2p"))
 
     df_gase = np.array(df["gase_bps_hz_m2"])
