@@ -196,6 +196,45 @@ GOLDEN_FIG4_EVAL = (
     "2.00000000000e+01,6.44033323588e-01,3.55966676412e-01,1.13341436899e+00,"
     "7.69218280332e-01,1.00377269775e+00,2.78416399842e+05,8.80429961444e+04,"
     "4.66856797636e-06\n")
+# verify --samples 20000 --seed 7: these three run every oracle function that
+# verify calls, and each kind of band (3 sigma, the 3 % model row, the density
+# normalisations and the parallel-area floor)
+GOLDEN_FIG3_AF_VERIFY = (
+    "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
+    "capacity_af_vs_harmonic_mc,2.57239084715e+00,2.56904968145e+00,5.33206352191e-03,"
+    "3.34116569982e-03,1.59961905657e-02,pass\n"
+    "capacity_af_vs_exact_mc,2.57239084715e+00,2.56137206782e+00,5.34517214089e-03,"
+    "1.10187793250e-02,7.68411620347e-02,pass\n"
+    "area_sr_vs_spatial_mc,2.78416399842e+06,2.75969846709e+06,5.02708542325e+04,"
+    "2.44655313265e+04,1.50812562697e+05,pass\n"
+    "area_rd_vs_spatial_mc,2.78416399842e+06,2.76812824477e+06,5.03359862495e+04,"
+    "1.60357536493e+04,1.51007958749e+05,pass\n")
+GOLDEN_FIG4_VERIFY = (
+    "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
+    "p_direct_vs_mc,6.44033323588e-01,6.40350000000e-01,3.39338973226e-03,"
+    "3.68332358752e-03,1.01801691968e-02,pass\n"
+    "c_direct_vs_mc,1.13341436899e+00,1.12695217260e+00,4.98015325942e-03,"
+    "6.46219639488e-03,1.49404597783e-02,pass\n"
+    "c_relay_vs_mc,7.69218280332e-01,7.65645756604e-01,4.04832405970e-03,"
+    "3.57252372749e-03,1.21449721791e-02,pass\n"
+    "total_capacity_vs_mc,1.00377269775e+00,9.97008320086e-01,3.71390193174e-03,"
+    "6.76437766391e-03,1.11417057952e-02,pass\n"
+    "density_direct_normalization,1.00000000000e+00,1.00000000000e+00,0.00000000000e+00,"
+    "0.00000000000e+00,1.00000000000e-06,pass\n"
+    "density_relay_normalization,1.00000000000e+00,1.00000000000e+00,0.00000000000e+00,"
+    "0.00000000000e+00,1.00000000000e-06,pass\n")
+GOLDEN_FIG6_VERIFY = (
+    "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
+    "p_parallel_vs_mc,4.93649081413e-02,4.94500000000e-02,1.53304757754e-03,"
+    "8.50918586985e-05,4.59914273262e-03,pass\n"
+    "c_primary_vs_mc,7.23027812293e+00,7.23490264965e+00,1.53667092448e-02,"
+    "4.62452672006e-03,4.61001277343e-02,pass\n"
+    "c_secondary_vs_mc,2.91025164980e+00,2.92326079534e+00,1.39046230600e-02,"
+    "1.30091455351e-02,4.17138691801e-02,pass\n"
+    "area_parallel_vs_spatial_mc,4.18668329033e+06,4.16351694331e+06,7.58096025322e+04,"
+    "2.31663470196e+04,2.27428807597e+05,pass\n"
+    "area_parallel_ge_singles,4.18668329033e+06,4.18668329033e+06,0.00000000000e+00,"
+    "0.00000000000e+00,4.18668329033e-03,pass\n")
 
 
 class TestParsing:
@@ -347,6 +386,14 @@ class TestCliCommands:
     def test_eval_golden_fig4(self, capsys):
         assert self.run("eval", "--preset", "fig4") == 0
         assert capsys.readouterr().out == GOLDEN_FIG4_EVAL
+
+    @pytest.mark.parametrize("flags,golden", [
+        (("--preset", "fig3", "--protocol", "af"), GOLDEN_FIG3_AF_VERIFY),
+        (("--preset", "fig4"), GOLDEN_FIG4_VERIFY),
+        (("--preset", "fig6"), GOLDEN_FIG6_VERIFY)])
+    def test_verify_golden(self, capsys, flags, golden):
+        assert self.run("verify", *flags, "--samples", "20000", "--seed", "7") == 0
+        assert capsys.readouterr() == (golden, "")
 
     def test_optimize_golden_u_shaped_face(self, tmp_path, capsys):
         cfg = tmp_path / "uface.cfg"
