@@ -179,16 +179,8 @@ class VerifyCheck:
         return abs(self.closed_form - self.oracle_mean) <= self.tolerance
 
 
-def _cap_check(name, closed, sampler, mc_cfg, half=False):
-    est = mc.mc_ergodic_capacity(sampler, mc_cfg)
-    if half:
-        est = est.scaled(0.5)
-    return VerifyCheck(name, closed, est.mean, est.std_error, 3.0 * est.std_error)
-
-
-def _area_check(name, env, field, total_power, closed, mc_cfg, d0=0.0):
-    radius, tail = mc.certified_disk_radius(env, total_power, d0=d0)
-    est = mc.mc_affected_area(field, radius, mc_cfg, tail, env.p_min_w)
+def _mc_check(name, closed, est: mc.McEstimate) -> VerifyCheck:
+    """The closed form against an oracle estimate, inside its 3-sigma band."""
     return VerifyCheck(name, closed, est.mean, est.std_error, 3.0 * est.std_error)
 
 
@@ -207,33 +199,38 @@ def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyC
     s, = _scenarios(cfg)
     streams = (mc.McConfig(samples, seed, stream) for stream in itertools.count())
 
+    def capacity(sampler, factor=1.0):
+        return mc.mc_ergodic_capacity(sampler, next(streams)).scaled(factor)
+
+    def area(field, total_power, d0=0.0):
+        radius, tail = mc.certified_disk_radius(env, total_power, d0=d0)
+        return mc.mc_affected_area(field, radius, next(streams), tail, env.p_min_w)
+
     if cfg.kind == "p2p":
         b = p2p.gase_p2p(s)
-        yield _cap_check("capacity_vs_mc", b.capacity,
-                         mc.p2p_snr_sampler(mean_snr(env, s.p_t, s.d)), next(streams))
-        yield _area_check("area_vs_spatial_mc", env, mc.single_source_field(env, s.p_t),
-                          s.p_t, b.area, next(streams))
+        yield _mc_check("capacity_vs_mc", b.capacity,
+                        capacity(mc.p2p_snr_sampler(mean_snr(env, s.p_t, s.d))))
+        yield _mc_check("area_vs_spatial_mc", b.area,
+                        area(mc.single_source_field(env, s.p_t), s.p_t))
 
     elif cfg.kind == "dualhop":
         protocol = relay.RelayProtocol.parse(cfg.protocol)
         b = relay.gase_dualhop(s, protocol)
         gsr, grd = s.mean_snr_sr, s.mean_snr_rd
         if protocol is relay.RelayProtocol.DF:
-            yield _cap_check("capacity_df_vs_mc", b.capacity, mc.df_snr_sampler(gsr, grd),
-                             next(streams), half=True)
+            yield _mc_check("capacity_df_vs_mc", b.capacity,
+                            capacity(mc.df_snr_sampler(gsr, grd), 0.5))
         else:
-            yield _cap_check("capacity_af_vs_harmonic_mc", b.capacity,
-                             mc.af_snr_sampler(gsr, grd, exact=False), next(streams), half=True)
+            yield _mc_check("capacity_af_vs_harmonic_mc", b.capacity,
+                            capacity(mc.af_snr_sampler(gsr, grd, exact=False), 0.5))
             # the harmonic-mean density approximates the +1-denominator SNR;
             # the gap is reported against a 3% band, not hidden
-            est = mc.mc_ergodic_capacity(mc.af_snr_sampler(gsr, grd, exact=True),
-                                         next(streams)).scaled(0.5)
+            est = capacity(mc.af_snr_sampler(gsr, grd, exact=True), 0.5)
             yield VerifyCheck("capacity_af_vs_exact_mc", b.capacity, est.mean,
                               est.std_error, 0.03 * abs(est.mean))
-        for name, power, area in (("area_sr_vs_spatial_mc", s.p_s, b.components["area_sr_m2"]),
-                                  ("area_rd_vs_spatial_mc", s.p_r, b.components["area_rd_m2"])):
-            yield _area_check(name, env, mc.single_source_field(env, power), power, area,
-                              next(streams))
+        for name, power, closed in (("area_sr_vs_spatial_mc", s.p_s, b.components["area_sr_m2"]),
+                                    ("area_rd_vs_spatial_mc", s.p_r, b.components["area_rd_m2"])):
+            yield _mc_check(name, closed, area(mc.single_source_field(env, power), power))
 
     elif cfg.kind == "coop":
         protocol = relay.RelayProtocol.parse(cfg.protocol)
@@ -244,8 +241,7 @@ def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyC
                                   ("c_direct_vs_mc", "c_direct", "c_direct_bps_hz"),
                                   ("c_relay_vs_mc", "c_relay", "c_relay_bps_hz"),
                                   ("total_capacity_vs_mc", "c_inst", "capacity_bps_hz")):
-            yield VerifyCheck(name, c[column], out[key].mean, out[key].std_error,
-                              3 * out[key].std_error)
+            yield _mc_check(name, c[column], out[key])
         (direct, direct_scale), (relay_pdf, relay_scale) = coop.conditional_snr_pdfs(s, protocol)
         yield _density_normalization("density_direct_normalization", direct, direct_scale,
                                      relay_scale)
@@ -257,21 +253,20 @@ def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyC
             b = cg.gase_cognitive(s)
             event = mc.McSampler(1, lambda u: (
                 mc.exponential_from_uniform(u[:, 0]) < s.constraint_exponent))
-            est = mc.mc_mode_probability(event, next(streams))
-            yield VerifyCheck("p_parallel_vs_mc", b.components["p_parallel"], est.mean,
-                              est.std_error, 3 * est.std_error)
+            yield _mc_check("p_parallel_vs_mc", b.components["p_parallel"],
+                            mc.mc_mode_probability(event, next(streams)))
         else:
             b = cg.gase_x_channel(s)
-        area = b.components["area_parallel_m2"]
-        yield _cap_check("c_primary_vs_mc", b.components["c_primary_bps_hz"],
-                         mc.primary_sinr_sampler(s), next(streams))
-        yield _cap_check("c_secondary_vs_mc", b.components["c_secondary_bps_hz"],
-                         mc.secondary_sinr_sampler(s), next(streams))
-        yield _area_check("area_parallel_vs_spatial_mc", env,
-                          mc.two_source_field(env, s.p1, s.p2, s.d0),
-                          s.p1.watts + s.p2.watts, area, next(streams), d0=s.d0)
+        par = b.components["area_parallel_m2"]
+        yield _mc_check("c_primary_vs_mc", b.components["c_primary_bps_hz"],
+                        capacity(mc.primary_sinr_sampler(s)))
+        yield _mc_check("c_secondary_vs_mc", b.components["c_secondary_bps_hz"],
+                        capacity(mc.secondary_sinr_sampler(s)))
+        yield _mc_check("area_parallel_vs_spatial_mc", par,
+                        area(mc.two_source_field(env, s.p1, s.p2, s.d0),
+                             s.p1.watts + s.p2.watts, s.d0))
         floor = max(affected_area_single(env, s.p1), affected_area_single(env, s.p2))
-        yield VerifyCheck("area_parallel_ge_singles", max(area, floor), area, 0.0, 1e-9 * area)
+        yield VerifyCheck("area_parallel_ge_singles", max(par, floor), par, 0.0, 1e-9 * par)
 
 
 # ---------------------------------------------------------------------------

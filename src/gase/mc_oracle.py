@@ -28,10 +28,13 @@ cosines with 1 - cos(2 pi v) = 2 sin^2(pi v), which cannot cancel -- so a
 field needs at most one sin per sample and no cos or hypot.
 
 Three oracle operations cover the package's closed forms: fading-averaged
-capacity of an arbitrary SNR sampler, spatial sampling of affected areas over
-a certified bounding disk, and event probabilities for mode-selection and
-interference-constraint predicates.  Samplers for each scenario family are
-provided as (draws-per-sample, vectorised map) pairs.
+capacity of an arbitrary SNR sampler, event probabilities for mode-selection
+and interference-constraint predicates, and affected areas, each the
+probability that a point uniform on a certified bounding disk is covered,
+times the disk's area.  Every sample mean takes its standard error from
+_estimate, and every hit fraction its binomial one from _proportion.
+Samplers for each scenario family are provided as (draws-per-sample,
+vectorised map) pairs.
 """
 
 from __future__ import annotations
@@ -191,13 +194,20 @@ def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
     return -np.log1p(-u)
 
 
-def _mean_estimate(cfg: McConfig, cols: int, values_of) -> McEstimate:
-    total, total_sq = _chunk_sums(cfg, cols, lambda u: (values_of(u),), (float,),
-                                  lambda v: (float(np.sum(v)), float(np.sum(v * v))))
-    n = cfg.samples
-    mean = total / n
-    var = max(total_sq / n - mean * mean, 0.0)
-    return McEstimate(mean, math.sqrt(var / n), n, cfg.seed)
+def _estimate(total: float, total_sq: float, count: float, seed: int) -> McEstimate:
+    """Sample mean of ``count`` values from their sum and sum of squares, with
+    its standard error; NaN for no values."""
+    if count == 0:
+        return McEstimate(math.nan, math.nan, 0, seed)
+    mean = total / count
+    var = max(total_sq / count - mean * mean, 0.0)
+    return McEstimate(mean, math.sqrt(var / count), int(count), seed)
+
+
+def _proportion(mean: float, count: int, seed: int) -> McEstimate:
+    """A hit fraction of ``count`` samples, with its error sqrt(p (1 - p) / n)."""
+    p = min(max(mean, 0.0), 1.0)
+    return McEstimate(mean, math.sqrt(p * (1.0 - p) / count), count, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -210,20 +220,24 @@ def mc_ergodic_capacity(snr_sampler: McSampler, cfg: McConfig) -> McEstimate:
     Any half-duplex factor is the caller's to apply (see McEstimate.scaled).
     """
     # log1p keeps the digits that log2(1 + gamma) loses at small gamma (it is 0 below 1.1e-16)
-    return _mean_estimate(cfg, snr_sampler.draws_per_sample,
-                          lambda u: np.log1p(snr_sampler.fn(u)) / LN2)
+    total, total_sq = _chunk_sums(cfg, snr_sampler.draws_per_sample,
+                                  lambda u: (np.log1p(snr_sampler.fn(u)) / LN2,), (float,),
+                                  lambda v: (float(np.sum(v)), float(np.sum(v * v))))
+    return _estimate(total, total_sq, cfg.samples, cfg.seed)
 
 
 def mc_mode_probability(event: McSampler, cfg: McConfig) -> McEstimate:
     """Binomial proportion of a predicate over the fading draws."""
-    est = _mean_estimate(cfg, event.draws_per_sample, event.fn)
-    p = min(max(est.mean, 0.0), 1.0)
-    return McEstimate(est.mean, math.sqrt(p * (1.0 - p) / est.samples), est.samples, est.seed)
+    total, = _chunk_sums(cfg, event.draws_per_sample, lambda u: (event.fn(u),), (float,),
+                         lambda v: (float(np.sum(v)),))
+    return _proportion(total / cfg.samples, cfg.samples, cfg.seed)
 
 
 def mc_affected_area(power_field: McSampler, radius: float, cfg: McConfig,
                      tail_fraction: float, p_min_w: float) -> McEstimate:
-    """Spatial estimate of an affected area over a disk of the given radius.
+    """Spatial estimate of an affected area over a disk of the given radius:
+    the mode probability that a point uniform on the disk receives at least
+    ``p_min_w``, times the disk's area.
 
     ``power_field.fn`` maps (r, v, fading uniforms) to total received power,
     where r = radius * sqrt(u0) is the distance from the origin and v = u1 the
@@ -237,40 +251,32 @@ def mc_affected_area(power_field: McSampler, radius: float, cfg: McConfig,
         raise TailCertificationError(
             f"certified excluded tail {tail_fraction:.2e} exceeds "
             f"{TAIL_FRACTION_LIMIT:.0e}; enlarge the bounding radius")
-    disk = math.pi * radius * radius
 
-    def values(u):
+    def hit(u):
         # first two uniforms place the point uniformly on the disk
         return power_field.fn(radius * np.sqrt(u[:, 0]), u[:, 1], u[:, 2:]) >= p_min_w
 
-    est = _mean_estimate(cfg, power_field.draws_per_sample + 2, values)
-    p = min(max(est.mean, 0.0), 1.0)
-    return McEstimate(disk * est.mean, disk * math.sqrt(p * (1.0 - p) / est.samples),
-                      est.samples, est.seed)
+    est = mc_mode_probability(McSampler(power_field.draws_per_sample + 2, hit), cfg)
+    return est.scaled(math.pi * radius * radius)
 
 
 def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
                     cfg: McConfig) -> Dict[str, McEstimate]:
     """Joint statistics of the three-node mode selection from shared draws.
 
-    ``equivalent`` selects the relay-path SNR model: 'df' (min of hops),
-    'af' (harmonic mean, matching the closed forms), or 'af-exact'
-    (the +1-denominator SNR).  Returns the direct-mode probability, the
-    overall capacity E[C_inst], and the per-mode conditional capacities.
+    ``equivalent`` selects the relay-path SNR model of the closed forms:
+    'df' (df_snr_sampler, the min of the hops) or 'af' (af_snr_sampler with
+    exact=False, their harmonic mean).  Returns the direct-mode probability,
+    the overall capacity E[C_inst], and the per-mode conditional capacities.
     """
-    if equivalent not in ("df", "af", "af-exact"):
-        raise ValueError("equivalent must be 'df', 'af', or 'af-exact'")
+    if equivalent not in ("df", "af"):
+        raise ValueError("equivalent must be 'df' or 'af'")
+    relay = (df_snr_sampler(gsr, grd) if equivalent == "df"
+             else af_snr_sampler(gsr, grd, exact=False)).fn
+
     def draw(u):
-        z = exponential_from_uniform(u)
-        g_sd = gsd * z[:, 0]
-        g1 = gsr * z[:, 1]
-        g2 = grd * z[:, 2]
-        if equivalent == "df":
-            g_eq = np.minimum(g1, g2)
-        elif equivalent == "af":
-            g_eq = g1 * g2 / (g1 + g2)
-        else:
-            g_eq = g1 * g2 / (g1 + g2 + 1.0)
+        g_sd = gsd * exponential_from_uniform(u[:, 0])
+        g_eq = relay(u[:, 1:])
         g_direct = g_sd * g_sd + 2.0 * g_sd
         # log1p keeps the digits that log2(1 + g) loses at small g
         return 0.5 * np.log1p(np.maximum(g_direct, g_eq)) / LN2, g_direct > g_eq
@@ -283,20 +289,11 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
 
     n_d, c_d, c_d2, n_r, c_r, c_r2 = _chunk_sums(cfg, 3, draw, (float, bool), partials)
     n = cfg.samples
-
-    def cond(total, total_sq, count):
-        if count == 0:
-            return McEstimate(math.nan, math.nan, 0, cfg.seed)
-        m = total / count
-        var = max(total_sq / count - m * m, 0.0)
-        return McEstimate(m, math.sqrt(var / count), int(count), cfg.seed)
-
-    p_d = n_d / n
     return {
-        "p_direct": McEstimate(p_d, math.sqrt(max(p_d * (1 - p_d), 0.0) / n), n, cfg.seed),
-        "c_inst": cond(c_d + c_r, c_d2 + c_r2, n),
-        "c_direct": cond(c_d, c_d2, n_d),
-        "c_relay": cond(c_r, c_r2, n_r),
+        "p_direct": _proportion(n_d / n, n, cfg.seed),
+        "c_inst": _estimate(c_d + c_r, c_d2 + c_r2, n, cfg.seed),
+        "c_direct": _estimate(c_d, c_d2, n_d, cfg.seed),
+        "c_relay": _estimate(c_r, c_r2, n_r, cfg.seed),
     }
 
 

@@ -104,7 +104,7 @@ ESTIMATORS = {
     "area_two_source": lambda cfg: mc_affected_area(
         two_source_field(ENV4, _P, _P, 150.0), _RADIUS, cfg, _TAIL, ENV4.p_min_w),
     **{f"coop_{eq}": (lambda eq: lambda cfg: mc_coop_summary(0.4, 2.0, 3.0, eq, cfg))(eq)
-       for eq in ("df", "af", "af-exact")},
+       for eq in ("df", "af")},
 }
 
 
@@ -371,11 +371,9 @@ class TestCoopSummary:
         b = mc_coop_summary(5.0, 8.0, 12.0, "af", McConfig(100_000, 9))
         assert a == b
 
-    def test_af_exact_versus_harmonic_ordering(self):
-        h = mc_coop_summary(10.0, 10.0, 10.0, "af", McConfig(200_000, 10))
-        e = mc_coop_summary(10.0, 10.0, 10.0, "af-exact", McConfig(200_000, 10))
-        # harmonic-mean SNR dominates the exact one, so relay is chosen more
-        assert h["p_direct"].mean <= e["p_direct"].mean
+    def test_only_the_closed_forms_relay_models(self):
+        with pytest.raises(ValueError, match="'df' or 'af'"):
+            mc_coop_summary(1.0, 1.0, 1.0, "af-exact", McConfig(10, 1))
 
 
 class TestConfig:
