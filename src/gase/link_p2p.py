@@ -10,6 +10,7 @@ found once in x and mapped back through P_t = d^a N / x.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -90,10 +91,14 @@ def gase_p2p(s: P2pScenario) -> GaseBreakdown:
         "capacity_bps_hz": capacity, "area_m2": area, "gase_bps_hz_m2": gase})
 
 
+def _residual(x: float, a: float) -> float:
+    """(x + 2/a) * exp(x) * E1(x) - 1, which falls through 0 at the optimum x*."""
+    return (x + 2.0 / a) * scaled_e1(x) - 1.0
+
+
 def optimal_power_residual(env: PropagationEnvironment, d: float, p_t) -> float:
     """Residual (x + 2/a) * exp(x) * E1(x) - 1 at x = d^a N / P_t."""
-    x = 1.0 / mean_snr(env, p_t, d)
-    return (x + 2.0 / env.path_loss_exponent) * scaled_e1(x) - 1.0
+    return _residual(1.0 / mean_snr(env, p_t, d), env.path_loss_exponent)
 
 
 def optimal_inverse_snr(a: float) -> float:
@@ -101,18 +106,19 @@ def optimal_inverse_snr(a: float) -> float:
 
     x is the inverse mean SNR d^a N / P_t of a link, so the root does not
     depend on distance, noise or detection threshold.  Refuses for a <= 2,
-    where GASE has no interior maximum.
+    where GASE has no interior maximum, and raises ArithmeticError where x*
+    is below the smallest normal float (a above about 1,415).
     """
     if a <= 2.0:
         raise NoInteriorOptimumError(
             f"path loss exponent {a:g} <= 2: GASE is maximised only in the "
             "vanishing-power limit, no interior optimum exists")
-
-    def g(x):
-        return (x + 2.0 / a) * scaled_e1(x) - 1.0
-
-    # x* ~ a/(a - 2) as a -> 2
-    return find_root_bracketed(g, 1e-6, max(1e3, 4.0 * a / (a - 2.0)))
+    if _residual(sys.float_info.min, a) <= 0.0:
+        raise ArithmeticError(f"optimal inverse SNR below the smallest normal float at a = {a:g}")
+    # x* ~ a/(a - 2) as a -> 2 and ~ exp(-a/2 - 0.577) as a grows: solved in t = ln x,
+    # where Brent's stop test is relative to t, not to a tiny x
+    lo, hi = min(math.log(1e-6), -0.5 * a - 1.0), math.log(max(1e3, 4.0 * a / (a - 2.0)))
+    return math.exp(find_root_bracketed(lambda t: _residual(math.exp(t), a), lo, hi))
 
 
 def optimal_power_p2p(env: PropagationEnvironment, d: float) -> PowerLevel:

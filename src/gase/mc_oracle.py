@@ -29,12 +29,10 @@ field needs at most one sin per sample and no cos or hypot.
 
 Three oracle operations cover the package's closed forms: fading-averaged
 capacity of an arbitrary SNR sampler, event probabilities for mode-selection
-and interference-constraint predicates, and affected areas, each the
-probability that a point uniform on a certified bounding disk is covered,
-times the disk's area.  Every sample mean takes its standard error from
-_estimate, and every hit fraction its binomial one from _proportion.
-Samplers for each scenario family are provided as (draws-per-sample,
-vectorised map) pairs.
+and interference-constraint predicates, and affected areas: the probability
+that a point uniform on a certified bounding disk is covered, times the
+disk's area.  Samplers for each scenario family are provided as
+(draws-per-sample, vectorised map) pairs.
 """
 
 from __future__ import annotations
@@ -195,8 +193,7 @@ def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
 
 
 def _estimate(total: float, total_sq: float, count: float, seed: int) -> McEstimate:
-    """Sample mean of ``count`` values from their sum and sum of squares, with
-    its standard error; NaN for no values."""
+    """Mean and standard error of ``count`` values from their sum and sum of squares."""
     if count == 0:
         return McEstimate(math.nan, math.nan, 0, seed)
     mean = total / count
@@ -235,9 +232,8 @@ def mc_mode_probability(event: McSampler, cfg: McConfig) -> McEstimate:
 
 def mc_affected_area(power_field: McSampler, radius: float, cfg: McConfig,
                      tail_fraction: float, p_min_w: float) -> McEstimate:
-    """Spatial estimate of an affected area over a disk of the given radius:
-    the mode probability that a point uniform on the disk receives at least
-    ``p_min_w``, times the disk's area.
+    """The mode probability that a point uniform on a disk of the given radius
+    receives at least ``p_min_w``, times the disk's area.
 
     ``power_field.fn`` maps (r, v, fading uniforms) to total received power,
     where r = radius * sqrt(u0) is the distance from the origin and v = u1 the
@@ -273,7 +269,6 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
         raise ValueError("equivalent must be 'df' or 'af'")
     relay = (df_snr_sampler(gsr, grd) if equivalent == "df"
              else af_snr_sampler(gsr, grd, exact=False)).fn
-
     def draw(u):
         g_sd = gsd * exponential_from_uniform(u[:, 0])
         g_eq = relay(u[:, 1:])
@@ -288,10 +283,9 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
                 float((~direct).sum()), float(cr.sum()), float(np.sum(cr * cr)))
 
     n_d, c_d, c_d2, n_r, c_r, c_r2 = _chunk_sums(cfg, 3, draw, (float, bool), partials)
-    n = cfg.samples
     return {
-        "p_direct": _proportion(n_d / n, n, cfg.seed),
-        "c_inst": _estimate(c_d + c_r, c_d2 + c_r2, n, cfg.seed),
+        "p_direct": _proportion(n_d / cfg.samples, cfg.samples, cfg.seed),
+        "c_inst": _estimate(c_d + c_r, c_d2 + c_r2, cfg.samples, cfg.seed),
         "c_direct": _estimate(c_d, c_d2, n_d, cfg.seed),
         "c_relay": _estimate(c_r, c_r2, n_r, cfg.seed),
     }

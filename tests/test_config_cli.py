@@ -161,6 +161,17 @@ protocol.relay = df
 optimize.p_max_dbm = 60
 """
 
+# a steep path loss: the optimal inverse SNR x* ~ exp(-a/2 - 0.577) is below
+# 1e-6 from a ~ 26.5 on, and below the smallest normal float from a ~ 1,415 on
+STEEP_P2P_TEXT = """\
+scenario.kind = p2p
+env.path_loss_exponent = {a}
+env.noise_dbm = -100
+env.p_min_dbm = -90
+geom.d = 1
+power.p_t_dbm = 30
+"""
+
 # frozen golden rows: 12-significant-digit scientific notation, fixed order
 GOLDEN_FIG1_EVAL = (
     "p_t_dbm,capacity_bps_hz,area_m2,gase_bps_hz_m2\n"
@@ -400,6 +411,27 @@ class TestCliCommands:
         cfg.write_text(U_FACE_TEXT)
         assert self.run("optimize", "--config", str(cfg)) == 0
         assert capsys.readouterr().out == GOLDEN_U_FACE_OPTIMIZE
+
+    @pytest.mark.parametrize("a", [27, 60, 200, 1000])
+    def test_optimize_at_a_steep_path_loss(self, tmp_path, capsys, a):
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(STEEP_P2P_TEXT.format(a=a))
+        assert self.run("optimize", "--config", str(cfg)) == 0
+        header, row = capsys.readouterr().out.splitlines()
+        assert abs(float(row.split(",")[header.split(",").index("residual")])) <= 1e-9
+
+    def test_optimize_dualhop_df_at_a_steep_path_loss(self, tmp_path, capsys):
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(U_FACE_TEXT.replace("exponent = 1.5", "exponent = 40"))
+        assert self.run("optimize", "--config", str(cfg)) == 0
+
+    def test_optimize_below_the_normal_floats_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(STEEP_P2P_TEXT.format(a=1500))
+        assert self.run("optimize", "--config", str(cfg)) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and "smallest normal float" in err
 
     def test_optimize_without_convergence_exit_code(self, monkeypatch, tmp_path, capsys):
         # a gradient that flips sign at every evaluation, with GASE always

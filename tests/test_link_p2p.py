@@ -2,11 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 from gase.link_p2p import (NoInteriorOptimumError, P2pScenario, ergodic_capacity_p2p,
-                           gase_p2p, optimal_power_p2p, optimal_power_residual)
+                           gase_p2p, optimal_inverse_snr, optimal_power_p2p,
+                           optimal_power_residual)
 from gase.mc_oracle import McConfig, mc_ergodic_capacity, p2p_snr_sampler
 from gase.propagation import PowerLevel, PropagationEnvironment, mean_snr
 
@@ -90,6 +92,20 @@ class TestOptimalPower:
         assert star.watts == pytest.approx(0.3861795474, rel=1e-9)
         assert 0.37 < star.watts < 0.40          # coarse sanity band around the optimum
         assert star.dbm == pytest.approx(25.87, abs=0.05)
+
+    @pytest.mark.parametrize("a", [3.0, 4.0, 27.0, 60.0, 200.0, 1000.0, 1400.0])
+    def test_root_against_mpmath(self, a):
+        # x* ~ exp(-a/2 - 0.577): below 1e-6 from a ~ 26.5 on
+        with mpmath.workdps(40):
+            def residual(t):
+                x = mpmath.exp(t)
+                return (x + mpmath.mpf(2) / a) * mpmath.exp(x) * mpmath.e1(x) - 1
+            ref = mpmath.exp(mpmath.findroot(residual, math.log(optimal_inverse_snr(a))))
+        assert optimal_inverse_snr(a) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+
+    def test_root_below_the_normal_floats_is_refused(self):
+        with pytest.raises(ArithmeticError, match="smallest normal float"):
+            optimal_inverse_snr(1500.0)
 
     def test_residual_tolerance(self):
         env = PropagationEnvironment.from_dbm(4.0, -100.0, -90.0)
