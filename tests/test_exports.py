@@ -5,6 +5,7 @@ import ast
 import functools
 import importlib
 import importlib.util
+import json
 import pkgutil
 import threading
 from pathlib import Path
@@ -40,23 +41,6 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert alias.name in getattr(mod, "__all__", ())
             assert getattr(gase, alias.asname or alias.name) is getattr(mod, alias.name)
-
-
-# The functions the benchmark harness looks up by name: the tracer's layer
-# metrics (a metric whose name is missing is silently left out), its layer
-# microbenchmarks, and the AF optimize workload.
-TRACED = ["mathkernel.scaled_e1", "mathkernel.bessel_k0", "mathkernel.bessel_k1",
-          "mathkernel.erfcx", "mathkernel.integrate", "mathkernel.integrate_semi_infinite",
-          "mathkernel.find_root_bracketed", "link_p2p.gase_p2p", "relay_dualhop.gase_dualhop",
-          "relay_dualhop.optimize_relay_powers", "relay_dualhop.ergodic_capacity",
-          "coop_threenode.gase_coop", "cognitive_underlay.affected_area_parallel",
-          "mc_oracle.mc_ergodic_capacity", "mc_oracle.mc_affected_area", "config.parse_config"]
-
-
-@pytest.mark.parametrize("name", TRACED)
-def test_traced_name_resolves(name):
-    module, attr = name.split(".")
-    assert callable(getattr(importlib.import_module(f"gase.{module}"), attr))
 
 
 def test_traced_results_keep_what_the_tracer_reads():
@@ -99,15 +83,38 @@ def test_benchmark_calls_accept_their_arguments():
     assert eta > 0.0
 
 
-@pytest.fixture
-def tracing(monkeypatch):
-    """bench/tracing.py, imported by path; it imports bench/speed.py as ``speed``."""
-    bench = Path(__file__).resolve().parent.parent / "bench"
-    monkeypatch.syspath_prepend(str(bench))
-    spec = importlib.util.spec_from_file_location("bench_tracing", bench / "tracing.py")
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _bench_module(monkeypatch, name):
+    """bench/<name>.py, imported by path; bench modules import each other by
+    bare name (``speed``, ``tracing``)."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture
+def tracing(monkeypatch):
+    return _bench_module(monkeypatch, "tracing")
+
+
+def test_the_benchmark_gets_every_per_layer_metric(tracing, monkeypatch):
+    # a metric whose function the tracer or a microbenchmark cannot find is
+    # silently left out of the benchmark's result
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        names = set(tracing.layer_metrics([], [], [], [], tracer.absent))
+    finally:
+        tracer.restore()
+    micro = _bench_module(monkeypatch, "micro")
+    monkeypatch.setattr(micro, "_seconds", lambda fn, min_batch_s=0.02: 1.0)
+    names |= set(micro.run()) | {"trace.overhead_frac"}
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
+    assert names == {metric["name"] for metric in declared["per_layer"]}
 
 
 @pytest.mark.parametrize("flags", [("--preset", "fig6"), ("--preset", "fig4", "--protocol", "af")])
