@@ -97,6 +97,9 @@ _RADIUS, _TAIL = certified_disk_radius(ENV4, 2 * _P.watts, d0=150.0)
 ESTIMATORS = {
     "capacity_p2p": lambda cfg: mc_ergodic_capacity(p2p_snr_sampler(3.0), cfg),
     "capacity_af": lambda cfg: mc_ergodic_capacity(af_snr_sampler(2.0, 5.0), cfg),
+    "capacity_af_harmonic": lambda cfg: mc_ergodic_capacity(
+        af_snr_sampler(2.0, 5.0, exact=False), cfg),
+    "capacity_df": lambda cfg: mc_ergodic_capacity(df_snr_sampler(2.0, 5.0), cfg),
     "mode_probability": lambda cfg: mc_mode_probability(
         McSampler(2, lambda u: u[:, 0] < 0.3 * u[:, 1]), cfg),
     "area_single": lambda cfg: mc_affected_area(
