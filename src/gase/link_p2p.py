@@ -122,6 +122,15 @@ def optimal_inverse_snr(a: float) -> float:
 
 
 def optimal_power_p2p(env: PropagationEnvironment, d: float) -> PowerLevel:
-    """GASE-maximising transmit power d^a * N / x* for a > 2 (optimal_inverse_snr)."""
+    """GASE-maximising transmit power d^a * N / x* for a > 2 (optimal_inverse_snr),
+    refused by name where it overflows or underflows to 0 W."""
     a = env.path_loss_exponent
-    return PowerLevel(d ** a * env.noise_w / optimal_inverse_snr(a))
+    x = optimal_inverse_snr(a)
+    try:
+        p = d ** a * env.noise_w / x
+    except OverflowError:  # d^a past the float range
+        p = math.inf
+    if not 0.0 < p < math.inf:
+        side = "overflows" if p else "underflows to 0 W"
+        raise ArithmeticError(f"optimal power d^a N / x* {side} at a = {a:g}, d = {d:g} m")
+    return PowerLevel(p)

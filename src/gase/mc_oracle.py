@@ -5,20 +5,16 @@ Randomness comes from counter-based Philox streams keyed by
 always receives the same underlying uniforms whatever the sample count.
 Exponential fading gains are drawn by inverse cdf (-log1p(-u)).
 
-Every estimator runs one chunk loop on two threads: the calling thread and
-one helper, started and joined within the estimate, each take the next
-chunk, draw it in blocks of _BLOCK rows just before evaluating each block
-(small enough for the uniforms and numpy temporaries to stay in cache;
-numpy releases the GIL while Philox fills), and write the block's values
-into one buffer per chunk.  So a sampler or field callback may run on
-either thread, each call gets one block of one chunk, one thread evaluates
-a chunk's blocks in order, and callbacks must be pure functions of their
-arguments.  The first exception of either worker reaches the caller once
-the helper is joined.  None of this reaches the numbers: a chunk's uniforms
-depend only on its key, the per-sample arithmetic is elementwise, and each
-chunk's partial sums are taken over its whole buffer and added up in chunk
-order, so every McEstimate is bit-reproducible for a fixed McConfig and
-equals the one of a plain loop that draws and evaluates each chunk whole.
+Every estimator runs one chunk loop (_chunk_sums) on two threads: the caller
+and one helper, started and joined within the estimate, each take the next
+chunk, draw it _BLOCK rows at a time (small enough for the uniforms and numpy
+temporaries to stay in cache; numpy releases the GIL while Philox fills) and
+reduce each block to its partial sums as soon as it is drawn, so no buffer
+outlives a block.  The sums are added in block order within a chunk, then in
+chunk order; a chunk's uniforms depend only on its key and the per-sample
+arithmetic is elementwise, so every McEstimate is bit-reproducible for a
+fixed McConfig and equals the one of a plain loop that draws and evaluates
+each chunk whole and reduces it _BLOCK rows at a time.
 
 Spatial fields take polar coordinates: a field callback maps
 (r, v, fading uniforms) to received power, where r is the distance from the
@@ -136,17 +132,16 @@ def _chunk_generator(cfg: McConfig, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _chunk_sums(cfg: McConfig, cols: int, evaluate, dtypes, partials) -> List[float]:
-    """Evaluate the sample stream chunk by chunk and total its partial sums.
+def _chunk_sums(cfg: McConfig, cols: int, evaluate, partials) -> List[float]:
+    """Evaluate the sample stream block by block and total its partial sums.
 
     The calling thread and one helper each take the next chunk index from a
     shared counter and draw that chunk _BLOCK rows at a time into one
-    block-sized buffer.  ``evaluate`` maps each block to one array per entry
-    of ``dtypes``, written into the worker's chunk-sized buffers, and
-    ``partials`` reduces the filled buffers to the chunk's tuple of floats;
-    the tuples are added up in chunk order once the helper is joined.  The
-    helper runs in a copy of the caller's context, numpy's error state
-    included; the first exception of either worker stops both and is raised.
+    block-sized buffer, which ``partials(*evaluate(block))`` reduces to a tuple
+    of floats at once.  The tuples are added in block order within a chunk,
+    and the chunks' sums in chunk order once the helper is joined.  The helper
+    runs in a copy of the caller's context, numpy's error state included; the
+    first exception of either worker stops both and is raised.
     """
     takes = [min(_CHUNK, cfg.samples - start) for start in range(0, cfg.samples, _CHUNK)]
     slots = [None] * len(takes)
@@ -157,7 +152,6 @@ def _chunk_sums(cfg: McConfig, cols: int, evaluate, dtypes, partials) -> List[fl
     def work():
         try:
             u = np.empty((min(_BLOCK, takes[0]), cols))
-            outs = [np.empty(takes[0], dtype) for dtype in dtypes]
             while not failed:
                 with lock:
                     k = next(chunks, None)
@@ -167,9 +161,8 @@ def _chunk_sums(cfg: McConfig, cols: int, evaluate, dtypes, partials) -> List[fl
                 for start in range(0, take, _BLOCK):
                     block = u[:min(_BLOCK, take - start)]
                     draw(out=block)
-                    for out, values in zip(outs, evaluate(block)):
-                        out[start:start + len(block)] = values
-                slots[k] = partials(*(out[:take] for out in outs))
+                    part = partials(*evaluate(block))
+                    slots[k] = part if start == 0 else [t + x for t, x in zip(slots[k], part)]
         except BaseException as exc:  # raised by the caller once both workers are done
             failed.append(exc)
 
@@ -218,15 +211,15 @@ def mc_ergodic_capacity(snr_sampler: McSampler, cfg: McConfig) -> McEstimate:
     """
     # log1p keeps the digits that log2(1 + gamma) loses at small gamma (it is 0 below 1.1e-16)
     total, total_sq = _chunk_sums(cfg, snr_sampler.draws_per_sample,
-                                  lambda u: (np.log1p(snr_sampler.fn(u)) / LN2,), (float,),
-                                  lambda v: (float(np.sum(v)), float(np.sum(v * v))))
+                                  lambda u: (np.log1p(snr_sampler.fn(u)) / LN2,),
+                                  lambda v: (float(v.sum()), float((v * v).sum())))
     return _estimate(total, total_sq, cfg.samples, cfg.seed)
 
 
 def mc_mode_probability(event: McSampler, cfg: McConfig) -> McEstimate:
     """Binomial proportion of a predicate over the fading draws."""
-    total, = _chunk_sums(cfg, event.draws_per_sample, lambda u: (event.fn(u),), (float,),
-                         lambda v: (float(np.sum(v)),))
+    total, = _chunk_sums(cfg, event.draws_per_sample, lambda u: (event.fn(u),),
+                         lambda v: (float(np.count_nonzero(v)),))
     return _proportion(total / cfg.samples, cfg.samples, cfg.seed)
 
 
@@ -277,12 +270,11 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
         return 0.5 * np.log1p(np.maximum(g_direct, g_eq)) / LN2, g_direct > g_eq
 
     def partials(c_inst, direct):
-        cd = c_inst[direct]
-        cr = c_inst[~direct]
-        return (float(direct.sum()), float(cd.sum()), float(np.sum(cd * cd)),
-                float((~direct).sum()), float(cr.sum()), float(np.sum(cr * cr)))
+        cd, cr = c_inst[direct], c_inst[~direct]
+        return (float(len(cd)), float(cd.sum()), float((cd * cd).sum()),
+                float(len(cr)), float(cr.sum()), float((cr * cr).sum()))
 
-    n_d, c_d, c_d2, n_r, c_r, c_r2 = _chunk_sums(cfg, 3, draw, (float, bool), partials)
+    n_d, c_d, c_d2, n_r, c_r, c_r2 = _chunk_sums(cfg, 3, draw, partials)
     return {
         "p_direct": _proportion(n_d / cfg.samples, cfg.samples, cfg.seed),
         "c_inst": _estimate(c_d + c_r, c_d2 + c_r2, cfg.samples, cfg.seed),

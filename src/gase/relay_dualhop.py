@@ -297,7 +297,8 @@ def optimize_relay_powers(env: PropagationEnvironment, d_sr: float, d_rd: float,
       that beats its result.  Ties go to P_S >= P_R.
 
     ``tol`` is kept only for compatibility.  Raises ArithmeticError if an ascent
-    does not converge.  Returns (P_S, P_R, GASE at that point).
+    does not converge or a hop's inverse SNR leaves the float range on the box.
+    Returns (P_S, P_R, GASE at that point).
     """
     p_s, p_r, b = _optimum(env, d_sr, d_rd, p_max, protocol, span_decades)
     return p_s, p_r, b.gase
@@ -310,6 +311,12 @@ def _optimum(env: PropagationEnvironment, d_sr: float, d_rd: float, p_max,
     ln_hi = math.log(watts_of(p_max))
     ln_lo = ln_hi - span_decades * math.log(10.0)
     ln_c = np.array([a * math.log(d_sr), a * math.log(d_rd)]) + math.log(env.noise_w)
+    with np.errstate(over="ignore"):  # each hop's inverse SNR at the box's ends
+        x = np.exp(ln_c[:, None] - [ln_lo, ln_hi])
+    if x.max() == math.inf or x.min() == 0.0:
+        side = "overflows" if x.max() == math.inf else "underflows to 0"
+        raise ArithmeticError(f"a hop's inverse SNR d^a N / P {side} on the power box at "
+                              f"a = {a:g}, d_sr = {d_sr:g} m, d_rd = {d_rd:g} m")
 
     def scenario(point):
         return DualHopScenario(env, PowerLevel(math.exp(point[0])), PowerLevel(math.exp(point[1])),

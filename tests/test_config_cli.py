@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -432,6 +433,30 @@ class TestCliCommands:
         out, err = capsys.readouterr()
         assert out == ""
         assert len(err.splitlines()) == 1 and "smallest normal float" in err
+
+    @pytest.mark.parametrize("kind,a,d,message", [
+        ("p2p", 1000, "10", "optimal power d^a N / x* overflows at a = 1000, d = 10 m"),
+        ("p2p", 60, "1e-9", "optimal power d^a N / x* underflows to 0 W at a = 60, d = 1e-09 m"),
+        ("dualhop", 1000, "10", "a hop's inverse SNR d^a N / P overflows on the power box "
+                                "at a = 1000, d_sr = 10 m, d_rd = 10 m"),
+        ("dualhop", 60, "1e-9", "a hop's inverse SNR d^a N / P underflows to 0 on the power box "
+                                "at a = 60, d_sr = 1e-09 m, d_rd = 1e-09 m")],
+        ids=["p2p-over", "p2p-under", "dualhop-over", "dualhop-under"])
+    def test_optimize_past_the_float_range_names_its_limit(self, tmp_path, capsys, kind, a, d,
+                                                           message):
+        # d^a N leaves the float range: the p2p optimum power, or a hop's inverse
+        # SNR at an end of the dual-hop box, is refused by name with no numpy warning
+        if kind == "p2p":
+            text = STEEP_P2P_TEXT.format(a=a).replace("geom.d = 1\n", f"geom.d = {d}\n")
+        else:
+            text = (U_FACE_TEXT.replace("exponent = 1.5", f"exponent = {a}")
+                    .replace("= 500\n", f"= {d}\n").replace("p_max_dbm = 60", "p_max_dbm = 40"))
+        cfg = tmp_path / "range.cfg"
+        cfg.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run("optimize", "--config", str(cfg)) == 3
+        assert capsys.readouterr() == ("", f"gase: numerical failure: {message}\n")
 
     def test_optimize_without_convergence_exit_code(self, monkeypatch, tmp_path, capsys):
         # a gradient that flips sign at every evaluation, with GASE always

@@ -3,10 +3,12 @@ the benchmark harness under ``bench/`` looks up."""
 
 import ast
 import functools
+import gzip
 import importlib
 import importlib.util
 import json
 import pkgutil
+import sys
 import threading
 from pathlib import Path
 
@@ -92,6 +94,7 @@ def _bench_module(monkeypatch, name):
     monkeypatch.syspath_prepend(str(BENCH))
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
@@ -146,3 +149,21 @@ def test_traced_verify_keeps_its_spans_on_the_calling_thread(tracing, capsys, fl
     assert threads and set(threads) == {threading.get_ident()}
     assert tracing.span_accounting_error(tracer.spans) < 1e-6
     assert traced == untraced
+
+
+def test_verify_matches_the_bench_reference(monkeypatch, tmp_path):
+    # the bench gates each verify op to 1e-9 in every Monte Carlo cell; a change
+    # to the oracles' sums or streams fails here by op and cell, not only in the bench
+    workloads = _bench_module(monkeypatch, "workloads")
+    check = _bench_module(monkeypatch, "check")
+    with gzip.open(BENCH / "reference.json.gz", "rt", encoding="utf-8") as fh:
+        reference = json.load(fh)["verify_mc"]
+    ops = workloads.all_candidates("verify_mc")
+    assert len(ops) == 32
+    problems = {}
+    for op, path in zip(ops, workloads.write_inputs(ops, tmp_path)):
+        result = workloads.run_op(op, path)
+        problem = check.compare(op, result.rc, result.out, reference[op.key])
+        if problem:
+            problems[op.key] = f"{problem}; stderr: {result.err.strip()}"
+    assert problems == {}
