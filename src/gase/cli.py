@@ -3,17 +3,15 @@
 ``gase <eval|sweep|optimize|verify> (--config PATH | --preset NAME) [--out CSV]``
 
 Sweeps reproduce the figure presets as CSV tables (header row, comma
-separator, scientific notation with 12 significant digits).  ``verify`` runs
-the closed forms against the seeded Monte Carlo oracles and exits nonzero if
-any check fails its band.  Every value, and every column name after the
-parameter's, comes from the scenario modules: each result carries its CSV
-row.  A sweep builds per point only the swept power or i_th, and hands all
-its points to the scenario module in one batch call (the dual-hop and
-cooperative quadratures run in lockstep, and an i_th sweep takes the
-i_th-free closed forms once); an eval is the batch of one.  Rows come out
-in sweep order.  Verify checks are evaluated sequentially, and each
-Monte Carlo estimate takes the next stream id in output order.
-``--workers`` is accepted for compatibility and has no effect on the output.
+separator, scientific notation with 12 significant digits).  Every value,
+and every column name after the parameter's, comes from the scenario
+modules: each result carries its CSV row.  A sweep builds per point only the
+swept power or i_th, and hands all its points to the scenario module in one
+batch call, _results (the dual-hop and cooperative quadratures run in
+lockstep, and an i_th sweep takes the i_th-free closed forms once); an eval
+is the batch of one, and so are verify's closed forms.  ``verify`` then
+makes its kind's rows of mc_oracle.CHECKS in order, each Monte Carlo estimate
+on the next stream id.  ``--workers`` is accepted and changes nothing.
 
 ``main(argv)`` may be called repeatedly and concurrently in one process: the
 argument parser is built on the first call and shared by every later one
@@ -43,9 +41,7 @@ from . import mc_oracle as mc
 from . import relay_dualhop as relay
 from .config import (DEFAULT_SAMPLES, DEFAULT_SEED, KINDS, ConfigError, ScenarioConfig,
                      derive_kind, load_preset, parse_config, preset_names)
-from .mathkernel import QuadratureSpec, integrate, integrate_semi_infinite
-from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
-                          dbm_to_watts, mean_snr)
+from .propagation import PowerLevel, PropagationEnvironment, dbm_to_watts
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -107,17 +103,22 @@ def _scenarios(cfg: ScenarioConfig, param: Optional[str] = None, values=(None,))
 # result rows
 # ---------------------------------------------------------------------------
 
-def _table(cfg: ScenarioConfig, param: str, values: Sequence[float], scenarios):
-    """(header, rows) of scenarios of cfg's kind and protocol, from one batch
-    call of the scenario module: the parameter value, then each result's CSV row."""
+def _results(cfg: ScenarioConfig, scenarios) -> list:
+    """The GaseBreakdown of each scenario of cfg's kind and protocol, from one
+    batch call of the scenario module."""
     kind = cfg.kind
     if kind in ("dualhop", "coop"):
         batch = relay.gase_dualhop_batch if kind == "dualhop" else coop.gase_coop_batch
-        results = batch(scenarios, relay.RelayProtocol.parse(cfg.protocol))
-    elif kind == "cognitive":
-        results = cg.gase_cognitive_batch(scenarios)
-    else:
-        results = list(map(p2p.gase_p2p if kind == "p2p" else cg.gase_x_channel, scenarios))
+        return batch(scenarios, relay.RelayProtocol.parse(cfg.protocol))
+    if kind == "cognitive":
+        return cg.gase_cognitive_batch(scenarios)
+    return list(map(p2p.gase_p2p if kind == "p2p" else cg.gase_x_channel, scenarios))
+
+
+def _table(cfg: ScenarioConfig, param: str, values: Sequence[float], scenarios):
+    """(header, rows) of the scenarios' results: the parameter value, then
+    each result's CSV row."""
+    results = _results(cfg, scenarios)
     return ([param, *results[0].components],
             [[v, *b.components.values()] for v, b in zip(values, results)])
 
@@ -179,94 +180,12 @@ class VerifyCheck:
         return abs(self.closed_form - self.oracle_mean) <= self.tolerance
 
 
-def _mc_check(name, closed, est: mc.McEstimate) -> VerifyCheck:
-    """The closed form against an oracle estimate, inside its 3-sigma band."""
-    return VerifyCheck(name, closed, est.mean, est.std_error, 3.0 * est.std_error)
-
-
-def _density_normalization(name, pdf, scale, rise):
-    # [0, 50 min(rise, scale)] on its own, so that a factor rising on the other
-    # mode's much shorter scale is sampled, then the rest on the tail's scale
-    spec, split = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0), 50.0 * min(rise, scale)
-    total = (integrate(pdf, 0.0, split, spec).value
-             + integrate_semi_infinite(lambda t: pdf(split + t), spec, scale=scale).value)
-    return VerifyCheck(name, total, 1.0, 0.0, 1e-6)
-
-
 def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyCheck]:
     """Yield the checks in output order; each MC estimate takes the next stream id."""
-    env = _env_of(cfg)
     s, = _scenarios(cfg)
+    closed = _results(cfg, [s])[0].components
     streams = (mc.McConfig(samples, seed, stream) for stream in itertools.count())
-
-    def capacity(sampler, factor=1.0):
-        return mc.mc_ergodic_capacity(sampler, next(streams)).scaled(factor)
-
-    def area(field, total_power, d0=0.0):
-        radius, tail = mc.certified_disk_radius(env, total_power, d0=d0)
-        return mc.mc_affected_area(field, radius, next(streams), tail, env.p_min_w)
-
-    if cfg.kind == "p2p":
-        b = p2p.gase_p2p(s)
-        yield _mc_check("capacity_vs_mc", b.capacity,
-                        capacity(mc.p2p_snr_sampler(mean_snr(env, s.p_t, s.d))))
-        yield _mc_check("area_vs_spatial_mc", b.area,
-                        area(mc.single_source_field(env, s.p_t), s.p_t))
-
-    elif cfg.kind == "dualhop":
-        protocol = relay.RelayProtocol.parse(cfg.protocol)
-        b = relay.gase_dualhop(s, protocol)
-        gsr, grd = s.mean_snr_sr, s.mean_snr_rd
-        if protocol is relay.RelayProtocol.DF:
-            yield _mc_check("capacity_df_vs_mc", b.capacity,
-                            capacity(mc.df_snr_sampler(gsr, grd), 0.5))
-        else:
-            yield _mc_check("capacity_af_vs_harmonic_mc", b.capacity,
-                            capacity(mc.af_snr_sampler(gsr, grd, exact=False), 0.5))
-            # the harmonic-mean density approximates the +1-denominator SNR;
-            # the gap is reported against a 3% band, not hidden
-            est = capacity(mc.af_snr_sampler(gsr, grd, exact=True), 0.5)
-            yield VerifyCheck("capacity_af_vs_exact_mc", b.capacity, est.mean,
-                              est.std_error, 0.03 * abs(est.mean))
-        for name, power, closed in (("area_sr_vs_spatial_mc", s.p_s, b.components["area_sr_m2"]),
-                                    ("area_rd_vs_spatial_mc", s.p_r, b.components["area_rd_m2"])):
-            yield _mc_check(name, closed, area(mc.single_source_field(env, power), power))
-
-    elif cfg.kind == "coop":
-        protocol = relay.RelayProtocol.parse(cfg.protocol)
-        c = coop.gase_coop(s, protocol).components
-        out = mc.mc_coop_summary(s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd, protocol.value,
-                                 next(streams))
-        for name, key, column in (("p_direct_vs_mc", "p_direct", "p_direct"),
-                                  ("c_direct_vs_mc", "c_direct", "c_direct_bps_hz"),
-                                  ("c_relay_vs_mc", "c_relay", "c_relay_bps_hz"),
-                                  ("total_capacity_vs_mc", "c_inst", "capacity_bps_hz")):
-            yield _mc_check(name, c[column], out[key])
-        (direct, direct_scale), (relay_pdf, relay_scale) = coop.conditional_snr_pdfs(s, protocol)
-        yield _density_normalization("density_direct_normalization", direct, direct_scale,
-                                     relay_scale)
-        yield _density_normalization("density_relay_normalization", relay_pdf, relay_scale,
-                                     direct_scale)
-
-    else:  # cognitive / xchannel
-        if cfg.kind == "cognitive":
-            b = cg.gase_cognitive(s)
-            event = mc.McSampler(1, lambda u: (
-                mc.exponential_from_uniform(u[:, 0]) < s.constraint_exponent))
-            yield _mc_check("p_parallel_vs_mc", b.components["p_parallel"],
-                            mc.mc_mode_probability(event, next(streams)))
-        else:
-            b = cg.gase_x_channel(s)
-        par = b.components["area_parallel_m2"]
-        yield _mc_check("c_primary_vs_mc", b.components["c_primary_bps_hz"],
-                        capacity(mc.primary_sinr_sampler(s)))
-        yield _mc_check("c_secondary_vs_mc", b.components["c_secondary_bps_hz"],
-                        capacity(mc.secondary_sinr_sampler(s)))
-        yield _mc_check("area_parallel_vs_spatial_mc", par,
-                        area(mc.two_source_field(env, s.p1, s.p2, s.d0),
-                             s.p1.watts + s.p2.watts, s.d0))
-        floor = max(affected_area_single(env, s.p1), affected_area_single(env, s.p2))
-        yield VerifyCheck("area_parallel_ge_singles", max(par, floor), par, 0.0, 1e-9 * par)
+    yield from (VerifyCheck(*row) for row in mc.CHECKS[cfg.kind](s, cfg.protocol, closed, streams))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ that same S, so the conditional capacities are evaluated by quadrature of
 those densities; the direct-mode integrand is taken in the xi substitution
 where its tail scale is gbar_SD.
 
-``gase_coop_batch`` and ``conditional_snr_pdfs`` each build the one
+``gase_coop_batch`` and ``density_normalizations`` each build the one
 selection split of their scenarios, ``_split``, and read S, the relay-path
 SNR cdf and pdf and the relay tail scale from it.  A batch evaluates each
 of its integrals (AF selection, direct mode, relay mode) for all scenarios
@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Sequence
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
 from .link_p2p import LN2, GaseBreakdown, _footprint
-from .mathkernel import QuadratureSpec, bessel_k1, erfcx, integrate_semi_infinite_batch
+from .mathkernel import (QuadratureSpec, bessel_k1, erfcx, integrate, integrate_semi_infinite,
+                         integrate_semi_infinite_batch)
 from .propagation import PowerLevel, PropagationEnvironment, mean_snr
 from .relay_dualhop import RelayProtocol, af_snr_cdf, af_snr_pdf, df_snr_pdf
 
@@ -39,12 +40,13 @@ __all__ = [
     "CoopScenario",
     "special_integral_D",
     "af_selection_integral",
-    "conditional_snr_pdfs",
+    "density_normalizations",
     "gase_coop",
     "gase_coop_batch",
 ]
 
 _CAP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=0.0)
+_NORM_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0)
 
 
 @dataclass(frozen=True)
@@ -147,26 +149,27 @@ def _split(scenarios: Sequence[CoopScenario], protocol: RelayProtocol) -> _Split
                   lambda g, rows: af_snr_pdf(a1[rows], b1[rows])(g), 1.0 / (a1 + 2.0 * b1))
 
 
-def conditional_snr_pdfs(s: CoopScenario, protocol: RelayProtocol):
-    """Densities of the composite SNR given direct and given relay mode.
-
-    Returns ((pdf_direct, scale_direct), (pdf_relay, scale_relay)), each with
-    the decay length of its tail; both normalise against the same S.
-    """
+def density_normalizations(s: CoopScenario, protocol: RelayProtocol) -> Tuple[float, float]:
+    """Integrals of the composite SNR's densities given direct and given relay
+    mode, 1 in exact arithmetic: each over [0, 50 min(tail scales)] on its own,
+    so that a factor rising on the other mode's much shorter scale is sampled,
+    then over the rest on its tail scale, gbar_SD (2 + gbar_SD) or the relay's."""
     sp = _split([s], protocol)
     gsd, sel = float(sp.gsd[0]), float(sp.sel[0])
 
     def direct(g):
-        g = np.asarray(g, dtype=float)
         xi = _xi(g)
         return np.exp(-xi / gsd) * sp.cdf(g, 0) / (2.0 * (xi + 1.0) * (gsd - sel))
 
     def relay(g):
-        g = np.asarray(g, dtype=float)
-        xi = _xi(g)
-        return gsd * sp.pdf(g, 0) * (-np.expm1(-xi / gsd)) / sel
+        return gsd * sp.pdf(g, 0) * (-np.expm1(-_xi(g) / gsd)) / sel
 
-    return (direct, gsd * (2.0 + gsd)), (relay, float(sp.tail[0]))
+    scales = (gsd * (2.0 + gsd), float(sp.tail[0]))
+    split = 50.0 * min(scales)
+    return tuple(integrate(pdf, 0.0, split, _NORM_SPEC).value
+                 + integrate_semi_infinite(lambda t: pdf(split + t), _NORM_SPEC,
+                                           scale=scale).value
+                 for pdf, scale in zip((direct, relay), scales))
 
 
 def gase_coop_batch(scenarios: Sequence[CoopScenario],

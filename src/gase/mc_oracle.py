@@ -28,7 +28,8 @@ capacity of an arbitrary SNR sampler, event probabilities for mode-selection
 and interference-constraint predicates, and affected areas: the probability
 that a point uniform on a certified bounding disk is covered, times the
 disk's area.  Samplers for each scenario family are provided as
-(draws-per-sample, vectorised map) pairs.
+(draws-per-sample, vectorised map) pairs, and beside them ``CHECKS``, the
+list of verify's checks of each scenario kind (README, "Verify checks").
 """
 
 from __future__ import annotations
@@ -36,13 +37,15 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List
 
 import numpy as np
 
+from .coop_threenode import density_normalizations
 from .link_p2p import LN2
-from .propagation import PropagationEnvironment, watts_of
+from .propagation import PropagationEnvironment, affected_area_single, mean_snr, watts_of
+from .relay_dualhop import RelayProtocol
 
 __all__ = [
     "McConfig",
@@ -62,6 +65,7 @@ __all__ = [
     "two_source_field",
     "certified_disk_radius",
     "TAIL_FRACTION_LIMIT",
+    "CHECKS",
 ]
 
 _CHUNK = 1 << 16
@@ -96,12 +100,10 @@ class McEstimate:
     mean: float
     std_error: float
     samples: int
-    seed: int
 
     def scaled(self, factor: float) -> "McEstimate":
         """Apply a deterministic scalar (e.g. the half-duplex 1/2)."""
-        return McEstimate(self.mean * factor, self.std_error * abs(factor),
-                          self.samples, self.seed)
+        return McEstimate(self.mean * factor, self.std_error * abs(factor), self.samples)
 
 
 @dataclass(frozen=True)
@@ -185,19 +187,19 @@ def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
     return -np.log1p(-u)
 
 
-def _estimate(total: float, total_sq: float, count: float, seed: int) -> McEstimate:
+def _estimate(total: float, total_sq: float, count: float) -> McEstimate:
     """Mean and standard error of ``count`` values from their sum and sum of squares."""
     if count == 0:
-        return McEstimate(math.nan, math.nan, 0, seed)
+        return McEstimate(math.nan, math.nan, 0)
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0)
-    return McEstimate(mean, math.sqrt(var / count), int(count), seed)
+    return McEstimate(mean, math.sqrt(var / count), int(count))
 
 
-def _proportion(mean: float, count: int, seed: int) -> McEstimate:
+def _proportion(mean: float, count: int) -> McEstimate:
     """A hit fraction of ``count`` samples, with its error sqrt(p (1 - p) / n)."""
     p = min(max(mean, 0.0), 1.0)
-    return McEstimate(mean, math.sqrt(p * (1.0 - p) / count), count, seed)
+    return McEstimate(mean, math.sqrt(p * (1.0 - p) / count), count)
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +215,14 @@ def mc_ergodic_capacity(snr_sampler: McSampler, cfg: McConfig) -> McEstimate:
     total, total_sq = _chunk_sums(cfg, snr_sampler.draws_per_sample,
                                   lambda u: (np.log1p(snr_sampler.fn(u)) / LN2,),
                                   lambda v: (float(v.sum()), float((v * v).sum())))
-    return _estimate(total, total_sq, cfg.samples, cfg.seed)
+    return _estimate(total, total_sq, cfg.samples)
 
 
 def mc_mode_probability(event: McSampler, cfg: McConfig) -> McEstimate:
     """Binomial proportion of a predicate over the fading draws."""
     total, = _chunk_sums(cfg, event.draws_per_sample, lambda u: (event.fn(u),),
                          lambda v: (float(np.count_nonzero(v)),))
-    return _proportion(total / cfg.samples, cfg.samples, cfg.seed)
+    return _proportion(total / cfg.samples, cfg.samples)
 
 
 def mc_affected_area(power_field: McSampler, radius: float, cfg: McConfig,
@@ -276,10 +278,10 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
 
     n_d, c_d, c_d2, n_r, c_r, c_r2 = _chunk_sums(cfg, 3, draw, partials)
     return {
-        "p_direct": _proportion(n_d / cfg.samples, cfg.samples, cfg.seed),
-        "c_inst": _estimate(c_d + c_r, c_d2 + c_r2, cfg.samples, cfg.seed),
-        "c_direct": _estimate(c_d, c_d2, n_d, cfg.seed),
-        "c_relay": _estimate(c_r, c_r2, n_r, cfg.seed),
+        "p_direct": _proportion(n_d / cfg.samples, cfg.samples),
+        "c_inst": _estimate(c_d + c_r, c_d2 + c_r2, cfg.samples),
+        "c_direct": _estimate(c_d, c_d2, n_d),
+        "c_relay": _estimate(c_r, c_r2, n_r),
     }
 
 
@@ -408,3 +410,79 @@ def certified_disk_radius(env: PropagationEnvironment, total_power, d0: float = 
     radius = d0 + (s * p / env.p_min_w) ** (1.0 / a)
     tail_fraction = 100.0 * (1.0 + s) * math.exp(-s)
     return radius, tail_fraction
+
+
+# ---------------------------------------------------------------------------
+# verify's checks, by scenario kind
+# ---------------------------------------------------------------------------
+
+def _band(name: str, closed: float, est: McEstimate):
+    """A closed form against an oracle estimate, inside its 3-sigma band."""
+    return name, closed, est.mean, est.std_error, 3.0 * est.std_error
+
+
+def _area(env, power_field: McSampler, total_power, streams, d0: float = 0.0) -> McEstimate:
+    radius, tail = certified_disk_radius(env, total_power, d0=d0)
+    return mc_affected_area(power_field, radius, next(streams), tail, env.p_min_w)
+
+
+def _p2p_checks(s, protocol, c, streams):
+    yield _band("capacity_vs_mc", c["capacity_bps_hz"], mc_ergodic_capacity(
+        p2p_snr_sampler(mean_snr(s.env, s.p_t, s.d)), next(streams)))
+    yield _band("area_vs_spatial_mc", c["area_m2"],
+                _area(s.env, single_source_field(s.env, s.p_t), s.p_t, streams))
+
+
+def _dualhop_checks(s, protocol, c, streams):
+    gsr, grd, capacity = s.mean_snr_sr, s.mean_snr_rd, c["capacity_bps_hz"]
+    if RelayProtocol.parse(protocol) is RelayProtocol.DF:
+        yield _band("capacity_df_vs_mc", capacity, mc_ergodic_capacity(
+            df_snr_sampler(gsr, grd), next(streams)).scaled(0.5))
+    else:
+        yield _band("capacity_af_vs_harmonic_mc", capacity, mc_ergodic_capacity(
+            af_snr_sampler(gsr, grd, exact=False), next(streams)).scaled(0.5))
+        # the harmonic-mean model of the +1-denominator SNR, in a 3% band
+        est = mc_ergodic_capacity(af_snr_sampler(gsr, grd), next(streams)).scaled(0.5)
+        yield "capacity_af_vs_exact_mc", capacity, est.mean, est.std_error, 0.03 * abs(est.mean)
+    for hop, power in (("sr", s.p_s), ("rd", s.p_r)):
+        yield _band(f"area_{hop}_vs_spatial_mc", c[f"area_{hop}_m2"],
+                    _area(s.env, single_source_field(s.env, power), power, streams))
+
+
+def _coop_checks(s, protocol, c, streams):
+    protocol = RelayProtocol.parse(protocol)
+    out = mc_coop_summary(s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd, protocol.value,
+                          next(streams))
+    for name, key, column in (("p_direct_vs_mc", "p_direct", "p_direct"),
+                              ("c_direct_vs_mc", "c_direct", "c_direct_bps_hz"),
+                              ("c_relay_vs_mc", "c_relay", "c_relay_bps_hz"),
+                              ("total_capacity_vs_mc", "c_inst", "capacity_bps_hz")):
+        yield _band(name, c[column], out[key])
+    for mode, total in zip(("direct", "relay"), density_normalizations(s, protocol)):
+        yield f"density_{mode}_normalization", total, 1.0, 0.0, 1e-6
+
+
+def _x_channel_checks(s, protocol, c, streams):
+    par = c["area_parallel_m2"]
+    yield _band("c_primary_vs_mc", c["c_primary_bps_hz"],
+                mc_ergodic_capacity(primary_sinr_sampler(s), next(streams)))
+    yield _band("c_secondary_vs_mc", c["c_secondary_bps_hz"],
+                mc_ergodic_capacity(secondary_sinr_sampler(s), next(streams)))
+    yield _band("area_parallel_vs_spatial_mc", par, _area(
+        s.env, two_source_field(s.env, s.p1, s.p2, s.d0), s.p1.watts + s.p2.watts, streams, s.d0))
+    floor = max(affected_area_single(s.env, s.p1), affected_area_single(s.env, s.p2))
+    yield "area_parallel_ge_singles", max(par, floor), par, 0.0, 1e-9 * par
+
+
+def _cognitive_checks(s, protocol, c, streams):
+    # parallel transmission is allowed while the unit exponential gain stays below c
+    event = McSampler(1, lambda u: exponential_from_uniform(u[:, 0]) < s.constraint_exponent)
+    yield _band("p_parallel_vs_mc", c["p_parallel"], mc_mode_probability(event, next(streams)))
+    yield from _x_channel_checks(s, protocol, c, streams)
+
+
+# verify's rows (name, closed form, oracle mean, oracle std error, tolerance)
+# by kind: CHECKS[kind](s, protocol, s's closed-form components, streams) makes
+# each as it is reached, each Monte Carlo estimate on the next McConfig of streams
+CHECKS = {"p2p": _p2p_checks, "dualhop": _dualhop_checks, "coop": _coop_checks,
+          "cognitive": _cognitive_checks, "xchannel": _x_channel_checks}

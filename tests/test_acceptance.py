@@ -25,7 +25,7 @@ from gase.cognitive_underlay import (CognitiveScenario, affected_area_parallel,
                                      primary_capacity_parallel, prob_parallel,
                                      secondary_capacity_parallel)
 from gase.config import load_preset, derive_kind
-from gase.coop_threenode import (CoopScenario, conditional_snr_pdfs, gase_coop,
+from gase.coop_threenode import (CoopScenario, density_normalizations, gase_coop,
                                  special_integral_D)
 from gase.link_p2p import P2pScenario, ergodic_capacity_p2p, gase_p2p, optimal_power_p2p
 from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
@@ -267,14 +267,7 @@ def test_criterion_7_cooperative_consistency():
             total = c["p_direct"] * c["c_direct_bps_hz"] + c["p_relay"] * c["c_relay_bps_hz"]
             ok &= abs(total - out["c_inst"].mean) <= 3.0 * out["c_inst"].std_error
 
-            gsd_v = s.mean_snr_sd
-            a1 = 1.0 / gsr + 1.0 / grd
-            b1 = 1.0 / math.sqrt(gsr * grd)
-            scale_r = 1.0 / a1 if proto is RelayProtocol.DF else 1.0 / (a1 + 2.0 * b1)
-            (pdf_d, _), (pdf_r, _) = conditional_snr_pdfs(s, proto)
-            nd = integrate_semi_infinite(pdf_d, QuadratureSpec(1e-9, 1e-14),
-                                         scale=gsd_v * (2.0 + gsd_v)).value
-            nr = integrate_semi_infinite(pdf_r, QuadratureSpec(1e-9, 1e-14), scale=scale_r).value
+            nd, nr = density_normalizations(s, proto)
             ok &= abs(nd - 1.0) <= 1e-6 and abs(nr - 1.0) <= 1e-6
 
     # Gaussian-exponential integral: closed form vs quadrature

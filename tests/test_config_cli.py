@@ -208,7 +208,7 @@ GOLDEN_FIG4_EVAL = (
     "2.00000000000e+01,6.44033323588e-01,3.55966676412e-01,1.13341436899e+00,"
     "7.69218280332e-01,1.00377269775e+00,2.78416399842e+05,8.80429961444e+04,"
     "4.66856797636e-06\n")
-# verify --samples 20000 --seed 7: these three run every oracle function that
+# verify --samples 20000 --seed 7: the first three run every oracle function that
 # verify calls, and each kind of band (3 sigma, the 3 % model row, the density
 # normalisations and the parallel-area floor)
 GOLDEN_FIG3_AF_VERIFY = (
@@ -247,6 +247,45 @@ GOLDEN_FIG6_VERIFY = (
     "2.31663470196e+04,2.27428807597e+05,pass\n"
     "area_parallel_ge_singles,4.18668329033e+06,4.18668329033e+06,0.00000000000e+00,"
     "0.00000000000e+00,4.18668329033e-03,pass\n")
+# and the other four check lists: p2p, DF dual-hop, AF coop and xchannel
+GOLDEN_FIG1_VERIFY = (
+    "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
+    "capacity_vs_mc,2.90651480841e+00,2.88896987977e+00,9.26389198369e-03,"
+    "1.75449286471e-02,2.77916759511e-02,pass\n"
+    "area_vs_spatial_mc,2.78416399842e+06,2.77971918907e+06,5.04252903574e+04,"
+    "4.44480934304e+03,1.51275871072e+05,pass\n")
+GOLDEN_FIG3_DF_VERIFY = (
+    "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
+    "capacity_df_vs_mc,2.78821547212e+00,2.78521826886e+00,5.95990485278e-03,"
+    "2.99720326274e-03,1.78797145583e-02,pass\n"
+    "area_sr_vs_spatial_mc,2.78416399842e+06,2.77971918907e+06,5.04252903574e+04,"
+    "4.44480934304e+03,1.51275871072e+05,pass\n"
+    "area_rd_vs_spatial_mc,2.78416399842e+06,2.75969846709e+06,5.02708542325e+04,"
+    "2.44655313265e+04,1.50812562697e+05,pass\n")
+GOLDEN_FIG4_AF_VERIFY = (
+    "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
+    "p_direct_vs_mc,6.81064041753e-01,6.77050000000e-01,3.30645805584e-03,"
+    "4.01404175322e-03,9.91937416751e-03,pass\n"
+    "c_direct_vs_mc,1.11130884423e+00,1.10500995809e+00,4.81124284023e-03,"
+    "6.29888613926e-03,1.44337285207e-02,pass\n"
+    "c_relay_vs_mc,6.72692747563e-01,6.69824118668e-01,3.71240633471e-03,"
+    "2.86862889519e-03,1.11372190041e-02,pass\n"
+    "total_capacity_vs_mc,9.71418399137e-01,9.64466691249e-01,3.75751352014e-03,"
+    "6.95170788795e-03,1.12725405604e-02,pass\n"
+    "density_direct_normalization,1.00000000000e+00,1.00000000000e+00,0.00000000000e+00,"
+    "2.00062189037e-13,1.00000000000e-06,pass\n"
+    "density_relay_normalization,9.99999999999e-01,1.00000000000e+00,0.00000000000e+00,"
+    "1.10789155627e-12,1.00000000000e-06,pass\n")
+GOLDEN_FIG7A_XCHANNEL_VERIFY = (
+    "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
+    "c_primary_vs_mc,8.42137579518e+00,8.41395077169e+00,1.64918836992e-02,"
+    "7.42502348541e-03,4.94756510975e-02,pass\n"
+    "c_secondary_vs_mc,2.61110452399e+00,2.61825557369e+00,1.30875463969e-02,"
+    "7.15104969829e-03,3.92626391908e-02,pass\n"
+    "area_parallel_vs_spatial_mc,3.03485415294e+06,3.06607579769e+06,5.98939348366e+04,"
+    "3.12216447442e+04,1.79681804510e+05,pass\n"
+    "area_parallel_ge_singles,3.03485415294e+06,3.03485415294e+06,0.00000000000e+00,"
+    "0.00000000000e+00,3.03485415294e-03,pass\n")
 
 
 class TestParsing:
@@ -402,7 +441,11 @@ class TestCliCommands:
     @pytest.mark.parametrize("flags,golden", [
         (("--preset", "fig3", "--protocol", "af"), GOLDEN_FIG3_AF_VERIFY),
         (("--preset", "fig4"), GOLDEN_FIG4_VERIFY),
-        (("--preset", "fig6"), GOLDEN_FIG6_VERIFY)])
+        (("--preset", "fig6"), GOLDEN_FIG6_VERIFY),
+        (("--preset", "fig1"), GOLDEN_FIG1_VERIFY),
+        (("--preset", "fig3", "--protocol", "df"), GOLDEN_FIG3_DF_VERIFY),
+        (("--preset", "fig4", "--protocol", "af"), GOLDEN_FIG4_AF_VERIFY),
+        (("--preset", "fig7a", "--kind", "xchannel"), GOLDEN_FIG7A_XCHANNEL_VERIFY)])
     def test_verify_golden(self, capsys, flags, golden):
         assert self.run("verify", *flags, "--samples", "20000", "--seed", "7") == 0
         assert capsys.readouterr() == (golden, "")

@@ -8,7 +8,7 @@ from scipy import integrate as sci_integrate
 from scipy import special as sci_special
 
 from gase import coop_threenode as coop
-from gase.coop_threenode import (CoopScenario, af_selection_integral, conditional_snr_pdfs,
+from gase.coop_threenode import (CoopScenario, af_selection_integral, density_normalizations,
                                  gase_coop, special_integral_D)
 from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
 from gase.mc_oracle import McConfig, mc_coop_summary
@@ -139,14 +139,7 @@ class TestConditionalDensities:
     @pytest.mark.parametrize("protocol", [RelayProtocol.DF, RelayProtocol.AF])
     @pytest.mark.parametrize("snrs", [(10.0, 10.0, 10.0), (3.0, 25.0, 8.0)])
     def test_normalise_to_one(self, protocol, snrs):
-        s = snr_scenario(*snrs)
-        gsd = s.mean_snr_sd
-        a1 = 1.0 / s.mean_snr_sr + 1.0 / s.mean_snr_rd
-        (direct_pdf, _), (relay_pdf, _) = conditional_snr_pdfs(s, protocol)
-        direct = integrate_semi_infinite(direct_pdf, QuadratureSpec(1e-9, 1e-14),
-                                         scale=gsd * (2.0 + gsd)).value
-        relay = integrate_semi_infinite(relay_pdf, QuadratureSpec(1e-9, 1e-14),
-                                        scale=1.0 / a1).value
+        direct, relay = density_normalizations(snr_scenario(*snrs), protocol)
         assert direct == pytest.approx(1.0, abs=1e-6)
         assert relay == pytest.approx(1.0, abs=1e-6)
 
@@ -206,9 +199,8 @@ class TestConditionalCapacities:
                          2.616989453780738, 26713.05069247967, 2.616989453780738)
         sel = af_selection_integral(s)
         c_relay = column(s, RelayProtocol.AF, "c_relay_bps_hz")
-        _, (relay_pdf, scale) = conditional_snr_pdfs(s, RelayProtocol.AF)
-        assert integrate_semi_infinite(relay_pdf, QuadratureSpec(1e-9, 1e-14),
-                                       scale=scale).value == pytest.approx(1.0, abs=1e-6)
+        _, relay = density_normalizations(s, RelayProtocol.AF)
+        assert relay == pytest.approx(1.0, abs=1e-6)
         monkeypatch.setattr(coop, "_CAP_SPEC", QuadratureSpec(rel_tol=1e-12, abs_tol=0.0))
         assert sel == pytest.approx(af_selection_integral(s), rel=1e-8, abs=0.0)
         assert c_relay == pytest.approx(column(s, RelayProtocol.AF, "c_relay_bps_hz"),
