@@ -17,9 +17,13 @@ the runtime needs nothing beyond numpy:
 * K0/K1: two branches, each returning both orders in one pass: for x <= 2
   the ascending series (DLMF 10.31.2, 10.31.1) in q = x^2/4, above it a
   Chebyshev fit of exp(x) sqrt(x) K_nu(x) in t = 4/x - 1 (as Cephes' k0e),
-  embedded as constants.  Both are polynomials, summed over one cumulative
-  product of powers in a few numpy calls, so a call of 15 values costs
-  little more than one of a single value; nothing is built at import.
+  embedded as constants.  Both are polynomials.  Their powers are built by
+  doubling, in log2(terms) contiguous multiplies, and one non-BLAS einsum
+  sums them term by term from the smallest, with no (terms, rows, n) table
+  of products.  So a call of 15 values costs little more than one of a
+  single value, and the 1,000-node calls of a sweep batch make only
+  contiguous passes.  ``one_minus_xk1`` sums only the two series rows it
+  reads.
 * erfcx: exp(x^2)*erfc(x) on the C library's erfc, with an asymptotic series
   where the product would overflow; Gaussian-type integrals need it.
 * Adaptive 7/15 Gauss-Kronrod quadrature with QUADPACK's error heuristic,
@@ -43,6 +47,7 @@ length of the array or on a value's position in it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -177,14 +182,15 @@ def scaled_e1(x):
 def _series_table(terms: int = 13) -> np.ndarray:
     """Coefficients of q^k, q = x^2/4, in I0, sum H_k q^k/k!^2, 2 I1/x and
     sum (H_k + H_{k+1}) q^k/(k!(k+1)!): the four sums of DLMF 10.31.2/10.31.1,
-    as a (terms, 4, 1) table.  On q <= 1 the first dropped term is below 1e-19."""
+    as a (terms, 4) table, highest power first.  On q <= 1 the first dropped
+    term is below 1e-19."""
     rows = []
     for k in range(terms):  # exact integers, one rounding per coefficient
         n0 = math.factorial(k) ** 2
         d = n0 * (k + 1)
         hd = sum(d // j for j in range(1, k + 1))  # H_k * d
         rows.append([1 / n0, hd / (d * n0), 1 / d, (2 * hd + n0) / (d * d)])
-    return np.array(rows)[:, :, None]
+    return np.array(rows[::-1])
 
 
 # Chebyshev coefficients of exp(x) sqrt(x) K_nu(x) in t = 4/x - 1 on x > 2, 24
@@ -208,29 +214,50 @@ _CHEBYSHEV = np.array([
 
 _SERIES = _series_table()
 # the same polynomials in powers of t: their coefficients sum in magnitude to
-# at most 1.18 times the smallest value on (-1, 1], so little cancels
-_SCALED = np.array([np.polynomial.chebyshev.cheb2poly(c) for c in _CHEBYSHEV]).T[:, :, None]
+# at most 1.18 times the smallest value on (-1, 1], so little cancels.  Both
+# tables are C-ordered, highest power first, as _power_series needs
+_SCALED = np.array([np.polynomial.chebyshev.cheb2poly(c)[::-1] for c in _CHEBYSHEV]).T.copy()
+
+
+@functools.cache
+def _doubling(terms: int):
+    """(source, row, target) index triples that fill a (terms, n) table of
+    powers u**(terms - 1 - k), highest first, from its last two rows, 1 and u.
+    With u**0 to u**(h-1) in place, u**1 to u**m times u**(h-1) are the next
+    m powers, so log2(terms) contiguous multiplies fill the table."""
+    steps, h = [], 2
+    while h < terms:
+        m = min(h - 1, terms - h)
+        steps.append((slice(-1 - m, -1), -h, slice(-h - m, -h)))
+        h += m
+    return tuple(steps)
 
 
 def _power_series(u, table):
-    """Rows sum_k table[k, j] * u**k of a (terms, rows, 1) table.  The powers
-    come from one cumulative product.  The terms are laid out highest power
-    first in C order, so each sum runs term by term from the smallest, and
-    not through BLAS: no value depends on the length of u or its position."""
+    """Rows sum_k table[k, j] * u**(terms - 1 - k) of a (terms, rows) table
+    laid out highest power first, as a (rows, u.size) array.
+
+    The powers are laid out the same way and built by ``_doubling``.  The
+    sums take einsum's non-BLAS loop, which adds each value term by term from
+    the smallest (the highest power) without a (terms, rows, n) table of
+    products.  That order holds only for a table of two rows or more whose
+    rows are contiguous: at one node einsum's loop otherwise runs along the
+    terms and reorders the sum.  So no value depends on the length of u or
+    its position."""
     powers = np.empty((len(table), u.size))
-    powers[0] = 1.0
-    powers[1:] = u
-    np.multiply.accumulate(powers, axis=0, out=powers)
-    terms = np.empty((len(table), table.shape[1], u.size))
-    np.multiply(powers[::-1, None], table[::-1], out=terms)
-    return np.add.reduce(terms, axis=0)
+    powers[-1] = 1.0
+    powers[-2] = u
+    for source, row, target in _doubling(len(table)):
+        np.multiply(powers[source], powers[row], powers[target])
+    return np.einsum("kn,kr->rn", powers, table)
 
 
 def _k01_series(x):
     """Ascending series for K0 and K1, accurate for x <= 2."""
-    i0, s0, i1, s1 = _power_series(0.25 * x * x, _SERIES)
-    lg = np.log(0.5 * x) + EULER_GAMMA
-    return -lg * i0 + s0, 1.0 / x + 0.5 * x * (lg * i1 - 0.5 * s1)
+    half = 0.5 * x
+    i0, s0, i1, s1 = _power_series(half * half, _SERIES)
+    lg = np.log(half) + EULER_GAMMA
+    return s0 - lg * i0, 1.0 / x + half * (lg * i1 - 0.5 * s1)
 
 
 def _k01_scaled(x):
@@ -243,33 +270,54 @@ def _k01_scaled(x):
     return k
 
 
-def bessel_k01(x):
-    """K0(x) and K1(x) from one evaluation, as a pair shaped like x."""
+def _one_minus_xk1_series(x):
+    """1 - x K1(x) for x <= 2 from the I1 and s1 rows of _SERIES alone."""
+    half = 0.5 * x
+    q = half * half
+    i1, s1 = _power_series(q, _SERIES[:, 2:])
+    return -2.0 * q * ((np.log(half) + EULER_GAMMA) * i1 - 0.5 * s1)
+
+
+def _one_minus_xk1_scaled(x):
+    """1 - x K1(x) for x > 2.  K0's row is summed too: _power_series needs two."""
+    return 1.0 - x * _k01_scaled(x)[1]
+
+
+def _by_branch(x, series, scaled):
+    """series on the nodes x <= 2 and scaled on the rest, each called on a
+    flat array; returns their rows over the flat nodes and x as an array.
+    One range test checks the domain and picks the branch, and the nodes are
+    split and scattered only where both branches occur."""
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
-    if not np.all((flat > 0.0) & (flat < np.inf)):
+    lo = np.minimum.reduce(flat, initial=np.inf)  # a NaN propagates to both
+    hi = np.maximum.reduce(flat, initial=0.0)
+    if not (lo > 0.0 and hi < np.inf):
         raise ValueError("bessel_k requires x > 0")
-    out = np.empty((2, flat.size))
-    for branch, use in ((_k01_series, flat <= 2.0), (_k01_scaled, flat > 2.0)):
-        if use.any():
-            out[:, use] = branch(flat[use])
-    return tuple(float(k[0]) if arr.ndim == 0 else k.reshape(arr.shape) for k in out)
+    if hi <= 2.0:
+        return series(flat), arr
+    if lo > 2.0:
+        return scaled(flat), arr
+    small = flat <= 2.0
+    big = ~small
+    upper = scaled(flat[big])
+    out = np.empty(upper.shape[:-1] + flat.shape)
+    out[..., big] = upper
+    out[..., small] = series(flat[small])
+    return out, arr
+
+
+def bessel_k01(x):
+    """K0(x) and K1(x) from one evaluation, as a pair shaped like x."""
+    k, arr = _by_branch(x, _k01_series, _k01_scaled)
+    return tuple(float(v[0]) if arr.ndim == 0 else v.reshape(arr.shape) for v in k)
 
 
 def one_minus_xk1(x):
     """1 - x K1(x), shaped like x.  Up to x = 2 it is -(x^2/2)(lg (2/x) I1(x)
     - s1/2) in the sums of _k01_series, lg = ln(x/2) + gamma, which keeps its
-    digits where x K1(x) -> 1; above that it is 1 - x K1(x), at most 0.72."""
-    arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()
-    if not np.all((flat > 0.0) & (flat < np.inf)):
-        raise ValueError("bessel_k requires x > 0")
-    small = flat <= 2.0
-    out = np.empty(flat.size)
-    xs, big = flat[small], flat[~small]
-    _, _, i1, s1 = _power_series(0.25 * xs * xs, _SERIES)
-    out[small] = -0.5 * xs * xs * ((np.log(0.5 * xs) + EULER_GAMMA) * i1 - 0.5 * s1)
-    out[~small] = 1.0 - big * _k01_scaled(big)[1]
+    digits where x K1(x) -> 1; above that it is 1 - x K1(x), at least 0.72."""
+    out, arr = _by_branch(x, _one_minus_xk1_series, _one_minus_xk1_scaled)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 

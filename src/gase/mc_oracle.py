@@ -99,11 +99,10 @@ class McConfig:
 class McEstimate:
     mean: float
     std_error: float
-    samples: int
 
     def scaled(self, factor: float) -> "McEstimate":
         """Apply a deterministic scalar (e.g. the half-duplex 1/2)."""
-        return McEstimate(self.mean * factor, self.std_error * abs(factor), self.samples)
+        return McEstimate(self.mean * factor, self.std_error * abs(factor))
 
 
 @dataclass(frozen=True)
@@ -190,16 +189,16 @@ def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
 def _estimate(total: float, total_sq: float, count: float) -> McEstimate:
     """Mean and standard error of ``count`` values from their sum and sum of squares."""
     if count == 0:
-        return McEstimate(math.nan, math.nan, 0)
+        return McEstimate(math.nan, math.nan)
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0)
-    return McEstimate(mean, math.sqrt(var / count), int(count))
+    return McEstimate(mean, math.sqrt(var / count))
 
 
 def _proportion(mean: float, count: int) -> McEstimate:
     """A hit fraction of ``count`` samples, with its error sqrt(p (1 - p) / n)."""
     p = min(max(mean, 0.0), 1.0)
-    return McEstimate(mean, math.sqrt(p * (1.0 - p) / count), count)
+    return McEstimate(mean, math.sqrt(p * (1.0 - p) / count))
 
 
 # ---------------------------------------------------------------------------
