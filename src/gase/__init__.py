@@ -17,8 +17,8 @@ from .cognitive_underlay import (CognitiveScenario, affected_area_parallel,
                                  x_channel_primary_capacity)
 from .config import ConfigError, ScenarioConfig, load_preset, parse_config, preset_names
 from .coop_threenode import CoopScenario, gase_coop, special_integral_D
-from .link_p2p import (GaseBreakdown, NoInteriorOptimumError, P2pScenario,
-                       ergodic_capacity_p2p, gase_p2p, optimal_power_p2p)
+from .link_p2p import (NoInteriorOptimumError, P2pScenario, ergodic_capacity_p2p, gase_p2p,
+                       optimal_power_p2p)
 from .mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
                          bessel_k0, bessel_k1, find_root_bracketed, integrate,
                          integrate_semi_infinite, scaled_e1)

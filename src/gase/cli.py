@@ -5,7 +5,7 @@
 Sweeps reproduce the figure presets as CSV tables (header row, comma
 separator, scientific notation with 12 significant digits).  Every value,
 and every column name after the parameter's, comes from the scenario
-modules: each result carries its CSV row.  A sweep builds per point only the
+modules: each result is its CSV row.  A sweep builds per point only the
 swept power or i_th, and hands all its points to the scenario module in one
 batch call, _results (the dual-hop and cooperative quadratures run in
 lockstep, and an i_th sweep takes the i_th-free closed forms once); an eval
@@ -19,7 +19,8 @@ argument parser is built on the first call and shared by every later one
 
 Exit codes: 0 success, 1 usage/config error (including a config or output
 path that cannot be read or written), 2 verification failure,
-3 numerical failure (non-convergence or an arithmetic error in evaluation).
+3 numerical failure (non-convergence, an arithmetic error in evaluation, or
+an array too large to allocate).
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def _scenarios(cfg: ScenarioConfig, param: Optional[str] = None, values=(None,))
 # ---------------------------------------------------------------------------
 
 def _results(cfg: ScenarioConfig, scenarios) -> list:
-    """The GaseBreakdown of each scenario of cfg's kind and protocol, from one
-    batch call of the scenario module."""
+    """The CSV row of each scenario of cfg's kind and protocol, from one batch
+    call of the scenario module."""
     kind = cfg.kind
     if kind in ("dualhop", "coop"):
         batch = relay.gase_dualhop_batch if kind == "dualhop" else coop.gase_coop_batch
@@ -119,8 +120,7 @@ def _table(cfg: ScenarioConfig, param: str, values: Sequence[float], scenarios):
     """(header, rows) of the scenarios' results: the parameter value, then
     each result's CSV row."""
     results = _results(cfg, scenarios)
-    return ([param, *results[0].components],
-            [[v, *b.components.values()] for v, b in zip(values, results)])
+    return [param, *results[0]], [[v, *row.values()] for v, row in zip(values, results)]
 
 
 def _sweep_values(cfg: ScenarioConfig) -> np.ndarray:
@@ -147,19 +147,20 @@ def run_optimize(cfg: ScenarioConfig):
     env = _env_of(cfg)
     if cfg.kind == "p2p":
         star = p2p.optimal_power_p2p(env, cfg.geometry["d"])
-        b = p2p.gase_p2p(p2p.P2pScenario(env, star, cfg.geometry["d"]))
+        row = p2p.gase_p2p(p2p.P2pScenario(env, star, cfg.geometry["d"]))
         residual = p2p.optimal_power_residual(env, cfg.geometry["d"], star)
-        return (["p_t_star_dbm", "p_t_star_w", "residual", *b.components],
-                [[star.dbm, star.watts, residual, *b.components.values()]])
+        return (["p_t_star_dbm", "p_t_star_w", "residual", *row],
+                [[star.dbm, star.watts, residual, *row.values()]])
     if cfg.kind == "dualhop":
         if cfg.p_max_dbm is None:
             raise ConfigError([(0, "optimize on dualhop requires optimize.p_max_dbm")])
-        p_s, p_r, b = relay._optimum(env, cfg.geometry["d_sr"], cfg.geometry["d_rd"],
-                                     PowerLevel.from_dbm(cfg.p_max_dbm),
-                                     relay.RelayProtocol.parse(cfg.protocol))
+        p_s, p_r, row = relay._optimum(env, cfg.geometry["d_sr"], cfg.geometry["d_rd"],
+                                       PowerLevel.from_dbm(cfg.p_max_dbm),
+                                       relay.RelayProtocol.parse(cfg.protocol))
         header = ["p_s_star_dbm", "p_r_star_dbm", "p_s_star_w", "p_r_star_w",
                   "capacity_bps_hz", "gase_bps_hz_m2"]
-        return header, [[p_s.dbm, p_r.dbm, p_s.watts, p_r.watts, b.capacity, b.gase]]
+        return header, [[p_s.dbm, p_r.dbm, p_s.watts, p_r.watts, row["capacity_bps_hz"],
+                         row["gase_bps_hz_m2"]]]
     raise ConfigError([(0, f"optimize supports p2p and dualhop, not {cfg.kind}")])
 
 
@@ -183,7 +184,7 @@ class VerifyCheck:
 def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyCheck]:
     """Yield the checks in output order; each MC estimate takes the next stream id."""
     s, = _scenarios(cfg)
-    closed = _results(cfg, [s])[0].components
+    closed, = _results(cfg, [s])
     streams = (mc.McConfig(samples, seed, stream) for stream in itertools.count())
     yield from (VerifyCheck(*row) for row in mc.CHECKS[cfg.kind](s, cfg.protocol, closed, streams))
 
@@ -284,9 +285,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"gase: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, MemoryError, ValueError) as exc:
         # ConfigError and UnicodeDecodeError are ValueErrors caught above as
-        # bad input; every remaining one comes from evaluation
+        # bad input; every remaining one comes from evaluation, and a
+        # MemoryError from an array too large to allocate
         print(f"gase: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -45,14 +45,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .link_p2p import LN2, GaseBreakdown, P2pScenario, gase_p2p
+from .link_p2p import LN2, P2pScenario, gase_p2p
 from .mathkernel import (EULER_GAMMA, QuadratureError, QuadratureSpec, integrate, scaled_e1,
                          scaled_en)
-from .propagation import PowerLevel, PropagationEnvironment, affected_area_single
+from .propagation import PowerLevel, PropagationEnvironment, affected_area_single, path_ratio
 
 __all__ = [
     "CognitiveScenario",
@@ -158,41 +158,33 @@ class CognitiveScenario:
     @property
     def rho_p(self) -> float:
         a = self.env.path_loss_exponent
-        return (self.p1.watts / self.p2.watts) * _power(self.d_sp / self.d_p, a)
+        return path_ratio(a, self.d_sp / self.d_p, self.p1.watts / self.p2.watts, 1.0)
 
     @property
     def rho_s(self) -> float:
         a = self.env.path_loss_exponent
-        return (self.p2.watts / self.p1.watts) * _power(self.d_ps / self.d_s, a)
+        return path_ratio(a, self.d_ps / self.d_s, self.p2.watts / self.p1.watts, 1.0)
 
     @property
     def n1(self) -> float:
         """Noise over the primary's mean received power, noise * d_p^a / p1."""
-        return self.d_p ** self.env.path_loss_exponent * self.env.noise_w / self.p1.watts
+        return path_ratio(self.env.path_loss_exponent, self.d_p, self.env.noise_w, self.p1.watts)
 
     @property
     def n2(self) -> float:
         """Noise over the secondary's mean received power, noise * d_s^a / p2."""
-        return self.d_s ** self.env.path_loss_exponent * self.env.noise_w / self.p2.watts
+        return path_ratio(self.env.path_loss_exponent, self.d_s, self.env.noise_w, self.p2.watts)
 
     @property
     def i1(self) -> float:
         """i_th over the primary's mean received power: the largest admissible
         normalised interference, c / rho_p."""
-        return self.d_p ** self.env.path_loss_exponent * self.i_th_w / self.p1.watts
+        return path_ratio(self.env.path_loss_exponent, self.d_p, self.i_th_w, self.p1.watts)
 
     @property
     def constraint_exponent(self) -> float:
         """i_th * d_sp^a / p2; the parallel-transmission probability is 1 - exp(-this)."""
-        return self.i_th_w * _power(self.d_sp, self.env.path_loss_exponent) / self.p2.watts
-
-
-def _power(x: float, a: float) -> float:
-    """x ** a, or its limit inf where that overflows the float range."""
-    try:
-        return x ** a
-    except OverflowError:
-        return math.inf
+        return path_ratio(self.env.path_loss_exponent, self.d_sp, self.i_th_w, self.p2.watts)
 
 
 def prob_parallel(s: CognitiveScenario) -> float:
@@ -373,7 +365,7 @@ def affected_area_parallel(s: CognitiveScenario) -> float:
                           fine, abs(fine - coarse))
 
 
-def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[GaseBreakdown]:
+def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[Dict[str, float]]:
     """gase_cognitive of each scenario, bit for bit.  The parallel area, the
     unconstrained primary integral with the secondary capacity, and the
     silent branch, which do not read i_th, are computed again only where the
@@ -394,35 +386,32 @@ def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[GaseBre
         key = (s.env, s.p1, s.d_p)
         if key != p2p_key:
             p2p_key, p2p = key, gase_p2p(P2pScenario(s.env, s.p1, s.d_p))
-        # rounded as (p * (C_p + C_s)) / A, the order the golden CSV rows use
-        gase = p * (c_p + c_s) / area_par + (1.0 - p) * p2p.gase
-        se_total = p * (c_p + c_s) + (1.0 - p) * p2p.capacity
-        results.append(GaseBreakdown(se_total, se_total / gase, gase, {
+        c_p2p, eta_p2p = p2p["capacity_bps_hz"], p2p["gase_bps_hz_m2"]
+        results.append({
             "p_parallel": p, "c_primary_bps_hz": c_p, "c_secondary_bps_hz": c_s,
-            "c_p2p_bps_hz": p2p.capacity, "area_parallel_m2": area_par,
-            "area_p2p_m2": p2p.area, "se_total_bps_hz": se_total, "gase_bps_hz_m2": gase,
-            "gase_x_bps_hz_m2": (free / LN2 + c_s) / area_par,
-            "gase_p2p_bps_hz_m2": p2p.gase}))
+            "c_p2p_bps_hz": c_p2p, "area_parallel_m2": area_par, "area_p2p_m2": p2p["area_m2"],
+            "se_total_bps_hz": p * (c_p + c_s) + (1.0 - p) * c_p2p,
+            # rounded as (p * (C_p + C_s)) / A, the order the golden CSV rows use
+            "gase_bps_hz_m2": p * (c_p + c_s) / area_par + (1.0 - p) * eta_p2p,
+            "gase_x_bps_hz_m2": (free / LN2 + c_s) / area_par, "gase_p2p_bps_hz_m2": eta_p2p})
     return results
 
 
-def gase_cognitive(s: CognitiveScenario) -> GaseBreakdown:
+def gase_cognitive(s: CognitiveScenario) -> Dict[str, float]:
     """Composite underlay GASE: P * parallel branch + (1 - P) * silent branch.
 
-    The components (the CSV row) hold P, the branch capacities and areas, the
-    total spectral efficiency P*(C_p + C_s) + (1-P)*C_p2p, and the composite,
-    X-channel and silent-branch GASEs: gase_cognitive_batch of one scenario.
+    The CSV row holds P, the branch capacities and areas, the total spectral
+    efficiency P*(C_p + C_s) + (1-P)*C_p2p, and the composite, X-channel and
+    silent-branch GASEs: gase_cognitive_batch of one scenario.
     """
     return gase_cognitive_batch([s])[0]
 
 
-def gase_x_channel(s: CognitiveScenario) -> GaseBreakdown:
-    """GASE of the unconstrained two-pair (X) channel: both always transmit."""
+def gase_x_channel(s: CognitiveScenario) -> Dict[str, float]:
+    """GASE of the unconstrained two-pair (X) channel, both always transmitting,
+    as the CSV row."""
     c_p = x_channel_primary_capacity(s)
     c_s = secondary_capacity_parallel(s)
     area_par = affected_area_parallel(s)
-    se_total = c_p + c_s
-    gase = se_total / area_par
-    return GaseBreakdown(capacity=se_total, area=area_par, gase=gase, components={
-        "c_primary_bps_hz": c_p, "c_secondary_bps_hz": c_s, "se_total_bps_hz": se_total,
-        "area_parallel_m2": area_par, "gase_bps_hz_m2": gase})
+    return {"c_primary_bps_hz": c_p, "c_secondary_bps_hz": c_s, "se_total_bps_hz": c_p + c_s,
+            "area_parallel_m2": area_par, "gase_bps_hz_m2": (c_p + c_s) / area_par}

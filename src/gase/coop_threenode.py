@@ -19,22 +19,22 @@ selection split of their scenarios, ``_split``, and read S, the relay-path
 SNR cdf and pdf and the relay tail scale from it.  A batch evaluates each
 of its integrals (AF selection, direct mode, relay mode) for all scenarios
 in one lockstep quadrature; ``gase_coop`` is the batch of one.  Each result
-is a GaseBreakdown whose components are the CSV row.
+is the CSV row: each column by name, in output order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .link_p2p import LN2, GaseBreakdown, _footprint
+from .link_p2p import LN2, _footprint
 from .mathkernel import (QuadratureSpec, bessel_k1, erfcx, integrate, integrate_semi_infinite,
                          integrate_semi_infinite_batch)
 from .propagation import PowerLevel, PropagationEnvironment, mean_snr
-from .relay_dualhop import RelayProtocol, af_snr_cdf, af_snr_pdf, df_snr_pdf
+from .relay_dualhop import RelayProtocol, _rates, af_snr_cdf, af_snr_pdf, df_snr_pdf
 
 __all__ = [
     "CoopScenario",
@@ -76,11 +76,10 @@ class CoopScenario:
 
 
 def _coeffs(s: CoopScenario):
-    gsd, gsr, grd = s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd
-    a1 = 1.0 / gsr + 1.0 / grd
-    a2 = 2.0 * a1 + 1.0 / gsd
-    b1 = 1.0 / math.sqrt(gsr * grd)
-    return gsd, a1, a2, b1
+    """gbar_SD and the relay path's a1 and b1 (relay_dualhop._rates), with a2."""
+    gsd = s.mean_snr_sd
+    a1, b1 = _rates(s)
+    return gsd, a1, 2.0 * a1 + 1.0 / gsd, b1
 
 
 def special_integral_D(a1: float, a2: float) -> float:
@@ -173,7 +172,7 @@ def density_normalizations(s: CoopScenario, protocol: RelayProtocol) -> Tuple[fl
 
 
 def gase_coop_batch(scenarios: Sequence[CoopScenario],
-                    protocol: RelayProtocol) -> List[GaseBreakdown]:
+                    protocol: RelayProtocol) -> List[Dict[str, float]]:
     """gase_coop of each scenario, each of its integrals as one quadrature
     batch; each result equals gase_coop of its scenario alone."""
     sp = _split(scenarios, protocol)
@@ -195,26 +194,24 @@ def gase_coop_batch(scenarios: Sequence[CoopScenario],
             in zip(scenarios, gsd.tolist(), sp.sel.tolist(), directs, relays)]
 
 
-def _result(s: CoopScenario, gsd: float, sel: float, direct: float, relay: float) -> GaseBreakdown:
+def _result(s: CoopScenario, gsd: float, sel: float, direct: float,
+            relay: float) -> Dict[str, float]:
     p_d = 1.0 - sel / gsd
     p_r = 1.0 - p_d
     c_d = direct / (gsd - sel)
     c_r = gsd * relay / sel
     area_s = _footprint(s.env, s.p_s, "source")
     area_r = _footprint(s.env, s.p_r, "relay")
-    gase = p_d * c_d / area_s + p_r * 0.5 * (c_r / area_s + c_r / area_r)
-    capacity = p_d * c_d + p_r * c_r
-    return GaseBreakdown(capacity=capacity, area=capacity / gase, gase=gase, components={
-        "p_direct": p_d, "p_relay": p_r, "c_direct_bps_hz": c_d, "c_relay_bps_hz": c_r,
-        "capacity_bps_hz": capacity, "area_s_m2": area_s, "area_r_m2": area_r,
-        "gase_bps_hz_m2": gase})
+    return {"p_direct": p_d, "p_relay": p_r, "c_direct_bps_hz": c_d, "c_relay_bps_hz": c_r,
+            "capacity_bps_hz": p_d * c_d + p_r * c_r, "area_s_m2": area_s, "area_r_m2": area_r,
+            "gase_bps_hz_m2": p_d * c_d / area_s + p_r * 0.5 * (c_r / area_s + c_r / area_r)}
 
 
-def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> GaseBreakdown:
+def gase_coop(s: CoopScenario, protocol: RelayProtocol) -> Dict[str, float]:
     """Mode probabilities, conditional capacities, and composite GASE.
 
     eta = P_d * C_d / A_S + P_r * (C_r / A_S + C_r / A_R) / 2, with A_S and
-    A_R the single-transmitter footprints of source and relay; the
-    components hold all of them, and ``capacity`` is P_d * C_d + P_r * C_r.
+    A_R the single-transmitter footprints of source and relay.  The CSV row
+    holds all of them and the capacity P_d * C_d + P_r * C_r.
     """
     return gase_coop_batch([s], protocol)[0]

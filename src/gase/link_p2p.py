@@ -11,18 +11,17 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from .mathkernel import find_root_bracketed, scaled_e1
 from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
-                          mean_snr, watts_of)
+                          mean_snr, path_ratio, watts_of)
 
 LN2 = math.log(2.0)
 
 __all__ = [
     "P2pScenario",
-    "GaseBreakdown",
     "NoInteriorOptimumError",
     "ergodic_capacity_p2p",
     "gase_p2p",
@@ -47,21 +46,6 @@ class P2pScenario:
             raise ValueError("distance must be > 0")
 
 
-@dataclass(frozen=True)
-class GaseBreakdown:
-    """Ergodic capacity (bps/Hz), affected area (m^2), and their ratio.
-
-    ``components`` is the scenario's CSV row: each printed column by name, in
-    output order, with the true per-transmitter areas of multi-transmitter
-    scenarios, whose ``area`` is the effective area capacity/gase.
-    """
-
-    capacity: float
-    area: float
-    gase: float
-    components: Dict[str, float] = field(default_factory=dict)
-
-
 def ergodic_capacity_p2p(s: P2pScenario) -> float:
     """Rayleigh ergodic capacity (1/ln 2) * exp(x) * E1(x), x = d^a N / P_t."""
     x = 1.0 / mean_snr(s.env, s.p_t, s.d)
@@ -82,13 +66,12 @@ def _footprint(env: PropagationEnvironment, p_t, name: str) -> float:
     return area
 
 
-def gase_p2p(s: P2pScenario) -> GaseBreakdown:
-    """Capacity over affected area for a single link."""
+def gase_p2p(s: P2pScenario) -> Dict[str, float]:
+    """Capacity over affected area for a single link, as the CSV row: each
+    column by name, in output order."""
     capacity = ergodic_capacity_p2p(s)
     area = _footprint(s.env, s.p_t, "transmitter")
-    gase = capacity / area
-    return GaseBreakdown(capacity=capacity, area=area, gase=gase, components={
-        "capacity_bps_hz": capacity, "area_m2": area, "gase_bps_hz_m2": gase})
+    return {"capacity_bps_hz": capacity, "area_m2": area, "gase_bps_hz_m2": capacity / area}
 
 
 def _residual(x: float, a: float) -> float:
@@ -125,11 +108,7 @@ def optimal_power_p2p(env: PropagationEnvironment, d: float) -> PowerLevel:
     """GASE-maximising transmit power d^a * N / x* for a > 2 (optimal_inverse_snr),
     refused by name where it overflows or underflows to 0 W."""
     a = env.path_loss_exponent
-    x = optimal_inverse_snr(a)
-    try:
-        p = d ** a * env.noise_w / x
-    except OverflowError:  # d^a past the float range
-        p = math.inf
+    p = path_ratio(a, d, env.noise_w, optimal_inverse_snr(a))
     if not 0.0 < p < math.inf:
         side = "overflows" if p else "underflows to 0 W"
         raise ArithmeticError(f"optimal power d^a N / x* {side} at a = {a:g}, d = {d:g} m")

@@ -336,7 +336,7 @@ def primary_sinr_sampler(s) -> McSampler:
     Without a constraint (c = inf) the draw is the unconstrained one.
     """
     c = s.constraint_exponent
-    if not c < math.inf:  # no constraint: c = inf, or nan where i_th = inf meets d_sp^a = 0
+    if not c < math.inf:  # no constraint: c = inf (nan only where a ln d_sp is -inf)
         return _interference_sinr_sampler(s.rho_p, s.n1)
     n1, i1, cap = s.n1, s.i1, -math.expm1(-c)
 
@@ -481,7 +481,7 @@ def _cognitive_checks(s, protocol, c, streams):
 
 
 # verify's rows (name, closed form, oracle mean, oracle std error, tolerance)
-# by kind: CHECKS[kind](s, protocol, s's closed-form components, streams) makes
+# by kind: CHECKS[kind](s, protocol, s's closed-form CSV row, streams) makes
 # each as it is reached, each Monte Carlo estimate on the next McConfig of streams
 CHECKS = {"p2p": _p2p_checks, "dualhop": _dualhop_checks, "coop": _coop_checks,
           "cognitive": _cognitive_checks, "xchannel": _x_channel_checks}

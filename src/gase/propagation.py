@@ -12,6 +12,7 @@ that conversion discipline.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -20,9 +21,12 @@ __all__ = [
     "dbm_to_watts",
     "watts_to_dbm",
     "watts_of",
+    "path_ratio",
     "mean_snr",
     "affected_area_single",
 ]
+
+_TINY = sys.float_info.min  # the smallest normal float
 
 def dbm_to_watts(p_dbm: float) -> float:
     """dBm to watts: P_W = 10^((P_dBm - 30) / 10)."""
@@ -87,11 +91,36 @@ class PropagationEnvironment:
         return cls(path_loss_exponent, dbm_to_watts(noise_dbm), dbm_to_watts(p_min_dbm))
 
 
+def path_ratio(a: float, d: float, num: float, den: float) -> float:
+    """d^a * num / den for d, num, den > 0: that product in linear scale where
+    it and d^a are normal floats, else exp(a ln d + ln num - ln den), which is
+    inf or 0 only where the ratio itself leaves the float range."""
+    try:
+        power = d ** a
+        if power >= _TINY:
+            ratio = power * num / den
+            if _TINY <= ratio < math.inf:
+                return ratio
+    except OverflowError:
+        pass
+    try:
+        return math.exp(a * math.log(d) + math.log(num) - math.log(den))
+    except OverflowError:
+        return math.inf
+
+
 def mean_snr(env: PropagationEnvironment, p_t, d: float) -> float:
-    """Average received SNR P_t / (d^a * N) at distance d (meters)."""
+    """Average received SNR P_t / (d^a * N) at distance d (meters).  Raises
+    ArithmeticError, naming a and d, where it overflows or underflows to 0."""
     if d <= 0:
         raise ValueError("distance must be > 0")
-    return watts_of(p_t) / (d ** env.path_loss_exponent * env.noise_w)
+    a = env.path_loss_exponent
+    loss = path_ratio(a, d, env.noise_w, 1.0)
+    snr = watts_of(p_t) / loss if loss else math.inf
+    if not 0.0 < snr < math.inf:
+        side = "overflows" if snr else "underflows to 0"
+        raise ArithmeticError(f"mean SNR P / (d^a N) {side} at a = {a:g}, d = {d:g} m")
+    return snr
 
 
 def affected_area_single(env: PropagationEnvironment, p_t) -> float:

@@ -24,11 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .link_p2p import LN2, GaseBreakdown, _footprint, optimal_inverse_snr
+from .link_p2p import LN2, _footprint, optimal_inverse_snr
 from .mathkernel import (QuadratureSpec, bessel_k01, integrate_semi_infinite_batch,
                          one_minus_xk1, scaled_e1, scaled_en)
 from .propagation import PowerLevel, PropagationEnvironment, mean_snr, watts_of
@@ -158,31 +158,26 @@ def ergodic_capacity(s: DualHopScenario, protocol: RelayProtocol) -> float:
     return ergodic_capacity_af(s)
 
 
-def _breakdown(s: DualHopScenario, capacity: float) -> GaseBreakdown:
+def _row(s: DualHopScenario, capacity: float) -> Dict[str, float]:
     area_sr = _footprint(s.env, s.p_s, "source")
     area_rd = _footprint(s.env, s.p_r, "relay")
-    gase = 0.5 * capacity * (1.0 / area_sr + 1.0 / area_rd)
-    return GaseBreakdown(capacity=capacity, area=capacity / gase, gase=gase, components={
-        "capacity_bps_hz": capacity, "area_sr_m2": area_sr, "area_rd_m2": area_rd,
-        "gase_bps_hz_m2": gase})
+    return {"capacity_bps_hz": capacity, "area_sr_m2": area_sr, "area_rd_m2": area_rd,
+            "gase_bps_hz_m2": 0.5 * capacity * (1.0 / area_sr + 1.0 / area_rd)}
 
 
-def gase_dualhop(s: DualHopScenario, protocol: RelayProtocol) -> GaseBreakdown:
-    """Average of the per-slot capacity/area ratios.
-
-    ``area`` holds the harmonic mean of the two footprints so that
-    gase == capacity / area stays an identity.
-    """
-    return _breakdown(s, ergodic_capacity(s, protocol))
+def gase_dualhop(s: DualHopScenario, protocol: RelayProtocol) -> Dict[str, float]:
+    """Average of the per-slot capacity/area ratios, as the CSV row: the
+    capacity, both hops' footprints and the GASE."""
+    return _row(s, ergodic_capacity(s, protocol))
 
 
 def gase_dualhop_batch(scenarios: Sequence[DualHopScenario],
-                       protocol: RelayProtocol) -> List[GaseBreakdown]:
+                       protocol: RelayProtocol) -> List[Dict[str, float]]:
     """gase_dualhop of each scenario, the AF capacities as one quadrature batch;
     each result equals gase_dualhop of its scenario alone."""
     capacities = (_af_capacities(scenarios) if protocol is RelayProtocol.AF
                   else [ergodic_capacity_df(s) for s in scenarios])
-    return [_breakdown(s, c) for s, c in zip(scenarios, capacities)]
+    return [_row(s, c) for s, c in zip(scenarios, capacities)]
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +295,13 @@ def optimize_relay_powers(env: PropagationEnvironment, d_sr: float, d_rd: float,
     does not converge or a hop's inverse SNR leaves the float range on the box.
     Returns (P_S, P_R, GASE at that point).
     """
-    p_s, p_r, b = _optimum(env, d_sr, d_rd, p_max, protocol, span_decades)
-    return p_s, p_r, b.gase
+    p_s, p_r, row = _optimum(env, d_sr, d_rd, p_max, protocol, span_decades)
+    return p_s, p_r, row["gase_bps_hz_m2"]
 
 
 def _optimum(env: PropagationEnvironment, d_sr: float, d_rd: float, p_max,
              protocol: RelayProtocol, span_decades: float = 10.0):
-    """optimize_relay_powers with the whole breakdown at the optimum: (P_S, P_R, breakdown)."""
+    """optimize_relay_powers with the whole gase_dualhop row at the optimum: (P_S, P_R, row)."""
     a = env.path_loss_exponent
     ln_hi = math.log(watts_of(p_max))
     ln_lo = ln_hi - span_decades * math.log(10.0)
@@ -322,9 +317,9 @@ def _optimum(env: PropagationEnvironment, d_sr: float, d_rd: float, p_max,
         return DualHopScenario(env, PowerLevel(math.exp(point[0])), PowerLevel(math.exp(point[1])),
                                d_sr, d_rd)
 
-    def result(point, b=None):
+    def result(point, row=None):
         s = scenario(point)
-        return s.p_s, s.p_r, gase_dualhop(s, protocol) if b is None else b
+        return s.p_s, s.p_r, gase_dualhop(s, protocol) if row is None else row
 
     end = None
     if a > 2.0:
@@ -339,8 +334,8 @@ def _optimum(env: PropagationEnvironment, d_sr: float, d_rd: float, p_max,
             return result(end)
     corners = [(u, v) for u in (ln_hi, ln_lo) for v in (ln_hi, ln_lo)]
     points = corners if end is None else [end] + corners
-    breakdowns = gase_dualhop_batch([scenario(p) for p in points], protocol)
-    b, best = max(zip(breakdowns, points),
-                  key=lambda pair: (pair[0].gase, pair[1][0] >= pair[1][1]))
+    rows = gase_dualhop_batch([scenario(p) for p in points], protocol)
+    row, best = max(zip(rows, points),
+                    key=lambda pair: (pair[0]["gase_bps_hz_m2"], pair[1][0] >= pair[1][1]))
     top = best if best == end else _ascend(protocol, a, ln_c, np.array(best), ln_lo, ln_hi)
-    return result(top, b if top == best else None)
+    return result(top, row if top == best else None)

@@ -107,7 +107,7 @@ def test_criterion_1_p2p_closed_form_suite():
 def test_criterion_2_small_power_limit():
     env = PropagationEnvironment.from_dbm(2.0, -100.0, -90.0)
     limit = (1.0 / LN2) * env.p_min_w / (math.pi * env.noise_w * 1000.0 ** 2)
-    eta = gase_p2p(P2pScenario(env, PowerLevel(1e-9), 1000.0)).gase
+    eta = gase_p2p(P2pScenario(env, PowerLevel(1e-9), 1000.0))["gase_bps_hz_m2"]
     rel = abs(eta - limit) / limit
     report(2, "a=2 small-power limit at 1e-9 W (0.1%)", rel <= 1e-3,
            f"expected {limit:.4e}, measured rel gap {rel:.2%}")
@@ -117,9 +117,9 @@ def test_criterion_2_large_power_decay():
     env = PropagationEnvironment.from_dbm(2.0, -100.0, -90.0)
     limit = (1.0 / LN2) * env.p_min_w / (math.pi * env.noise_w * 1000.0 ** 2)
     grid = np.geomspace(1e-12, 1e2, 80)
-    peak = max(max(gase_p2p(P2pScenario(env, PowerLevel(float(p)), 1000.0)).gase
+    peak = max(max(gase_p2p(P2pScenario(env, PowerLevel(float(p)), 1000.0))["gase_bps_hz_m2"]
                    for p in grid), limit)
-    big = gase_p2p(P2pScenario(env, PowerLevel(1e6), 1000.0)).gase
+    big = gase_p2p(P2pScenario(env, PowerLevel(1e6), 1000.0))["gase_bps_hz_m2"]
     report(2, "a=2 large-power decay (<1e-9 of peak)", big / peak < 1e-9,
            f"ratio {big / peak:.2e}")
 
@@ -177,7 +177,7 @@ def test_criterion_4_dualhop_df():
         closed = (a / (8.0 * math.pi * LN2 * math.gamma(2.0 / a)) * scaled_e1(a1)
                   * ((s.p_s.watts / s.env.p_min_w) ** (-2.0 / a)
                      + (s.p_r.watts / s.env.p_min_w) ** (-2.0 / a)))
-        generic = gase_dualhop(s, RelayProtocol.DF).gase
+        generic = gase_dualhop(s, RelayProtocol.DF)["gase_bps_hz_m2"]
         ok &= abs(generic - closed) <= 1e-12 * closed
     report(4, "dual-hop DF closed forms", ok)
 
@@ -257,8 +257,7 @@ def test_criterion_7_cooperative_consistency():
     for proto, equivalent in ((RelayProtocol.DF, "df"), (RelayProtocol.AF, "af")):
         for i, (gsd, gsr, grd) in enumerate(COOP_SNR_TRIPLES):
             s = coop_with_snrs(gsd, gsr, grd)
-            r = gase_coop(s, proto)
-            c = r.components
+            c = gase_coop(s, proto)
             ok &= (c["p_direct"] + c["p_relay"]) == 1.0
 
             out = mc_coop_summary(gsd, gsr, grd, equivalent,
@@ -361,11 +360,11 @@ def test_criterion_9_cognitive_suite():
 
 def test_criterion_10_limits_and_betweenness():
     s = fig6_scenario()
-    eta_p2p = gase_p2p(P2pScenario(s.env, s.p1, s.d_p)).gase
-    tight = gase_cognitive(fig6_scenario(1e-18)).gase
+    eta_p2p = gase_p2p(P2pScenario(s.env, s.p1, s.d_p))["gase_bps_hz_m2"]
+    tight = gase_cognitive(fig6_scenario(1e-18))["gase_bps_hz_m2"]
     ok = abs(tight - eta_p2p) <= 5e-3 * eta_p2p
-    loose = gase_cognitive(fig6_scenario(1e3)).gase
-    eta_x = gase_x_channel(fig6_scenario(1e3)).gase
+    loose = gase_cognitive(fig6_scenario(1e3))["gase_bps_hz_m2"]
+    eta_x = gase_x_channel(fig6_scenario(1e3))["gase_bps_hz_m2"]
     ok &= abs(loose - eta_x) <= 5e-3 * eta_x
 
     fig6 = sweep_columns(load_preset("fig6"))

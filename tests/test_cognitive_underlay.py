@@ -368,8 +368,8 @@ class TestXChannel:
     def test_cognitive_converges_to_x_channel(self):
         s = fig6_scenario()
         loose = CognitiveScenario(ENV, s.p1, s.p2, s.d_p, s.d_s, s.d_sp, s.d_ps, s.d0, 1e3)
-        eta_cr = gase_cognitive(loose).gase
-        eta_x = gase_x_channel(loose).gase
+        eta_cr = gase_cognitive(loose)["gase_bps_hz_m2"]
+        eta_x = gase_x_channel(loose)["gase_bps_hz_m2"]
         assert eta_cr == pytest.approx(eta_x, rel=0.005)
 
     def test_underflowing_interference_ratio_takes_its_limit(self, tmp_path, capsys):
@@ -394,12 +394,12 @@ class TestXChannel:
         assert capsys.readouterr().err == ""
         s, = cli._scenarios(parse_config(cfg.read_text()))
         assert s.rho_p == s.rho_s == s.constraint_exponent == math.inf
-        c = (gase_cognitive(s) if kind == "cognitive" else gase_x_channel(s)).components
+        c = gase_cognitive(s) if kind == "cognitive" else gase_x_channel(s)
         assert c.get("p_parallel", 1.0) == 1.0
         for power, d, column in ((s.p1, s.d_p, "c_primary_bps_hz"),
                                  (s.p2, s.d_s, "c_secondary_bps_hz")):
             p2p = gase_p2p(P2pScenario(s.env, power, d))
-            assert c[column] == pytest.approx(p2p.capacity, rel=1e-15, abs=0.0)
+            assert c[column] == pytest.approx(p2p["capacity_bps_hz"], rel=1e-15, abs=0.0)
         # d0 = 1e160 m: the footprints do not overlap
         singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
         assert c["area_parallel_m2"] == pytest.approx(singles, rel=1e-15, abs=0.0)
@@ -425,8 +425,8 @@ class TestXChannel:
     def test_close_interferers_hurt(self):
         s = CognitiveScenario(ENV, PowerLevel.from_dbm(20.0), PowerLevel.from_dbm(20.0),
                               100.0, 100.0, 60.0, 60.0, 100.0, 1e-11)
-        eta_x = gase_x_channel(s).gase
-        eta_p2p = gase_p2p(P2pScenario(ENV, s.p1, s.d_p)).gase
+        eta_x = gase_x_channel(s)["gase_bps_hz_m2"]
+        eta_p2p = gase_p2p(P2pScenario(ENV, s.p1, s.d_p))["gase_bps_hz_m2"]
         assert eta_x < eta_p2p
 
 
@@ -775,20 +775,21 @@ class TestAffectedAreaParallel:
 class TestCompositeGase:
     def test_limits_bracket_the_composite(self):
         s = fig6_scenario()
-        eta_p2p = gase_p2p(P2pScenario(ENV, s.p1, s.d_p)).gase
+        eta_p2p = gase_p2p(P2pScenario(ENV, s.p1, s.d_p))["gase_bps_hz_m2"]
         tight = CognitiveScenario(ENV, s.p1, s.p2, s.d_p, s.d_s, s.d_sp, s.d_ps, s.d0, 1e-18)
-        assert gase_cognitive(tight).gase == pytest.approx(eta_p2p, rel=0.005)
+        assert gase_cognitive(tight)["gase_bps_hz_m2"] == pytest.approx(eta_p2p, rel=0.005)
         loose = CognitiveScenario(ENV, s.p1, s.p2, s.d_p, s.d_s, s.d_sp, s.d_ps, s.d0, 1e3)
-        assert gase_cognitive(loose).gase == pytest.approx(gase_x_channel(loose).gase, rel=0.005)
+        assert gase_cognitive(loose)["gase_bps_hz_m2"] == pytest.approx(
+            gase_x_channel(loose)["gase_bps_hz_m2"], rel=0.005)
 
     def test_between_bounds_across_sweep(self):
         s = fig6_scenario()
-        eta_p2p = gase_p2p(P2pScenario(ENV, s.p1, s.d_p)).gase
-        eta_x = gase_x_channel(s).gase
+        eta_p2p = gase_p2p(P2pScenario(ENV, s.p1, s.d_p))["gase_bps_hz_m2"]
+        eta_x = gase_x_channel(s)["gase_bps_hz_m2"]
         lo, hi = min(eta_x, eta_p2p), max(eta_x, eta_p2p)
         for i_dbm in range(-120, -39, 10):
             b = gase_cognitive(fig6_scenario(float(i_dbm)))
-            assert lo - 1e-15 <= b.gase <= hi + 1e-15
+            assert lo - 1e-15 <= b["gase_bps_hz_m2"] <= hi + 1e-15
 
     def test_batch_takes_the_parallel_area_once_per_i_th_sweep(self, monkeypatch):
         scenarios = [fig6_scenario(float(i_dbm)) for i_dbm in range(-120, -39, 20)]
@@ -822,8 +823,7 @@ class TestCompositeGase:
         batch = cg.gase_cognitive_batch(scenarios)
         assert batch == alone
         assert len(integrals) == 2 + len(scenarios) and len(silent) == 1
-        for s, b in zip(scenarios, batch):
-            c = b.components
+        for s, c in zip(scenarios, batch):
             assert c["c_primary_bps_hz"] == primary_capacity_parallel(s)
             assert c["c_secondary_bps_hz"] == secondary_capacity_parallel(s)
             assert c["gase_x_bps_hz_m2"] == ((x_channel_primary_capacity(s)
@@ -859,11 +859,10 @@ class TestCompositeGase:
         assert cg.gase_cognitive_batch(scenarios) == [gase_cognitive(s) for s in scenarios]
 
     def test_breakdown_components(self):
-        b = gase_cognitive(fig6_scenario())
-        c = b.components
+        c = gase_cognitive(fig6_scenario())
         parallel = (c["c_primary_bps_hz"] + c["c_secondary_bps_hz"]) / c["area_parallel_m2"]
         mix = c["p_parallel"] * parallel + (1 - c["p_parallel"]) * c["gase_p2p_bps_hz_m2"]
-        assert b.gase == c["gase_bps_hz_m2"] == pytest.approx(mix, rel=1e-14)
-        assert b.capacity == c["se_total_bps_hz"] == pytest.approx(
+        assert c["gase_bps_hz_m2"] == pytest.approx(mix, rel=1e-14)
+        assert c["se_total_bps_hz"] == pytest.approx(
             c["p_parallel"] * (c["c_primary_bps_hz"] + c["c_secondary_bps_hz"])
             + (1 - c["p_parallel"]) * c["c_p2p_bps_hz"], rel=1e-14)

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -22,6 +23,7 @@ from gase import cli
 from gase import cognitive_underlay as cg
 from gase import config
 from gase import coop_threenode as coop
+from gase import link_p2p as p2p
 from gase import mathkernel
 from gase import relay_dualhop as relay
 from gase.config import ConfigError, SweepBlock, derive_kind, load_preset, parse_config
@@ -171,6 +173,30 @@ env.noise_dbm = -100
 env.p_min_dbm = -90
 geom.d = 1
 power.p_t_dbm = 30
+"""
+
+# d^a = 1e310 leaves the float range, but d^a N / P_t = 1 does not
+HUGE_DISTANCE_P2P_TEXT = """\
+scenario.kind = p2p
+env.path_loss_exponent = 10
+env.noise_dbm = -300
+env.p_min_dbm = -200
+geom.d = 1e31
+power.p_t_dbm = 2800
+"""
+
+HUGE_DISTANCE_XCHANNEL_TEXT = """\
+scenario.kind = xchannel
+env.path_loss_exponent = 10
+env.noise_dbm = -300
+env.p_min_dbm = -200
+geom.d_p = 1e31
+geom.d_s = 1e31
+geom.d_sp = 1e31
+geom.d_ps = 1e31
+geom.d0 = 1
+power.p1_dbm = 2800
+power.p2_dbm = 2800
 """
 
 # frozen golden rows: 12-significant-digit scientific notation, fixed order
@@ -501,6 +527,47 @@ class TestCliCommands:
             assert self.run("optimize", "--config", str(cfg)) == 3
         assert capsys.readouterr() == ("", f"gase: numerical failure: {message}\n")
 
+    def test_huge_distance_with_an_in_range_snr_has_its_value(self):
+        # e E1(1) / ln 2 and (1 - e E1(1)) / ln 2: the SNR is 1 though d^a overflows
+        with mpmath.workdps(40):
+            h = mpmath.e * mpmath.e1(1)
+            ln2 = mpmath.log(2)
+            p2p_capacity, primary = float(h / ln2), float((1 - h) / ln2)
+        header, (row,) = cli.run_eval(parse_config(HUGE_DISTANCE_P2P_TEXT))
+        assert row[header.index("capacity_bps_hz")] == pytest.approx(p2p_capacity, rel=1e-12)
+        header, (row,) = cli.run_eval(parse_config(HUGE_DISTANCE_XCHANNEL_TEXT))
+        assert row[header.index("c_primary_bps_hz")] == pytest.approx(primary, rel=1e-12)
+
+    def test_optimize_at_a_huge_distance_has_its_value(self):
+        # p* = d^a N / x*, with (x* + 2/a) e^x* E1(x*) = 1 at a = 10
+        cfg = parse_config(HUGE_DISTANCE_P2P_TEXT)
+        with mpmath.workdps(40):
+            x = mpmath.findroot(lambda x: (x + mpmath.mpf(1) / 5) * mpmath.exp(x) * mpmath.e1(x)
+                                - 1, (0.001, 0.01), solver="illinois")
+            star = mpmath.mpf(1e31) ** 10 * mpmath.mpf(PowerLevel.from_dbm(-300.0).watts) / x
+            star_w, star_dbm = float(star), float(10 * mpmath.log10(star) + 30)
+        header, (row,) = cli.run_optimize(cfg)
+        assert row[header.index("p_t_star_w")] == pytest.approx(star_w, rel=1e-12)
+        assert row[header.index("p_t_star_dbm")] == pytest.approx(star_dbm, rel=1e-12)
+
+    @pytest.mark.parametrize("a,d,side", [(400, "10", "underflows to 0"),
+                                          (60, "1e-09", "overflows")])
+    def test_mean_snr_past_the_float_range_is_named(self, tmp_path, capsys, a, d, side):
+        cfg = tmp_path / "steep.cfg"
+        cfg.write_text(STEEP_P2P_TEXT.format(a=a).replace("geom.d = 1\n", f"geom.d = {d}\n"))
+        assert self.run("eval", "--config", str(cfg)) == 3
+        assert capsys.readouterr() == ("", "gase: numerical failure: mean SNR P / (d^a N) "
+                                           f"{side} at a = {a}, d = {d} m\n")
+
+    def test_unallocatable_sweep_is_numeric_exit_code(self, tmp_path, capsys):
+        # numpy refuses the 8e18-byte grid before it allocates anything
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(preset_text("fig1", {"sweep.points": "1e18"}))
+        assert self.run("sweep", "--config", str(cfg)) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("gase: numerical failure: Unable to allocate")
+
     def test_optimize_without_convergence_exit_code(self, monkeypatch, tmp_path, capsys):
         # a gradient that flips sign at every evaluation, with GASE always
         # rising, keeps the power ascent from settling
@@ -647,6 +714,26 @@ class TestCliCommands:
                 header, rows = cli.run_eval(cfg)
                 assert header == [cfg.default_parameter(), *documented[kind]]
                 assert len(rows) == 1 and len(rows[0]) == len(header)
+
+    @pytest.mark.parametrize("preset,kind,protocol", [
+        ("fig1", "p2p", None), ("fig3", "dualhop", "df"), ("fig3", "dualhop", "af"),
+        ("fig4", "coop", "df"), ("fig4", "coop", "af"), ("fig6", "cognitive", None),
+        ("fig7a", "xchannel", None)])
+    def test_library_result_is_the_eval_row(self, preset, kind, protocol):
+        cfg = derive_kind(load_preset(preset), kind)
+        if protocol is not None:
+            cfg = replace(cfg, protocol=protocol)
+        s, = cli._scenarios(cfg)
+        if protocol is not None:
+            gase = relay.gase_dualhop if kind == "dualhop" else coop.gase_coop
+            row = gase(s, relay.RelayProtocol.parse(protocol))
+        else:
+            row = {"p2p": p2p.gase_p2p, "cognitive": cg.gase_cognitive,
+                   "xchannel": cg.gase_x_channel}[kind](s)
+        header, (values,) = cli.run_eval(cfg)
+        assert type(row) is dict
+        assert list(row) == header[1:]
+        assert list(row.values()) == values[1:]
 
     def test_af_capacity_at_low_snr(self, tmp_path, capsys):
         # equal hops at low SNR: C_AF/C_DF -> E[harmonic mean]/E[min] = 2/3
@@ -1001,15 +1088,19 @@ def _finite(lo, hi):
 
 
 _DBM = _finite(-200.0, 100.0)
+_EXPONENT = _finite(0.1, 10.0)
 _DISTANCE = _finite(-3.0, 6.0).map(lambda e: 10.0 ** e)
+# nearly the whole domain that the parser accepts: any a > 0, any finite distance > 0
+_PARSER_EXPONENT = _finite(0.01, 2000.0)
+_PARSER_DISTANCE = _finite(-300.0, 300.0).map(lambda e: 10.0 ** e)
 _GEOM = {"p2p": ("d",), "dualhop": ("d_sr", "d_rd"), "coop": ("d_sd", "d_sr", "d_rd")}
 
 
-def _scenario(draw, kind):
+def _scenario(draw, kind, exponent=_EXPONENT, distance=_DISTANCE):
     """The config entries of one p2p, dual-hop or cooperative scenario, DF or AF."""
-    values = {"scenario.kind": kind, "env.path_loss_exponent": draw(_finite(0.1, 10.0)),
+    values = {"scenario.kind": kind, "env.path_loss_exponent": draw(exponent),
               "env.noise_dbm": draw(_DBM), "env.p_min_dbm": draw(_DBM)}
-    values.update((f"geom.{key}", draw(_DISTANCE)) for key in _GEOM[kind])
+    values.update((f"geom.{key}", draw(distance)) for key in _GEOM[kind])
     powers = ("p_t_dbm",) if kind == "p2p" else ("p_s_dbm", "p_r_dbm")
     values.update((f"power.{key}", draw(_DBM)) for key in powers)
     if kind != "p2p":
@@ -1018,7 +1109,7 @@ def _scenario(draw, kind):
 
 
 @st.composite
-def two_transmitter_configs(draw, max_points=0):
+def two_transmitter_configs(draw, max_points=0, exponent=_EXPONENT, distance=_DISTANCE):
     """Config text for one cognitive or xchannel scenario the parser accepts.
 
     d_sp and d_ps lie inside the triangle bounds [|d0 - d_p|, d0 + d_p] and
@@ -1027,9 +1118,9 @@ def two_transmitter_configs(draw, max_points=0):
     max_points points.
     """
     kind = draw(st.sampled_from(("cognitive", "xchannel")))
-    values = {"scenario.kind": kind, "env.path_loss_exponent": draw(_finite(0.1, 10.0)),
+    values = {"scenario.kind": kind, "env.path_loss_exponent": draw(exponent),
               "env.noise_dbm": draw(_DBM), "env.p_min_dbm": draw(_DBM)}
-    d0, d_p, d_s = draw(_DISTANCE), draw(_DISTANCE), draw(_DISTANCE)
+    d0, d_p, d_s = draw(distance), draw(distance), draw(distance)
     values.update({"geom.d_p": d_p, "geom.d_s": d_s, "geom.d0": d0})
     for key, d in (("d_sp", d_p), ("d_ps", d_s)):
         lo, hi = abs(d0 - d), d0 + d
@@ -1055,9 +1146,9 @@ def _text(values):
 
 
 @st.composite
-def eval_configs(draw):
+def eval_configs(draw, exponent=_EXPONENT, distance=_DISTANCE):
     """Config text for one p2p, dual-hop or cooperative eval, DF or AF."""
-    return _text(_scenario(draw, draw(st.sampled_from(sorted(_GEOM)))))
+    return _text(_scenario(draw, draw(st.sampled_from(sorted(_GEOM))), exponent, distance))
 
 
 @st.composite
@@ -1140,8 +1231,7 @@ def test_sweep_rows_are_checked_against_evals(monkeypatch):
     def swapped(scenarios, protocol):
         # a sweep, but not an eval, gets two of its columns swapped
         results = batch(scenarios, protocol)
-        for b in results if len(results) > 1 else []:
-            c = b.components
+        for c in results if len(results) > 1 else []:
             c["c_direct_bps_hz"], c["c_relay_bps_hz"] = c["c_relay_bps_hz"], c["c_direct_bps_hz"]
         return results
 
@@ -1269,6 +1359,13 @@ class TestCliRobustness:
     @given(eval_configs())
     def test_eval_ends_in_an_exit_code(self, tmp_path, text):
         assert _exit_code(tmp_path, "eval", text) in (0, 1, 2, 3)
+
+    @settings(derandomize=True, database=None, max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(eval_configs(_PARSER_EXPONENT, _PARSER_DISTANCE),
+                     two_transmitter_configs(0, _PARSER_EXPONENT, _PARSER_DISTANCE)))
+    def test_eval_over_the_parser_domain_ends_in_an_exit_code(self, tmp_path, text):
+        assert _exit_code(tmp_path, "eval", text) in (0, 1, 3)
 
     @settings(derandomize=True, database=None, max_examples=40, deadline=2000,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -1446,7 +1543,7 @@ class TestOptimumDominance:
             s = relay.DualHopScenario(env, PowerLevel(math.exp(u)), PowerLevel(math.exp(v)),
                                       d_sr, d_rd)
             try:
-                reference = relay.gase_dualhop(s, protocol).gase
+                reference = relay.gase_dualhop(s, protocol)["gase_bps_hz_m2"]
             except (ArithmeticError, ValueError):
                 continue
             assert eta >= reference * (1.0 - 1e-12)

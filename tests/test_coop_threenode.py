@@ -22,7 +22,7 @@ ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -80.0)
 
 def column(s, protocol, name):
     """One printed column of gase_coop(s, protocol)."""
-    return gase_coop(s, protocol).components[name]
+    return gase_coop(s, protocol)[name]
 
 
 def snr_scenario(gsd, gsr, grd, d_sd=1000.0, d_sr=500.0, d_rd=500.0):
@@ -160,7 +160,7 @@ class TestConditionalCapacities:
                                                      (RelayProtocol.AF, "af")])
     def test_total_expectation_against_simulation(self, protocol, equivalent):
         s = snr_scenario(10.0, 10.0, 10.0)
-        c = gase_coop(s, protocol).components
+        c = gase_coop(s, protocol)
         p_d, c_d, c_r = c["p_direct"], c["c_direct_bps_hz"], c["c_relay_bps_hz"]
         out = mc_coop_summary(10.0, 10.0, 10.0, equivalent, McConfig(1_000_000, 54))
         total = p_d * c_d + (1.0 - p_d) * c_r
@@ -218,10 +218,10 @@ class TestConditionalCapacities:
         env = PropagationEnvironment.from_dbm(5.11, 73.7, -90.0)
         p = PowerLevel.from_dbm(50.0)
         r = gase_coop(CoopScenario(env, p, p, 5.4e5, 2.7e5, 2.7e5), protocol)
-        assert r.components["capacity_bps_hz"] == pytest.approx(capacity, rel=1e-8, abs=0.0)
-        assert r.components["c_direct_bps_hz"] == pytest.approx(c_direct, rel=1e-8, abs=0.0)
-        assert r.components["c_relay_bps_hz"] == pytest.approx(c_relay, rel=1e-8, abs=0.0)
-        assert r.gase > 0
+        assert r["capacity_bps_hz"] == pytest.approx(capacity, rel=1e-8, abs=0.0)
+        assert r["c_direct_bps_hz"] == pytest.approx(c_direct, rel=1e-8, abs=0.0)
+        assert r["c_relay_bps_hz"] == pytest.approx(c_relay, rel=1e-8, abs=0.0)
+        assert r["gase_bps_hz_m2"] > 0
 
     def test_relay_capacity_grows_with_uniform_snr_scaling(self):
         base = column(snr_scenario(5.0, 10.0, 10.0), RelayProtocol.DF, "c_relay_bps_hz")
@@ -247,12 +247,11 @@ class TestGaseCoop:
     @pytest.mark.parametrize("protocol", [RelayProtocol.DF, RelayProtocol.AF])
     def test_result_invariants(self, protocol):
         s = snr_scenario(8.0, 30.0, 12.0)
-        r = gase_coop(s, protocol)
-        c = r.components
+        c = gase_coop(s, protocol)
         assert c["p_direct"] + c["p_relay"] == 1.0
         assert c["c_direct_bps_hz"] >= 0 and c["c_relay_bps_hz"] >= 0
-        assert r.gase > 0 and c["gase_bps_hz_m2"] == r.gase
+        assert c["gase_bps_hz_m2"] > 0
         expected = (c["p_direct"] * c["c_direct_bps_hz"] / c["area_s_m2"]
                     + c["p_relay"] * 0.5 * (c["c_relay_bps_hz"] / c["area_s_m2"]
                                             + c["c_relay_bps_hz"] / c["area_r_m2"]))
-        assert r.gase == pytest.approx(expected, rel=1e-14)
+        assert c["gase_bps_hz_m2"] == pytest.approx(expected, rel=1e-14)

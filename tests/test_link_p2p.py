@@ -22,7 +22,7 @@ def scenario(a=4.0, p_t_dbm=30.0, d=1000.0, noise_dbm=-100.0, p_min_dbm=-90.0):
 
 def eta_grid(env, d, powers_w):
     """Vectorised GASE over a power grid (test-side grid oracle)."""
-    return np.array([gase_p2p(P2pScenario(env, PowerLevel(float(p)), d)).gase
+    return np.array([gase_p2p(P2pScenario(env, PowerLevel(float(p)), d))["gase_bps_hz_m2"]
                      for p in powers_w])
 
 
@@ -48,22 +48,22 @@ class TestErgodicCapacity:
 class TestGase:
     def test_reference_operating_point(self):
         b = gase_p2p(scenario())
-        assert b.gase == pytest.approx(1.0439452597147898e-06, rel=1e-12)
-        assert b.gase == pytest.approx(b.capacity / b.area, rel=1e-15)
+        assert b["gase_bps_hz_m2"] == pytest.approx(1.0439452597147898e-06, rel=1e-12)
+        assert b["gase_bps_hz_m2"] == pytest.approx(b["capacity_bps_hz"] / b["area_m2"], rel=1e-15)
 
     def test_small_power_limit_a2(self):
         # eta -> log2(e) p_min / (pi N d^2); relative gap decays like d^2 N / P_t
         s = scenario(a=2.0, d=1000.0)
         limit = (1.0 / LN2) * s.env.p_min_w / (math.pi * s.env.noise_w * s.d ** 2)
         assert limit == pytest.approx(4.5922409426328517e-06, rel=1e-12)
-        tiny = gase_p2p(P2pScenario(s.env, PowerLevel(1e-12), s.d)).gase
+        tiny = gase_p2p(P2pScenario(s.env, PowerLevel(1e-12), s.d))["gase_bps_hz_m2"]
         assert tiny == pytest.approx(limit, rel=1e-4)
 
     def test_large_power_decay(self):
         s = scenario(a=2.0)
         peak = max(eta_grid(s.env, s.d, np.geomspace(1e-12, 1e2, 60)).max(),
                    4.5922409426328517e-06)
-        big = gase_p2p(P2pScenario(s.env, PowerLevel(1e6), s.d)).gase
+        big = gase_p2p(P2pScenario(s.env, PowerLevel(1e6), s.d))["gase_bps_hz_m2"]
         assert big / peak < 1e-9
 
     def test_unimodal_for_a_above_two(self):
