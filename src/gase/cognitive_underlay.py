@@ -84,7 +84,19 @@ _MEAN_SPEC = QuadratureSpec(rel_tol=1e-12, abs_tol=0.0)
 _HUGE, _TINY = np.finfo(float).max, np.finfo(float).tiny
 
 
-_GL16 = np.polynomial.legendre.leggauss(16)
+# 16-node Gauss-Legendre nodes on [-1, 1] and their weights (numpy's
+# leggauss(16); tests/test_cognitive_underlay.py rebuilds them bit for bit)
+_GL16 = (np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+]), np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+]))
 # The area's refinement raises QuadratureError past these.  Each split costs
 # 16 new panels of 256 nodes, so a round evaluates at most 2.8e6 nodes
 _MAX_ROUNDS, _MAX_PANELS = 200, 2048

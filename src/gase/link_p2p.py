@@ -4,7 +4,8 @@ Under Rayleigh fading the ergodic capacity is (1/ln 2) * exp(x) * E1(x) with
 x = d^a N / P_t, and GASE divides it by the single-transmitter affected area.
 GASE is unimodal in P_t for path-loss exponents above 2; the maximiser solves
 (x + 2/a) * exp(x) * E1(x) = 1, which is scale-free in x, so the root is
-found once in x and mapped back through P_t = d^a N / x.
+found once in x, by safeguarded Newton steps in ln x, and mapped back through
+P_t = d^a N / x.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ import sys
 from dataclasses import dataclass
 from typing import Dict
 
-from .mathkernel import find_root_bracketed, scaled_e1
-from .propagation import (PowerLevel, PropagationEnvironment, affected_area_single,
-                          mean_snr, path_ratio, watts_of)
+from .mathkernel import EULER_GAMMA, scaled_e1, scaled_en
+from .propagation import (PowerLevel, PropagationEnvironment, _ratio_text,
+                          affected_area_single, mean_snr, path_ratio, watts_of)
 
 LN2 = math.log(2.0)
 
@@ -60,9 +61,9 @@ def _footprint(env: PropagationEnvironment, p_t, name: str) -> float:
     except OverflowError as exc:
         raise OverflowError(f"the {name}'s {exc}") from None
     if area == 0.0:
-        ratio, a = watts_of(p_t) / env.p_min_w, env.path_loss_exponent
+        ratio = _ratio_text(watts_of(p_t), env.p_min_w)
         raise ZeroDivisionError(f"the {name}'s affected area underflows to 0 m^2 "
-                                f"(P/P_min = {ratio:.3g}, a = {a:g})")
+                                f"({ratio}, a = {env.path_loss_exponent:g})")
     return area
 
 
@@ -84,6 +85,26 @@ def optimal_power_residual(env: PropagationEnvironment, d: float, p_t) -> float:
     return _residual(1.0 / mean_snr(env, p_t, d), env.path_loss_exponent)
 
 
+def _newton_step(x: float, c: float):
+    """The residual R = (x + c) h - 1 at x, c = 2/a, h = exp(x) E1(x), and its
+    Newton step in t = ln x.  With g = x h and h2 = exp(x) E2(x) = 1 - g,
+    dR/dt = g + (x + c)(g - 1) = g - (x + c) h2.  Above x = 1, h2 comes from
+    its own continued fraction and R = c h - h2: no term near 1 cancels as
+    x* grows (a -> 2), where R and its slope are small.  R falls in t, so a
+    slope of 0 or above is rounding: the step is then inf, which bisects."""
+    if x <= 1.0:
+        h = scaled_e1(x)
+        g = x * h
+        h2 = 1.0 - g
+        r = (x + c) * h - 1.0
+    else:
+        h2 = scaled_en(x, 2)
+        g = 1.0 - h2
+        r = c * (g / x) - h2
+    slope = g - (x + c) * h2
+    return r, -r / slope if slope < 0.0 else math.inf
+
+
 def optimal_inverse_snr(a: float) -> float:
     """Root x* of (x + 2/a) * exp(x) * E1(x) = 1, for path-loss exponent a > 2.
 
@@ -91,6 +112,13 @@ def optimal_inverse_snr(a: float) -> float:
     depend on distance, noise or detection threshold.  Refuses for a <= 2,
     where GASE has no interior maximum, and raises ArithmeticError where x*
     is below the smallest normal float (a above about 1,415).
+
+    Newton's method in t = ln x (_newton_step), from the asymptotes
+    x* ~ 2/(a - 2) as a -> 2 and x* ~ exp(-a/2 - gamma) as a grows.  A step
+    that leaves the sign bracket [lo, hi] of R bisects it instead.  The
+    iteration stops once a step is within 4 ulps of 1 + |t|, or once a step
+    below 1e-6 no longer halves: quadratic convergence has then reached the
+    rounding of R.
     """
     if a <= 2.0:
         raise NoInteriorOptimumError(
@@ -98,10 +126,25 @@ def optimal_inverse_snr(a: float) -> float:
             "vanishing-power limit, no interior optimum exists")
     if _residual(sys.float_info.min, a) <= 0.0:
         raise ArithmeticError(f"optimal inverse SNR below the smallest normal float at a = {a:g}")
-    # x* ~ a/(a - 2) as a -> 2 and ~ exp(-a/2 - 0.577) as a grows: solved in t = ln x,
-    # where Brent's stop test is relative to t, not to a tiny x
+    c = 2.0 / a
     lo, hi = min(math.log(1e-6), -0.5 * a - 1.0), math.log(max(1e3, 4.0 * a / (a - 2.0)))
-    return math.exp(find_root_bracketed(lambda t: _residual(math.exp(t), a), lo, hi))
+    t = min(math.log(2.0 / (a - 2.0)) - 1.0, -0.5 * a - EULER_GAMMA + 1.25 * math.exp(4.0 - a))
+    last = math.inf
+    for _ in range(100):
+        r, step = _newton_step(math.exp(t), c)
+        if r == 0.0:
+            return math.exp(t)
+        if r > 0.0:
+            lo = t
+        else:
+            hi = t
+        if abs(step) <= 4.0 * math.ulp(1.0 + abs(t)) or 0.5 * last <= abs(step) < 1e-6:
+            return math.exp(t + step)
+        if lo < t + step < hi:
+            t, last = t + step, abs(step)
+        else:
+            t, last = 0.5 * (lo + hi), math.inf
+    raise ArithmeticError(f"optimal inverse SNR did not converge at a = {a:g}")
 
 
 def optimal_power_p2p(env: PropagationEnvironment, d: float) -> PowerLevel:

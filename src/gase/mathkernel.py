@@ -213,10 +213,25 @@ _CHEBYSHEV = np.array([
 ]).reshape(2, 24)
 
 _SERIES = _series_table()
-# the same polynomials in powers of t: their coefficients sum in magnitude to
-# at most 1.18 times the smallest value on (-1, 1], so little cancels.  Both
-# tables are C-ordered, highest power first, as _power_series needs
-_SCALED = np.array([np.polynomial.chebyshev.cheb2poly(c)[::-1] for c in _CHEBYSHEV]).T.copy()
+# the same polynomials in powers of t, as rows (K0, K1) from t^23 down to t^0
+# (numpy's cheb2poly of _CHEBYSHEV; tests/test_mathkernel.py rebuilds them bit
+# for bit): their coefficients sum in magnitude to at most 1.18 times the
+# smallest value on (-1, 1], so little cancels.  Both tables are C-ordered,
+# highest power first, as _power_series needs
+_SCALED = np.array([
+    -6.910453875670571e-11, 7.52479548635394e-11, 1.0926983537268735e-10, -1.1931668393112158e-10,
+    2.2137580975910082e-10, -2.399376595899464e-10, -3.119936129682105e-10, 3.3867804167807987e-10,
+    -5.541051446065684e-10, 6.042482293782837e-10, 8.133913205464114e-10, -8.908596710923903e-10,
+    1.7887095838476484e-10, -1.798213849617502e-10, 4.757544705776313e-11, -8.336227195991568e-11,
+    -1.9309444875845696e-09, 2.175778202583718e-09, 3.808399859919044e-09, -4.3319399856586265e-09,
+    -7.286380907337668e-09, 8.409387565361773e-09, 1.704753588424969e-08, -1.981757714159112e-08,
+    -4.133923052104382e-08, 4.846195220009187e-08, 1.0295431759391202e-07, -1.2203186351938398e-07,
+    -2.6890662472901614e-07, 3.2298119177151824e-07, 7.427801232190096e-07, -9.067087633371395e-07,
+    -2.1911777880155284e-06, 2.7300414335698033e-06, 7.002245645755649e-06, -8.961207387750024e-06,
+    -2.4735204561466906e-05, 3.2843865558254536e-05, 9.95605474202942e-05, -0.00013959021956272223,
+    -0.0004797690567662314, 0.00073572415490815, 0.0030328918102753206, -0.005566729880074587,
+    -0.031071461824889523, 0.10334973775386522, 1.2185953385133905, 1.363151890371342,
+]).reshape(24, 2)
 
 
 @functools.cache
@@ -287,7 +302,7 @@ def _by_branch(x, series, scaled):
     """series on the nodes x <= 2 and scaled on the rest, each called on a
     flat array; returns their rows over the flat nodes and x as an array.
     One range test checks the domain and picks the branch, and the nodes are
-    split and scattered only where both branches occur."""
+    split and scattered, by integer index, only where both branches occur."""
     arr = np.asarray(x, dtype=float)
     flat = arr.ravel()
     lo = np.minimum.reduce(flat, initial=np.inf)  # a NaN propagates to both
@@ -299,11 +314,11 @@ def _by_branch(x, series, scaled):
     if lo > 2.0:
         return scaled(flat), arr
     small = flat <= 2.0
-    big = ~small
-    upper = scaled(flat[big])
+    low, high = np.flatnonzero(small), np.flatnonzero(~small)
+    upper = scaled(flat[high])
     out = np.empty(upper.shape[:-1] + flat.shape)
-    out[..., big] = upper
-    out[..., small] = series(flat[small])
+    out[..., high] = upper
+    out[..., low] = series(flat[low])
     return out, arr
 
 

@@ -123,20 +123,34 @@ def mean_snr(env: PropagationEnvironment, p_t, d: float) -> float:
     return snr
 
 
+def _ratio_text(watts: float, p_min_w: float) -> str:
+    """P/P_min for a message: the ratio where it is a normal float, else its log10."""
+    ratio = watts / p_min_w
+    if _TINY <= ratio < math.inf:
+        return f"P/P_min = {ratio:.3g}"
+    return f"log10(P/P_min) = {math.log10(watts) - math.log10(p_min_w):.4g}"
+
+
 def affected_area_single(env: PropagationEnvironment, p_t) -> float:
     """Rayleigh closed-form affected area of one transmitter, in m^2.
 
     (2*pi/a) * Gamma(2/a) * (P_t / P_min)^(2/a); grows as P_t^(2/a) and is
-    independent of the noise power and of any link distance.  Raises
-    OverflowError, naming P/P_min and a, where it exceeds the float range.
+    independent of the noise power and of any link distance.  Where P_t/P_min
+    is not a normal float, the power comes from (2/a)(ln P_t - ln P_min).
+    Raises OverflowError, naming P/P_min and a, where it exceeds the float range.
     """
     a = env.path_loss_exponent
-    ratio = watts_of(p_t) / env.p_min_w
+    watts = watts_of(p_t)
+    ratio = watts / env.p_min_w
     try:
-        area = (2.0 * math.pi / a) * math.gamma(2.0 / a) * ratio ** (2.0 / a)
+        if _TINY <= ratio < math.inf:
+            power = ratio ** (2.0 / a)
+        else:
+            power = math.exp(2.0 / a * (math.log(watts) - math.log(env.p_min_w)))
+        area = (2.0 * math.pi / a) * math.gamma(2.0 / a) * power
     except OverflowError:
         area = math.inf
     if area == math.inf:
         raise OverflowError(f"affected area overflows the float range "
-                            f"(P/P_min = {ratio:.3g}, a = {a:g})")
+                            f"({_ratio_text(watts, env.p_min_w)}, a = {a:g})")
     return area

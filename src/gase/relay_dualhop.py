@@ -22,6 +22,7 @@ or a face of the power box.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Sequence
@@ -49,6 +50,7 @@ __all__ = [
 
 
 _CAP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=1e-14)
+_LN_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows above it
 
 
 class RelayProtocol(Enum):
@@ -306,10 +308,12 @@ def _optimum(env: PropagationEnvironment, d_sr: float, d_rd: float, p_max,
     ln_hi = math.log(watts_of(p_max))
     ln_lo = ln_hi - span_decades * math.log(10.0)
     ln_c = np.array([a * math.log(d_sr), a * math.log(d_rd)]) + math.log(env.noise_w)
-    with np.errstate(over="ignore"):  # each hop's inverse SNR at the box's ends
-        x = np.exp(ln_c[:, None] - [ln_lo, ln_hi])
-    if x.max() == math.inf or x.min() == 0.0:
-        side = "overflows" if x.max() == math.inf else "underflows to 0"
+    c_sr, c_rd = ln_c.tolist()
+    # ln of the largest and the smallest hop inverse SNR on the box, in floats:
+    # numpy calls on so few values cost more than the arithmetic
+    big, small = max(c_sr, c_rd) - ln_lo, min(c_sr, c_rd) - ln_hi
+    if big > _LN_FLOAT_MAX or math.exp(small) == 0.0:
+        side = "overflows" if big > _LN_FLOAT_MAX else "underflows to 0"
         raise ArithmeticError(f"a hop's inverse SNR d^a N / P {side} on the power box at "
                               f"a = {a:g}, d_sr = {d_sr:g} m, d_rd = {d_rd:g} m")
 
@@ -323,8 +327,8 @@ def _optimum(env: PropagationEnvironment, d_sr: float, d_rd: float, p_max,
 
     end = None
     if a > 2.0:
-        ln_q = ln_c[0] - ln_c[1]
-        ln_pr = (ln_c[1] + float(np.logaddexp(0.0, -2.0 * ln_q / (a - 2.0)))
+        ln_q = c_sr - c_rd
+        ln_pr = (c_rd + float(np.logaddexp(0.0, -2.0 * ln_q / (a - 2.0)))
                  - math.log(optimal_inverse_snr(a)))
         start = (ln_pr + ln_q * a / (a - 2.0), ln_pr)
         if protocol is RelayProtocol.DF and all(ln_lo <= v <= ln_hi for v in start):

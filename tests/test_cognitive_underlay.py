@@ -563,6 +563,11 @@ class TestTwoSourceTail:
 
 
 class TestAffectedAreaParallel:
+    def test_gauss_legendre_rule_rebuilt(self):
+        for embedded, rebuilt in zip(cg._GL16, np.polynomial.legendre.leggauss(16)):
+            assert embedded.shape == rebuilt.shape
+            assert embedded.tobytes() == rebuilt.tobytes()    # bit for bit
+
     def test_coincident_equal_sources_match_erlang_quadrature(self):
         p = PowerLevel.from_dbm(20.0)
         tiny = 1e-9  # d0 = 0 is excluded by the scenario type; use 1 nm

@@ -550,6 +550,19 @@ class TestCliCommands:
         assert row[header.index("p_t_star_w")] == pytest.approx(star_w, rel=1e-12)
         assert row[header.index("p_t_star_dbm")] == pytest.approx(star_dbm, rel=1e-12)
 
+    def test_optimize_past_the_float_range_of_p_over_p_min_has_its_area(self):
+        # P*/P_min ~ 2e311 overflows; (2 pi/a) Gamma(2/a) (P*/P_min)^(2/a) ~ 5e62 m^2 does not
+        cfg = parse_config(HUGE_DISTANCE_P2P_TEXT.replace("p_min_dbm = -200", "p_min_dbm = -290"))
+        with mpmath.workdps(40):
+            x = mpmath.findroot(lambda x: (x + mpmath.mpf(1) / 5) * mpmath.exp(x) * mpmath.e1(x)
+                                - 1, (0.001, 0.01), solver="illinois")
+            star = mpmath.mpf(1e31) ** 10 * mpmath.mpf(PowerLevel.from_dbm(-300.0).watts) / x
+            ratio = star / mpmath.mpf(PowerLevel.from_dbm(-290.0).watts)
+            fifth = mpmath.mpf(1) / 5
+            area = float(2 * mpmath.pi / 10 * mpmath.gamma(fifth) * ratio ** fifth)
+        header, (row,) = cli.run_optimize(cfg)
+        assert row[header.index("area_m2")] == pytest.approx(area, rel=1e-12)
+
     @pytest.mark.parametrize("a,d,side", [(400, "10", "underflows to 0"),
                                           (60, "1e-09", "overflows")])
     def test_mean_snr_past_the_float_range_is_named(self, tmp_path, capsys, a, d, side):
@@ -867,9 +880,10 @@ class TestCliCommands:
         assert proc.stdout == GOLDEN_FIG1_EVAL
 
     def test_import_loads_no_slow_modules(self):
-        # concurrent.futures imports logging, about 12 ms of start-up per command
-        proc = run_python("-c", "import sys, gase.cli; "
-                          "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+        # concurrent.futures imports logging, about 12 ms of start-up per command;
+        # numpy.polynomial builds no table at import, they are embedded
+        proc = run_python("-c", "import sys, gase.cli; print(sorted({'concurrent.futures', "
+                          "'logging', 'numpy.polynomial'} & set(sys.modules)))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

@@ -6,9 +6,11 @@ import mpmath
 import numpy as np
 import pytest
 
+from gase import link_p2p
 from gase.link_p2p import (NoInteriorOptimumError, P2pScenario, ergodic_capacity_p2p,
                            gase_p2p, optimal_inverse_snr, optimal_power_p2p,
                            optimal_power_residual)
+from gase.mathkernel import find_root_bracketed, scaled_e1
 from gase.mc_oracle import McConfig, mc_ergodic_capacity, p2p_snr_sampler
 from gase.propagation import PowerLevel, PropagationEnvironment, mean_snr
 
@@ -93,15 +95,60 @@ class TestOptimalPower:
         assert 0.37 < star.watts < 0.40          # coarse sanity band around the optimum
         assert star.dbm == pytest.approx(25.87, abs=0.05)
 
-    @pytest.mark.parametrize("a", [3.0, 4.0, 27.0, 60.0, 200.0, 1000.0, 1400.0])
-    def test_root_against_mpmath(self, a):
-        # x* ~ exp(-a/2 - 0.577): below 1e-6 from a ~ 26.5 on
+    @staticmethod
+    def mpmath_root(a):
+        """40-digit x* and |dR/dt| there, R = (x + 2/a) exp(x) E1(x) - 1, t = ln x:
+        the root by Illinois on a sign bracket in t around optimal_inverse_snr."""
         with mpmath.workdps(40):
+            c = 2 / mpmath.mpf(a)
+
             def residual(t):
                 x = mpmath.exp(t)
-                return (x + mpmath.mpf(2) / a) * mpmath.exp(x) * mpmath.e1(x) - 1
-            ref = mpmath.exp(mpmath.findroot(residual, math.log(optimal_inverse_snr(a))))
-        assert optimal_inverse_snr(a) == pytest.approx(float(ref), rel=1e-12, abs=0.0)
+                return (x + c) * mpmath.exp(x) * mpmath.e1(x) - 1
+            t0 = mpmath.log(optimal_inverse_snr(a))
+            lo, hi = t0 - mpmath.mpf(0.5), t0 + mpmath.mpf(0.5)
+            assert residual(lo) > 0 > residual(hi)
+            x = mpmath.exp(mpmath.findroot(residual, (lo, hi), solver="illinois", verify=False))
+            g = x * mpmath.exp(x) * mpmath.e1(x)
+            return float(x), float(abs(g + (x + c) * (g - 1)))
+
+    # x* ~ exp(-a/2 - 0.577): below 1e-6 from a ~ 26.5 on; x* ~ 2/(a - 2) as a -> 2
+    @pytest.mark.parametrize("a", [2.001, 2.005, 2.01, 2.02, 2.05, 2.2, 2.5, 3.0, 4.0, 27.0,
+                                   60.0, 200.0, 1000.0, 1400.0])
+    def test_root_against_mpmath(self, a):
+        assert optimal_inverse_snr(a) == pytest.approx(self.mpmath_root(a)[0], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-5])
+    def test_root_just_above_a_equal_two(self, eps):
+        # x* ~ 2/eps at a = 2 + eps, where R and its slope in t are O(eps^2):
+        # R's rounding leaves x* about 2e-16 * 2/eps wide.  Brent stopped
+        # where |R| <= 1e-12, at 4 x* for eps = 1e-9
+        a = 2.0 + eps
+        ref = self.mpmath_root(a)[0]
+        assert optimal_inverse_snr(a) == pytest.approx(ref, rel=1e-15 / eps, abs=0.0)
+
+    def test_root_no_farther_than_brent(self):
+        # The Brent solve this Newton solve replaced: same bracket in t = ln x,
+        # stopped at |R| <= 1e-12, which left errors up to 2.5e-6 on this grid.
+        # R is formed from exp(x) E1(x) or exp(x) E2(x), each within about
+        # 6e-15 of mpmath here, so no solver of it pins x* closer than about
+        # 1e-14 / |dR/dt|; below that, Brent's smaller errors are luck.
+        for a in (2.0 + np.geomspace(1e-3, 1413.0, 200)).tolist():
+            ref, slope = self.mpmath_root(a)
+            lo, hi = min(math.log(1e-6), -0.5 * a - 1.0), math.log(max(1e3, 4.0 * a / (a - 2.0)))
+            brent = math.exp(find_root_bracketed(
+                lambda t: (math.exp(t) + 2.0 / a) * scaled_e1(math.exp(t)) - 1.0, lo, hi))
+            err, brent_err = (abs(x - ref) / ref for x in (optimal_inverse_snr(a), brent))
+            assert err <= max(brent_err, 1e-14 / slope), a
+
+    def test_root_takes_few_residual_evaluations(self, monkeypatch):
+        calls = []
+        for name in ("scaled_e1", "scaled_en"):
+            fn = getattr(link_p2p, name)
+            monkeypatch.setattr(link_p2p, name,
+                                lambda *args, fn=fn: calls.append(args) or fn(*args))
+        assert optimal_inverse_snr(4.0) == 0.25894690868039516
+        assert len(calls) <= 6      # Brent took 15, besides the refusal test's one
 
     def test_root_below_the_normal_floats_is_refused(self):
         with pytest.raises(ArithmeticError, match="smallest normal float"):

@@ -257,6 +257,13 @@ class TestMpmathOracle:
                     else:
                         assert abs(c) < 6e-18
 
+    def test_power_table_rebuilt_from_chebyshev(self):
+        rebuilt = np.array([np.polynomial.chebyshev.cheb2poly(c)[::-1]
+                            for c in mathkernel._CHEBYSHEV]).T
+        assert mathkernel._SCALED.flags.c_contiguous
+        assert mathkernel._SCALED.shape == rebuilt.shape
+        assert mathkernel._SCALED.tobytes() == rebuilt.tobytes()    # bit for bit
+
 
 # log-uniform on [1e-6, 1e6], so every branch of every kernel is drawn
 positive = st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e)

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from gase.mc_oracle import McConfig, certified_disk_radius, mc_affected_area, single_source_field
@@ -97,6 +98,19 @@ class TestAffectedAreaClosedForm:
         a1 = affected_area_single(env_dbm(4.0, noise_dbm=-100.0), PowerLevel(1.0))
         a2 = affected_area_single(env_dbm(4.0, noise_dbm=-70.0), PowerLevel(1.0))
         assert a1 == a2
+
+    @pytest.mark.parametrize("watts,p_min_w", [(1e300, 1e-300), (1e-300, 1e300), (1e-200, 1e108)])
+    def test_ratio_past_the_normal_floats_has_its_area(self, watts, p_min_w):
+        # P/P_min is inf, 0 or subnormal; (P/P_min)^(2/a) and the area are normal
+        env = PropagationEnvironment(4.0, 1e-13, p_min_w)
+        with mpmath.workdps(40):
+            ref = mpmath.pi / 2 * mpmath.sqrt(mpmath.pi * mpmath.mpf(watts) / mpmath.mpf(p_min_w))
+        area = affected_area_single(env, PowerLevel(watts))
+        assert area == pytest.approx(float(ref), rel=1e-13, abs=0.0)
+
+    def test_overflow_names_the_log_ratio(self):
+        with pytest.raises(OverflowError, match=r"\(log10\(P/P_min\) = 600, a = 1\)$"):
+            affected_area_single(PropagationEnvironment(1.0, 1e-13, 1e-300), PowerLevel(1e300))
 
 
 class TestSpatialOracleAgreement:
