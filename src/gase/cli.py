@@ -7,11 +7,11 @@ separator, scientific notation with 12 significant digits).  Every value,
 and every column name after the parameter's, comes from the scenario
 modules: each result is its CSV row.  A sweep builds per point only the
 swept power or i_th, and hands all its points to the scenario module in one
-batch call, _results (the dual-hop and cooperative quadratures run in
-lockstep, and an i_th sweep takes the i_th-free closed forms once); an eval
-is the batch of one, and so are verify's closed forms.  ``verify`` then
-makes its kind's rows of mc_oracle.CHECKS in order, each Monte Carlo estimate
-on the next stream id.  ``--workers`` is accepted and changes nothing.
+batch call, _results (each dual-hop and cooperative integral is one
+quadrature batch, and an i_th sweep takes the i_th-free closed forms once);
+an eval is the batch of one, and so are verify's closed forms.  ``verify``
+then makes its kind's rows of mc_oracle.CHECKS in order, each Monte Carlo
+estimate on the next stream id.  ``--workers`` is accepted and changes nothing.
 
 ``main(argv)`` may be called repeatedly and concurrently in one process: the
 argument parser is built on the first call and shared by every later one

@@ -15,11 +15,13 @@ those densities; the direct-mode integrand is taken in the xi substitution
 where its tail scale is gbar_SD.
 
 ``gase_coop_batch`` and ``density_normalizations`` each build the one
-selection split of their scenarios, ``_split``, and read S, the relay-path
-SNR cdf and pdf and the relay tail scale from it.  A batch evaluates each
-of its integrals (AF selection, direct mode, relay mode) for all scenarios
-in one lockstep quadrature; ``gase_coop`` is the batch of one.  Each result
-is the CSV row: each column by name, in output order.
+selection split of their scenarios, ``_split``, and read S, its complement
+R = gbar_SD - S that normalises the direct mode (for AF an integral of its
+own), the relay-path SNR cdf and pdf and the relay tail scale from it.  A
+batch evaluates each of its integrals (AF selection and R, direct mode,
+relay mode) for all scenarios in one quadrature batch; ``gase_coop`` is the
+batch of one.  Each result is the CSV row: each column by name, in output
+order.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ __all__ = [
     "gase_coop_batch",
 ]
 
-_CAP_SPEC = QuadratureSpec(rel_tol=1e-8, abs_tol=0.0)
-_NORM_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0)
+# for every integral here: the direct-mode integrand rises at t ~ 1/sqrt(a1),
+# far below its scale gbar_SD at high SNR, where 1e-8 still left 3e-11
+_CAP_SPEC = QuadratureSpec(rel_tol=1e-9, abs_tol=0.0)
 
 
 @dataclass(frozen=True)
@@ -125,12 +128,14 @@ def _xi(g):
 
 
 class _Split(NamedTuple):
-    """Per scenario of a batch, as arrays: gbar_SD, S = gbar_SD * P{relay} and
-    the relay-path SNR's tail scale 1/a1 (DF) or 1/(a1 + 2 b1) (AF); and that
-    SNR's cdf(g, rows) and pdf(g, rows), rows indexing the scenarios."""
+    """Per scenario of a batch, as arrays: gbar_SD, S = gbar_SD * P{relay},
+    R = gbar_SD * P{direct} and the relay-path SNR's tail scale 1/a1 (DF) or
+    1/(a1 + 2 b1) (AF); and that SNR's cdf(g, rows) and pdf(g, rows), rows
+    indexing the scenarios."""
 
     gsd: np.ndarray
     sel: np.ndarray
+    rest: np.ndarray
     cdf: Callable
     pdf: Callable
     tail: np.ndarray
@@ -140,12 +145,19 @@ def _split(scenarios: Sequence[CoopScenario], protocol: RelayProtocol) -> _Split
     coeffs = [_coeffs(s) for s in scenarios]
     gsd, a1, a2, b1 = (np.array(v) for v in zip(*coeffs))
     if protocol is RelayProtocol.DF:
-        return _Split(gsd, np.array([special_integral_D(*c[1:3]) for c in coeffs]),
-                      lambda g, rows: -np.expm1(-a1[rows] * g),
+        sel = np.array([special_integral_D(*c[1:3]) for c in coeffs])
+        return _Split(gsd, sel, gsd - sel, lambda g, rows: -np.expm1(-a1[rows] * g),
                       lambda g, rows: df_snr_pdf(a1[rows])(g), 1.0 / a1)
-    return _Split(gsd, np.array(_af_selection_integrals(coeffs)),
-                  lambda g, rows: af_snr_cdf(a1[rows], b1[rows])(g),
-                  lambda g, rows: af_snr_pdf(a1[rows], b1[rows])(g), 1.0 / (a1 + 2.0 * b1))
+
+    def cdf(g, rows):
+        return af_snr_cdf(a1[rows], b1[rows])(g)
+
+    # R = int_0^inf exp(-t/gbar_SD) F_eq(t^2 + 2t) dt, as its own integral:
+    # gbar_SD - S loses every digit where the relay path almost always wins
+    rest = integrate_semi_infinite_batch(
+        lambda t, rows: np.exp(-t / gsd[rows]) * cdf(t * (t + 2.0), rows), gsd, _CAP_SPEC)
+    return _Split(gsd, np.array(_af_selection_integrals(coeffs)), np.array([r.value for r in rest]),
+                  cdf, lambda g, rows: af_snr_pdf(a1[rows], b1[rows])(g), 1.0 / (a1 + 2.0 * b1))
 
 
 def density_normalizations(s: CoopScenario, protocol: RelayProtocol) -> Tuple[float, float]:
@@ -154,19 +166,19 @@ def density_normalizations(s: CoopScenario, protocol: RelayProtocol) -> Tuple[fl
     so that a factor rising on the other mode's much shorter scale is sampled,
     then over the rest on its tail scale, gbar_SD (2 + gbar_SD) or the relay's."""
     sp = _split([s], protocol)
-    gsd, sel = float(sp.gsd[0]), float(sp.sel[0])
+    gsd, sel, rest = float(sp.gsd[0]), float(sp.sel[0]), float(sp.rest[0])
 
     def direct(g):
         xi = _xi(g)
-        return np.exp(-xi / gsd) * sp.cdf(g, 0) / (2.0 * (xi + 1.0) * (gsd - sel))
+        return np.exp(-xi / gsd) * sp.cdf(g, 0) / (2.0 * (xi + 1.0) * rest)
 
     def relay(g):
         return gsd * sp.pdf(g, 0) * (-np.expm1(-_xi(g) / gsd)) / sel
 
     scales = (gsd * (2.0 + gsd), float(sp.tail[0]))
     split = 50.0 * min(scales)
-    return tuple(integrate(pdf, 0.0, split, _NORM_SPEC).value
-                 + integrate_semi_infinite(lambda t: pdf(split + t), _NORM_SPEC,
+    return tuple(integrate(pdf, 0.0, split, _CAP_SPEC).value
+                 + integrate_semi_infinite(lambda t: pdf(split + t), _CAP_SPEC,
                                            scale=scale).value
                  for pdf, scale in zip((direct, relay), scales))
 
@@ -190,15 +202,15 @@ def gase_coop_batch(scenarios: Sequence[CoopScenario],
 
     directs = integrate_semi_infinite_batch(direct, gsd, _CAP_SPEC)
     relays = integrate_semi_infinite_batch(relay, sp.tail, _CAP_SPEC)
-    return [_result(s, g, sel, d.value, r.value) for s, g, sel, d, r
-            in zip(scenarios, gsd.tolist(), sp.sel.tolist(), directs, relays)]
+    return [_result(s, g, sel, rest, d.value, r.value) for s, g, sel, rest, d, r
+            in zip(scenarios, gsd.tolist(), sp.sel.tolist(), sp.rest.tolist(), directs, relays)]
 
 
-def _result(s: CoopScenario, gsd: float, sel: float, direct: float,
+def _result(s: CoopScenario, gsd: float, sel: float, rest: float, direct: float,
             relay: float) -> Dict[str, float]:
     p_d = 1.0 - sel / gsd
     p_r = 1.0 - p_d
-    c_d = direct / (gsd - sel)
+    c_d = direct / rest
     c_r = gsd * relay / sel
     area_s = _footprint(s.env, s.p_s, "source")
     area_r = _footprint(s.env, s.p_r, "relay")

@@ -1,4 +1,4 @@
-"""Scalar special functions, adaptive quadrature, and bracketed root finding.
+"""Scalar special functions, double-exponential quadrature, and bracketed root finding.
 
 Everything downstream (capacities, affected areas, mode probabilities) reduces
 to the scaled exponential integral exp(x)*E1(x), the modified Bessel
@@ -24,19 +24,20 @@ the runtime needs nothing beyond numpy:
   single value, and the 1,000-node calls of a sweep batch make only
   contiguous passes.  ``one_minus_xk1`` sums only the two series rows it
   reads.
-* erfcx: exp(x^2)*erfc(x) on the C library's erfc, with an asymptotic series
-  where the product would overflow; Gaussian-type integrals need it.
-* Adaptive 7/15 Gauss-Kronrod quadrature with QUADPACK's error heuristic,
-  as one lockstep batch: ``integrate_batch`` runs n independent integrals
-  together.  Each round every unconverged integral splits its worst panel,
-  and the nodes of both halves of all split panels go to the integrand in
-  one call ``f(x, rows)``: x is an (m, 15) array of nodes and rows the (m, 1)
-  integer array of the integral each row belongs to, so ``param[rows]``
-  broadcasts a per-integral parameter against x.  f must act element-wise.
-  Per integral, the refinement order, stopping test, final ``fsum`` and
-  errors are those of a lone integral, and no panel sum goes through BLAS,
-  so a result is bit-for-bit the same alone as inside any batch.
-  ``integrate_semi_infinite_batch`` maps [0, inf) onto [0, 1) per integral.
+* erfcx: exp(x^2)*erfc(x) on the C library's erfc, with x^2 split exactly
+  into two floats, and an asymptotic series where the product would
+  overflow; Gaussian-type integrals need it.
+* Double-exponential quadrature (Takahasi & Mori 1974): exp-sinh on
+  [0, inf) at a per-integral scale, tanh-sinh on [a, b].  Each level halves
+  the step in u and evaluates only the new nodes, and an integral stops when
+  two levels agree.  ``integrate_batch`` and ``integrate_semi_infinite_batch``
+  run n independent integrals together: each level's new nodes of every
+  unconverged integral go to the integrand in calls ``f(x, rows)`` of up to
+  about 2,048 nodes, x a 1-D array of nodes and rows the integer array of
+  the integral each node belongs to, so ``param[rows]`` broadcasts a
+  per-integral parameter against x.  f must act element-wise.  Per integral, the levels, stopping
+  test and errors are those of a lone integral, and no sum goes through
+  BLAS, so a result is bit-for-bit the same alone as inside any batch.
   ``integrate`` and ``integrate_semi_infinite`` are the batch of one, with
   f taking a 1-D array of nodes.
 
@@ -48,7 +49,6 @@ length of the array or on a value's position in it.
 from __future__ import annotations
 
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple
@@ -78,7 +78,7 @@ __all__ = [
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature failed to reach tolerance; carries the best estimate."""
+    """Quadrature failed to reach tolerance; carries the best estimate."""
 
     def __init__(self, message: str, best: float, error: float):
         super().__init__(f"{message} (best estimate {best:.6e}, error {error:.2e})")
@@ -92,25 +92,22 @@ class BracketingError(ValueError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances for the adaptive integrators."""
+    """Tolerances of the double-exponential integrators."""
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
 
     def __post_init__(self):
         if not self.rel_tol > 0:
             raise ValueError("rel_tol must be > 0")
         if self.abs_tol < 0:
             raise ValueError("abs_tol must be >= 0")
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
 
 
 class QuadratureResult(NamedTuple):
     value: float
     error: float
-    panels: int
+    panels: int  # nodes evaluated
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +350,20 @@ def bessel_k1(x):
 def erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) * erfc(x) for x >= 0.
 
-    Direct product below x = 25; asymptotic series beyond, where both factors
-    individually overflow/underflow.
+    Below x = 25 the product exp(hi) erfc(x) (1 + lo), where x^2 = hi + lo
+    exactly (Dekker's product on Veltkamp's split): exp(x*x) alone would
+    carry x*x's rounding, a relative error of up to x^2 2^-53.  Beyond it,
+    where both factors overflow/underflow, an asymptotic series.
     """
     if x < 0:
         raise ValueError("erfcx implemented for x >= 0 only")
     if x < 25.0:
-        return math.exp(x * x) * math.erfc(x)
+        hi = x * x
+        c = 134217729.0 * x  # 2^27 + 1
+        xh = c - (c - x)
+        xl = x - xh
+        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+        return math.exp(hi) * math.erfc(x) * (1.0 + lo)
     zi = 1.0 / (x * x)
     s = 1.0
     term = 1.0
@@ -370,168 +374,137 @@ def erfcx(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# adaptive Gauss-Kronrod quadrature
+# double-exponential quadrature
 # ---------------------------------------------------------------------------
 
-# 7/15 Gauss-Kronrod nodes and weights on [-1, 1] (positive half; QUADPACK dqk15).
-_XGK = np.array([
-    0.9914553711208126, 0.9491079123427585, 0.8648644233597691,
-    0.7415311855993944, 0.5860872354676911, 0.4058451513773972,
-    0.2077849550078985, 0.0,
-])
-_WGK = np.array([
-    0.0229353220105292, 0.0630920926299785, 0.1047900103222502,
-    0.1406532597155259, 0.1690047266392679, 0.1903505780647854,
-    0.2044329400752989, 0.2094821410847278,
-])
-_WG = np.array([
-    0.1294849661688697, 0.2797053914892767,
-    0.3818300505051189, 0.4179591836734694,
-])
-
-_NODES = np.concatenate([-_XGK[:-1], _XGK[::-1]])      # 15 ascending nodes
-_KW = np.concatenate([_WGK[:-1], _WGK[::-1]])
-_GW = np.zeros(15)
-_GW[1:-1:2] = np.concatenate([_WG[:-1], _WG[::-1]])    # Gauss nodes sit at odd indices
-_KGW = np.array([_KW, _GW])
+_H0 = 0.25     # step in u of level 0; level k halves it k times
+_LEVELS = 7    # levels 0 to 6: at most 2,049 nodes on [-4, 4]
+_CHUNK = 2048  # nodes per integrand call, rounded to whole integrals
+_TINY = np.finfo(float).tiny
 
 
-def _gk15(f, ends, rows):
-    """Gauss-Kronrod panels ends[i] = (a, b) of integrals rows[i], all nodes in
-    one call of f: returns (kronrod, error_estimate) as lists of floats, and
-    for each panel whether f was finite on all its nodes.
+@functools.cache
+def _level(semi_infinite: bool, level: int):
+    """The nodes that ``level`` adds, as (d, w, left): each node's distance
+    from the end it is measured from and its weight dx/du, both per unit
+    scale, and whether that end is the left one (None on [0, inf)).
 
-    Every sum runs along the contiguous last axis, not through BLAS, so a
-    panel's result does not depend on the other panels evaluated with it.
+    Level 0 holds every multiple of _H0 in u on [-4.5, 3.5] for [0, inf),
+    where t = exp((pi/2) sinh u) (exp-sinh), and on [-4, 4] for [-1, 1],
+    where x = tanh((pi/2) sinh u) (tanh-sinh); each later level adds the odd
+    multiples of its step.  A tanh-sinh node lies 2 e^(-2|s|)/(1 + e^(-2|s|))
+    from its nearer end, s = (pi/2) sinh u, which does not round to the end.
     """
-    h = np.array([0.5 * (b - a) for a, b in ends])
-    x = np.array([0.5 * (a + b) for a, b in ends])[:, None] + h[:, None] * _NODES
-    fx = np.ascontiguousarray(f(x, np.array(rows)[:, None]), dtype=float)
-    if fx.shape != x.shape:
-        raise QuadratureError("integrand returned non-finite or wrongly shaped values",
-                              0.0, np.inf)
-    finite = np.isfinite(fx).all(axis=1)
-    k15, g7 = h * np.add.reduce(fx[:, None, :] * _KGW, axis=2).T
-    # h + h is the panel width b - a exactly
-    resasc = h * np.add.reduce(np.abs(fx - (k15 / (h + h))[:, None]) * _KW, axis=1)
-    k15 = k15.tolist()
-    # QUADPACK-style error heuristic, scaled by the panel's total variation
-    err = [abs(k - g) if r == 0.0 else r * min(1.0, 200.0 * abs(k - g) / r) ** 1.5
-           for k, g, r in zip(k15, g7.tolist(), resasc.tolist())]
-    return k15, err, finite.tolist()
+    lo, hi = (-18, 14) if semi_infinite else (-16, 16)
+    n = 2 ** level
+    u = np.arange(lo * n, hi * n + 1) * (_H0 / n)
+    u = u[1::2] if level else u
+    s = 0.5 * math.pi * np.sinh(u)
+    ds = 0.5 * math.pi * np.cosh(u)
+    if semi_infinite:
+        t = np.exp(s)
+        return t, ds * t, None
+    q = np.exp(-2.0 * np.abs(s))
+    return 2.0 * q / (1.0 + q), ds * 4.0 * q / (1.0 + q) ** 2, u <= 0.0
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _double_exponential(f, semi_infinite: bool, a, b, scale,
+                        spec: QuadratureSpec) -> List[QuadratureResult]:
+    """n integrals by the rule of ``_level``, each with its own scale (the
+    half-width on [a, b]), level by level.
+
+    A node closer to its end than the smallest normal float is moved out to
+    that distance, so that the integrand sees no subnormal input; its weight
+    is below any tolerance.  A node that still lands on an end, or has an
+    infinite weight, adds 0 unevaluated.  Each level's new nodes go to f for
+    groups of integrals of about _CHUNK nodes: for the AF densities the
+    integrand's temporaries take 170 bytes a node.  The sum S_k at step h is
+    S_(k-1)/2 plus h times the new nodes' sum, S_(-1) = 0.  An integral stops
+    once |S_k - S_(k-1)|, plus h times its terms at the two ends of level 0
+    (the grid's truncation), is at most max(abs_tol, rel_tol |S_k|); that is
+    its error.
+    """
+    n = scale.size
+    total, error, ends = np.zeros((3, n))
+    nodes = np.zeros(n, dtype=int)
+    active = np.arange(n)
+    for level in range(_LEVELS):
+        d, dw, left = _level(semi_infinite, level)
+        h, sums = _H0 / 2 ** level, []
+        for rows in np.array_split(active, -(-active.size * d.size // _CHUNK)):
+            m = scale[rows, None]
+            dist, w = np.maximum(m * d, _TINY), m * dw
+            if semi_infinite:
+                x, valid = dist, w < np.inf
+            else:
+                lo, hi = a[rows, None], b[rows, None]
+                x = np.where(left, lo + dist, hi - dist)
+                valid = (lo < x) & (x < hi)
+            fx = np.asarray(f(x[valid], np.broadcast_to(rows[:, None], x.shape)[valid]),
+                            dtype=float)
+            if fx.shape != (np.count_nonzero(valid),) or not np.isfinite(fx).all():
+                raise QuadratureError("integrand returned non-finite or wrongly shaped values",
+                                      0.0, math.inf)
+            nodes[rows] += np.count_nonzero(valid, axis=1)
+            terms = np.zeros(x.shape)
+            terms[valid] = w[valid] * fx
+            sums.append(h * np.add.reduce(terms, axis=1))  # along each row, not through BLAS
+            if level == 0:
+                ends[rows] = np.abs(terms[:, 0]) + np.abs(terms[:, -1])
+        new = np.concatenate(sums) + 0.5 * total[active]
+        error[active] = np.abs(new - total[active]) + h * ends[active]
+        total[active] = new
+        active = active[error[active] > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(new))]
+        if not active.size:
+            return [QuadratureResult(*r) for r in zip(total.tolist(), error.tolist(),
+                                                      nodes.tolist())]
+    raise QuadratureError(f"no convergence in {_LEVELS} levels of the double-exponential rule",
+                          float(total[active[0]]), float(error[active[0]]))
 
 
 def integrate_batch(f, a, b, spec: QuadratureSpec = QuadratureSpec()) -> List[QuadratureResult]:
-    """Adaptive Gauss-Kronrod integration of n integrals on [a_i, b_i] in lockstep.
+    """Tanh-sinh integration of n integrals on [a_i, b_i] together.
 
-    ``f(x, rows)`` receives an (m, 15) array of nodes and the (m, 1) integer
-    array of the integral each row belongs to, and returns f at x; indexing a
-    parameter array by ``rows`` broadcasts it against x.  Each round every
-    unconverged integral splits its worst panel, and both halves of every
-    split panel are evaluated in one call.  Per integral, the refinement
-    order, stopping test and errors are those of a lone adaptive integral, and
-    its result does not depend on the other integrals of the batch.  A
-    failure of any integral raises for the batch.  Floating-point warnings
-    are off throughout; a non-finite integrand value is an error instead.
+    Each level's new nodes of every unconverged integral go to ``f(x, rows)``
+    in calls of up to about _CHUNK nodes: x a 1-D array of nodes and rows the
+    integer array of the integral each belongs to, so indexing a parameter
+    array by ``rows`` broadcasts it against x.  Each result is bit for bit
+    that of its integral alone.  A failure of any integral raises for the
+    batch.  Floating-point warnings are off throughout; a non-finite
+    integrand value is an error instead.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return _lockstep(f, a, b, spec)
-
-
-def _lockstep(f, a, b, spec: QuadratureSpec) -> List[QuadratureResult]:
     a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
-    ends = list(zip(a.tolist(), b.tolist()))
-    if not (a.shape == b.shape == (len(ends),)
-            and all(math.isfinite(lo) and math.isfinite(hi) and hi > lo for lo, hi in ends)):
+    if not (a.shape == b.shape == (a.size,) and np.all(np.isfinite(a) & np.isfinite(b) & (a < b))):
         raise ValueError("integrate requires finite a < b")
-    vals, errs, finite = _gk15(f, ends, range(len(ends)))
-    if not all(finite):
-        raise QuadratureError("integrand returned non-finite or wrongly shaped values",
-                              0.0, np.inf)
-    heaps = [[(-e, lo, hi, v, e)] for (lo, hi), v, e in zip(ends, vals, errs)]
-    total_val, total_err, panels = vals, errs, [1] * a.size
-    active = range(a.size)
-    while active:
-        split = []  # (integral, a, midpoint, b, value, error) of each panel split this round
-        for i in active:
-            if total_err[i] <= max(spec.abs_tol, spec.rel_tol * abs(total_val[i])):
-                continue
-            if panels[i] >= spec.max_subdivisions:
-                raise QuadratureError("max subdivisions reached", total_val[i], total_err[i])
-            _, pa, pb, pval, perr = heapq.heappop(heaps[i])
-            pm = 0.5 * (pa + pb)
-            if not (pa < pm < pb):
-                raise QuadratureError("interval exhausted at floating-point resolution",
-                                      total_val[i], total_err[i])
-            split.append((i, pa, pm, pb, pval, perr))
-        if not split:
-            break
-        idx = [panel[0] for panel in split]
-        halves = ([(pa, pm) for _, pa, pm, _, _, _ in split]
-                  + [(pm, pb) for _, _, pm, pb, _, _ in split])
-        vals, errs, finite = _gk15(f, halves, idx + idx)
-        m = len(split)
-        for j, (i, pa, pm, pb, pval, perr) in enumerate(split):
-            if not (finite[j] and finite[m + j]):
-                raise QuadratureError("integrand became non-finite during refinement",
-                                      total_val[i], total_err[i])
-            lval, lerr, rval, rerr = vals[j], errs[j], vals[m + j], errs[m + j]
-            total_val[i] += lval + rval - pval
-            total_err[i] += lerr + rerr - perr
-            heapq.heappush(heaps[i], (-lerr, pa, pm, lval, lerr))
-            heapq.heappush(heaps[i], (-rerr, pm, pb, rval, rerr))
-            panels[i] += 1
-        active = idx
-    # recompute sums in deterministic panel order to shed accumulation noise
-    return [QuadratureResult(math.fsum(item[3] for item in heap),
-                             math.fsum(item[4] for item in heap), count)
-            for heap, count in zip(heaps, panels)]
-
-
-def _one(f):
-    """A 1-D integrand of one integral in the batched contract of integrate_batch."""
-    def batched(x, rows):
-        fx = np.asarray(f(x.ravel()), dtype=float)
-        # a wrong size is left for the panel evaluator's shape check to refuse
-        return fx.reshape(x.shape) if fx.size == x.size else fx
-    return batched
-
-
-def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod integration of a vectorised integrand on [a, b]:
-    the batch of one of integrate_batch, with f taking a 1-D array of nodes."""
-    return integrate_batch(_one(f), a, b, spec)[0]
-
-
-def _from_unit(f, scale, u, *rows):
-    """f over [0, inf) as an integrand in u on [0, 1), t = scale * u / (1 - u);
-    non-finite values near u = 1 are caught by the panel evaluator."""
-    w = 1.0 - u
-    t = scale * u / w
-    return f(t, *rows) * scale / (w * w)
+    return _double_exponential(f, False, a, b, 0.5 * (b - a), spec)
 
 
 def integrate_semi_infinite_batch(f, scales, spec: QuadratureSpec = QuadratureSpec()
                                   ) -> List[QuadratureResult]:
-    """integrate_batch of f(t, rows) over [0, inf), integral i on the map
-    t = scales[i] * u / (1 - u)."""
+    """integrate_batch of f(t, rows) over [0, inf) by the exp-sinh rule,
+    integral i on the map t = scales[i] exp((pi/2) sinh u)."""
     scales = np.array(scales, dtype=float, ndmin=1)
-    if not np.all(scales > 0):
-        raise ValueError("scale must be > 0")
-    return integrate_batch(lambda u, rows: _from_unit(f, scales[rows], u, rows),
-                           np.zeros(scales.size), np.ones(scales.size), spec)
+    if not np.all((scales > 0) & (scales < np.inf)):
+        raise ValueError("scale must be finite and > 0")
+    return _double_exponential(f, True, None, None, scales, spec)
+
+
+def integrate(f, a: float, b: float, spec: QuadratureSpec = QuadratureSpec()) -> QuadratureResult:
+    """Tanh-sinh integration of a vectorised integrand on [a, b]: the batch
+    of one of integrate_batch, with f taking a 1-D array of nodes."""
+    return integrate_batch(lambda x, rows: f(x), a, b, spec)[0]
 
 
 def integrate_semi_infinite(f, spec: QuadratureSpec = QuadratureSpec(),
                             scale: float = 1.0) -> QuadratureResult:
-    """Integrate f over [0, inf) via the map t = scale * u / (1 - u).
+    """Integrate f over [0, inf) on the map t = scale * exp((pi/2) sinh u).
 
-    ``scale`` should match the natural length of the integrand's support; the
-    adaptive subdivision then resolves both the origin and the tail.
+    ``scale`` should match the natural length of the integrand's support;
+    the nodes reach from about 2e-31 to 2e11 times it, so f must decay at
+    least as fast as t^-2.
     """
-    if scale <= 0:
-        raise ValueError("scale must be > 0")
-    return integrate(lambda u: _from_unit(f, scale, u), 0.0, 1.0, spec)
+    return integrate_semi_infinite_batch(lambda t, rows: f(t), scale, spec)[0]
 
 
 # ---------------------------------------------------------------------------

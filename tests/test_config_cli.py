@@ -199,6 +199,21 @@ power.p1_dbm = 2800
 power.p2_dbm = 2800
 """
 
+# both relay hops at mean SNR 1e-300 (1 W over 1e313 m^4 at -100 dBm noise),
+# whose product underflows to 0; the coop direct link at mean SNR 10
+TINY_HOPS_TEXT = """\
+scenario.kind = {kind}
+env.path_loss_exponent = 4
+env.noise_dbm = -100
+env.p_min_dbm = -90
+geom.d_sd = 1000
+geom.d_sr = 1.778279410038923e78
+geom.d_rd = 1.778279410038923e78
+power.p_s_dbm = 30
+power.p_r_dbm = 30
+protocol.relay = af
+"""
+
 # frozen golden rows: 12-significant-digit scientific notation, fixed order
 GOLDEN_FIG1_EVAL = (
     "p_t_dbm,capacity_bps_hz,area_m2,gase_bps_hz_m2\n"
@@ -240,9 +255,9 @@ GOLDEN_FIG4_EVAL = (
 GOLDEN_FIG3_AF_VERIFY = (
     "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
     "capacity_af_vs_harmonic_mc,2.57239084715e+00,2.56904968145e+00,5.33206352191e-03,"
-    "3.34116569982e-03,1.59961905657e-02,pass\n"
+    "3.34116570103e-03,1.59961905657e-02,pass\n"
     "capacity_af_vs_exact_mc,2.57239084715e+00,2.56137206782e+00,5.34517214089e-03,"
-    "1.10187793250e-02,7.68411620347e-02,pass\n"
+    "1.10187793262e-02,7.68411620347e-02,pass\n"
     "area_sr_vs_spatial_mc,2.78416399842e+06,2.75969846709e+06,5.02708542325e+04,"
     "2.44655313265e+04,1.50812562697e+05,pass\n"
     "area_rd_vs_spatial_mc,2.78416399842e+06,2.76812824477e+06,5.03359862495e+04,"
@@ -290,18 +305,18 @@ GOLDEN_FIG3_DF_VERIFY = (
     "2.44655313265e+04,1.50812562697e+05,pass\n")
 GOLDEN_FIG4_AF_VERIFY = (
     "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
-    "p_direct_vs_mc,6.81064041753e-01,6.77050000000e-01,3.30645805584e-03,"
-    "4.01404175322e-03,9.91937416751e-03,pass\n"
+    "p_direct_vs_mc,6.81064041754e-01,6.77050000000e-01,3.30645805584e-03,"
+    "4.01404175353e-03,9.91937416751e-03,pass\n"
     "c_direct_vs_mc,1.11130884423e+00,1.10500995809e+00,4.81124284023e-03,"
-    "6.29888613926e-03,1.44337285207e-02,pass\n"
-    "c_relay_vs_mc,6.72692747563e-01,6.69824118668e-01,3.71240633471e-03,"
-    "2.86862889519e-03,1.11372190041e-02,pass\n"
-    "total_capacity_vs_mc,9.71418399137e-01,9.64466691249e-01,3.75751352014e-03,"
-    "6.95170788795e-03,1.12725405604e-02,pass\n"
+    "6.29888614193e-03,1.44337285207e-02,pass\n"
+    "c_relay_vs_mc,6.72692747565e-01,6.69824118668e-01,3.71240633471e-03,"
+    "2.86862889646e-03,1.11372190041e-02,pass\n"
+    "total_capacity_vs_mc,9.71418399140e-01,9.64466691249e-01,3.75751352014e-03,"
+    "6.95170789030e-03,1.12725405604e-02,pass\n"
     "density_direct_normalization,1.00000000000e+00,1.00000000000e+00,0.00000000000e+00,"
-    "2.00062189037e-13,1.00000000000e-06,pass\n"
-    "density_relay_normalization,9.99999999999e-01,1.00000000000e+00,0.00000000000e+00,"
-    "1.10789155627e-12,1.00000000000e-06,pass\n")
+    "0.00000000000e+00,1.00000000000e-06,pass\n"
+    "density_relay_normalization,1.00000000000e+00,1.00000000000e+00,0.00000000000e+00,"
+    "1.22124532709e-15,1.00000000000e-06,pass\n")
 GOLDEN_FIG7A_XCHANNEL_VERIFY = (
     "check,closed_form,oracle_mean,oracle_std_error,abs_diff,tolerance,status\n"
     "c_primary_vs_mc,8.42137579518e+00,8.41395077169e+00,1.64918836992e-02,"
@@ -538,6 +553,36 @@ class TestCliCommands:
         header, (row,) = cli.run_eval(parse_config(HUGE_DISTANCE_XCHANNEL_TEXT))
         assert row[header.index("c_primary_bps_hz")] == pytest.approx(primary, rel=1e-12)
 
+    def test_af_at_tiny_mean_hop_snrs_has_its_value(self):
+        # gbar_SR gbar_RD = 1e-600 underflows to 0, so b1 takes the square roots
+        # apart.  At gbar = 1e-300, ln(1 + g) is g to every digit, so the AF
+        # capacity is E[G1 G2/(G1 + G2)]/(2 ln 2) = gbar/(6 ln 2) for equal hops.
+        # The coop direct link carries the rest: c_direct is
+        # e^(1/gbar_SD) E1(1/gbar_SD)/ln 2; the relay mode's probability
+        # (~1.7e-302) and capacity lie below it
+        dualhop = parse_config(TINY_HOPS_TEXT.format(kind="dualhop"))
+        coop_cfg = parse_config(TINY_HOPS_TEXT.format(kind="coop"))
+        (s,), (c,) = cli._scenarios(dualhop), cli._scenarios(coop_cfg)
+        with mpmath.workdps(40):
+            d, noise = mpmath.mpf(s.d_sr), mpmath.mpf(s.env.noise_w)
+            gbar = mpmath.mpf(s.p_s.watts) / (d ** 4 * noise)
+            capacity = float(gbar / (6 * mpmath.log(2)))
+            x = 1 / mpmath.mpf(c.mean_snr_sd)
+            direct = float(mpmath.exp(x) * mpmath.e1(x) / mpmath.log(2))
+        assert s.mean_snr_sr == pytest.approx(float(gbar), rel=1e-12)
+        header, (row,) = cli.run_eval(dualhop)
+        values = dict(zip(header, row))
+        assert all(math.isfinite(v) for v in row)
+        assert values["capacity_bps_hz"] == pytest.approx(capacity, rel=1e-12)
+        header, (row,) = cli.run_eval(coop_cfg)
+        values = dict(zip(header, row))
+        assert all(math.isfinite(v) for v in row)
+        assert values["p_direct"] == pytest.approx(1.0, rel=1e-12)
+        assert values["c_direct_bps_hz"] == pytest.approx(direct, rel=1e-12)
+        assert values["capacity_bps_hz"] == pytest.approx(direct, rel=1e-12)
+        assert values["p_relay"] == pytest.approx(0.0, abs=1e-12)
+        assert values["c_relay_bps_hz"] == pytest.approx(0.0, abs=1e-12)
+
     def test_optimize_at_a_huge_distance_has_its_value(self):
         # p* = d^a N / x*, with (x* + 2/a) e^x* E1(x*) = 1 at a = 10
         cfg = parse_config(HUGE_DISTANCE_P2P_TEXT)
@@ -697,13 +742,13 @@ class TestCliCommands:
         # the AF capacity at the optimum comes from the optimiser, not from a
         # second quadrature batch
         calls = []
-        batch = mathkernel.integrate_batch
+        batch = mathkernel._double_exponential
 
         def counting(*args, **kwargs):
             calls.append(args)
             return batch(*args, **kwargs)
 
-        monkeypatch.setattr(mathkernel, "integrate_batch", counting)
+        monkeypatch.setattr(mathkernel, "_double_exponential", counting)
         cfg = tmp_path / "fig3_af.cfg"
         cfg.write_text(preset_text("fig3", {"protocol.relay": "af", "optimize.p_max_dbm": 40}))
         assert self.run("optimize", "--config", str(cfg)) == 0

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate as sci_integrate
@@ -10,11 +11,12 @@ from scipy import special as sci_special
 from gase import coop_threenode as coop
 from gase.coop_threenode import (CoopScenario, af_selection_integral, density_normalizations,
                                  gase_coop, special_integral_D)
-from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
+from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, one_minus_xk1, scaled_e1
 from gase.mc_oracle import McConfig, mc_coop_summary
 from gase.propagation import PowerLevel, PropagationEnvironment
 from gase.relay_dualhop import (DualHopScenario, RelayProtocol, ergodic_capacity_af,
                                 ergodic_capacity_df)
+from test_relay_dualhop import dyadic_quad, mp_bessel_k01
 
 LN2 = math.log(2.0)
 ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -80.0)
@@ -137,11 +139,12 @@ class TestProbDirect:
 
 class TestConditionalDensities:
     @pytest.mark.parametrize("protocol", [RelayProtocol.DF, RelayProtocol.AF])
-    @pytest.mark.parametrize("snrs", [(10.0, 10.0, 10.0), (3.0, 25.0, 8.0)])
+    @pytest.mark.parametrize("snrs", [(10.0, 10.0, 10.0), (3.0, 25.0, 8.0), (1.0, 16.0, 1.6),
+                                      (1e-30, 1.6e-29, 1.6e-30)])
     def test_normalise_to_one(self, protocol, snrs):
         direct, relay = density_normalizations(snr_scenario(*snrs), protocol)
-        assert direct == pytest.approx(1.0, abs=1e-6)
-        assert relay == pytest.approx(1.0, abs=1e-6)
+        assert direct == pytest.approx(1.0, abs=1e-12)
+        assert relay == pytest.approx(1.0, abs=1e-12)
 
 
 class TestConditionalCapacities:
@@ -187,6 +190,49 @@ class TestConditionalCapacities:
         c_d = column(s, RelayProtocol.DF, "c_direct_bps_hz")
         unconditional = scaled_e1(1e-6) / LN2
         assert c_d == pytest.approx(unconditional, rel=0.01)
+
+    @pytest.mark.parametrize("protocol", [RelayProtocol.DF, RelayProtocol.AF])
+    @pytest.mark.parametrize("snrs", [(1.0, 16.0, 1.6), (630.0, 1e4, 1.6),
+                                      (1e-30, 1.6e-29, 1.6e-30)])
+    def test_integrals_against_mpmath(self, protocol, snrs):
+        # p_direct = 1 - S/gbar_SD, c_direct = direct/R and c_relay =
+        # gbar_SD relay/S, S and R = gbar_SD - S integrated on their own;
+        # 1 - z K1(z) comes from the kernel, as K0 and K1 do
+        s = snr_scenario(*snrs)
+        row = gase_coop(s, protocol)
+        with mpmath.workdps(20):
+            gsd, gsr, grd = map(mpmath.mpf, (s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd))
+            a1, b1 = 1 / gsr + 1 / grd, 1 / mpmath.sqrt(gsr * grd)
+            a2 = 2 * a1 + 1 / gsd
+            af = protocol is RelayProtocol.AF
+
+            def ccdf(g):  # 1 - F_eq(g)
+                z = 2 * b1 * g
+                return (z * mp_bessel_k01(z)[1] if af else 1) * mpmath.exp(-a1 * g)
+
+            def cdf(g):
+                one_minus_zk1 = mpmath.mpf(one_minus_xk1(float(2 * b1 * g))) if af else 0
+                return -mpmath.expm1(-a1 * g) + mpmath.exp(-a1 * g) * one_minus_zk1
+
+            def pdf(g):
+                if not af:
+                    return a1 * mpmath.exp(-a1 * g)
+                z = 2 * b1 * g
+                k0, k1 = mp_bessel_k01(z)
+                return z * mpmath.exp(-a1 * g) * (a1 * k1 + 2 * b1 * k0)
+
+            tail = 1 / (a1 + 2 * b1) if af else 1 / a1
+            sel = dyadic_quad(lambda t: mpmath.exp(-t / gsd) * ccdf(t * (t + 2)),
+                              min(1 / a2, 1 / mpmath.sqrt(a1)))
+            rest = dyadic_quad(lambda t: mpmath.exp(-t / gsd) * cdf(t * (t + 2)), gsd)
+            direct = dyadic_quad(lambda t: mpmath.log1p(t) * mpmath.exp(-t / gsd)
+                                 * cdf(t * (t + 2)), gsd) / mpmath.log(2)
+            relay = dyadic_quad(lambda g: mpmath.log1p(g) * pdf(g)
+                                * -mpmath.expm1(-g / (mpmath.sqrt(g + 1) + 1) / gsd),
+                                tail) / (2 * mpmath.log(2))
+            refs = [1 - sel / gsd, direct / rest, gsd * relay / sel]
+        columns = ["p_direct", "c_direct_bps_hz", "c_relay_bps_hz"]
+        assert [row[c] for c in columns] == pytest.approx([float(r) for r in refs], rel=1e-12)
 
     def test_af_relay_weight_below_the_absolute_floor(self, monkeypatch):
         # S = gbar_SD P{relay} is about 4.6e-22 here: an absolute quadrature

@@ -217,6 +217,15 @@ class TestMpmathOracle:
                 ref = float(mpmath.exp(x) * mpmath.e1(x))
                 assert abs(v - ref) <= 1e-14 * ref
 
+    def test_erfcx_within_four_ulps(self):
+        # 4,001 points of [0, 25], where exp(x^2) erfc(x) carries x^2's
+        # rounding unless x^2 is split exactly, and the asymptotic series above
+        xs = [*np.linspace(0.0, 25.0, 4001).tolist(), *np.geomspace(25.0, 1e8, 200).tolist()]
+        with mpmath.workdps(40):
+            for x in xs:
+                ref = mpmath.exp(mpmath.mpf(x) ** 2) * mpmath.erfc(x)
+                assert abs(erfcx(x) - ref) <= 4 * math.ulp(float(ref))
+
     def test_bessel_k0_k1(self):
         with mpmath.workdps(40):
             for x in self.K_GRID:
@@ -379,8 +388,6 @@ class TestQuadrature:
             QuadratureSpec(rel_tol=0.0)
         with pytest.raises(ValueError):
             QuadratureSpec(abs_tol=-1.0)
-        with pytest.raises(ValueError):
-            QuadratureSpec(max_subdivisions=0)
 
     def test_known_semi_infinite_integrals(self):
         spec = QuadratureSpec(rel_tol=1e-12, abs_tol=1e-15)
@@ -409,11 +416,22 @@ class TestQuadrature:
         assert abs(v.value - 0.5) <= max(v.error, 1e-12)
 
     def test_divergent_integrand_raises_with_best_estimate(self):
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_subdivisions=60)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
         with pytest.raises(QuadratureError) as err:
             integrate_semi_infinite(lambda t: 1.0 / (1.0 + t), spec)
         assert err.value.best > 0
         assert math.isfinite(err.value.best)
+
+    def test_endpoint_singularities(self):
+        # nodes measured from the left end 0 are exact, so integrable
+        # singularities there cost nothing
+        assert integrate(lambda x: 1.0 / np.sqrt(x), 0.0, 1.0).value == pytest.approx(
+            2.0, rel=1e-14)
+        assert integrate(np.log, 0.0, 1.0).value == pytest.approx(-1.0, rel=1e-14)
+        # near b = 1 each node carries 1's rounding, up to 1.1e-16 in 1 - x,
+        # which int dx/sqrt(1 - x) turns into about 2 sqrt(1.1e-16) = 2e-8
+        v = integrate(lambda x: 1.0 / np.sqrt(x * (1.0 - x)), 0.0, 1.0)
+        assert v.value == pytest.approx(math.pi, rel=2e-8)
 
     def test_scale_hint_resolves_narrow_support(self):
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-20)
@@ -422,7 +440,7 @@ class TestQuadrature:
         assert v.value == pytest.approx(1.0, rel=1e-9)
 
     def test_batch_equals_lone_integrals(self):
-        # value, error and panel count of each integral do not depend on the batch
+        # value, error and node count of each integral do not depend on the batch
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
         rates = np.geomspace(0.1, 50.0, 9)
         batch = integrate_semi_infinite_batch(
@@ -437,10 +455,10 @@ class TestQuadrature:
         batch = integrate_batch(lambda x, rows: np.sin(x) ** 2, np.zeros(7), ends, spec)
         for end, together in zip(ends, batch):
             assert together == integrate(lambda x: np.sin(x) ** 2, 0.0, end, spec)
-        assert {r.panels for r in batch} != {1}
+        assert len({r.panels for r in batch}) > 1  # the integrals stop at different levels
 
     def test_batch_failure_raises_the_lone_error(self):
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0, max_subdivisions=60)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=0.0)
         with pytest.raises(QuadratureError) as alone:
             integrate_semi_infinite(lambda t: 1.0 / (1.0 + t), spec)
         powers = np.array([2.0, 1.0, 3.0])  # only 1/(1+t) diverges

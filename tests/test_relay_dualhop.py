@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 from gase import mathkernel
+from gase import relay_dualhop as relay
 from gase.link_p2p import P2pScenario, ergodic_capacity_p2p
-from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
+from gase.mathkernel import QuadratureSpec, bessel_k01, integrate_semi_infinite, scaled_e1
 from gase.mc_oracle import (McConfig, McSampler, af_snr_sampler, df_snr_sampler,
                             exponential_from_uniform, mc_ergodic_capacity,
                             mc_mode_probability)
@@ -29,6 +30,21 @@ _HOP_SCALE = 500.0 ** 4 * ENV.noise_w
 def hop_scenario(gsr, grd):
     return DualHopScenario(ENV, PowerLevel(gsr * _HOP_SCALE), PowerLevel(grd * _HOP_SCALE),
                            500.0, 500.0)
+
+
+def dyadic_quad(f, scale):
+    """mpmath.quad of f over [0, inf) with knots at scale * 2^k, k = -20..11.
+    mpmath's tolerance is absolute, so f is integrated in units of
+    scale * f(scale), which keeps it relative however small the integral."""
+    unit = scale * f(scale)
+    knots = [mpmath.mpf(2) ** k for k in range(-20, 12)]
+    return unit * mpmath.quad(lambda u: f(scale * u) * scale / unit, [0, *knots, mpmath.inf])
+
+
+def mp_bessel_k01(z):
+    """K0(z) and K1(z) at an mpmath z, from the kernel: TestMpmathOracle pins
+    it to mpmath, whose own besselk takes milliseconds a call."""
+    return tuple(map(mpmath.mpf, bessel_k01(float(z))))
 
 
 def descent_oracle(env, d_sr, d_rd, p_max, tol):
@@ -230,8 +246,8 @@ class TestAfCapacity:
             assert ergodic_capacity_af(s) <= ergodic_capacity_df(s) + 1e-12
 
     def test_accurate_far_below_the_absolute_tolerance(self):
-        # capacities of 1e-28 to 1e-19, far below the AF quadrature's
-        # abs_tol of 1e-14, against a purely relative reference
+        # capacities of 1e-28 to 1e-19, far below any absolute tolerance,
+        # against a purely relative reference
         env = PropagationEnvironment.from_dbm(1.11, -100.0, -90.0)
         for p_r in np.arange(-300.0, -199.0, 5.0):
             s = DualHopScenario(env, PowerLevel.from_dbm(-300.0),
@@ -243,6 +259,21 @@ class TestAfCapacity:
                                           QuadratureSpec(rel_tol=1e-12, abs_tol=0.0),
                                           scale=1.0 / (a1 + 2.0 * b1)).value / (2.0 * LN2)
             assert ergodic_capacity_af(s) == pytest.approx(ref, rel=1e-7)
+
+    @pytest.mark.parametrize("gsr,grd", [(31.6, 31.6), (1e3, 2.5), (1e-30, 3e-30)])
+    def test_against_mpmath(self, gsr, grd):
+        s = hop_scenario(gsr, grd)
+        with mpmath.workdps(20):
+            gsr, grd = mpmath.mpf(s.mean_snr_sr), mpmath.mpf(s.mean_snr_rd)
+            a1, b1 = 1 / gsr + 1 / grd, 1 / mpmath.sqrt(gsr * grd)
+
+            def integrand(g):
+                z = 2 * b1 * g
+                k0, k1 = mp_bessel_k01(z)
+                return mpmath.log1p(g) * z * mpmath.exp(-a1 * g) * (a1 * k1 + 2 * b1 * k0)
+
+            ref = dyadic_quad(integrand, 1 / (a1 + 2 * b1)) / (2 * mpmath.log(2))
+        assert ergodic_capacity_af(s) == pytest.approx(float(ref), rel=1e-12)
 
     def test_far_relay_degenerates_to_single_hop(self):
         s = hop_scenario(10.0, 1e6)
@@ -373,14 +404,42 @@ class TestPowerOptimisation:
         # one quadrature batch per Newton step, plus the corner batch when the
         # optimum is on a face (the P_R = 40 dBm face for the unequal hops)
         calls = []
-        batch = mathkernel.integrate_batch
-        monkeypatch.setattr(mathkernel, "integrate_batch",
+        batch = mathkernel._double_exponential
+        monkeypatch.setattr(mathkernel, "_double_exponential",
                             lambda *args, **kwargs: calls.append(1) or batch(*args, **kwargs))
         for d_sr, d_rd, most in ((300.0, 700.0, 10), (200.0, 800.0, 10), (100.0, 900.0, 10),
                                  (500.0, 500.0, 6)):
             calls.clear()
             optimize_relay_powers(ENV, d_sr, d_rd, PowerLevel.from_dbm(40.0), RelayProtocol.AF)
             assert 0 < len(calls) <= most
+
+    @pytest.mark.parametrize("x", [(0.0316, 0.0316), (1e-3, 0.4), (1e30, 3e30)])
+    def test_af_moments_against_mpmath(self, monkeypatch, x):
+        # the five AF moments of one Newton step, at a1 = x_S + x_R and
+        # b1 = sqrt(x_S x_R): (a1 g)^p z K1(z) or (a1 g)^p z^2 K0(z), z = 2 b1 g,
+        # against exp(-a1 g)/(1 + g)
+        moments = []
+        batch = relay.integrate_semi_infinite_batch
+
+        def recording(*args):
+            moments.extend(batch(*args))
+            return moments
+
+        monkeypatch.setattr(relay, "integrate_semi_infinite_batch", recording)
+        relay._log_gase(RelayProtocol.AF, 4.0, np.log(x), np.zeros(2))
+        assert len(moments) == 5
+        with mpmath.workdps(20):
+            x_s, x_r = map(mpmath.mpf, np.exp(np.log(x)))  # as _log_gase forms them
+            a1, b1 = x_s + x_r, mpmath.sqrt(x_s * x_r)
+            for m, power, uses_k0 in zip(moments, relay._MOMENT_POWER, relay._MOMENT_K0):
+                def integrand(g):
+                    z = 2 * b1 * g
+                    k0, k1 = mp_bessel_k01(z)
+                    bessel = z * (z * k0 if uses_k0 else k1)
+                    return (a1 * g) ** int(power) * bessel * mpmath.exp(-a1 * g) / (1 + g)
+
+                ref = dyadic_quad(integrand, 1 / (a1 + 2 * b1))
+                assert m.value == pytest.approx(float(ref), rel=1e-12)
 
     @pytest.mark.parametrize("a,d_sr,d_rd", [(4.0, 500.0, 500.0), (6.0, 500.0, 500.0),
                                              (3.0, 500.0, 500.0), (3.3, 600.0, 350.0)])
