@@ -105,10 +105,13 @@ class ScenarioConfig:
 
 
 def _parse_number(text: str):
-    """int or float; nan, inf and values beyond the float range raise ValueError."""
+    """int or float; nan, inf and values beyond the float range raise ValueError.
+
+    Only text of digits, underscores and a sign goes to int, so a decimal
+    number is parsed without a caught exception."""
     try:
-        value = int(text)
-    except ValueError:
+        value = int(text) if text.strip().lstrip("+-").replace("_", "").isdecimal() else float(text)
+    except ValueError:  # a stray sign or underscore, or over 4,300 digits: float decides
         value = float(text)
     try:
         finite = math.isfinite(value)

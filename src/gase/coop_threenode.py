@@ -16,9 +16,10 @@ where its tail scale is gbar_SD.
 
 ``gase_coop_batch`` and ``density_normalizations`` each build the one
 selection split of their scenarios, ``_split``, and read S, its complement
-R = gbar_SD - S that normalises the direct mode (for AF an integral of its
-own), the relay-path SNR cdf and pdf and the relay tail scale from it.  A
-batch evaluates each of its integrals (AF selection and R, direct mode,
+R = gbar_SD - S that normalises the direct mode, the relay-path SNR cdf and
+pdf and the relay tail scale from it.  For AF, R is an integral of its own:
+the smaller mode probability is R/gbar_SD or S/gbar_SD, the other 1 minus it.
+A batch evaluates each of its integrals (AF selection and R, direct mode,
 relay mode) for all scenarios in one quadrature batch; ``gase_coop`` is the
 batch of one.  Each result is the CSV row: each column by name, in output
 order.
@@ -202,14 +203,18 @@ def gase_coop_batch(scenarios: Sequence[CoopScenario],
 
     directs = integrate_semi_infinite_batch(direct, gsd, _CAP_SPEC)
     relays = integrate_semi_infinite_batch(relay, sp.tail, _CAP_SPEC)
-    return [_result(s, g, sel, rest, d.value, r.value) for s, g, sel, rest, d, r
+    return [_result(s, protocol, g, sel, rest, d.value, r.value) for s, g, sel, rest, d, r
             in zip(scenarios, gsd.tolist(), sp.sel.tolist(), sp.rest.tolist(), directs, relays)]
 
 
-def _result(s: CoopScenario, gsd: float, sel: float, rest: float, direct: float,
-            relay: float) -> Dict[str, float]:
-    p_d = 1.0 - sel / gsd
-    p_r = 1.0 - p_d
+def _result(s: CoopScenario, protocol: RelayProtocol, gsd: float, sel: float, rest: float,
+            direct: float, relay: float) -> Dict[str, float]:
+    if protocol is RelayProtocol.AF:  # R is its own integral: no cancellation in either
+        small = min(rest, sel) / gsd
+        p_d, p_r = (small, 1.0 - small) if rest < sel else (1.0 - small, small)
+    else:
+        p_d = 1.0 - sel / gsd
+        p_r = 1.0 - p_d
     c_d = direct / rest
     c_r = gsd * relay / sel
     area_s = _footprint(s.env, s.p_s, "source")

@@ -27,19 +27,20 @@ the runtime needs nothing beyond numpy:
 * erfcx: exp(x^2)*erfc(x) on the C library's erfc, with x^2 split exactly
   into two floats, and an asymptotic series where the product would
   overflow; Gaussian-type integrals need it.
-* Double-exponential quadrature (Takahasi & Mori 1974): exp-sinh on
-  [0, inf) at a per-integral scale, tanh-sinh on [a, b].  Each level halves
-  the step in u and evaluates only the new nodes, and an integral stops when
-  two levels agree.  ``integrate_batch`` and ``integrate_semi_infinite_batch``
-  run n independent integrals together: each level's new nodes of every
-  unconverged integral go to the integrand in calls ``f(x, rows)`` of up to
-  about 2,048 nodes, x a 1-D array of nodes and rows the integer array of
-  the integral each node belongs to, so ``param[rows]`` broadcasts a
-  per-integral parameter against x.  f must act element-wise.  Per integral, the levels, stopping
-  test and errors are those of a lone integral, and no sum goes through
-  BLAS, so a result is bit-for-bit the same alone as inside any batch.
-  ``integrate`` and ``integrate_semi_infinite`` are the batch of one, with
-  f taking a 1-D array of nodes.
+* Double-exponential quadrature (Takahasi & Mori 1974): exp-sinh on [0, inf)
+  at a per-integral scale, tanh-sinh on [a, b].  Each level halves the step
+  in u and adds only the new nodes, and an integral stops when two levels
+  agree.  ``integrate_batch`` and ``integrate_semi_infinite_batch`` run n
+  independent integrals together in calls ``f(x, rows)`` of up to about 2,048
+  nodes, x a 1-D array of nodes and rows the integer array of the integral
+  each node belongs to, so ``param[rows]`` broadcasts a per-integral
+  parameter against x; f must act element-wise.  The first call covers levels
+  0-2 on [0, inf) (129 nodes an integral) or 0-1 on [a, b] (65), each later
+  one a level.  Per integral, the levels, stopping test and errors are those
+  of a lone integral, and no sum goes through BLAS, so a result is
+  bit-for-bit the same alone as inside any batch.  ``integrate`` and
+  ``integrate_semi_infinite`` are the batch of one, with f taking a 1-D array
+  of nodes.
 
 All functions are pure; array arguments are supported where integrands need
 vectorised evaluation (E1, K0, K1).  Their values do not depend on the
@@ -379,15 +380,18 @@ def erfcx(x: float) -> float:
 
 _H0 = 0.25     # step in u of level 0; level k halves it k times
 _LEVELS = 7    # levels 0 to 6: at most 2,049 nodes on [-4, 4]
-_CHUNK = 2048  # nodes per integrand call, rounded to whole integrals
+_CHUNK = 2048  # nodes per integrand call, in whole integrals; AF temporaries take 170 B a node
 _TINY = np.finfo(float).tiny
+_NONFINITE = "integrand returned non-finite or wrongly shaped values"
 
 
 @functools.cache
 def _level(semi_infinite: bool, level: int):
-    """The nodes that ``level`` adds, as (d, w, left): each node's distance
-    from the end it is measured from and its weight dx/du, both per unit
-    scale, and whether that end is the left one (None on [0, inf)).
+    """The nodes of the integrand call at ``level``, level after level, as
+    (d, w, left, starts): each node's distance from its end and weight dx/du
+    per unit scale, whether that end is the left one (None on [0, inf)),
+    and where each level starts and ends.  The call at level 0 takes levels
+    0-2 on [0, inf), 0-1 on [-1, 1], which the models' integrals all reach.
 
     Level 0 holds every multiple of _H0 in u on [-4.5, 3.5] for [0, inf),
     where t = exp((pi/2) sinh u) (exp-sinh), and on [-4, 4] for [-1, 1],
@@ -396,16 +400,51 @@ def _level(semi_infinite: bool, level: int):
     from its nearer end, s = (pi/2) sinh u, which does not round to the end.
     """
     lo, hi = (-18, 14) if semi_infinite else (-16, 16)
-    n = 2 ** level
-    u = np.arange(lo * n, hi * n + 1) * (_H0 / n)
-    u = u[1::2] if level else u
+    levels = range(3 if semi_infinite else 2) if level == 0 else [level]
+    us = [np.arange(lo * 2 ** k, hi * 2 ** k + 1) * (_H0 / 2 ** k) for k in levels]
+    us = [u[1::2] if k else u for k, u in zip(levels, us)]
+    u = np.concatenate(us)
     s = 0.5 * math.pi * np.sinh(u)
     ds = 0.5 * math.pi * np.cosh(u)
+    starts = np.cumsum([0] + [v.size for v in us]).tolist()
     if semi_infinite:
         t = np.exp(s)
-        return t, ds * t, None
+        return t, ds * t, None, starts
     q = np.exp(-2.0 * np.abs(s))
-    return 2.0 * q / (1.0 + q), ds * 4.0 * q / (1.0 + q) ** 2, u <= 0.0
+    return 2.0 * q / (1.0 + q), ds * 4.0 * q / (1.0 + q) ** 2, u <= 0.0, starts
+
+
+def _evaluate(f, semi_infinite: bool, a, b, scale, active, level: int):
+    """Tables, a row per integral of ``active``, of its terms w f(x) on
+    ``_level(semi_infinite, level)`` (0 where a node adds 0) and of each
+    level's node count (-1 where f is non-finite there); and the levels' starts."""
+    d, dw, left, starts = _level(semi_infinite, level)
+    k = active.size
+    terms, counts = np.zeros((k, d.size)), np.empty((k, len(starts) - 1), dtype=int)
+    step = -(-k // -(-k * d.size // _CHUNK))  # integrals per group
+    for i in range(0, k, step):
+        rows, out = active[i:i + step], terms[i:i + step]
+        dist, w = np.maximum(scale[rows, None] * d, _TINY), scale[rows, None] * dw
+        if semi_infinite:
+            x, valid = dist, w < np.inf
+        else:
+            lo, hi = a[rows, None], b[rows, None]
+            x = np.where(left, lo + dist, hi - dist)
+            valid = (lo < x) & (x < hi)
+        every = valid.all()
+        fx = np.asarray(f(x.ravel(), np.repeat(rows, d.size)) if every else
+                        f(x[valid], np.broadcast_to(rows[:, None], x.shape)[valid]), dtype=float)
+        if fx.shape != (np.count_nonzero(valid),):
+            raise QuadratureError(_NONFINITE, 0.0, math.inf)
+        if every:
+            np.multiply(w, fx.reshape(x.shape), out=out)
+        else:
+            out[valid] = w[valid] * fx
+        counts[i:i + step] = np.add.reduceat(valid, starts[:-1], axis=1, dtype=int)
+        if not np.isfinite(fx).all():
+            valid[valid] = ~np.isfinite(fx)  # now the non-finite nodes
+            counts[i:i + step][np.logical_or.reduceat(valid, starts[:-1], axis=1)] = -1
+    return terms, counts, starts
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -417,42 +456,28 @@ def _double_exponential(f, semi_infinite: bool, a, b, scale,
     A node closer to its end than the smallest normal float is moved out to
     that distance, so that the integrand sees no subnormal input; its weight
     is below any tolerance.  A node that still lands on an end, or has an
-    infinite weight, adds 0 unevaluated.  Each level's new nodes go to f for
-    groups of integrals of about _CHUNK nodes: for the AF densities the
-    integrand's temporaries take 170 bytes a node.  The sum S_k at step h is
-    S_(k-1)/2 plus h times the new nodes' sum, S_(-1) = 0.  An integral stops
-    once |S_k - S_(k-1)|, plus h times its terms at the two ends of level 0
-    (the grid's truncation), is at most max(abs_tol, rel_tol |S_k|); that is
-    its error.
+    infinite weight, adds 0 unevaluated.  A level enters an integral's sum,
+    node count and non-finite check once the integral reaches it.  S_k at
+    step h is S_(k-1)/2 plus h times the new nodes' sum, S_(-1) = 0.  An
+    integral stops once |S_k - S_(k-1)|, plus h times its terms at the two
+    ends of level 0 (the grid's truncation), is at most max(abs_tol,
+    rel_tol |S_k|); that is its error.
     """
-    n = scale.size
-    total, error, ends = np.zeros((3, n))
-    nodes = np.zeros(n, dtype=int)
-    active = np.arange(n)
+    total, error = np.zeros((2, scale.size))
+    nodes, active = np.zeros(scale.size, dtype=int), np.arange(scale.size)
     for level in range(_LEVELS):
-        d, dw, left = _level(semi_infinite, level)
-        h, sums = _H0 / 2 ** level, []
-        for rows in np.array_split(active, -(-active.size * d.size // _CHUNK)):
-            m = scale[rows, None]
-            dist, w = np.maximum(m * d, _TINY), m * dw
-            if semi_infinite:
-                x, valid = dist, w < np.inf
-            else:
-                lo, hi = a[rows, None], b[rows, None]
-                x = np.where(left, lo + dist, hi - dist)
-                valid = (lo < x) & (x < hi)
-            fx = np.asarray(f(x[valid], np.broadcast_to(rows[:, None], x.shape)[valid]),
-                            dtype=float)
-            if fx.shape != (np.count_nonzero(valid),) or not np.isfinite(fx).all():
-                raise QuadratureError("integrand returned non-finite or wrongly shaped values",
-                                      0.0, math.inf)
-            nodes[rows] += np.count_nonzero(valid, axis=1)
-            terms = np.zeros(x.shape)
-            terms[valid] = w[valid] * fx
-            sums.append(h * np.add.reduce(terms, axis=1))  # along each row, not through BLAS
-            if level == 0:
-                ends[rows] = np.abs(terms[:, 0]) + np.abs(terms[:, -1])
-        new = np.concatenate(sums) + 0.5 * total[active]
+        at, j = active, level  # a level of the first call, whose tables hold all n integrals
+        if level == 0 or level >= counts.shape[1]:  # a level of its own call
+            terms, counts, starts = _evaluate(f, semi_infinite, a, b, scale, active, level)
+            at, j = slice(None), 0
+        if (counts[at, j] < 0).any():
+            raise QuadratureError(_NONFINITE, 0.0, math.inf)
+        nodes[active] += counts[at, j]
+        part = terms[at, starts[j]:starts[j + 1]]
+        h = _H0 / 2 ** level
+        new = h * np.add.reduce(part, axis=1) + 0.5 * total[active]  # along each row, not BLAS
+        if level == 0:
+            ends = np.abs(part[:, 0]) + np.abs(part[:, -1])
         error[active] = np.abs(new - total[active]) + h * ends[active]
         total[active] = new
         active = active[error[active] > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(new))]
@@ -466,13 +491,13 @@ def _double_exponential(f, semi_infinite: bool, a, b, scale,
 def integrate_batch(f, a, b, spec: QuadratureSpec = QuadratureSpec()) -> List[QuadratureResult]:
     """Tanh-sinh integration of n integrals on [a_i, b_i] together.
 
-    Each level's new nodes of every unconverged integral go to ``f(x, rows)``
-    in calls of up to about _CHUNK nodes: x a 1-D array of nodes and rows the
-    integer array of the integral each belongs to, so indexing a parameter
-    array by ``rows`` broadcasts it against x.  Each result is bit for bit
-    that of its integral alone.  A failure of any integral raises for the
-    batch.  Floating-point warnings are off throughout; a non-finite
-    integrand value is an error instead.
+    The first levels, then each later level's new nodes, of every unconverged
+    integral go to ``f(x, rows)`` in calls of up to about _CHUNK nodes: x a
+    1-D array of nodes and rows the integer array of the integral each
+    belongs to, so indexing a parameter array by ``rows`` broadcasts it
+    against x.  Each result is bit for bit that of its integral alone.  A
+    failure of any integral raises for the batch.  Floating-point warnings
+    are off throughout; a non-finite integrand value is an error instead.
     """
     a, b = np.array(a, dtype=float, ndmin=1), np.array(b, dtype=float, ndmin=1)
     if not (a.shape == b.shape == (a.size,) and np.all(np.isfinite(a) & np.isfinite(b) & (a < b))):

@@ -29,6 +29,7 @@ from gase import relay_dualhop as relay
 from gase.config import ConfigError, SweepBlock, derive_kind, load_preset, parse_config
 from gase.link_p2p import optimal_inverse_snr
 from gase.propagation import PowerLevel
+from test_relay_dualhop import dyadic_quad, mp_bessel_k01
 
 FIG1_TEXT = """\
 # point-to-point reference scenario
@@ -214,6 +215,32 @@ power.p_r_dbm = 30
 protocol.relay = af
 """
 
+def mp_af_mode_probabilities(c):
+    """P{direct} = R/gbar_SD and P{relay} = S/gbar_SD of an AF coop scenario,
+    each from its own integral in mpmath: R over the relay-path cdf, S over
+    its complement z K1(z) exp(-a1 g), z = 2 b1 g.  1 - z K1(z) and K1 come
+    from the kernel, which TestMpmathOracle pins; z K1(z) is 1 to 40 digits
+    below z = 1e-300, where the float z may underflow, and 0 above 1e300."""
+    with mpmath.workdps(40):
+        gsd, gsr, grd = map(mpmath.mpf, (c.mean_snr_sd, c.mean_snr_sr, c.mean_snr_rd))
+        a1, b1 = 1 / gsr + 1 / grd, 1 / mpmath.sqrt(gsr * grd)
+
+        def cdf(g):
+            z = 2 * b1 * g
+            rest = mathkernel.one_minus_xk1(float(z)) if 1e-300 < z < 1e300 else z >= 1e300
+            return -mpmath.expm1(-a1 * g) + mpmath.exp(-a1 * g) * mpmath.mpf(rest)
+
+        def ccdf(g):
+            z = 2 * b1 * g
+            zk1 = z * mp_bessel_k01(z)[1] if 1e-300 < z < 1e300 else mpmath.mpf(z <= 1e-300)
+            return zk1 * mpmath.exp(-a1 * g)
+
+        rest = dyadic_quad(lambda t: mpmath.exp(-t / gsd) * cdf(t * (t + 2)), gsd)
+        sel = dyadic_quad(lambda t: mpmath.exp(-t / gsd) * ccdf(t * (t + 2)),
+                          min(1 / (2 * a1 + 1 / gsd), 1 / mpmath.sqrt(a1)))
+        return float(rest / gsd), float(sel / gsd)
+
+
 # frozen golden rows: 12-significant-digit scientific notation, fixed order
 GOLDEN_FIG1_EVAL = (
     "p_t_dbm,capacity_bps_hz,area_m2,gase_bps_hz_m2\n"
@@ -393,6 +420,23 @@ sweep.points = 3
         with pytest.raises(ConfigError, match="not valid for kind p2p"):
             parse_config(text)
 
+    @pytest.mark.parametrize("text,value", [
+        ("61", 61), ("-3", -3), (" 7 ", 7), ("1_0", 10), ("0.5", 0.5), ("1e3", 1000.0),
+        ("-0", 0), ("1_0.5", 10.5), ("--1", "could not convert string to float: '--1'"),
+        ("1__0", "could not convert string to float: '1__0'"),
+        ("nan", "'nan' is not finite"), ("inf", "'inf' is not finite"),
+        ("1e400", "'1e400' is not finite"), ("9" * 400, f"{'9' * 400!r} is not finite"),
+        ("", "could not convert string to float: ''")])
+    def test_number_values_types_and_errors(self, text, value):
+        # integer text stays an int (sweep.points); the rest is a float
+        if isinstance(value, str):
+            with pytest.raises(ValueError) as err:
+                config._parse_number(text)
+            assert str(err.value) == value
+        else:
+            parsed = config._parse_number(text)
+            assert (type(parsed), parsed) == (type(value), value)
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(FIG1_TEXT + "geom.d = 500\n")
@@ -559,7 +603,7 @@ class TestCliCommands:
         # capacity is E[G1 G2/(G1 + G2)]/(2 ln 2) = gbar/(6 ln 2) for equal hops.
         # The coop direct link carries the rest: c_direct is
         # e^(1/gbar_SD) E1(1/gbar_SD)/ln 2; the relay mode's probability
-        # (~1.7e-302) and capacity lie below it
+        # (~1.7e-302, its own integral) and capacity lie below it
         dualhop = parse_config(TINY_HOPS_TEXT.format(kind="dualhop"))
         coop_cfg = parse_config(TINY_HOPS_TEXT.format(kind="coop"))
         (s,), (c,) = cli._scenarios(dualhop), cli._scenarios(coop_cfg)
@@ -580,7 +624,8 @@ class TestCliCommands:
         assert values["p_direct"] == pytest.approx(1.0, rel=1e-12)
         assert values["c_direct_bps_hz"] == pytest.approx(direct, rel=1e-12)
         assert values["capacity_bps_hz"] == pytest.approx(direct, rel=1e-12)
-        assert values["p_relay"] == pytest.approx(0.0, abs=1e-12)
+        assert values["p_relay"] == pytest.approx(mp_af_mode_probabilities(c)[1], rel=1e-12,
+                                                  abs=0.0)
         assert values["c_relay_bps_hz"] == pytest.approx(0.0, abs=1e-12)
 
     def test_optimize_at_a_huge_distance_has_its_value(self):
@@ -880,6 +925,18 @@ class TestCliCommands:
         cfg.write_text(COOP_AF_TINY_DIRECT_TEXT)
         assert self.run("eval", "--config", str(cfg)) == 0
         assert capsys.readouterr().err == ""
+
+    def test_coop_af_tiny_direct_probability_has_its_value(self):
+        # p_direct ~ 1e-36 is R/gbar_SD from R's own integral; 1 - S/gbar_SD
+        # read 0 there
+        (c,) = cli._scenarios(parse_config(COOP_AF_TINY_DIRECT_TEXT))
+        header, (row,) = cli.run_eval(parse_config(COOP_AF_TINY_DIRECT_TEXT))
+        values = dict(zip(header, row))
+        p_direct, p_relay = mp_af_mode_probabilities(c)
+        assert 1e-37 < p_direct < 1e-35
+        assert values["p_direct"] == pytest.approx(p_direct, rel=1e-12, abs=0.0)
+        assert values["p_relay"] == pytest.approx(p_relay, rel=1e-12, abs=0.0)
+        assert values["p_direct"] + values["p_relay"] == 1.0
 
     def test_verification_failure_exit_code(self, monkeypatch, tmp_path):
         failed = cli.VerifyCheck("synthetic", 1.0, 2.0, 0.1, 0.05)

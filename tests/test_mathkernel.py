@@ -382,6 +382,70 @@ class TestErfcGamma:
             assert erfcx(x) == pytest.approx(ref, rel=1e-12)
 
 
+def reference_level(semi_infinite, level):
+    """The nodes that one level of the rule adds, as (d, w, left)."""
+    lo, hi = (-18, 14) if semi_infinite else (-16, 16)
+    n = 2 ** level
+    u = np.arange(lo * n, hi * n + 1) * (0.25 / n)
+    u = u[1::2] if level else u
+    s, ds = 0.5 * math.pi * np.sinh(u), 0.5 * math.pi * np.cosh(u)
+    if semi_infinite:
+        t = np.exp(s)
+        return t, ds * t, None
+    q = np.exp(-2.0 * np.abs(s))
+    return 2.0 * q / (1.0 + q), ds * 4.0 * q / (1.0 + q) ** 2, u <= 0.0
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def reference_double_exponential(f, semi_infinite, a, b, scale, spec):
+    """The double-exponential rule evaluated level by level, one call of f
+    per level and group of integrals, as the reference for the first-levels
+    call of mathkernel._double_exponential."""
+    n = scale.size
+    total, error, ends = np.zeros((3, n))
+    nodes, active = np.zeros(n, dtype=int), np.arange(n)
+    for level in range(7):
+        d, dw, left = reference_level(semi_infinite, level)
+        h, sums = 0.25 / 2 ** level, []
+        for rows in np.array_split(active, -(-active.size * d.size // 2048)):
+            m = scale[rows, None]
+            dist, w = np.maximum(m * d, np.finfo(float).tiny), m * dw
+            if semi_infinite:
+                x, valid = dist, w < np.inf
+            else:
+                lo, hi = a[rows, None], b[rows, None]
+                x = np.where(left, lo + dist, hi - dist)
+                valid = (lo < x) & (x < hi)
+            fx = np.asarray(f(x[valid], np.broadcast_to(rows[:, None], x.shape)[valid]),
+                            dtype=float)
+            if fx.shape != (np.count_nonzero(valid),) or not np.isfinite(fx).all():
+                raise QuadratureError("integrand returned non-finite or wrongly shaped values",
+                                      0.0, math.inf)
+            nodes[rows] += np.count_nonzero(valid, axis=1)
+            terms = np.zeros(x.shape)
+            terms[valid] = w[valid] * fx
+            sums.append(h * np.add.reduce(terms, axis=1))
+            if level == 0:
+                ends[rows] = np.abs(terms[:, 0]) + np.abs(terms[:, -1])
+        new = np.concatenate(sums) + 0.5 * total[active]
+        error[active] = np.abs(new - total[active]) + h * ends[active]
+        total[active] = new
+        active = active[error[active] > np.maximum(spec.abs_tol, spec.rel_tol * np.abs(new))]
+        if not active.size:
+            return [mathkernel.QuadratureResult(*r)
+                    for r in zip(total.tolist(), error.tolist(), nodes.tolist())]
+    raise QuadratureError("no convergence in 7 levels of the double-exponential rule",
+                          float(total[active[0]]), float(error[active[0]]))
+
+
+def outcome(core, f, semi_infinite, a, b, scale, spec):
+    """The results of a quadrature core, or the message it raised."""
+    try:
+        return core(f, semi_infinite, a, b, scale, spec)
+    except QuadratureError as err:
+        return str(err)
+
+
 class TestQuadrature:
     def test_spec_invariants(self):
         with pytest.raises(ValueError):
@@ -469,6 +533,130 @@ class TestQuadrature:
         with pytest.raises(QuadratureError, match="non-finite"):
             integrate_batch(lambda x, rows: np.where(rows == 1, np.nan, x), np.zeros(2),
                             np.ones(2))
+
+
+class TestFirstLevelsCall:
+    """The first integrand call covers levels 0-2 on [0, inf) and 0-1 on
+    [a, b]; every result and error equals the level-by-level rule's."""
+
+    SPECS = [QuadratureSpec(), QuadratureSpec(1e-3, 0.0), QuadratureSpec(1e-12, 0.0)]
+
+    def assert_same(self, f, semi_infinite, a, b, scale, spec):
+        new = outcome(mathkernel._double_exponential, f, semi_infinite, a, b, scale, spec)
+        ref = outcome(reference_double_exponential, f, semi_infinite, a, b, scale, spec)
+        assert new == ref
+        return ref
+
+    def panels(self, f, semi_infinite, a, b, scale):
+        """The node counts of each spec's results, which equal the reference's."""
+        out = set()
+        for spec in self.SPECS:
+            got = self.assert_same(f, semi_infinite, a, b, scale, spec)
+            out |= set() if isinstance(got, str) else {r.panels for r in got}
+        return out
+
+    def test_semi_infinite_batches_across_scales(self):
+        rng = np.random.default_rng(20260)
+        scales = 10.0 ** np.linspace(-300.0, 300.0, 41)
+        with np.errstate(over="ignore"):  # the largest scales give infinite weights
+            assert np.isinf(scales[-1] * reference_level(True, 0)[1][-1])
+        powers = rng.uniform(1.5, 4.0, scales.size)
+        rates = rng.uniform(0.05, 20.0, scales.size)
+        panels = set()
+        for f in [
+            lambda t, rows: np.exp(-t / scales[rows]) / scales[rows],
+            lambda t, rows: (1.0 + t / scales[rows]) ** -powers[rows] / scales[rows],
+            lambda t, rows: np.log1p(t / scales[rows]) * np.exp(-rates[rows] * t / scales[rows]),
+            lambda t, rows: np.exp(-t / scales[rows]) * np.sin(t / scales[rows]) ** 2,
+        ]:
+            panels |= self.panels(f, True, None, None, scales)
+        assert {33, 65, 129, 257} <= panels  # stops at levels 0, 1, 2 and 3
+        assert max(panels) > 257
+
+    def test_finite_intervals_with_nodes_on_the_ends(self):
+        # from a = 1 on, the outermost nodes round onto a or b and add 0
+        # unevaluated; at a = 1e16, where floats are 2 apart, most of them do
+        rng = np.random.default_rng(20261)
+        a = np.concatenate([np.zeros(3), np.ones(3), rng.uniform(-50.0, 50.0, 4)])
+        b = a + rng.uniform(0.1, 30.0, a.size)
+        rates = rng.uniform(0.1, 3.0, a.size)
+        panels = set()
+        for f in [
+            lambda x, rows: np.ones_like(x),
+            lambda x, rows: np.sin(rates[rows] * (x - a[rows])) ** 2,
+            lambda x, rows: 1.0 / np.sqrt(x - a[rows]),
+            lambda x, rows: np.exp(-rates[rows] * (x - a[rows])) * np.cos(x - b[rows]),
+        ]:
+            panels |= self.panels(f, False, a, b, 0.5 * (b - a))
+        assert any(p < 58 for p in panels) and max(panels) > 65
+        far = np.full(4, 1e16)
+        widths = np.array([4.0, 2.0 ** 10, 2.0 ** 22, 2.0 ** 30])
+        assert (far + widths)[0] - far[0] == 4.0
+        one = lambda x, rows: np.exp(-(x - far[rows]) / widths[rows])
+        panels = self.panels(one, False, far, far + widths, 0.5 * widths)
+        for i in range(4):
+            panels |= self.panels(lambda x, rows: one(x, rows + i), False, far[i:i + 1],
+                                  far[i:i + 1] + widths[i], 0.5 * widths[i:i + 1])
+        assert panels and max(panels) < 58
+
+    def test_integrals_that_stop_at_level_0(self):
+        scale = np.ones(3)
+        zero = self.assert_same(lambda t, rows: 0.0 * t, True, None, None, scale,
+                                QuadratureSpec(1e-10, 0.0))
+        tiny = self.assert_same(lambda t, rows: 1e-14 * np.exp(-t), True, None, None, scale,
+                                QuadratureSpec())
+        assert {r.panels for r in zero + tiny} == {33}
+        ends = self.assert_same(lambda x, rows: 0.0 * x, False, np.zeros(2), np.ones(2),
+                                np.full(2, 0.5), QuadratureSpec())
+        assert {r.panels for r in ends} == {29}  # 4 nodes round onto b = 1
+
+    @pytest.mark.parametrize("semi_infinite,level", [(True, 1), (True, 2), (False, 1)])
+    def test_non_finite_beyond_the_last_level_reached(self, semi_infinite, level):
+        # integral 0 is 0 except at one node of a level it never reaches;
+        # integral 1 reaches that level, on which integral 0 evaluates nothing
+        node = reference_level(semi_infinite, level)[0][5]
+        if semi_infinite:
+            a = b = None
+            point = node
+        else:
+            a, b = np.zeros(2), np.full(2, 2.0)
+            point = node if reference_level(False, level)[2][5] else 2.0 - node
+        spec = QuadratureSpec()
+
+        def f(x, rows):
+            weight = np.where(rows == 0, 0.0, 1.0)
+            return np.where((rows == 0) & (x == point), np.nan, weight * np.exp(-x))
+
+        got = self.assert_same(f, semi_infinite, a, b, np.ones(2), spec)
+        assert got[0].panels <= 33 < got[1].panels
+        # the same node in an integral that reaches its level raises
+        lone = self.assert_same(lambda x, rows: np.where(x == point, np.inf, np.exp(-x)),
+                                semi_infinite, a, b, np.ones(1), spec)
+        assert lone.startswith("integrand returned non-finite")
+
+    def test_divergent_integral_raises_the_same_error(self):
+        spec = QuadratureSpec(1e-10, 0.0)
+        message = self.assert_same(lambda t, rows: 1.0 / (1.0 + t), True, None, None,
+                                   np.ones(1), spec)
+        assert message.startswith("no convergence in 7 levels")
+        powers = np.array([2.0, 1.0, 3.0])
+        assert self.assert_same(lambda t, rows: (1.0 + t) ** -powers[rows], True, None, None,
+                                np.ones(3), spec) == message
+
+    def test_integrand_calls(self):
+        # a lone exp-sinh integral that stops at level 3: one call for levels
+        # 0-2 and one for level 3, where the level-by-level rule made four
+        calls = []
+
+        def f(t):
+            calls.append(t.size)
+            return np.exp(-t) * np.sin(t)
+
+        assert integrate_semi_infinite(f).panels == 257
+        assert calls == [129, 128]
+        calls.clear()
+        assert integrate(lambda x: f(x) + 1.0, 0.0, 1.0).panels == 58
+        assert len(calls) == 1
 
 
 class TestRootFinding:
