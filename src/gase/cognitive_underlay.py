@@ -38,7 +38,9 @@ point-to-point branch by P, and recovers the X-channel (no constraint) and
 pure point-to-point links in the i_th limits.  ``gase_cognitive_batch``
 evaluates a list of scenarios, and ``gase_cognitive`` is the batch of one.
 Only P and the primary's joint term read i_th, and the batch computes the
-rest once per run of scenarios that differ only in i_th.
+rest once per run of scenarios that differ only in i_th.  It takes the means
+of all its tight points in one quadrature batch, and a lone
+``primary_capacity_parallel`` takes its mean as the batch of one.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from .link_p2p import LN2, P2pScenario, gase_p2p
-from .mathkernel import (EULER_GAMMA, QuadratureError, QuadratureSpec, integrate, scaled_e1,
-                         scaled_en)
+from .mathkernel import (EULER_GAMMA, QuadratureError, QuadratureSpec, integrate_batch,
+                         scaled_e1, scaled_en)
 from .propagation import PowerLevel, PropagationEnvironment, affected_area_single, path_ratio
 
 __all__ = [
@@ -238,24 +240,36 @@ def primary_capacity_parallel(s: CognitiveScenario) -> float:
     is 0 once exp(-c) rounds to 1).  There the capacity is computed as what
     it equals: the mean of exp(z) E1(z) / ln 2 at z = n1 + x, over the
     normalised interference x in [0, i1] with weight exp(-rho_p x), by
-    quadrature of a positive integrand.  Where the parallel probability P
+    quadrature of a positive integrand, the batch of one of the means that
+    gase_cognitive_batch takes together.  Where the parallel probability P
     underflows to 0, so does c = rho_p i1, and the weight's normaliser
     rho_p/P = (1/i1) c/(1 - exp(-c)) is its limit 1/i1: x is uniform on [0, i1].
     """
-    return _primary_capacity(s, prob_parallel(s), _interference_integral(s.rho_p, s.n1))
+    p = prob_parallel(s)
+    c_p = _primary_capacity(s, p, _interference_integral(s.rho_p, s.n1))
+    return _tight_means([s], [p])[0] if c_p is None else c_p
 
 
-def _primary_capacity(s: CognitiveScenario, p: float, free: float) -> float:
+def _primary_capacity(s: CognitiveScenario, p: float, free: float):
     """primary_capacity_parallel, given the parallel probability p and the
-    unconstrained integral free = _interference_integral(rho_p, n1)."""
-    n1, i1, rho = s.n1, s.i1, s.rho_p
-    joint = free - math.exp(-s.constraint_exponent) * _interference_integral(rho, n1 + i1)
+    unconstrained integral free = _interference_integral(rho_p, n1); None
+    where the constraint is tight, for _tight_means."""
+    joint = free - math.exp(-s.constraint_exponent) * _interference_integral(s.rho_p, s.n1 + s.i1)
     if p > 0.0 and joint >= _CANCELLATION * free:
         return joint / LN2 / p
-    weighted = integrate(lambda x: scaled_e1(n1 + x) * np.exp(-rho * x), 0.0, i1, _MEAN_SPEC)
-    if p > 0.0:
-        return weighted.value * rho / LN2 / p
-    return weighted.value / i1 / LN2
+    return None
+
+
+def _tight_means(scenarios: Sequence[CognitiveScenario], probabilities: Sequence[float]
+                 ) -> List[float]:
+    """primary_capacity_parallel of the tight scenarios, with their parallel
+    probabilities, from one integrate_batch of their means."""
+    n1, rho, i1 = (np.array([getattr(s, name) for s in scenarios])
+                   for name in ("n1", "rho_p", "i1"))
+    weighted = integrate_batch(lambda x, rows: scaled_e1(n1[rows] + x) * np.exp(-rho[rows] * x),
+                               np.zeros(i1.size), i1, _MEAN_SPEC)
+    return [w.value * r / LN2 / p if p > 0.0 else w.value / i / LN2
+            for w, r, i, p in zip(weighted, rho.tolist(), i1.tolist(), probabilities)]
 
 
 def secondary_capacity_parallel(s: CognitiveScenario) -> float:
@@ -377,12 +391,27 @@ def affected_area_parallel(s: CognitiveScenario) -> float:
                           fine, abs(fine - coarse))
 
 
+def _row(p, c_p, c_s, free, area_par, p2p) -> Dict[str, float]:
+    """gase_cognitive's CSV row from P, the branch capacities, the
+    unconstrained primary integral, the parallel area and the silent branch."""
+    c_p2p, eta_p2p = p2p["capacity_bps_hz"], p2p["gase_bps_hz_m2"]
+    return {
+        "p_parallel": p, "c_primary_bps_hz": c_p, "c_secondary_bps_hz": c_s,
+        "c_p2p_bps_hz": c_p2p, "area_parallel_m2": area_par, "area_p2p_m2": p2p["area_m2"],
+        "se_total_bps_hz": p * (c_p + c_s) + (1.0 - p) * c_p2p,
+        # rounded as (p * (C_p + C_s)) / A, the order the golden CSV rows use
+        "gase_bps_hz_m2": p * (c_p + c_s) / area_par + (1.0 - p) * eta_p2p,
+        "gase_x_bps_hz_m2": (free / LN2 + c_s) / area_par, "gase_p2p_bps_hz_m2": eta_p2p}
+
+
 def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[Dict[str, float]]:
     """gase_cognitive of each scenario, bit for bit.  The parallel area, the
     unconstrained primary integral with the secondary capacity, and the
     silent branch, which do not read i_th, are computed again only where the
-    inputs each reads differ from the predecessor's."""
-    results, area_key, free_key, p2p_key = [], None, None, None
+    inputs each reads differ from the predecessor's.  The primary capacities
+    of the tight points are their means, taken after the closed forms of
+    every point in one _tight_means."""
+    parts, tight, area_key, free_key, p2p_key = [], [], None, None, None
     for s in scenarios:
         p = prob_parallel(s)
         key = (s.env, s.p1, s.p2, s.d_p, s.d_s, s.d_sp, s.d_ps)
@@ -390,7 +419,7 @@ def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[Dict[st
         if fresh:
             free_key, free = key, _interference_integral(s.rho_p, s.n1)
         c_p = _primary_capacity(s, p, free)
-        if fresh:  # after C_p, so that a point that fails raises what a lone one does
+        if fresh:  # after the joint term, so that a point that fails raises what a lone one does
             c_s = secondary_capacity_parallel(s)
         key = (s.env, s.p1, s.p2, s.d0)
         if key != area_key:
@@ -398,15 +427,14 @@ def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[Dict[st
         key = (s.env, s.p1, s.d_p)
         if key != p2p_key:
             p2p_key, p2p = key, gase_p2p(P2pScenario(s.env, s.p1, s.d_p))
-        c_p2p, eta_p2p = p2p["capacity_bps_hz"], p2p["gase_bps_hz_m2"]
-        results.append({
-            "p_parallel": p, "c_primary_bps_hz": c_p, "c_secondary_bps_hz": c_s,
-            "c_p2p_bps_hz": c_p2p, "area_parallel_m2": area_par, "area_p2p_m2": p2p["area_m2"],
-            "se_total_bps_hz": p * (c_p + c_s) + (1.0 - p) * c_p2p,
-            # rounded as (p * (C_p + C_s)) / A, the order the golden CSV rows use
-            "gase_bps_hz_m2": p * (c_p + c_s) / area_par + (1.0 - p) * eta_p2p,
-            "gase_x_bps_hz_m2": (free / LN2 + c_s) / area_par, "gase_p2p_bps_hz_m2": eta_p2p})
-    return results
+        if c_p is None:
+            tight.append((len(parts), s))
+        parts.append([p, c_p, c_s, free, area_par, p2p])
+    if tight:
+        means = _tight_means([s for _, s in tight], [parts[i][0] for i, _ in tight])
+        for (i, _), c_p in zip(tight, means):
+            parts[i][1] = c_p
+    return [_row(*row) for row in parts]
 
 
 def gase_cognitive(s: CognitiveScenario) -> Dict[str, float]:

@@ -7,13 +7,13 @@ semi-infinite intervals.  The special functions are implemented here rather
 than imported so their accuracy is pinned by this repo's own tests, and so
 the runtime needs nothing beyond numpy:
 
-* E1 (DLMF 6.6.2, 6.9.1): alternating series for x <= 1, modified-Lentz
-  continued fraction above, both on Python floats with ``math``.  The
-  continued fraction evaluates exp(x)*E1(x) directly, which is what makes the
-  scaled form overflow-free for large x.  Every caller passes a scalar; an
-  array maps element-wise through the same scalar kernel.  Higher orders E_n
-  (DLMF 8.19) use the same continued fraction with order-n coefficients, and
-  on x <= 1 the upward recurrence from E1, which is stable there.
+* E1, as exp(x)*E1(x), which does not overflow, by Horner's rule on three
+  branches: the Taylor series on (0, 1] (DLMF 6.6.2), embedded Chebyshev fits
+  of x exp(x) E1(x) in 1/x per octave of x on (1, 64] (after Cody & Thacher,
+  Math. Comp. 22, 1968) and the asymptotic series above (DLMF 6.12.1).  A
+  float runs its array lane's operations, numpy's exp and log included, and
+  equals it bit for bit.  E_n (DLMF 8.19) recurs upward from E1 on x <= 1,
+  stably, and above it takes a modified-Lentz continued fraction.
 * K0/K1: two branches, each returning both orders in one pass: for x <= 2
   the ascending series (DLMF 10.31.2, 10.31.1) in q = x^2/4, above it a
   Chebyshev fit of exp(x) sqrt(x) K_nu(x) in t = 4/x - 1 (as Cephes' k0e),
@@ -111,42 +111,138 @@ class QuadratureResult(NamedTuple):
     panels: int  # nodes evaluated
 
 
+def _by_branch(x, series, scaled, cut: float = 2.0, name: str = "bessel_k"):
+    """series on the nodes x <= cut and scaled on the rest, each called on a
+    flat array; returns their rows over the flat nodes and x as an array.
+    One range test checks the domain and picks the branch, and the nodes are
+    split and scattered, by integer index, only where both branches occur."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    lo = np.minimum.reduce(flat, initial=np.inf)  # a NaN propagates to both
+    hi = np.maximum.reduce(flat, initial=0.0)
+    if not (lo > 0.0 and hi < np.inf):
+        raise ValueError(f"{name} requires x > 0")
+    if hi <= cut:
+        return series(flat), arr
+    if lo > cut:
+        return scaled(flat), arr
+    small = flat <= cut
+    low, high = np.flatnonzero(small), np.flatnonzero(~small)
+    upper = scaled(flat[high])
+    out = np.empty(upper.shape[:-1] + flat.shape)
+    out[..., high] = upper
+    out[..., low] = series(flat[low])
+    return out, arr
+
+
 # ---------------------------------------------------------------------------
 # exponential integral
 # ---------------------------------------------------------------------------
 
+# x exp(x) E1(x) for x in (2^j, 2^(j+1)], j = 0..5, in t = 2^(j+2)/x - 3: row j
+# from t^17 down to t^0, magnitudes summing to at most 1.22 times any value.
+# From 40-digit mpmath at 36 Chebyshev nodes, the first dropped coefficient
+# below 3e-18 (tests/test_mathkernel.py rebuilds the rows bit for bit)
+_OCTAVES = np.array([
+    -1.3432951296876565e-12, 5.2894750539033306e-12, -1.531995465071094e-11, 6.333186108186597e-11,
+    -2.7458138661798044e-10, 1.1530857234219312e-09, -4.903725277633267e-09, 2.1250748863550988e-08,
+    -9.383875315931697e-08, 4.234933338346499e-07, -1.9613975717903865e-06, 9.37385774400463e-06,
+    -4.658463959142373e-05, 0.0002434886680847649, -0.0013629599822417545, 0.008436135835132877,
+    -0.06174333067349751, 0.6508128537230682, -7.140899601591861e-14, 3.1609923841809934e-13,
+    -1.1141187957304215e-12, 5.1848320160145044e-12, -2.5023181645368368e-11, 1.1970351002606292e-10,
+    -5.833973709090639e-10, 2.9098967945911713e-09, -1.4884960849028621e-08, 7.840269719668172e-08,
+    -4.275095559537071e-07, 2.430430618549884e-06, -1.4549522860003424e-05, 9.305743671173572e-05,
+    -0.0006505704390511966, 0.005172158336960534, -0.050697119947855, 0.768752189048245,
+    -1.262200724206803e-15, 6.573850233839006e-15, -2.948394214358199e-14, 1.6204912649252206e-13,
+    -9.186271302551282e-13, 5.263129733927212e-12, -3.094456383784497e-11, 1.874637873450196e-10,
+    -1.1746191972953169e-09, 7.65281633453694e-09, -5.219931517108466e-08, 3.7616506867150566e-07,
+    -2.9000869873053222e-06, 2.4358269733028532e-05, -0.00022922542102282698, 0.0025348142891519552,
+    -0.03619507829804714, 0.8592503002464433, -6.10196729943317e-18, 3.9713496745474945e-17,
+    -2.38711246329655e-16, 1.6508336358784506e-15, -1.178443034927259e-14, 8.635258780257032e-14,
+    -6.550221793861182e-13, 5.166551859126035e-12, -4.2597558296227775e-11, 3.695769528134532e-10,
+    -3.4030605946192607e-09, 3.36323036151717e-08, -3.622501232055239e-07, 4.346022722624378e-06,
+    -6.00285212726471e-05, 0.0010083516031452733, -0.022885877636733186, 0.9201706542494457,
+    -7.145042549516951e-21, 6.266891196044951e-20, -5.364826356593148e-19, 5.0514081844055564e-18,
+    -4.9376448059107446e-17, 5.017059888988076e-16, -5.329935158631327e-15, 5.951799394373289e-14,
+    -7.031122115157127e-13, 8.85777308272575e-12, -1.2021147690442955e-10, 1.7807559029621938e-09,
+    -2.9307422493358682e-08, 5.493318326191635e-07, -1.2167590689035686e-05, 0.00033815642086458113,
+    -0.013192916149848972, 0.9569960633634126, -2.0512307425805558e-24, 2.645230125630134e-23,
+    -3.4580947999870624e-22, 4.848505274695459e-21, -7.114463447118695e-20, 1.0967793982865873e-18,
+    -1.7860168970594262e-17, 3.090910247269771e-16, -5.72682291434397e-15, 1.146271163166571e-13,
+    -2.506797645571436e-12, 6.077469147272582e-11, -1.6652408707123703e-09, 5.2964389369032884e-08,
+    -2.03363612825451e-06, 0.00010036835503087893, -0.007148883296976409, 0.9775903812952121,
+]).reshape(6, 18)
+_OCTAVE_ROWS, _BY_POWER = _OCTAVES.tolist(), _OCTAVES.T  # a float's row; the array nodes' columns
+# E1 + gamma + ln x = x sum (-1)^(k+1) x^(k-1)/(k k!), k = 17 down to 1
+_TAYLOR = [(-1) ** (k + 1) / (k * math.factorial(k)) for k in range(17, 0, -1)]
+# x exp(x) E1(x) ~ sum (-1)^k k! x^-k, k = 20 down to 0: to 1e-18 above x = 64
+_ASYMPTOTIC = [float((-1) ** k * math.factorial(k)) for k in range(20, -1, -1)]
+
+
+def _horner(t, coefficients):
+    """c_0 t^m + ... + c_m by Horner's rule; t a float or array, each c a float or one per node."""
+    acc = coefficients[0] * t
+    for c in coefficients[1:-1]:
+        acc += c
+        acc *= t
+    return acc + coefficients[-1]
+
+
+def _e1_taylor(x):
+    """exp(x) E1(x) on (0, 1], to 4e-17 of E1."""
+    return np.exp(x) * (-EULER_GAMMA - np.log(x) + x * _horner(x, _TAYLOR))
+
+
+def _e1_octaves(x):
+    """exp(x) E1(x) on (1, 64]: 1/x = m 2^e, 1/2 <= m < 1, is octave -e's t = 4m - 3."""
+    scalar = isinstance(x, float)
+    m, e = (math.frexp if scalar else np.frexp)(1.0 / x)
+    coefficients = _OCTAVE_ROWS[-e] if scalar else np.take(_BY_POWER, -e, axis=1)
+    return _horner(4.0 * m - 3.0, coefficients) / x
+
+
+def _e1_asymptotic(x):
+    """exp(x) E1(x) on (64, inf)."""
+    return _horner(1.0 / x, _ASYMPTOTIC) / x
+
+
+def _e1_above_1(x):
+    """exp(x) E1(x) on an array of x > 1."""
+    return _by_branch(x, _e1_octaves, _e1_asymptotic, 64.0, "scaled_e1")[0]
+
+
+def scaled_e1(x):
+    """exp(x) * E1(x), valid for any x > 0 without overflow, on a float or an
+    array.  Strictly decreasing; bounded by (1/(x+1), 1/x)."""
+    if isinstance(x, (float, int)):
+        x = float(x)
+        if not 0.0 < x < math.inf:
+            raise ValueError("scaled_e1 requires x > 0")
+        branch = _e1_taylor if x <= 1.0 else _e1_octaves if x <= 64.0 else _e1_asymptotic
+        return float(branch(x))
+    out, arr = _by_branch(x, _e1_taylor, _e1_above_1, 1.0, "scaled_e1")
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+
 def scaled_en(x: float, n: int) -> float:
-    """exp(x) * E_n(x) for one float x > 0 and order n >= 1: series on (0, 1],
-    modified Lentz above.
+    """exp(x) * E_n(x) for one float x > 0 and order n >= 1: scaled_e1 for n = 1,
+    else the upward recurrence from it on (0, 1] and modified Lentz above.
 
     The k-th derivative of exp(x) E1(x) is (-1)^k k! exp(x) E_(k+1)(x) / x^k,
     and exp(x) E2(x) = 1 - x exp(x) E1(x) without the cancellation of that
-    difference at large x.
-    """
+    difference at large x."""
     if not 0.0 < x < math.inf:
         raise ValueError("scaled_e1 requires x > 0")
     if n < 1:
         raise ValueError("scaled_en requires order n >= 1")
-    if x <= 1.0:  # the alternating series needs few terms and does not cancel here
-        acc = 0.0
-        p = 1.0
-        for k in range(1, 30):
-            p *= -x / k
-            term = p / k
-            # |terms| shrink; one under a quarter ulp (half the lower spacing) moves no acc
-            if 4.0 * abs(term) < math.ulp(acc):
-                break
-            acc -= term
-        h = math.exp(x) * (-EULER_GAMMA - math.log(x) + acc)
+    if n == 1 or x <= 1.0:
+        h = scaled_e1(x)
         # upward recurrence E_(k+1) = (exp(-x) - x E_k)/k: errors shrink by x/k <= 1
         for k in range(1, n):
             h = (1.0 - x * h) / k
         return h
-    tiny = 1e-300
-    b = x + n
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
+    b, c = x + n, 1.0 / 1e-300
+    h = d = 1.0 / b
     for i in range(1, 500):
         a = -float(i * (n - 1 + i))
         b += 2.0
@@ -159,18 +255,6 @@ def scaled_en(x: float, n: int) -> float:
         if abs(delta - 1.0) <= 2.0 ** -52:
             return h
     raise QuadratureError("continued fraction for E_n did not converge", h, math.inf)
-
-
-def scaled_e1(x):
-    """exp(x) * E1(x), valid for any x > 0 without overflow.
-
-    Strictly decreasing; bounded by (1/(x+1), 1/x).
-    """
-    if isinstance(x, (float, int)):
-        return scaled_en(float(x), 1)
-    arr = np.asarray(x, dtype=float)
-    out = np.array([scaled_en(v, 1) for v in arr.ravel().tolist()]).reshape(arr.shape)
-    return float(out) if arr.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -294,30 +378,6 @@ def _one_minus_xk1_series(x):
 def _one_minus_xk1_scaled(x):
     """1 - x K1(x) for x > 2.  K0's row is summed too: _power_series needs two."""
     return 1.0 - x * _k01_scaled(x)[1]
-
-
-def _by_branch(x, series, scaled):
-    """series on the nodes x <= 2 and scaled on the rest, each called on a
-    flat array; returns their rows over the flat nodes and x as an array.
-    One range test checks the domain and picks the branch, and the nodes are
-    split and scattered, by integer index, only where both branches occur."""
-    arr = np.asarray(x, dtype=float)
-    flat = arr.ravel()
-    lo = np.minimum.reduce(flat, initial=np.inf)  # a NaN propagates to both
-    hi = np.maximum.reduce(flat, initial=0.0)
-    if not (lo > 0.0 and hi < np.inf):
-        raise ValueError("bessel_k requires x > 0")
-    if hi <= 2.0:
-        return series(flat), arr
-    if lo > 2.0:
-        return scaled(flat), arr
-    small = flat <= 2.0
-    low, high = np.flatnonzero(small), np.flatnonzero(~small)
-    upper = scaled(flat[high])
-    out = np.empty(upper.shape[:-1] + flat.shape)
-    out[..., high] = upper
-    out[..., low] = series(flat[low])
-    return out, arr
 
 
 def bessel_k01(x):

@@ -863,6 +863,38 @@ class TestCompositeGase:
             scenarios.append(CognitiveScenario(**fields))
         assert cg.gase_cognitive_batch(scenarios) == [gase_cognitive(s) for s in scenarios]
 
+    def test_sweep_takes_its_tight_means_in_one_quadrature_batch(self, monkeypatch):
+        # the 41-point fig6 i_th sweep has 9 tight points, whose joint closed
+        # form cancels: one integrate_batch takes all their means
+        scenarios = preset_scenarios("fig6")
+        alone = [gase_cognitive(s) for s in scenarios]
+        calls, batch = [], cg.integrate_batch
+        monkeypatch.setattr(cg, "integrate_batch",
+                            lambda f, a, b, spec: calls.append(b) or batch(f, a, b, spec))
+        rows = cg.gase_cognitive_batch(scenarios)
+        assert rows == alone
+        assert len(calls) == 1 and calls[0].tolist() == [s.i1 for s in scenarios[:9]]
+        for s, row in zip(scenarios, rows):
+            assert row["c_primary_bps_hz"] == primary_capacity_parallel(s)
+
+    def test_batch_mixes_tight_loose_and_vanishing_probability_points(self, monkeypatch):
+        # a tight point, a loose one, a point whose P underflows to 0 (the
+        # uniform weight) and another tight one, each as it is alone
+        env = PropagationEnvironment.from_dbm(4.0, -100.0, -100.0)
+        p20 = PowerLevel.from_dbm(20.0)
+        vanishing = CognitiveScenario(env, p20, p20, 1.0, 1.0, 1e-323, 1e-323, 1.0,
+                                      dbm_to_watts(-80.0))
+        assert prob_parallel(vanishing) == 0.0
+        scenarios = [fig6_scenario(-120.0), fig6_scenario(-60.0), vanishing, fig6_scenario(-110.0)]
+        alone = [gase_cognitive(s) for s in scenarios]
+        calls, batch = [], cg.integrate_batch
+        monkeypatch.setattr(cg, "integrate_batch",
+                            lambda f, a, b, spec: calls.append(b.size) or batch(f, a, b, spec))
+        rows = cg.gase_cognitive_batch(scenarios)
+        assert rows == alone and calls == [3]
+        for s, row in zip(scenarios, rows):
+            assert row["c_primary_bps_hz"] == primary_capacity_parallel(s)
+
     def test_breakdown_components(self):
         c = gase_cognitive(fig6_scenario())
         parallel = (c["c_primary_bps_hz"] + c["c_secondary_bps_hz"]) / c["area_parallel_m2"]

@@ -20,6 +20,7 @@ from gase.mathkernel import (BracketingError, QuadratureError, QuadratureSpec,
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single
 
 EULER_GAMMA = 0.5772156649015328606
+EPS = 2.0 ** -52
 
 
 def e1_series_oracle(x: float) -> float:
@@ -84,7 +85,7 @@ class TestExpIntegral:
         out = scaled_e1(x)
         assert out.shape == x.shape
         for xi, oi in zip(x, out):
-            assert oi == pytest.approx(scaled_e1(float(xi)), rel=1e-14)
+            assert oi == scaled_e1(float(xi))
 
 
 class TestScaledE1:
@@ -115,14 +116,15 @@ class TestScaledE1:
             assert scaled_e1(x) == pytest.approx(math.exp(x) * float(sci_special.exp1(x)), rel=1e-10)
 
     def test_series_stop_equals_the_full_loop(self):
-        # the series on (0, 1] stops at its first term below a quarter ulp of
-        # the sum, which cannot move it: bit for bit the fixed 29-term loop
+        # on (0, 1], exp(x) E1(x) is exp(x) (-gamma - ln x + x S(x)), S the
+        # series of k = 1..17 summed by Horner from its smallest term, and E2,
+        # E3 follow by the upward recurrence: bit for bit this fixed-order
+        # loop (the test once pinned a series that stopped early)
         def full_loop(x):  # exp(x) E_n(x) for n = 1, 2, 3
-            acc, p = 0.0, 1.0
-            for k in range(1, 30):
-                p *= -x / k
-                acc -= p / k
-            h = [math.exp(x) * (-mathkernel.EULER_GAMMA - math.log(x) + acc)]
+            acc = 0.0
+            for k in range(17, 0, -1):
+                acc = acc * x + (-1) ** (k + 1) / (k * math.factorial(k))
+            h = [float(np.exp(x) * (-mathkernel.EULER_GAMMA - np.log(x) + x * acc))]
             for k in (1, 2):
                 h.append((1.0 - x * h[-1]) / k)
             return h
@@ -204,10 +206,10 @@ class TestMpmathOracle:
     def test_scaled_e1(self):
         with mpmath.workdps(40):
             for x in [*self.GRID, 1e3, 1e6]:
-                self.assert_close(scaled_e1(x), mpmath.exp(x) * mpmath.e1(x))
+                ref = float(mpmath.exp(x) * mpmath.e1(x))
+                assert abs(scaled_e1(x) - ref) <= 4 * math.ulp(ref)
 
     def test_scaled_e1_far_tail(self):
-        # above x ~ 2e16 the continued fraction's b += 2 no longer moves b;
         # 20,000 log-uniform x in [1, 1e40], checked against mpmath at 200
         xs = (10.0 ** np.random.default_rng(36).uniform(0.0, 40.0, 20_000)).tolist()
         vals = [scaled_e1(x) for x in xs]
@@ -215,7 +217,7 @@ class TestMpmathOracle:
         with mpmath.workdps(40):
             for x, v in list(zip(xs, vals))[::100]:
                 ref = float(mpmath.exp(x) * mpmath.e1(x))
-                assert abs(v - ref) <= 1e-14 * ref
+                assert abs(v - ref) <= 4 * math.ulp(ref)
 
     def test_erfcx_within_four_ulps(self):
         # 4,001 points of [0, 25], where exp(x^2) erfc(x) carries x^2's
@@ -272,6 +274,89 @@ class TestMpmathOracle:
         assert mathkernel._SCALED.flags.c_contiguous
         assert mathkernel._SCALED.shape == rebuilt.shape
         assert mathkernel._SCALED.tobytes() == rebuilt.tobytes()    # bit for bit
+
+
+class TestE1Kernel:
+    """The three branches of scaled_e1: Taylor on (0, 1], octave fits on
+    (1, 64), asymptotic above; one arithmetic for floats and arrays."""
+
+    # 1, 2^k for k = 1..6 and the floats either side of each, and the range's ends
+    EDGES = sorted({v for k in range(7) for v in (math.nextafter(2.0 ** k, 0.0), 2.0 ** k,
+                                                  math.nextafter(2.0 ** k, math.inf))}
+                   | {5e-324, 1e-300, 1e300, 1.7e308})
+    # each branch's span, log-spaced, and a stretch of it, evenly spaced, and
+    # its bound in eps = 2^-52 relative: towards x = 1 the Taylor sum cancels
+    # to E1 from -gamma - ln x and x S(x) of about 0.58 and 0.80
+    BRANCHES = {"taylor": ((1e-300, 1.0), (0.0, 1.0), 4), "octaves": ((1.0, 64.0), (1.0, 64.0), 2),
+                "asymptotic": ((64.0, 1e300), (64.0, 256.0), 2)}
+
+    @staticmethod
+    def reference(x):
+        with mpmath.workdps(40):
+            return mpmath.exp(x) * mpmath.e1(x)
+
+    def test_float_equals_its_array_lane(self):
+        x = np.array(self.EDGES + np.geomspace(1e-3, 1e3, 301).tolist())
+        values = scaled_e1(x)
+        assert values.tolist() == [scaled_e1(v) for v in x.tolist()]
+        # prefixes, slices, a reversed array and a 2-D view of the same nodes
+        for n in (1, 2, 7, 8, 9, 64, 65):
+            assert scaled_e1(x[:n]).tolist() == values[:n].tolist()
+        assert scaled_e1(x[3::5]).tolist() == values[3::5].tolist()
+        assert scaled_e1(x[::-1]).tolist() == values[::-1].tolist()
+        assert scaled_e1(x.reshape(2, -1)).ravel().tolist() == values.tolist()
+
+    @pytest.mark.parametrize("lone", [0.5, 3.0, 100.0])
+    def test_lone_node_of_a_branch_in_a_mixed_array(self, lone):
+        x = np.array([0.25, 1.5, 7.0, 80.0, 0.75, 40.0, 1e4])
+        for i in range(x.size + 1):
+            mixed = np.insert(x, i, lone)
+            assert scaled_e1(mixed)[i] == scaled_e1(lone) == scaled_e1(np.array([lone]))[0]
+            assert np.delete(scaled_e1(mixed), i).tolist() == scaled_e1(x).tolist()
+
+    def test_branch_edges(self):
+        for x in self.EDGES:
+            ref = self.reference(x)
+            value = scaled_e1(x)
+            assert value == scaled_e1(np.array([x]))[0]
+            assert abs(value - ref) <= 2 * EPS * ref
+
+    @pytest.mark.parametrize("branch", sorted(BRANCHES))
+    def test_each_branch_against_mpmath(self, branch):
+        # 1,500 log-spaced and 1,500 uniform nodes of each branch, eps the
+        # spacing of floats at 1: at most 3.6 eps near x = 1, else 1.8
+        log_span, span, bound = self.BRANCHES[branch]
+        x = np.concatenate([np.geomspace(*log_span, 1_502)[1:-1], np.linspace(*span, 1_502)[1:-1]])
+        for xi, value in zip(x.tolist(), scaled_e1(x).tolist()):
+            ref = self.reference(xi)
+            assert abs(value - ref) <= bound * EPS * ref
+
+    def test_octave_table_rebuilt_from_mpmath(self):
+        # octave j, x in (2^j, 2^(j+1)], as t = 2^(j+2)/x - 3 runs over [-1, 1]:
+        # c_k = (2/n) sum_i f(t_i) cos(k theta_i), c_0 halved, at the n = 36
+        # Chebyshev nodes t_i = cos(theta_i), theta_i = pi (i + 1/2)/n, of
+        # f = x exp(x) E1(x); the 18 kept ones in powers of t, highest first,
+        # rounded once.  The first dropped coefficient bounds the truncation
+        n, kept = 36, 18
+        table = mathkernel._OCTAVES
+        assert table.shape == (6, kept)
+        with mpmath.workdps(40):
+            thetas = [mpmath.pi * (i + mpmath.mpf(1) / 2) / n for i in range(n)]
+            powers = [[mpmath.mpf(1)], [mpmath.mpf(0), mpmath.mpf(1)]]  # T_k in powers of t
+            while len(powers) < kept:
+                powers.append([2 * c for c in [0, *powers[-1]]])
+                for i, c in enumerate(powers[-3]):
+                    powers[-1][i] -= c
+            for j, row in enumerate(table.tolist()):
+                xs = [2 ** (j + 2) / (mpmath.cos(theta) + 3) for theta in thetas]
+                f = [x * mpmath.exp(x) * mpmath.e1(x) for x in xs]
+                c = [2 * mpmath.fsum(fi * mpmath.cos(k * theta) for fi, theta in zip(f, thetas)) / n
+                     for k in range(kept + 1)]
+                c[0] /= 2
+                assert abs(c[kept]) < 3e-18
+                rebuilt = [mpmath.fsum(ck * tk[p] for ck, tk in zip(c, powers) if p < len(tk))
+                           for p in range(kept)]
+                assert row == [float(v) for v in reversed(rebuilt)]  # bit for bit
 
 
 # log-uniform on [1e-6, 1e6], so every branch of every kernel is drawn
