@@ -383,6 +383,21 @@ class TestXChannel:
         assert values["c_primary_bps_hz"] == values["c_secondary_bps_hz"] == 0.0
         assert values["area_parallel_m2"] > 0.0
 
+    @pytest.mark.parametrize("command", ["eval", "verify"])
+    def test_underflowing_parallel_area_is_named(self, tmp_path, capsys, command):
+        # (P/P_min)^(2/a) = (1e-20)^20 underflows to 0 at a = 0.1, and with
+        # it the parallel area that the X-channel GASE divides by
+        cfg = tmp_path / "area0.cfg"
+        cfg.write_text("scenario.kind = xchannel\nenv.path_loss_exponent = 0.1\n"
+                       "env.noise_dbm = -100\nenv.p_min_dbm = 0\ngeom.d_p = 1\ngeom.d_s = 1\n"
+                       "geom.d_sp = 1\ngeom.d_ps = 1\ngeom.d0 = 1\n"
+                       "power.p1_dbm = -200\npower.p2_dbm = -200\n")
+        assert cli.main([command, "--config", str(cfg)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("gase: numerical failure: the parallel affected area underflows "
+                                "to 0 m^2 (P/P_min = 1e-20, a = 0.1)\n")
+
     @pytest.mark.parametrize("kind", ["cognitive", "xchannel"])
     def test_overflowing_interference_ratio_takes_its_limit(self, tmp_path, capsys, kind):
         # (d_sp/d_p)^a and d_sp^a pass the float range, which raised
@@ -706,18 +721,19 @@ class TestAffectedAreaParallel:
         scenarios += [split_scenario(a, d0, 20.0, p2_dbm) for a in (2.5, 3.0, 4.5, 5.3)
                       for d0 in (50.0, 250.0, 2e3) for p2_dbm in (-20.0, 20.0, 40.0)]
         far = split_scenario(40.0, 1e5, 20.0, 20.0)
-        sin2, t, w = cg._START_NODES
-        assert w.shape == (8 + 32, 16, 16)
+        sin2, t, w = cg._START_GRIDS[1]
+        assert w.shape == (128, 64)
         rounds, accepted = count_rounds(monkeypatch), 0
         with np.errstate(over="ignore"):
             assert np.isinf((footprint_scale(far) * t) ** 40).any()
         for s in scenarios + [far]:
             scale = footprint_scale(s)
-            nodes = w * cg._overlap_correction(s, scale * t, sin2)
-            # where round 0 is accepted, its value is the sum over its 32 quarters
+            # the fine grid's every node, none dropped
+            nodes = w * cg._overlap_correction(s, scale * t[:, None], sin2)
+            # where round 0 is accepted, its value is the sum over the fine grid
             rounds.clear()
             singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
-            ref = scale * (scale * math.fsum(nodes[8:].ravel()))
+            ref = scale * (scale * math.fsum(nodes.ravel()))
             area = affected_area_parallel(s)
             if not rounds:
                 accepted += 1
@@ -725,21 +741,104 @@ class TestAffectedAreaParallel:
         assert accepted > 0.9 * len(scenarios)
 
     def test_round_zero_holds_the_composite_rule_nodes(self):
-        # the 2 x 4 panels and their 4 x 8 quarters hold, bit for bit, the
-        # (sin^2(theta/2), t, weight) of the composite 16-node rules on
-        # 32 x 64 and 64 x 128 nodes
+        # round 0's grids hold, bit for bit and in order, the sin^2(theta/2),
+        # t and weights (u rows, theta columns) of the composite 16-node rules
+        # on 32 x 64 and 64 x 128 nodes: the nodes of the 2 x 4 panels that
+        # refinement starts from and of their 4 x 8 quarters
         x, w16 = np.polynomial.legendre.leggauss(16)
-        sin2, t, w = np.broadcast_arrays(*cg._START_NODES)
-        for rows, theta_panels, u_panels in ((slice(0, 8), 2, 4), (slice(8, 40), 4, 8)):
+        panels = (cg._START, cg._quarters(cg._START, np.zeros(8, bool)))
+        for (sin2, t, w), box, theta_panels, u_panels in zip(cg._START_GRIDS, panels,
+                                                             (2, 4), (4, 8)):
             half_th, half_u = 0.5 * math.pi / theta_panels, 0.5 / u_panels
-            theta = (half_th * (2.0 * np.arange(theta_panels) + 1.0))[:, None] + half_th * x
+            theta = ((half_th * (2.0 * np.arange(theta_panels) + 1.0))[:, None]
+                     + half_th * x).ravel()
             u = ((half_u * (2.0 * np.arange(u_panels) + 1.0))[:, None] + half_u * x).ravel()
-            grid = np.broadcast_arrays(
-                np.sin(0.5 * theta.ravel())[:, None] ** 2, u / (1.0 - u),
-                np.outer(2.0 * np.tile(half_th * w16, theta_panels),
-                         np.tile(half_u * w16, u_panels) * (u / (1.0 - u)) / (1.0 - u) ** 2))
+            weights = np.outer(2.0 * np.tile(half_th * w16, theta_panels),
+                               np.tile(half_u * w16, u_panels) * (u / (1.0 - u)) / (1.0 - u) ** 2)
+            assert sin2.tobytes() == (np.sin(0.5 * theta) ** 2).tobytes()
+            assert t.tobytes() == (u / (1.0 - u)).tobytes()
+            assert w.tobytes() == np.ascontiguousarray(weights.T).tobytes()
+            grid = np.broadcast_arrays(sin2, t[:, None], w)
             assert (sorted(zip(*(a.ravel().tolist() for a in grid)))
-                    == sorted(zip(*(a[rows].ravel().tolist() for a in (sin2, t, w)))))
+                    == sorted(zip(*(a.ravel().tolist()
+                                    for a in np.broadcast_arrays(*cg._nodes(box))))))
+
+    class Refining(Exception):
+        pass
+
+    @classmethod
+    def round_zero(cls, s):
+        """The corrections that round 0 of affected_area_parallel(s) evaluates
+        on its coarse and fine grids, the rows it kept, and whether it went on
+        to refine; refinement is cut off at its first panels."""
+        calls, correction = [], cg._overlap_correction
+
+        def recording(*args):
+            calls.append(correction(*args))
+            return calls[-1]
+
+        def refusing(box):
+            raise cls.Refining
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cg, "_overlap_correction", recording)
+            mp.setattr(cg, "_nodes", refusing)
+            try:
+                affected_area_parallel(s)
+            except cls.Refining:
+                return calls, True
+        return calls, False
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(a=st.floats(0.3, 12.0), log_d0=st.floats(-2.0, 4.0), p1_db=st.floats(-60.0, 60.0),
+           p2_db=st.floats(-60.0, 60.0), p_min_db=st.floats(-60.0, 60.0))
+    @example(a=4.0, log_d0=math.log10(250.0), p1_db=0.0, p2_db=0.0, p_min_db=0.0)
+    @example(a=0.5, log_d0=1.0, p1_db=20.0, p2_db=-20.0, p_min_db=0.0)
+    def test_round_zero_drops_only_rows_that_are_zero(self, a, log_d0, p1_db, p2_db, p_min_db):
+        # every row round 0 drops is exactly +0.0, and its sums are those of
+        # the whole grids; a < 2 widens L by (2/a)^(1/a)
+        d0 = 10.0 ** log_d0
+        env = PropagationEnvironment.from_dbm(a, -100.0, -100.0 + p_min_db)
+        s = CognitiveScenario(env, PowerLevel.from_dbm(20.0 + p1_db),
+                              PowerLevel.from_dbm(20.0 + p2_db), d0, d0, d0, d0, d0, 1e-11)
+        scale = d0 + max((p.watts / env.p_min_w * max(1.0, 2.0 / a)) ** (1.0 / a)
+                         for p in (s.p1, s.p2))
+        corrs, _ = self.round_zero(s)
+        assert len(corrs) == 2
+        for kept, (sin2, t, w) in zip(corrs, cg._START_GRIDS):
+            whole = cg._overlap_correction(s, scale * t[:, None], sin2)
+            assert kept.tobytes() == whole[:len(kept)].tobytes()
+            dropped = whole[len(kept):]
+            assert not dropped.any() and not np.signbit(dropped).any()
+            trimmed, full = np.vdot(w[:len(kept)], kept), np.vdot(w, whole)
+            assert abs(trimmed - full) <= 1e-15 * abs(full)
+
+    def test_round_zero_drops_the_far_rows_of_fig7a(self):
+        # about 8,400 of round 0's 10,240 nodes a point are kept on fig7a
+        kept = [sum(c.size for c in self.round_zero(s)[0]) for s in preset_scenarios("fig7a")]
+        assert 8000 < np.mean(kept) < 9000
+
+    @pytest.mark.parametrize("a,d0,p2_dbm,p_min_dbm,p1_dbm", [
+        (4.0, 2e3, -20.0, -100.0, 20.0), (6.076, 0.215, -129.9, 29.0, -7.0),
+        (6.076, 0.25, -120.0, 29.0, -7.0), (0.582568209305757, 3.8, -9e-63, 31.5, 0.58)])
+    def test_refinement_starts_from_the_panel_rules(self, a, d0, p2_dbm, p_min_dbm, p1_dbm):
+        # where round 0 is not accepted, refinement starts from its panels'
+        # and quarters' rules, taken from the grids: those of the panels'
+        # own 16 x 16-node rules
+        env = PropagationEnvironment.from_dbm(a, -100.0, p_min_dbm)
+        s = CognitiveScenario(env, PowerLevel.from_dbm(p1_dbm), PowerLevel.from_dbm(p2_dbm),
+                              d0, d0, d0, d0, d0, 1e-11)
+        corrs, refined = self.round_zero(s)
+        assert refined and len(corrs) == 2
+        own, kids = cg._start_rules([(c, w) for c, (_, _, w) in zip(corrs, cg._START_GRIDS)])
+        scale = d0 + max((p.watts / env.p_min_w * max(1.0, 2.0 / a)) ** (1.0 / a)
+                         for p in (s.p1, s.p2))
+        sin2, t, w = cg._nodes(np.concatenate([cg._START,
+                                               cg._quarters(cg._START, np.zeros(8, bool))]))
+        ref = np.einsum("pij,pij->p", w, cg._overlap_correction(s, scale * t, sin2))
+        assert abs(ref).max() > 0.0
+        np.testing.assert_allclose(own, ref[:8], rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(kids, ref[8:].reshape(8, 4), rtol=1e-15, atol=0.0)
 
     def test_correction_is_zero_where_scale_squared_overflows(self):
         s = split_scenario(4.0, 1e160, 20.0, 20.0)
