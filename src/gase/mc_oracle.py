@@ -7,14 +7,15 @@ Exponential fading gains are drawn by inverse cdf (-log1p(-u)).
 
 Every estimator runs one chunk loop (_chunk_sums) on two threads: the caller
 and one helper, started and joined within the estimate, each take the next
-chunk, draw it _BLOCK rows at a time (small enough for the uniforms and numpy
-temporaries to stay in cache; numpy releases the GIL while Philox fills) and
-reduce each block to its partial sums as soon as it is drawn, so no buffer
-outlives a block.  The sums are added in block order within a chunk, then in
-chunk order; a chunk's uniforms depend only on its key and the per-sample
-arithmetic is elementwise, so every McEstimate is bit-reproducible for a
-fixed McConfig and equals the one of a plain loop that draws and evaluates
-each chunk whole and reduces it _BLOCK rows at a time.
+chunk, draw it in blocks of _BLOCK_VALUES = 2^15 uniforms and reduce each
+block to its partial sums at once, so no buffer outlives a block.  The
+threads run in parallel only inside numpy calls, which release the GIL, so
+the samplers make few in-place passes over whole blocks.  The sums are added
+in block order within a chunk, then in chunk order; a chunk's uniforms
+depend only on its key and the per-sample arithmetic is elementwise, so
+every McEstimate is bit-reproducible for a fixed McConfig and equals the one
+of a plain loop that draws and evaluates each chunk whole and reduces it
+block by block.
 
 Spatial fields take polar coordinates: a field callback maps
 (r, v, fading uniforms) to received power, where r is the distance from the
@@ -69,7 +70,7 @@ __all__ = [
 ]
 
 _CHUNK = 1 << 16
-_BLOCK = 1 << 13
+_BLOCK_VALUES = 1 << 15
 
 TAIL_FRACTION_LIMIT = 1e-5
 
@@ -113,9 +114,10 @@ class McSampler:
     field for mc_affected_area instead takes (r, v, fading uniforms), with r
     the distance from the origin and v the angular uniform, and
     ``draws_per_sample`` counts only the fading columns.  ``fn`` must be a
-    pure function of its arguments: it may run on the calling thread or on
-    the estimate's helper thread, and each call gets one block of at most
-    _BLOCK consecutive samples of one chunk.
+    pure function of its arguments, which it must not write, and the float
+    array it returns is the estimate's to overwrite.  It may run on the
+    calling thread or on the estimate's helper thread, and each call gets one
+    block of at most _BLOCK_VALUES uniforms of one chunk.
     """
 
     draws_per_sample: int
@@ -137,14 +139,18 @@ def _chunk_sums(cfg: McConfig, cols: int, evaluate, partials) -> List[float]:
     """Evaluate the sample stream block by block and total its partial sums.
 
     The calling thread and one helper each take the next chunk index from a
-    shared counter and draw that chunk _BLOCK rows at a time into one
-    block-sized buffer, which ``partials(*evaluate(block))`` reduces to a tuple
-    of floats at once.  The tuples are added in block order within a chunk,
-    and the chunks' sums in chunk order once the helper is joined.  The helper
-    runs in a copy of the caller's context, numpy's error state included; the
-    first exception of either worker stops both and is raised.
+    shared counter and draw that chunk _BLOCK_VALUES // cols rows at a time
+    into one block-sized buffer, which ``partials(*evaluate(block))`` reduces
+    to a tuple of floats at once: blocks of a fixed number of uniforms keep
+    the peak memory of the widest estimate and give narrow ones fewer numpy
+    calls, each a hand-over of the GIL.  The tuples are added in block order
+    within a chunk, and the chunks' sums in chunk order once the helper is
+    joined.  The helper runs in a copy of the caller's context, numpy's error
+    state included; the first exception of either worker stops both and is
+    raised.
     """
     takes = [min(_CHUNK, cfg.samples - start) for start in range(0, cfg.samples, _CHUNK)]
+    rows = _BLOCK_VALUES // max(cols, 1)
     slots = [None] * len(takes)
     chunks = iter(range(len(takes)))
     lock = threading.Lock()
@@ -152,15 +158,15 @@ def _chunk_sums(cfg: McConfig, cols: int, evaluate, partials) -> List[float]:
 
     def work():
         try:
-            u = np.empty((min(_BLOCK, takes[0]), cols))
+            u = np.empty((min(rows, takes[0]), cols))
             while not failed:
                 with lock:
                     k = next(chunks, None)
                 if k is None:
                     return
                 draw, take = _chunk_generator(cfg, k).random, takes[k]
-                for start in range(0, take, _BLOCK):
-                    block = u[:min(_BLOCK, take - start)]
+                for start in range(0, take, rows):
+                    block = u[:min(rows, take - start)]
                     draw(out=block)
                     part = partials(*evaluate(block))
                     slots[k] = part if start == 0 else [t + x for t, x in zip(slots[k], part)]
@@ -182,15 +188,19 @@ def _chunk_sums(cfg: McConfig, cols: int, evaluate, partials) -> List[float]:
 
 
 def exponential_from_uniform(u: np.ndarray) -> np.ndarray:
-    """Unit-mean exponential draw by inverse cdf; u in [0, 1)."""
-    return -np.log1p(-u)
+    """Unit-mean exponential draw -log1p(-u) by inverse cdf; u in [0, 1)."""
+    z = np.negative(u)
+    return np.negative(np.log1p(z, out=z), out=z)
 
 
-def _fading(u: np.ndarray) -> List[np.ndarray]:
-    """exponential_from_uniform of each column of u, one 1-D column at a time:
-    on a column slice of a sample block, numpy's loop over the short rows costs
-    about twice as much.  The values are the same."""
-    return [exponential_from_uniform(column) for column in u.T]
+def _fading(u: np.ndarray, *scales: float) -> List[np.ndarray]:
+    """exponential_from_uniform of each column of u times its scale, one per
+    column, each a new 1-D array: on a column slice of a sample block, numpy's
+    loop over the short rows costs about twice as much.  The outer negation
+    goes into the scale, log1p(-u) * -scale, which is exact: the values are
+    the same."""
+    gains = [np.log1p(z, out=z) for z in map(np.negative, u.T)]
+    return [np.multiply(g, -scale, out=g) for g, scale in zip(gains, scales, strict=True)]
 
 
 def _estimate(total: float, total_sq: float, count: float) -> McEstimate:
@@ -218,9 +228,12 @@ def mc_ergodic_capacity(snr_sampler: McSampler, cfg: McConfig) -> McEstimate:
     Any half-duplex factor is the caller's to apply (see McEstimate.scaled).
     """
     # log1p keeps the digits that log2(1 + gamma) loses at small gamma (it is 0 below 1.1e-16)
-    total, total_sq = _chunk_sums(cfg, snr_sampler.draws_per_sample,
-                                  lambda u: (np.log1p(snr_sampler.fn(u)) / LN2,),
-                                  lambda v: (float(v.sum()), float((v * v).sum())))
+    def evaluate(u):
+        c = snr_sampler.fn(u)
+        return np.divide(np.log1p(c, out=c), LN2, out=c),
+
+    total, total_sq = _chunk_sums(cfg, snr_sampler.draws_per_sample, evaluate,
+                                  lambda c: (float(c.sum()), float(np.square(c, out=c).sum())))
     return _estimate(total, total_sq, cfg.samples)
 
 
@@ -253,7 +266,8 @@ def mc_affected_area(power_field: McSampler, radius: float, cfg: McConfig,
         # first two uniforms place the point uniformly on the disk
         return power_field.fn(radius * np.sqrt(u[:, 0]), u[:, 1], u[:, 2:]) >= p_min_w
 
-    est = mc_mode_probability(McSampler(power_field.draws_per_sample + 2, hit), cfg)
+    with np.errstate(over="ignore"):  # a path loss past the float range: 0 received power
+        est = mc_mode_probability(McSampler(power_field.draws_per_sample + 2, hit), cfg)
     return est.scaled(math.pi * radius * radius)
 
 
@@ -271,16 +285,23 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
     relay = (df_snr_sampler(gsr, grd) if equivalent == "df"
              else af_snr_sampler(gsr, grd, exact=False)).fn
     def draw(u):
-        g_sd = gsd * exponential_from_uniform(u[:, 0])
+        g_sd, = _fading(u[:, :1], gsd)
         g_eq = relay(u[:, 1:])
-        g_direct = g_sd * g_sd + 2.0 * g_sd
+        g_direct = np.square(g_sd)
+        g_direct += np.multiply(g_sd, 2.0, out=g_sd)
+        direct = g_direct > g_eq
         # log1p keeps the digits that log2(1 + g) loses at small g
-        return 0.5 * np.log1p(np.maximum(g_direct, g_eq)) / LN2, g_direct > g_eq
+        c = np.log1p(np.maximum(g_direct, g_eq, out=g_direct), out=g_direct)
+        c *= 0.5
+        return np.divide(c, LN2, out=c), direct
 
     def partials(c_inst, direct):
-        cd, cr = c_inst[direct], c_inst[~direct]
-        return (float(len(cd)), float(cd.sum()), float((cd * cd).sum()),
-                float(len(cr)), float(cr.sum()), float((cr * cr).sum()))
+        # each mode's values and 0 elsewhere, both exact for a finite c_inst
+        cd = c_inst * direct
+        cr = np.subtract(c_inst, cd, out=c_inst)
+        n = float(np.count_nonzero(direct))
+        return (n, float(cd.sum()), float(np.square(cd, out=cd).sum()),
+                len(cr) - n, float(cr.sum()), float(np.square(cr, out=cr).sum()))
 
     n_d, c_d, c_d2, n_r, c_r, c_r2 = _chunk_sums(cfg, 3, draw, partials)
     return {
@@ -296,23 +317,24 @@ def mc_coop_summary(gsd: float, gsr: float, grd: float, equivalent: str,
 # ---------------------------------------------------------------------------
 
 def p2p_snr_sampler(mean_snr: float) -> McSampler:
-    return McSampler(1, lambda u: mean_snr * exponential_from_uniform(u[:, 0]))
+    return McSampler(1, lambda u: _fading(u[:, :1], mean_snr)[0])
 
 
 def df_snr_sampler(gsr: float, grd: float) -> McSampler:
     def fn(u):
-        z1, z2 = _fading(u)
-        return np.minimum(gsr * z1, grd * z2)
+        g1, g2 = _fading(u, gsr, grd)
+        return np.minimum(g1, g2, out=g1)
     return McSampler(2, fn)
 
 
 def af_snr_sampler(gsr: float, grd: float, exact: bool = True) -> McSampler:
     """AF equivalent SNR; exact=True keeps the +1 denominator."""
     def fn(u):
-        z1, z2 = _fading(u)
-        g1 = gsr * z1
-        g2 = grd * z2
-        return g1 * g2 / (g1 + g2 + (1.0 if exact else 0.0))
+        g1, g2 = _fading(u, gsr, grd)
+        den = g1 + g2
+        den += 1.0 if exact else 0.0
+        g1 *= g2
+        return np.divide(g1, den, out=g1)
     return McSampler(2, fn)
 
 
@@ -351,7 +373,8 @@ def primary_sinr_sampler(s) -> McSampler:
         if c < _EPS:  # z_sp/c is u to within c/8
             x = u[:, 1] * i1
         else:
-            x = np.log1p(u[:, 1] * -cap)
+            x = np.multiply(u[:, 1], -cap)
+            np.log1p(x, out=x)
             x /= -c
             x *= i1
         x += n1
@@ -374,7 +397,9 @@ def single_source_field(env: PropagationEnvironment, p_t) -> McSampler:
     p = watts_of(p_t)
 
     def fn(r, v, u):
-        return p * exponential_from_uniform(u[:, 0]) / np.maximum(r, 1e-12) ** a
+        g, = _fading(u[:, :1], p)
+        d = np.maximum(r, 1e-12)
+        return np.divide(g, np.power(d, a, out=d), out=g)
 
     return McSampler(1, fn)
 
@@ -390,12 +415,20 @@ def two_source_field(env: PropagationEnvironment, p1, p2, d0: float) -> McSample
     w1, w2 = watts_of(p1), watts_of(p2)
 
     def fn(r, v, u):
-        z1, z2 = _fading(u)
+        g1, g2 = _fading(u, w1, w2)
         # sin(pi v) = sin(pi (1 - v)), and 1 - v is exact for v >= 1/2: the
         # reflected argument keeps sin accurate to its last digit near v = 1
-        s = np.sin(math.pi * np.minimum(v, 1.0 - v))
-        r2_sq = np.maximum((r - d0) ** 2 + 4.0 * d0 * r * (s * s), 1e-24)
-        return w1 * z1 / np.maximum(r, 1e-12) ** a + w2 * z2 / r2_sq ** (0.5 * a)
+        s = np.subtract(1.0, v)
+        np.sin(np.multiply(np.minimum(v, s, out=s), math.pi, out=s), out=s)
+        s *= s
+        s *= np.multiply(r, 4.0 * d0)
+        r2_sq = np.subtract(r, d0)
+        r2_sq *= r2_sq
+        r2_sq += s
+        d = np.maximum(r, 1e-12)
+        g1 /= np.power(d, a, out=d)
+        g2 /= np.power(np.maximum(r2_sq, 1e-24, out=r2_sq), 0.5 * a, out=r2_sq)
+        return np.add(g1, g2, out=g1)
 
     return McSampler(2, fn)
 

@@ -24,7 +24,7 @@ from gase.mc_oracle import (McConfig, certified_disk_radius, mc_affected_area,
                             secondary_sinr_sampler, two_source_field)
 from gase.config import derive_kind, load_preset, parse_config
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single, dbm_to_watts
-from test_config_cli import two_transmitter_configs
+from test_config_cli import run_module, two_transmitter_configs
 
 ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -100.0)
 
@@ -418,6 +418,23 @@ class TestXChannel:
         # d0 = 1e160 m: the footprints do not overlap
         singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
         assert c["area_parallel_m2"] == pytest.approx(singles, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["cognitive", "xchannel"])
+    def test_verify_far_apart_writes_no_warning(self, tmp_path, kind):
+        # the spatial oracle's path loss from 1e160 m overflows to inf, the
+        # limit of 0 received power, and numpy must not warn of it.  The area
+        # row stays NaN: the certified disk's area is inf and its hit fraction 0
+        cfg = tmp_path / "far.cfg"
+        cfg.write_text(overflow_config(kind))
+        proc = run_module("verify", "--config", str(cfg), "--samples", "20000")
+        assert (proc.returncode, proc.stderr) == (2, "")
+        rows = [line.split(",") for line in proc.stdout.splitlines()]
+        assert rows[0][0] == "check" and rows[0][-1] == "status"
+        assert [(row[0], row[-1]) for row in rows[1:]] == (
+            [("p_parallel_vs_mc", "pass")] if kind == "cognitive" else []) + [
+            ("c_primary_vs_mc", "pass"), ("c_secondary_vs_mc", "pass"),
+            ("area_parallel_vs_spatial_mc", "FAIL"), ("area_parallel_ge_singles", "pass")]
+        assert rows[-2][2:] == ["nan", "nan", "nan", "nan", "FAIL"]
 
     @pytest.mark.parametrize("rho", [1e300, math.inf])
     def test_interference_integral_past_the_float_range(self, rho):

@@ -1,19 +1,22 @@
 """Determinism, convergence, and reference behaviour of the Monte Carlo oracles."""
 
+import itertools
 import math
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
 from gase import mc_oracle
-from gase.mc_oracle import (McConfig, McSampler, TailCertificationError,
+from gase.mc_oracle import (McConfig, McEstimate, McSampler, TailCertificationError,
                             af_snr_sampler, certified_disk_radius, df_snr_sampler,
                             exponential_from_uniform, mc_affected_area, mc_coop_summary,
                             mc_ergodic_capacity, mc_mode_probability, p2p_snr_sampler,
+                            primary_sinr_sampler, secondary_sinr_sampler,
                             single_source_field, two_source_field)
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single
 from gase.mathkernel import QuadratureSpec, integrate_semi_infinite, scaled_e1
@@ -83,16 +86,21 @@ def drawn_uniforms(monkeypatch, cfg, cols):
     return np.concatenate([np.concatenate(blocks[k]) for k in sorted(blocks)])
 
 
+# a block's rows by its column count: 2^15 uniforms a block, so every block
+# takes the memory of the widest estimate's
+BLOCK_ROWS = {1: 32_768, 2: 16_384, 3: 10_922, 4: 8_192}
+
+
 def plain_chunk_sums(cfg, cols, evaluate, partials):
     """The chunk loop without a helper thread: each chunk is drawn and
-    evaluated whole in one call, then reduced 8,192 rows at a time; the block
-    sums are added in block order and the chunk sums in chunk order."""
-    totals = None
+    evaluated whole in one call, then reduced BLOCK_ROWS[cols] rows at a time;
+    the block sums are added in block order and the chunk sums in chunk order."""
+    totals, rows = None, BLOCK_ROWS[cols]
     for u in chunk_uniforms(cfg, cols):
         values = evaluate(u)
         chunk = None
-        for start in range(0, len(u), 1 << 13):
-            part = partials(*(v[start:start + (1 << 13)] for v in values))
+        for start in range(0, len(u), rows):
+            part = partials(*(v[start:start + rows] for v in values))
             chunk = part if chunk is None else [t + x for t, x in zip(chunk, part)]
         totals = [t + x for t, x in zip(totals or [0.0] * len(chunk), chunk)]
     return totals
@@ -118,8 +126,9 @@ ESTIMATORS = {
 
 
 class TestChunkLoop:
-    @pytest.mark.parametrize("samples", [1, 8_191, 8_192, 8_193, 65_535, 65_536, 65_537,
-                                         140_000])
+    @pytest.mark.parametrize("samples", [1, 8_191, 8_192, 8_193, 10_921, 10_922, 10_923,
+                                         16_383, 16_384, 16_385, 32_767, 32_768, 32_769,
+                                         65_535, 65_536, 65_537, 140_000])
     @pytest.mark.parametrize("estimator", sorted(ESTIMATORS))
     def test_blocked_equals_plain(self, monkeypatch, estimator, samples):
         cfg = McConfig(samples, 31, 5)
@@ -142,7 +151,8 @@ class TestChunkLoop:
             tracemalloc.stop()
         assert peak < 2 << 20
 
-    def test_callbacks_get_each_block_once_and_a_chunk_in_order_on_one_thread(self):
+    @pytest.mark.parametrize("cols", sorted(BLOCK_ROWS))
+    def test_callbacks_get_each_block_once_and_a_chunk_in_order_on_one_thread(self, cols):
         baseline = threading.active_count()
         calls = []
 
@@ -150,13 +160,13 @@ class TestChunkLoop:
             calls.append((threading.get_ident(), u.copy()))
             return u[:, 0]
 
-        cfg = McConfig(140_000, 9, 3)
-        mc_ergodic_capacity(McSampler(2, record), cfg)
+        cfg, rows = McConfig(140_000, 9, 3), BLOCK_ROWS[cols]
+        mc_ergodic_capacity(McSampler(cols, record), cfg)
         assert threading.active_count() == baseline
         # every call is one whole block of one chunk, and the calls cover the stream once
-        blocks = {chunk[start:start + (1 << 13)].tobytes(): (k, start)
-                  for k, chunk in enumerate(chunk_uniforms(cfg, 2))
-                  for start in range(0, len(chunk), 1 << 13)}
+        blocks = {chunk[start:start + rows].tobytes(): (k, start)
+                  for k, chunk in enumerate(chunk_uniforms(cfg, cols))
+                  for start in range(0, len(chunk), rows)}
         got = [(blocks[u.tobytes()], ident) for ident, u in calls]
         assert sorted(place for place, _ in got) == sorted(blocks.values())
         # one thread evaluates a chunk's blocks in order; at most two threads in all
@@ -241,6 +251,165 @@ class TestChunkLoop:
             mc_ergodic_capacity(p2p_snr_sampler(1.0), McConfig(200_000, 9, 3))
         assert excinfo.value is error
         assert threading.active_count() == baseline
+
+
+# The samplers', fields' and coop draw's expressions before they were
+# evaluated in place: every sample must keep its value to the last bit.
+def ref_exponential(u):
+    return -np.log1p(-u)
+
+
+def ref_df(gsr, grd):
+    def fn(u):
+        z1, z2 = (ref_exponential(column) for column in u.T)
+        return np.minimum(gsr * z1, grd * z2)
+    return fn
+
+
+def ref_af(gsr, grd, exact):
+    def fn(u):
+        z1, z2 = (ref_exponential(column) for column in u.T)
+        g1 = gsr * z1
+        g2 = grd * z2
+        return g1 * g2 / (g1 + g2 + (1.0 if exact else 0.0))
+    return fn
+
+
+def ref_interference(rho, n):
+    def fn(u):
+        if rho == 0.0:
+            return np.zeros(len(u))
+        z = ref_exponential(u)
+        with np.errstate(over="ignore"):
+            x = z[:, 1] / rho
+        return z[:, 0] / (x + n)
+    return fn
+
+
+def ref_primary(s):
+    c, cap = s.constraint_exponent, -math.expm1(-s.constraint_exponent)
+
+    def fn(u):
+        if c == math.inf:
+            return ref_interference(s.rho_p, s.n1)(u)
+        x = u[:, 1] * s.i1 if c < np.finfo(float).eps else np.log1p(u[:, 1] * -cap) / -c * s.i1
+        return ref_exponential(u[:, 0]) / (x + s.n1)
+    return fn
+
+
+def ref_single(env, p):
+    a = env.path_loss_exponent
+    return lambda r, v, u: p * ref_exponential(u[:, 0]) / np.maximum(r, 1e-12) ** a
+
+
+def ref_two_source(env, w1, w2, d0):
+    a = env.path_loss_exponent
+
+    def fn(r, v, u):
+        z1, z2 = (ref_exponential(column) for column in u.T)
+        s = np.sin(math.pi * np.minimum(v, 1.0 - v))
+        r2_sq = np.maximum((r - d0) ** 2 + 4.0 * d0 * r * (s * s), 1e-24)
+        return w1 * z1 / np.maximum(r, 1e-12) ** a + w2 * z2 / r2_sq ** (0.5 * a)
+    return fn
+
+
+def ref_coop_draw(gsd, relay):
+    def draw(u):
+        g_sd = gsd * ref_exponential(u[:, 0])
+        g_eq = relay(u[:, 1:])
+        g_direct = g_sd * g_sd + 2.0 * g_sd
+        return 0.5 * np.log1p(np.maximum(g_direct, g_eq)) / LN2, g_direct > g_eq
+    return draw
+
+
+def edge_uniforms(cols):
+    """A read-only block: every combination of the edge uniforms 0, 1/2 and
+    1 - 2^-53, the largest double below 1, then 4,000 random rows."""
+    edges = list(itertools.product([0.0, 0.5, 1.0 - 2.0 ** -53], repeat=cols))
+    u = np.concatenate([np.array(edges).reshape(-1, cols),
+                        np.random.default_rng(23).random((4_000, cols))])
+    u.flags.writeable = False
+    return u
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True) and got.tobytes() == want.tobytes()
+
+
+def interference_scenario(c, rho=0.3):
+    return SimpleNamespace(constraint_exponent=c, rho_p=rho, rho_s=rho, n1=0.2, n2=0.1, i1=1.7)
+
+
+def sampler_cases():
+    """(name, (sampler, reference)) for every SNR and SINR sampler."""
+    yield "exponential", (McSampler(1, exponential_from_uniform), ref_exponential)
+    yield "p2p", (p2p_snr_sampler(3.0), lambda u: 3.0 * ref_exponential(u[:, 0]))
+    for g in (2.0, 1e-300, 1e300):
+        yield f"df_{g}", (df_snr_sampler(g, 5.0), ref_df(g, 5.0))
+        for exact in (True, False):
+            yield f"af_{g}_{exact}", (af_snr_sampler(g, 5.0, exact), ref_af(g, 5.0, exact))
+    for c in (2.0, 1e-17, math.inf):  # the log1p branch, c below eps, no constraint
+        s = interference_scenario(c)
+        yield f"primary_c{c}", (primary_sinr_sampler(s), ref_primary(s))
+    for rho in (0.3, 0.0, 5e-324):  # z'/rho overflows at the subnormal rho
+        s = interference_scenario(1.0, rho)
+        yield f"secondary_rho{rho}", (secondary_sinr_sampler(s), ref_interference(rho, s.n2))
+
+
+def field_cases():
+    """(name, (field, reference, d0)) for both spatial fields."""
+    for a in (3.7, 4.0):
+        env = PropagationEnvironment.from_dbm(a, -100.0, -90.0)
+        yield f"single_a{a}", (single_source_field(env, PowerLevel(0.05)),
+                               ref_single(env, 0.05), 0.0)
+        for d0 in (0.0, 250.0, 1e160):
+            yield f"two_source_a{a}_d{d0}", (
+                two_source_field(env, PowerLevel(0.05), PowerLevel(0.01), d0),
+                ref_two_source(env, 0.05, 0.01, d0), d0)
+
+
+SAMPLERS = dict(sampler_cases())
+FIELDS = dict(field_cases())
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+class TestSamplerValues:
+    # the edge blocks are read-only: a sampler that writes into its arguments
+    # raises.  0/0 (AF at u = 0) and 0 * inf (v = 0 at d0 = 1e160 m) are NaN on
+    # both sides
+
+    @pytest.mark.parametrize("name", sorted(SAMPLERS))
+    def test_samplers(self, name):
+        sampler, reference = SAMPLERS[name]
+        u = edge_uniforms(sampler.draws_per_sample)
+        assert_same_bits(sampler.fn(u), reference(u))
+
+    @pytest.mark.parametrize("name", sorted(FIELDS))
+    def test_fields(self, name):
+        field, reference, d0 = FIELDS[name]
+        u = edge_uniforms(2 + field.draws_per_sample)
+        # r below, at and above the 1e-12 m clamp, and at both sources
+        r = np.concatenate([[0.0, 1e-13, 5e-13, 1e-12, 2e-12, d0, 2.0 * d0],
+                            3.0 * max(d0, 100.0) * np.sqrt(u[7:, 0])])
+        r.flags.writeable = False
+        with np.errstate(over="ignore"):  # as in mc_affected_area: d0 = 1e160 m overflows
+            assert_same_bits(field.fn(r, u[:, 1], u[:, 2:]), reference(r, u[:, 1], u[:, 2:]))
+
+    @pytest.mark.parametrize("equivalent", ["df", "af"])
+    def test_coop_draw(self, monkeypatch, equivalent):
+        callbacks = {}
+
+        def capture(cfg, cols, evaluate, partials):
+            callbacks.update(cols=cols, draw=evaluate)
+            return [1.0] * 6
+
+        monkeypatch.setattr(mc_oracle, "_chunk_sums", capture)
+        mc_coop_summary(0.4, 2.0, 3.0, equivalent, McConfig(1))
+        relay = ref_df(2.0, 3.0) if equivalent == "df" else ref_af(2.0, 3.0, exact=False)
+        u = edge_uniforms(callbacks["cols"])
+        for got, want in zip(callbacks["draw"](u), ref_coop_draw(0.4, relay)(u)):
+            assert_same_bits(got, want)
 
 
 class TestErgodicCapacity:
@@ -391,6 +560,39 @@ class TestCoopSummary:
         a = mc_coop_summary(5.0, 8.0, 12.0, "af", McConfig(100_000, 9))
         b = mc_coop_summary(5.0, 8.0, 12.0, "af", McConfig(100_000, 9))
         assert a == b
+
+    @pytest.mark.parametrize("equivalent", ["df", "af"])
+    @pytest.mark.parametrize("gsd,relay,full,empty", [(1e6, 1e-6, "c_direct", "c_relay"),
+                                                      (1e-6, 1e6, "c_relay", "c_direct")])
+    def test_a_mode_without_samples(self, equivalent, gsd, relay, full, empty):
+        out = mc_coop_summary(gsd, relay, relay, equivalent, McConfig(20_000, 8))
+        assert out["p_direct"].mean == (1.0 if full == "c_direct" else 0.0)
+        assert repr(out[empty]) == repr(McEstimate(math.nan, math.nan))
+        # the empty mode adds sums of 0 to the full one's
+        assert out[full] == out["c_inst"] and out[full].std_error > 0.0
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_mode_with_one_sample(self, seed):
+        out = mc_coop_summary(1.0, 1.0, 1.0, "df", McConfig(1, seed))
+        full, empty = (("c_direct", "c_relay") if out["p_direct"].mean == 1.0
+                       else ("c_relay", "c_direct"))
+        assert out[full] == McEstimate(out["c_inst"].mean, 0.0)
+        assert repr(out[empty]) == repr(McEstimate(math.nan, math.nan))
+
+    @pytest.mark.parametrize("samples", [1, 10_921, 140_000])
+    def test_the_modes_count_every_sample(self, monkeypatch, samples):
+        chunk_sums, totals = mc_oracle._chunk_sums, []
+
+        def recording(*args):
+            totals.append(chunk_sums(*args))
+            return totals[-1]
+
+        monkeypatch.setattr(mc_oracle, "_chunk_sums", recording)
+        out = mc_coop_summary(0.4, 2.0, 3.0, "af", McConfig(samples, 8))
+        n_direct, _, _, n_relay, _, _ = totals[0]
+        assert n_direct + n_relay == samples
+        assert {type(total) for total in totals[0]} == {float}  # no numpy scalar leaks out
+        assert out["p_direct"].mean == n_direct / samples
 
     def test_only_the_closed_forms_relay_models(self):
         with pytest.raises(ValueError, match="'df' or 'af'"):
