@@ -2,27 +2,28 @@
 
 The source compares log2(1 + G_SD) with (1/2) log2(1 + G_eq) and transmits on
 whichever path is instantaneously better, which is the event
-G_SD^2 + 2*G_SD > G_eq.  Writing xi = sqrt(1+g) - 1, the direct-mode
-probability reduces to one Gaussian-type integral:
+G_SD^2 + 2*G_SD > G_eq.  Over the direct-link SNR t = G_SD, each mode
+probability is one integral:
 
-    P_direct = 1 - S / gbar_SD,   S = int_0^inf F_eq(t^2 + 2t) ... dt,
+    P_relay = S / gbar_SD,   S = int_0^inf exp(-t/gbar_SD) (1 - F_eq(t^2 + 2t)) dt,
+    P_direct = R / gbar_SD,  R = int_0^inf exp(-t/gbar_SD) F_eq(t^2 + 2t) dt,
 
 with S = D(a1, a2) in closed form for DF (a2 = 2/gbar_SR + 2/gbar_RD
-+ 1/gbar_SD) and a one-dimensional Bessel integral for AF.  The
-conditional densities of the composite SNR normalise to exactly 1 against
-that same S, so the conditional capacities are evaluated by quadrature of
-those densities; the direct-mode integrand is taken in the xi substitution
++ 1/gbar_SD) and a one-dimensional Bessel integral for AF, and R a
+quadrature for both.  The conditional densities of the composite SNR
+normalise to exactly 1 against S (relay mode) and R (direct mode), so the
+conditional capacities are evaluated by quadrature of those densities; the
+direct-mode integrand is taken in the substitution t = xi(g) = sqrt(1+g) - 1,
 where its tail scale is gbar_SD.
 
 ``gase_coop_batch`` and ``density_normalizations`` each build the one
-selection split of their scenarios, ``_split``, and read S, its complement
-R = gbar_SD - S that normalises the direct mode, the relay-path SNR cdf and
-pdf and the relay tail scale from it.  For AF, R is an integral of its own:
-the smaller mode probability is R/gbar_SD or S/gbar_SD, the other 1 minus it.
-A batch evaluates each of its integrals (AF selection and R, direct mode,
-relay mode) for all scenarios in one quadrature batch; ``gase_coop`` is the
-batch of one.  Each result is the CSV row: each column by name, in output
-order.
+selection split of their scenarios, ``_split``, and read S, R, the
+relay-path SNR cdf and pdf and the relay tail scale from it.  The smaller
+mode probability is R/gbar_SD or S/gbar_SD, the other 1 minus it, so
+neither is a difference that cancels.  A batch evaluates each of its
+integrals (AF selection, R, direct mode, relay mode) for all scenarios in
+one quadrature batch; ``gase_coop`` is the batch of one.  Each result is the
+CSV row: each column by name, in output order.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ def _xi(g):
 
 class _Split(NamedTuple):
     """Per scenario of a batch, as arrays: gbar_SD, S = gbar_SD * P{relay},
-    R = gbar_SD * P{direct} and the relay-path SNR's tail scale 1/a1 (DF) or
-    1/(a1 + 2 b1) (AF); and that SNR's cdf(g, rows) and pdf(g, rows), rows
-    indexing the scenarios."""
+    R = gbar_SD * P{direct}, each its own integral for either protocol, and
+    the relay-path SNR's tail scale 1/a1 (DF) or 1/(a1 + 2 b1) (AF); and that
+    SNR's cdf(g, rows) and pdf(g, rows), rows indexing the scenarios."""
 
     gsd: np.ndarray
     sel: np.ndarray
@@ -144,21 +145,20 @@ class _Split(NamedTuple):
 
 def _split(scenarios: Sequence[CoopScenario], protocol: RelayProtocol) -> _Split:
     coeffs = [_coeffs(s) for s in scenarios]
-    gsd, a1, a2, b1 = (np.array(v) for v in zip(*coeffs))
+    gsd, a1, _, b1 = (np.array(v) for v in zip(*coeffs))
     if protocol is RelayProtocol.DF:
-        sel = np.array([special_integral_D(*c[1:3]) for c in coeffs])
-        return _Split(gsd, sel, gsd - sel, lambda g, rows: -np.expm1(-a1[rows] * g),
-                      lambda g, rows: df_snr_pdf(a1[rows])(g), 1.0 / a1)
-
-    def cdf(g, rows):
-        return af_snr_cdf(a1[rows], b1[rows])(g)
-
+        sel, tail = np.array([special_integral_D(*c[1:3]) for c in coeffs]), 1.0 / a1
+        cdf, pdf = (lambda g, rows: -np.expm1(-a1[rows] * g),
+                    lambda g, rows: df_snr_pdf(a1[rows])(g))
+    else:
+        sel, tail = np.array(_af_selection_integrals(coeffs)), 1.0 / (a1 + 2.0 * b1)
+        cdf, pdf = (lambda g, rows: af_snr_cdf(a1[rows], b1[rows])(g),
+                    lambda g, rows: af_snr_pdf(a1[rows], b1[rows])(g))
     # R = int_0^inf exp(-t/gbar_SD) F_eq(t^2 + 2t) dt, as its own integral:
     # gbar_SD - S loses every digit where the relay path almost always wins
     rest = integrate_semi_infinite_batch(
         lambda t, rows: np.exp(-t / gsd[rows]) * cdf(t * (t + 2.0), rows), gsd, _CAP_SPEC)
-    return _Split(gsd, np.array(_af_selection_integrals(coeffs)), np.array([r.value for r in rest]),
-                  cdf, lambda g, rows: af_snr_pdf(a1[rows], b1[rows])(g), 1.0 / (a1 + 2.0 * b1))
+    return _Split(gsd, sel, np.array([r.value for r in rest]), cdf, pdf, tail)
 
 
 def density_normalizations(s: CoopScenario, protocol: RelayProtocol) -> Tuple[float, float]:
@@ -203,18 +203,15 @@ def gase_coop_batch(scenarios: Sequence[CoopScenario],
 
     directs = integrate_semi_infinite_batch(direct, gsd, _CAP_SPEC)
     relays = integrate_semi_infinite_batch(relay, sp.tail, _CAP_SPEC)
-    return [_result(s, protocol, g, sel, rest, d.value, r.value) for s, g, sel, rest, d, r
+    return [_result(s, g, sel, rest, d.value, r.value) for s, g, sel, rest, d, r
             in zip(scenarios, gsd.tolist(), sp.sel.tolist(), sp.rest.tolist(), directs, relays)]
 
 
-def _result(s: CoopScenario, protocol: RelayProtocol, gsd: float, sel: float, rest: float,
-            direct: float, relay: float) -> Dict[str, float]:
-    if protocol is RelayProtocol.AF:  # R is its own integral: no cancellation in either
-        small = min(rest, sel) / gsd
-        p_d, p_r = (small, 1.0 - small) if rest < sel else (1.0 - small, small)
-    else:
-        p_d = 1.0 - sel / gsd
-        p_r = 1.0 - p_d
+def _result(s: CoopScenario, gsd: float, sel: float, rest: float, direct: float,
+            relay: float) -> Dict[str, float]:
+    # S and R are each their own integral: the smaller mode probability keeps its digits
+    small = min(rest, sel) / gsd
+    p_d, p_r = (small, 1.0 - small) if rest < sel else (1.0 - small, small)
     c_d = direct / rest
     c_r = gsd * relay / sel
     area_s = _footprint(s.env, s.p_s, "source")

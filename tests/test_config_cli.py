@@ -29,6 +29,7 @@ from gase import relay_dualhop as relay
 from gase.config import ConfigError, SweepBlock, derive_kind, load_preset, parse_config
 from gase.link_p2p import optimal_inverse_snr
 from gase.propagation import PowerLevel
+from test_coop_threenode import mp_df_direct_integral
 from test_relay_dualhop import dyadic_quad, mp_bessel_k01
 
 FIG1_TEXT = """\
@@ -41,7 +42,9 @@ geom.d = 1000
 power.p_t_dbm = 30
 """
 
-# gbar_SD ~ 1e-16: the direct-mode normaliser gbar_SD - S cancels to zero
+# DF with gbar_SD ~ 8e-16: p_direct ~ 2 a1 gbar_SD ~ 6e-17 lies below the
+# rounding of 1 - S/gbar_SD, where gbar_SD - S rounds to 0, so R = gbar_SD
+# p_direct must be an integral of its own; likewise the next two configs
 COOP_CANCEL_TEXT = """\
 scenario.kind = coop
 env.path_loss_exponent = 6
@@ -54,6 +57,40 @@ power.p_s_dbm = -32.16
 power.p_r_dbm = -33.74
 protocol.relay = df
 """
+
+# gbar_SD ~ 1e-50 and a1 ~ 1e33: 1 - S/gbar_SD rounds to -2.22e-16
+COOP_DF_NEGATIVE_TEXT = """\
+scenario.kind = coop
+env.path_loss_exponent = 9.597416206829473
+env.noise_dbm = -53.12311003589099
+env.p_min_dbm = -161.67809327176872
+geom.d_sd = 10069.313677231958
+geom.d_sr = 1
+geom.d_rd = 10069.313677231958
+power.p_s_dbm = -167.75440335606532
+power.p_r_dbm = 0
+protocol.relay = df
+"""
+
+# gbar_SD ~ 5e-20 and a1 ~ 20: gbar_SD - S rounds to 0
+COOP_DF_ZERO_REST_TEXT = """\
+scenario.kind = coop
+env.path_loss_exponent = 3.3836743845701522
+env.noise_dbm = -148.44127761525885
+env.p_min_dbm = -64.74292857844222
+geom.d_sd = 206123.16025779775
+geom.d_sr = 1
+geom.d_rd = 1
+power.p_s_dbm = -161.52668763038963
+power.p_r_dbm = -118.75868283098907
+protocol.relay = df
+"""
+
+# at a = 0.1 the source's footprint (P/P_min)^(2/a) = (1e-20)^20 underflows to 0 m^2
+COOP_DF_UNDERFLOW_TEXT = ("scenario.kind = coop\ngeom.d_sd = 20\ngeom.d_sr = 10\n"
+                          "geom.d_rd = 10\npower.p_s_dbm = -150\npower.p_r_dbm = -150\n"
+                          "protocol.relay = df\n")
+UNDERFLOW_ENV = "env.path_loss_exponent = 0.1\nenv.noise_dbm = -100\nenv.p_min_dbm = 50\n"
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -738,26 +775,26 @@ class TestCliCommands:
         assert f"line 4: env.noise_dbm: {bad!r} is not a finite number" in capsys.readouterr().err
 
     def test_division_by_zero_is_numeric_exit_code(self, tmp_path):
-        cfg = tmp_path / "cancel.cfg"
-        cfg.write_text(COOP_CANCEL_TEXT)
+        # the footprint that underflows to 0 m^2 is raised as ZeroDivisionError
+        cfg = tmp_path / "underflow.cfg"
+        cfg.write_text(COOP_DF_UNDERFLOW_TEXT + UNDERFLOW_ENV)
         proc = run_module("eval", "--config", str(cfg))
         assert proc.returncode == 3
         assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("gase: numerical failure:")
+        assert proc.stderr.startswith("gase: numerical failure: the source's affected area "
+                                      "underflows to 0 m^2")
         assert len(proc.stderr.splitlines()) == 1
 
     @pytest.mark.parametrize("geometry,footprint", [
         ("scenario.kind = p2p\ngeom.d = 10\npower.p_t_dbm = -150\n", "transmitter"),
         ("scenario.kind = dualhop\ngeom.d_sr = 10\ngeom.d_rd = 10\npower.p_s_dbm = -150\n"
          "power.p_r_dbm = -150\nprotocol.relay = af\n", "source"),
-        ("scenario.kind = coop\ngeom.d_sd = 20\ngeom.d_sr = 10\ngeom.d_rd = 10\n"
-         "power.p_s_dbm = -150\npower.p_r_dbm = -150\nprotocol.relay = df\n", "source"),
+        (COOP_DF_UNDERFLOW_TEXT, "source"),
     ], ids=["p2p", "dualhop_af", "coop_df"])
     def test_underflowing_affected_area_is_named(self, tmp_path, capsys, geometry, footprint):
         # (P/P_min)^(2/a) = (1e-20)^20 underflows to 0 at a = 0.1
         cfg = tmp_path / "underflow.cfg"
-        cfg.write_text(geometry + "env.path_loss_exponent = 0.1\nenv.noise_dbm = -100\n"
-                       "env.p_min_dbm = 50\n")
+        cfg.write_text(geometry + UNDERFLOW_ENV)
         assert self.run("eval", "--config", str(cfg)) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"gase: numerical failure: the {footprint}'s affected area "
@@ -937,6 +974,30 @@ class TestCliCommands:
         assert values["p_direct"] == pytest.approx(p_direct, rel=1e-12, abs=0.0)
         assert values["p_relay"] == pytest.approx(p_relay, rel=1e-12, abs=0.0)
         assert values["p_direct"] + values["p_relay"] == 1.0
+
+    @pytest.mark.parametrize("text", [COOP_CANCEL_TEXT, COOP_DF_NEGATIVE_TEXT,
+                                      COOP_DF_ZERO_REST_TEXT], ids=["cancel", "negative", "zero"])
+    def test_coop_df_tiny_direct_mode_has_its_value(self, tmp_path, capsys, text):
+        # p_direct, 2e-18 to 6e-17, is R/gbar_SD from R's own integral; the Monte
+        # Carlo oracle draws no direct-mode sample, so only its two direct-mode rows fail
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(text)
+        assert self.run("eval", "--config", str(cfg)) == 0
+        assert capsys.readouterr().err == ""
+        parsed = parse_config(text)
+        (c,) = cli._scenarios(parsed)
+        header, (row,) = cli.run_eval(parsed)
+        values = dict(zip(header, row))
+        p_direct = mp_df_direct_integral(c)
+        c_direct = mp_df_direct_integral(c, lambda t: mpmath.log1p(t) / mpmath.log(2)) / p_direct
+        assert values["p_direct"] == pytest.approx(float(p_direct), rel=1e-12, abs=0.0)
+        assert values["c_direct_bps_hz"] == pytest.approx(float(c_direct), rel=1e-9, abs=0.0)
+        assert self.run("verify", "--config", str(cfg), "--samples", "20000") == 2
+        rows = {line.split(",")[0]: line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]}
+        assert rows["density_direct_normalization"][6] == "pass"
+        assert {name for name, row in rows.items() if row[6] == "FAIL"} == {
+            "p_direct_vs_mc", "c_direct_vs_mc"}
 
     def test_verification_failure_exit_code(self, monkeypatch, tmp_path):
         failed = cli.VerifyCheck("synthetic", 1.0, 2.0, 0.1, 0.05)

@@ -5,6 +5,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate as sci_integrate
 from scipy import special as sci_special
 
@@ -38,6 +40,17 @@ def snr_scenario(gsd, gsr, grd, d_sd=1000.0, d_sr=500.0, d_rd=500.0):
     assert s.mean_snr_sr == pytest.approx(gsr, rel=1e-10)
     assert s.mean_snr_rd == pytest.approx(grd, rel=1e-10)
     return s
+
+
+def mp_df_direct_integral(s, f=lambda t: 1):
+    """int_0^inf f(t) exp(-t/gbar_SD) F(t^2 + 2t) dt / gbar_SD of a DF coop
+    scenario in 30-digit mpmath, F(g) = 1 - exp(-a1 g) the relay-path cdf:
+    p_direct = R/gbar_SD at f = 1, and p_direct c_direct at f = log2(1 + t)."""
+    with mpmath.workdps(30):
+        gsd, gsr, grd = map(mpmath.mpf, (s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd))
+        a1 = 1 / gsr + 1 / grd
+        return dyadic_quad(lambda t: f(t) * mpmath.exp(-t / gsd)
+                           * -mpmath.expm1(-a1 * t * (t + 2)), gsd) / gsd
 
 
 class TestSpecialIntegralD:
@@ -136,6 +149,25 @@ class TestProbDirect:
             s = snr_scenario(float(gsd), float(gsr), float(grd))
             assert 0.0 <= column(s, RelayProtocol.AF, "p_direct") <= 1.0
 
+    @settings(derandomize=True, database=None, max_examples=200, deadline=None)
+    @given(st.floats(0.1, 10.0), st.floats(-200.0, 100.0), st.floats(-200.0, 100.0),
+           st.floats(-200.0, 100.0), st.tuples(*[st.floats(-3.0, 6.0)] * 3))
+    def test_df_mode_split_over_drawn_scenarios(self, a, noise_dbm, p_s_dbm, p_r_dbm, log_d):
+        # where the relay path almost always wins, p_direct lies below the
+        # rounding of 1 - S/gbar_SD and must come from R's own integral; p_min
+        # midway between the powers keeps both footprints inside the float
+        # range at every a >= 0.1, and it enters no mode probability
+        env = PropagationEnvironment.from_dbm(a, noise_dbm, 0.5 * (p_s_dbm + p_r_dbm))
+        s = CoopScenario(env, PowerLevel.from_dbm(p_s_dbm), PowerLevel.from_dbm(p_r_dbm),
+                         *(10.0 ** e for e in log_d))
+        row = gase_coop(s, RelayProtocol.DF)
+        assert 0.0 <= row["p_direct"] <= 1.0
+        assert row["p_direct"] + row["p_relay"] == 1.0
+        assert row["c_direct_bps_hz"] >= 0.0
+        if row["p_direct"] < 1e-6:
+            reference = float(mp_df_direct_integral(s))
+            assert row["p_direct"] == pytest.approx(reference, rel=1e-12, abs=0.0)
+
 
 class TestConditionalDensities:
     @pytest.mark.parametrize("protocol", [RelayProtocol.DF, RelayProtocol.AF])
@@ -195,8 +227,8 @@ class TestConditionalCapacities:
     @pytest.mark.parametrize("snrs", [(1.0, 16.0, 1.6), (630.0, 1e4, 1.6),
                                       (1e-30, 1.6e-29, 1.6e-30)])
     def test_integrals_against_mpmath(self, protocol, snrs):
-        # p_direct = 1 - S/gbar_SD, c_direct = direct/R and c_relay =
-        # gbar_SD relay/S, S and R = gbar_SD - S integrated on their own;
+        # p_direct = R/gbar_SD, c_direct = direct/R and c_relay =
+        # gbar_SD relay/S, S and R each integrated on its own;
         # 1 - z K1(z) comes from the kernel, as K0 and K1 do
         s = snr_scenario(*snrs)
         row = gase_coop(s, protocol)
@@ -230,7 +262,7 @@ class TestConditionalCapacities:
             relay = dyadic_quad(lambda g: mpmath.log1p(g) * pdf(g)
                                 * -mpmath.expm1(-g / (mpmath.sqrt(g + 1) + 1) / gsd),
                                 tail) / (2 * mpmath.log(2))
-            refs = [1 - sel / gsd, direct / rest, gsd * relay / sel]
+            refs = [rest / gsd, direct / rest, gsd * relay / sel]
         columns = ["p_direct", "c_direct_bps_hz", "c_relay_bps_hz"]
         assert [row[c] for c in columns] == pytest.approx([float(r) for r in refs], rel=1e-12)
 

@@ -151,19 +151,37 @@ def test_traced_verify_keeps_its_spans_on_the_calling_thread(tracing, capsys, fl
     assert traced == untraced
 
 
-def test_verify_matches_the_bench_reference(monkeypatch, tmp_path):
-    # the bench gates each verify op to 1e-9 in every Monte Carlo cell; a change
-    # to the oracles' sums or streams fails here by op and cell, not only in the bench
+def _reference_problems(monkeypatch, tmp_path, workload):
+    """Every candidate op of a bench workload, run in process, and each op's
+    first mismatch against bench/reference.json.gz by check.compare, by op key."""
     workloads = _bench_module(monkeypatch, "workloads")
     check = _bench_module(monkeypatch, "check")
     with gzip.open(BENCH / "reference.json.gz", "rt", encoding="utf-8") as fh:
-        reference = json.load(fh)["verify_mc"]
-    ops = workloads.all_candidates("verify_mc")
-    assert len(ops) == 32
+        reference = json.load(fh)[workload]
+    ops = workloads.all_candidates(workload)
     problems = {}
     for op, path in zip(ops, workloads.write_inputs(ops, tmp_path)):
         result = workloads.run_op(op, path)
         problem = check.compare(op, result.rc, result.out, reference[op.key])
         if problem:
             problems[op.key] = f"{problem}; stderr: {result.err.strip()}"
+    return ops, problems
+
+
+def test_verify_matches_the_bench_reference(monkeypatch, tmp_path):
+    # the bench gates each verify op to 1e-9 in every Monte Carlo cell; a change
+    # to the oracles' sums or streams fails here by op and cell, not only in the bench
+    ops, problems = _reference_problems(monkeypatch, tmp_path, "verify_mc")
+    assert len(ops) == 32
+    assert problems == {}
+
+
+@pytest.mark.parametrize("workload,count", [("sweep_closed", 72), ("sweep_quad", 16),
+                                            ("optimize_power", 13)])
+def test_closed_forms_match_the_bench_reference(monkeypatch, tmp_path, workload, count):
+    # every op without a Monte Carlo oracle: a printed digit that moves past the
+    # bench's tolerance fails here by op and cell, not only as a bench run's
+    # correct: false
+    ops, problems = _reference_problems(monkeypatch, tmp_path, workload)
+    assert len(ops) == count
     assert problems == {}
