@@ -13,6 +13,12 @@ an eval is the batch of one, and so are verify's closed forms.  ``verify``
 then makes its kind's rows of mc_oracle.CHECKS in order, each Monte Carlo
 estimate on the next stream id.  ``--workers`` is accepted and changes nothing.
 
+Start-up imports only what every command runs: config, propagation and
+link_p2p (with mathkernel).  The dispatchers that first need relay_dualhop,
+coop_threenode, cognitive_underlay or mc_oracle import it where they do, so
+a command loads only the scenario modules of its kind, and mc_oracle only
+for ``verify``.
+
 ``main(argv)`` may be called repeatedly and concurrently in one process: the
 argument parser is built on the first call and shared by every later one
 (parsing does not change it, and a usage error raises instead of exiting).
@@ -35,11 +41,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import cognitive_underlay as cg
-from . import coop_threenode as coop
 from . import link_p2p as p2p
-from . import mc_oracle as mc
-from . import relay_dualhop as relay
 from .config import (DEFAULT_SAMPLES, DEFAULT_SEED, KINDS, ConfigError, ScenarioConfig,
                      derive_kind, load_preset, parse_config, preset_names)
 from .propagation import PowerLevel, PropagationEnvironment, dbm_to_watts
@@ -83,11 +85,14 @@ def _scenarios(cfg: ScenarioConfig, param: Optional[str] = None, values=(None,))
     if cfg.kind == "p2p":
         return [p2p.P2pScenario(env, power("p_t_dbm", v), g["d"]) for v in values]
     if cfg.kind == "dualhop":
+        from . import relay_dualhop as relay
         return [relay.DualHopScenario(env, power("p_s_dbm", v), power("p_r_dbm", v),
                                       g["d_sr"], g["d_rd"]) for v in values]
     if cfg.kind == "coop":
+        from . import coop_threenode as coop
         return [coop.CoopScenario(env, power("p_s_dbm", v), power("p_r_dbm", v),
                                   g["d_sd"], g["d_sr"], g["d_rd"]) for v in values]
+    from . import cognitive_underlay as cg
 
     def cognitive(i_th, v):  # i_th is built before the powers
         return cg.CognitiveScenario(env, power("p1_dbm", v), power("p2_dbm", v), g["d_p"],
@@ -108,12 +113,19 @@ def _results(cfg: ScenarioConfig, scenarios) -> list:
     """The CSV row of each scenario of cfg's kind and protocol, from one batch
     call of the scenario module."""
     kind = cfg.kind
-    if kind in ("dualhop", "coop"):
-        batch = relay.gase_dualhop_batch if kind == "dualhop" else coop.gase_coop_batch
-        return batch(scenarios, relay.RelayProtocol.parse(cfg.protocol))
+    if kind == "p2p":
+        return list(map(p2p.gase_p2p, scenarios))
+    if kind == "dualhop":
+        from . import relay_dualhop as relay
+        return relay.gase_dualhop_batch(scenarios, relay.RelayProtocol.parse(cfg.protocol))
+    if kind == "coop":
+        from . import coop_threenode as coop
+        from .relay_dualhop import RelayProtocol
+        return coop.gase_coop_batch(scenarios, RelayProtocol.parse(cfg.protocol))
+    from . import cognitive_underlay as cg
     if kind == "cognitive":
         return cg.gase_cognitive_batch(scenarios)
-    return list(map(p2p.gase_p2p if kind == "p2p" else cg.gase_x_channel, scenarios))
+    return list(map(cg.gase_x_channel, scenarios))
 
 
 def _table(cfg: ScenarioConfig, param: str, values: Sequence[float], scenarios):
@@ -154,6 +166,7 @@ def run_optimize(cfg: ScenarioConfig):
     if cfg.kind == "dualhop":
         if cfg.p_max_dbm is None:
             raise ConfigError([(0, "optimize on dualhop requires optimize.p_max_dbm")])
+        from . import relay_dualhop as relay
         p_s, p_r, row = relay._optimum(env, cfg.geometry["d_sr"], cfg.geometry["d_rd"],
                                        PowerLevel.from_dbm(cfg.p_max_dbm),
                                        relay.RelayProtocol.parse(cfg.protocol))
@@ -183,6 +196,7 @@ class VerifyCheck:
 
 def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyCheck]:
     """Yield the checks in output order; each MC estimate takes the next stream id."""
+    from . import mc_oracle as mc
     s, = _scenarios(cfg)
     closed, = _results(cfg, [s])
     streams = (mc.McConfig(samples, seed, stream) for stream in itertools.count())

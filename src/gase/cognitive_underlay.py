@@ -232,13 +232,17 @@ def _interference_integral(rho: float, n: float) -> float:
     (h' = h - 1/x); at rho = 1 it is exp(n) E2(n) = 1 - n h(n).  Where n rho
     underflows, h(n rho) = -ln n - ln rho - gamma to within n rho ln(n rho),
     and the rho -> 0 limit is 0.  Where n rho overflows, rho = inf included,
-    the tail is exp(-n g) to within 1/rho, and the integral h(n).
+    the tail is exp(-n g) to within 1/rho, and the integral h(n).  Where n
+    overflows (the mean received power underflows) the limit is 0; where n
+    underflows to 0 the integral, about -ln n, needs ln n, and is refused.
     """
+    if rho == 0.0 or n == math.inf:
+        return 0.0
+    if n == 0.0:
+        raise ArithmeticError("noise over mean received power d^a N / P underflows to 0")
     if abs(rho - 1.0) <= _TAYLOR_BAND:
         return rho * math.fsum((1.0 - rho) ** j * scaled_en(n, j + 2)
                                for j in range(_TAYLOR_TERMS))
-    if rho == 0.0:
-        return 0.0
     if n * rho == math.inf:
         return scaled_e1(n)
     h = scaled_e1(n * rho) if n * rho >= _TINY else -math.log(n) - math.log(rho) - EULER_GAMMA

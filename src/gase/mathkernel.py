@@ -121,7 +121,7 @@ def _by_branch(x, series, scaled, cut: float = 2.0, name: str = "bessel_k"):
     lo = np.minimum.reduce(flat, initial=np.inf)  # a NaN propagates to both
     hi = np.maximum.reduce(flat, initial=0.0)
     if not (lo > 0.0 and hi < np.inf):
-        raise ValueError(f"{name} requires x > 0")
+        raise ValueError(f"{name} requires 0 < x < inf")
     if hi <= cut:
         return series(flat), arr
     if lo > cut:
@@ -217,7 +217,7 @@ def scaled_e1(x):
     if isinstance(x, (float, int)):
         x = float(x)
         if not 0.0 < x < math.inf:
-            raise ValueError("scaled_e1 requires x > 0")
+            raise ValueError("scaled_e1 requires 0 < x < inf")
         branch = _e1_taylor if x <= 1.0 else _e1_octaves if x <= 64.0 else _e1_asymptotic
         return float(branch(x))
     out, arr = _by_branch(x, _e1_taylor, _e1_above_1, 1.0, "scaled_e1")
@@ -232,7 +232,7 @@ def scaled_en(x: float, n: int) -> float:
     and exp(x) E2(x) = 1 - x exp(x) E1(x) without the cancellation of that
     difference at large x."""
     if not 0.0 < x < math.inf:
-        raise ValueError("scaled_e1 requires x > 0")
+        raise ValueError("scaled_en requires 0 < x < inf")
     if n < 1:
         raise ValueError("scaled_en requires order n >= 1")
     if n == 1 or x <= 1.0:

@@ -31,6 +31,9 @@ that a point uniform on a certified bounding disk is covered, times the
 disk's area.  Samplers for each scenario family are provided as
 (draws-per-sample, vectorised map) pairs, and beside them ``CHECKS``, the
 list of verify's checks of each scenario kind (README, "Verify checks").
+The checks import the relay modules' protocol and density normalisations
+where they use them, so the module itself needs only link_p2p and
+propagation.
 """
 
 from __future__ import annotations
@@ -43,10 +46,8 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from .coop_threenode import density_normalizations
 from .link_p2p import LN2
 from .propagation import PropagationEnvironment, affected_area_single, mean_snr, watts_of
-from .relay_dualhop import RelayProtocol
 
 __all__ = [
     "McConfig",
@@ -473,6 +474,7 @@ def _p2p_checks(s, protocol, c, streams):
 
 
 def _dualhop_checks(s, protocol, c, streams):
+    from .relay_dualhop import RelayProtocol
     gsr, grd, capacity = s.mean_snr_sr, s.mean_snr_rd, c["capacity_bps_hz"]
     if RelayProtocol.parse(protocol) is RelayProtocol.DF:
         yield _band("capacity_df_vs_mc", capacity, mc_ergodic_capacity(
@@ -489,6 +491,8 @@ def _dualhop_checks(s, protocol, c, streams):
 
 
 def _coop_checks(s, protocol, c, streams):
+    from .coop_threenode import density_normalizations
+    from .relay_dualhop import RelayProtocol
     protocol = RelayProtocol.parse(protocol)
     out = mc_coop_summary(s.mean_snr_sd, s.mean_snr_sr, s.mean_snr_rd, protocol.value,
                           next(streams))

@@ -24,7 +24,7 @@ from gase.mc_oracle import (McConfig, certified_disk_radius, mc_affected_area,
                             secondary_sinr_sampler, two_source_field)
 from gase.config import derive_kind, load_preset, parse_config
 from gase.propagation import PowerLevel, PropagationEnvironment, affected_area_single, dbm_to_watts
-from test_config_cli import run_module, two_transmitter_configs
+from test_config_cli import preset_text, run_module, two_transmitter_configs
 
 ENV = PropagationEnvironment.from_dbm(4.0, -100.0, -100.0)
 
@@ -418,6 +418,33 @@ class TestXChannel:
         # d0 = 1e160 m: the footprints do not overlap
         singles = affected_area_single(s.env, s.p1) + affected_area_single(s.env, s.p2)
         assert c["area_parallel_m2"] == pytest.approx(singles, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("flags,code,expected", [
+        ((), 3, "gase: numerical failure: mean SNR P / (d^a N) underflows to 0 at a = 400, "
+                "d = 100 m\n"),
+        (("--kind", "xchannel"), 0, "")])
+    def test_vanishing_received_power_takes_its_limit(self, tmp_path, capsys, flags, code,
+                                                      expected):
+        # fig7a at a = 400: d^a overflows, so n1 = n2 = inf and each capacity
+        # is its limit 0; the cognitive kind then names the primary's mean SNR
+        cfg = tmp_path / "a400.cfg"
+        cfg.write_text(preset_text("fig7a", {"env.path_loss_exponent": 400}))
+        assert cli.main(["eval", "--config", str(cfg), *flags]) == code
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        if code == 0:
+            header, row = captured.out.splitlines()
+            values = dict(zip(header.split(","), row.split(",")))
+            assert values["c_primary_bps_hz"] == values["c_secondary_bps_hz"] == "0.00000000000e+00"
+            assert values["area_parallel_m2"] == "7.15224798674e+00"
+
+    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1.0, 2.0, math.inf])
+    def test_interference_integral_at_the_ends_of_n(self, rho):
+        # n = inf is the limit 0; n = 0 needs ln n and is refused by name
+        assert cg._interference_integral(rho, math.inf) == 0.0
+        if rho > 0.0:
+            with pytest.raises(ArithmeticError, match="d\\^a N / P underflows to 0"):
+                cg._interference_integral(rho, 0.0)
 
     @pytest.mark.parametrize("kind", ["cognitive", "xchannel"])
     def test_verify_far_apart_writes_no_warning(self, tmp_path, kind):

@@ -1,13 +1,14 @@
 """Every name a ``gase`` module advertises resolves, and so does every name
 the benchmark harness under ``bench/`` looks up."""
 
-import ast
 import functools
 import gzip
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
+import subprocess
 import sys
 import threading
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 import gase
 from gase import cli
 from gase import cognitive_underlay as cg
+from gase import config
 from gase import coop_threenode as coop
 from gase import mathkernel as mk
 from gase import mc_oracle as mc
@@ -26,6 +28,7 @@ from gase.propagation import PowerLevel, PropagationEnvironment
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(gase.__path__)
                  if not m.name.startswith("__"))
+SRC = Path(gase.__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -34,15 +37,86 @@ def test_module_all_resolves(name):
     assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
 
 
+# every package-level name, each resolved from its module on first use
+PACKAGE_NAMES = {
+    "cognitive_underlay": {"CognitiveScenario", "affected_area_parallel", "gase_cognitive",
+                           "gase_x_channel", "primary_capacity_parallel", "prob_parallel",
+                           "secondary_capacity_parallel", "x_channel_primary_capacity"},
+    "config": {"ConfigError", "ScenarioConfig", "load_preset", "parse_config", "preset_names"},
+    "coop_threenode": {"CoopScenario", "gase_coop", "special_integral_D"},
+    "link_p2p": {"NoInteriorOptimumError", "P2pScenario", "ergodic_capacity_p2p", "gase_p2p",
+                 "optimal_power_p2p"},
+    "mathkernel": {"BracketingError", "QuadratureError", "QuadratureSpec", "bessel_k0",
+                   "bessel_k1", "find_root_bracketed", "integrate", "integrate_semi_infinite",
+                   "scaled_e1"},
+    "mc_oracle": {"McConfig", "McEstimate", "mc_affected_area", "mc_ergodic_capacity",
+                  "mc_mode_probability"},
+    "propagation": {"PowerLevel", "PropagationEnvironment", "affected_area_single",
+                    "dbm_to_watts", "mean_snr", "watts_to_dbm"},
+    "relay_dualhop": {"DualHopScenario", "RelayProtocol", "ergodic_capacity_af",
+                      "ergodic_capacity_df", "gase_dualhop", "optimize_relay_powers"},
+}
+
+
 def test_package_reexports_resolve():
-    tree = ast.parse(Path(gase.__file__).read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        mod = importlib.import_module(f"gase.{node.module}")
-        for alias in node.names:
-            assert alias.name in getattr(mod, "__all__", ())
-            assert getattr(gase, alias.asname or alias.name) is getattr(mod, alias.name)
+    table = {}
+    for name, module in gase._EXPORTS.items():
+        table.setdefault(module, set()).add(name)
+        mod = importlib.import_module(f"gase.{module}")
+        assert name in mod.__all__
+        assert getattr(gase, name) is getattr(mod, name)
+    assert table == PACKAGE_NAMES
+    assert set(gase._SUBMODULES) == set(MODULES)
+    assert all(getattr(gase, name) is importlib.import_module(f"gase.{name}") for name in MODULES)
+    with pytest.raises(AttributeError):
+        gase.no_such_name
+
+
+def _fresh(code):
+    """stdout of ``code`` in a fresh interpreter on this checkout's sources."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          check=True)
+    return proc.stdout
+
+
+def test_readme_library_snippet_runs():
+    readme = (SRC.parent / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("## Library\n\n```python\n", 1)[1].split("```", 1)[0]
+    assert float(_fresh(snippet)) > 0.0
+
+
+def _loaded(code):
+    """The gase modules in sys.modules after ``code``, in a fresh interpreter."""
+    return set(_fresh(code + "\nimport sys\n"
+                      "print(*(m for m in sys.modules if m.split('.')[0] == 'gase'))").split())
+
+
+START_UP = {"gase", "gase.cli", "gase.config", "gase.propagation", "gase.link_p2p",
+            "gase.mathkernel"}
+FIG3_OPTIMIZE = "\n".join([config._PRESETS["fig3"], "optimize.p_max_dbm = 30", ""])
+
+
+def test_import_gase_loads_no_submodule():
+    assert _loaded("import gase") == {"gase"}
+
+
+def test_cli_start_up_loads_what_every_command_runs():
+    assert _loaded("import gase.cli") == START_UP
+
+
+@pytest.mark.parametrize("argv,deferred", [
+    (["eval", "--preset", "fig1"], set()),
+    (["optimize", "--config", "{dir}/fig3.cfg"], {"gase.relay_dualhop"}),
+    (["verify", "--preset", "fig1", "--samples", "2000"], {"gase.mc_oracle"}),
+    (["eval", "--preset", "fig6"], {"gase.cognitive_underlay"}),
+])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, deferred):
+    (tmp_path / "fig3.cfg").write_text(FIG3_OPTIMIZE, encoding="utf-8")
+    argv = [arg.format(dir=tmp_path) for arg in argv] + ["--out", str(tmp_path / "out.csv")]
+    code = f"from gase import cli\nassert cli.main({argv!r}) == 0"
+    assert _loaded(code) == START_UP | deferred
 
 
 def test_traced_results_keep_what_the_tracer_reads():

@@ -68,8 +68,11 @@ class TestExpIntegral:
     def test_domain_error(self):
         for bad in (0.0, -1.0, math.nan, math.inf, np.array([1.0, math.nan]),
                     np.array([1.0, math.inf])):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=r"^scaled_e1 requires 0 < x < inf$"):
                 scaled_e1(bad)
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^scaled_en requires 0 < x < inf$"):
+                scaled_en(bad, 2)
 
     def test_higher_orders_against_mpmath(self):
         # exp(x) E_n(x) on both branches and across the series/fraction switch,
