@@ -39,8 +39,7 @@ _EXPORTS = {
                      "ergodic_capacity_df", "gase_dualhop", "optimize_relay_powers"),
                     "relay_dualhop"),
 }
-_SUBMODULES = ("cli", "cognitive_underlay", "config", "coop_threenode", "link_p2p",
-               "mathkernel", "mc_oracle", "propagation", "relay_dualhop")
+_SUBMODULES = {"cli", *_EXPORTS.values()}
 
 __version__ = "0.1.0"
 
