@@ -11,7 +11,11 @@ batch call, _results (each dual-hop and cooperative integral is one
 quadrature batch, and an i_th sweep takes the i_th-free closed forms once);
 an eval is the batch of one, and so are verify's closed forms.  ``verify``
 then makes its kind's rows of mc_oracle.CHECKS in order, each Monte Carlo
-estimate on the next stream id.  ``--workers`` is accepted and changes nothing.
+estimate on the next stream id; a check is its CSV row, and reads FAIL where
+|closed form - oracle mean| exceeds its tolerance.  ``--seed`` and
+``--samples`` override mc.seed and mc.samples (default 42 and 1,000,000) as
+``--kind`` and ``--protocol`` override the config.  ``--workers`` is accepted
+and changes nothing.
 
 Start-up imports only what every command runs: config, propagation and
 link_p2p (with mathkernel).  The dispatchers that first need relay_dualhop,
@@ -36,8 +40,8 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional, Sequence
+from dataclasses import replace
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -181,26 +185,23 @@ def run_optimize(cfg: ScenarioConfig):
 # verification
 # ---------------------------------------------------------------------------
 
-@dataclass
-class VerifyCheck:
-    name: str
-    closed_form: float
-    oracle_mean: float
-    oracle_std_error: float
-    tolerance: float          # allowed |closed_form - oracle_mean|
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.closed_form - self.oracle_mean) <= self.tolerance
-
-
-def run_verify(cfg: ScenarioConfig, samples: int, seed: int) -> Iterator[VerifyCheck]:
-    """Yield the checks in output order; each MC estimate takes the next stream id."""
+def run_verify(cfg: ScenarioConfig):
+    """(header, rows) of cfg's kind's checks in order, each MC estimate on the
+    next stream id."""
     from . import mc_oracle as mc
     s, = _scenarios(cfg)
     closed, = _results(cfg, [s])
+    samples = cfg.mc_samples or DEFAULT_SAMPLES
+    seed = DEFAULT_SEED if cfg.mc_seed is None else cfg.mc_seed
     streams = (mc.McConfig(samples, seed, stream) for stream in itertools.count())
-    yield from (VerifyCheck(*row) for row in mc.CHECKS[cfg.kind](s, cfg.protocol, closed, streams))
+    rows = []
+    for name, closed_form, mean, std_error, tolerance in mc.CHECKS[cfg.kind](
+            s, cfg.protocol, closed, streams):
+        diff = abs(closed_form - mean)
+        rows.append([name, closed_form, mean, std_error, diff, tolerance,
+                     "pass" if diff <= tolerance else "FAIL"])
+    return ["check", "closed_form", "oracle_mean", "oracle_std_error", "abs_diff",
+            "tolerance", "status"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +233,10 @@ def _load_cfg(args) -> ScenarioConfig:
         if cfg.kind not in ("dualhop", "coop"):
             raise _UsageError(f"--protocol does not apply to kind {cfg.kind}")
         cfg = replace(cfg, protocol=args.protocol)
+    if getattr(args, "samples", None):
+        cfg = replace(cfg, mc_samples=args.samples)
+    if getattr(args, "seed", None) is not None:
+        cfg = replace(cfg, mc_seed=args.seed)
     return cfg
 
 
@@ -276,23 +281,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_cfg(args)
-        if args.command != "verify":
-            run = {"eval": run_eval, "sweep": run_sweep, "optimize": run_optimize}
-            _write_csv(args.out, *run[args.command](cfg))
-        else:
-            samples = args.samples or cfg.mc_samples or DEFAULT_SAMPLES
-            seed = args.seed if args.seed is not None else (
-                cfg.mc_seed if cfg.mc_seed is not None else DEFAULT_SEED)
-            checks = list(run_verify(cfg, samples, seed))
-            header = ["check", "closed_form", "oracle_mean", "oracle_std_error",
-                      "abs_diff", "tolerance", "status"]
-            rows = [[c.name, c.closed_form, c.oracle_mean, c.oracle_std_error,
-                     abs(c.closed_form - c.oracle_mean), c.tolerance,
-                     "pass" if c.passed else "FAIL"] for c in checks]
-            _write_csv(args.out, header, rows)
-            if not all(c.passed for c in checks):
-                return EXIT_VERIFY
-        return EXIT_OK
+        run = {"eval": run_eval, "sweep": run_sweep, "optimize": run_optimize,
+               "verify": run_verify}
+        header, rows = run[args.command](cfg)
+        _write_csv(args.out, header, rows)
+        return EXIT_VERIFY if any(row[-1] == "FAIL" for row in rows) else EXIT_OK
     except _UsageError as exc:
         print(f"gase: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -233,13 +233,17 @@ def _interference_integral(rho: float, n: float) -> float:
     underflows, h(n rho) = -ln n - ln rho - gamma to within n rho ln(n rho),
     and the rho -> 0 limit is 0.  Where n rho overflows, rho = inf included,
     the tail is exp(-n g) to within 1/rho, and the integral h(n).  Where n
-    overflows (the mean received power underflows) the limit is 0; where n
-    underflows to 0 the integral, about -ln n, needs ln n, and is refused.
+    overflows (the mean received power underflows) the limit is 0.  Where n
+    underflows to 0 the integral is its n -> 0 limit
+    int rho/((g+rho)(1+g)) dg = rho ln(rho)/(rho-1), 1 at rho = 1; at rho = inf
+    it is about -ln n, needs ln n, and is refused.
     """
     if rho == 0.0 or n == math.inf:
         return 0.0
     if n == 0.0:
-        raise ArithmeticError("noise over mean received power d^a N / P underflows to 0")
+        if rho == math.inf:
+            raise ArithmeticError("noise over mean received power d^a N / P underflows to 0")
+        return 1.0 if rho == 1.0 else rho / (rho - 1.0) * math.log(rho)
     if abs(rho - 1.0) <= _TAYLOR_BAND:
         return rho * math.fsum((1.0 - rho) ** j * scaled_en(n, j + 2)
                                for j in range(_TAYLOR_TERMS))

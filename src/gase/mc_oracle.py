@@ -93,6 +93,8 @@ class McConfig:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
+        if self.samples > _CHUNK << 32:  # a chunk's index takes 32 bits of its key
+            raise ValueError(f"samples must be at most {_CHUNK << 32} (2**32 chunks)")
         if not (0 <= self.stream_id < 2 ** 32):
             raise ValueError("stream_id must fit in 32 bits")
 

@@ -438,13 +438,48 @@ class TestXChannel:
             assert values["c_primary_bps_hz"] == values["c_secondary_bps_hz"] == "0.00000000000e+00"
             assert values["area_parallel_m2"] == "7.15224798674e+00"
 
-    @pytest.mark.parametrize("rho", [0.0, 1e-300, 1.0, 2.0, math.inf])
+    @pytest.mark.parametrize("rho", [0.0, 1e-300, 0.5, 1.0 - 2.0 ** -53, 1.0, 1.0 + 2.0 ** -52,
+                                     2.0, 1e300, math.inf])
     def test_interference_integral_at_the_ends_of_n(self, rho):
-        # n = inf is the limit 0; n = 0 needs ln n and is refused by name
+        # n = inf is the limit 0.  At n = 0 a finite rho gives the n -> 0 limit
+        # rho ln(rho) / (rho - 1), 0 at rho = 0 and 1 at rho = 1; at rho = inf
+        # the integral is about -ln n, and is refused by name
         assert cg._interference_integral(rho, math.inf) == 0.0
-        if rho > 0.0:
+        if rho == math.inf:
             with pytest.raises(ArithmeticError, match="d\\^a N / P underflows to 0"):
                 cg._interference_integral(rho, 0.0)
+            return
+        with mpmath.workdps(40):
+            r = mpmath.mpf(rho)
+            ref = float(r * mpmath.log(r) / (r - 1)) if rho not in (0.0, 1.0) else rho
+        assert cg._interference_integral(rho, 0.0) == pytest.approx(ref, rel=3e-16, abs=0.0)
+
+    @pytest.mark.parametrize("kind,code,expected", [
+        ("cognitive", 3, "gase: numerical failure: mean SNR P / (d^a N) overflows at a = 4, "
+                         "d = 1 m\n"),
+        ("xchannel", 0, "")])
+    def test_vanishing_noise_takes_its_limit(self, tmp_path, capsys, kind, code, expected):
+        # noise -3200 dBm: n1 = n2 = d^a N / P underflow to 0, so each capacity
+        # is its interference-limited limit rho ln(rho) / (rho - 1) / ln 2 =
+        # 64/15 at rho = 16; the cognitive kind then names the primary's mean
+        # SNR, which overflows
+        cfg = tmp_path / "quiet.cfg"
+        cfg.write_text(f"scenario.kind = {kind}\nenv.path_loss_exponent = 4\n"
+                       "env.noise_dbm = -3200\nenv.p_min_dbm = -100\n"
+                       "geom.d_p = 1\ngeom.d_s = 1\ngeom.d_sp = 2\ngeom.d_ps = 2\ngeom.d0 = 2\n"
+                       "power.p1_dbm = 60\npower.p2_dbm = 60\n"
+                       + ("threshold.i_th_dbm = -80\n" if kind == "cognitive" else ""))
+        assert cli.main(["eval", "--config", str(cfg)]) == code
+        captured = capsys.readouterr()
+        assert captured.err == expected
+        if code == 0:
+            header, row = captured.out.splitlines()
+            values = dict(zip(header.split(","), row.split(",")))
+            assert values["c_primary_bps_hz"] == values["c_secondary_bps_hz"] == "4.26666666667e+00"
+            assert values["area_parallel_m2"] == "4.17624603951e+08"
+            assert cli.main(["verify", "--config", str(cfg), "--samples", "200000"]) == 0
+            rows = capsys.readouterr().out.splitlines()[1:]
+            assert [row.rsplit(",", 1)[1] for row in rows] == ["pass"] * 4
 
     @pytest.mark.parametrize("kind", ["cognitive", "xchannel"])
     def test_verify_far_apart_writes_no_warning(self, tmp_path, kind):

@@ -1000,10 +1000,38 @@ class TestCliCommands:
             "p_direct_vs_mc", "c_direct_vs_mc"}
 
     def test_verification_failure_exit_code(self, monkeypatch, tmp_path):
-        failed = cli.VerifyCheck("synthetic", 1.0, 2.0, 0.1, 0.05)
-        monkeypatch.setattr(cli, "run_verify", lambda *a, **k: [failed])
+        header = ["check", "closed_form", "oracle_mean", "oracle_std_error", "abs_diff",
+                  "tolerance", "status"]
+        failed = ["synthetic", 1.0, 2.0, 0.1, 1.0, 0.05, "FAIL"]
+        monkeypatch.setattr(cli, "run_verify", lambda cfg: (header, [failed]))
         assert self.run("verify", "--preset", "fig1", "--out", str(tmp_path / "v.csv")) == 2
         assert "FAIL" in (tmp_path / "v.csv").read_text()
+
+    def test_verify_seed_and_samples_precedence(self, tmp_path, capsys):
+        # --seed > mc.seed > 42 and --samples > mc.samples, as --kind and
+        # --protocol override the config; --seed 0 counts
+        def verify(*argv):
+            code = self.run("verify", *argv)
+            return code, capsys.readouterr().out
+
+        def config(entries):
+            path = tmp_path / "mc.cfg"
+            path.write_text(preset_text("fig1", entries))
+            return "--config", str(path)
+
+        def preset(samples, seed):
+            return verify("--preset", "fig1", "--samples", samples, "--seed", seed)
+
+        both = config({"mc.samples": 20000, "mc.seed": 5})
+        runs = {(samples, seed): preset(samples, seed)
+                for samples, seed in [("20000", "5"), ("20000", "9"), ("20000", "0"),
+                                      ("30000", "5"), ("20000", "42")]}
+        assert len({out for _, out in runs.values()}) == len(runs)
+        assert verify(*both) == runs["20000", "5"]
+        assert verify(*both, "--seed", "9") == runs["20000", "9"]
+        assert verify(*both, "--seed", "0") == runs["20000", "0"]
+        assert verify(*both, "--samples", "30000") == runs["30000", "5"]
+        assert verify(*config({"mc.samples": 20000})) == runs["20000", "42"]
 
     def test_verify_passes_on_p2p_preset(self, tmp_path):
         out = tmp_path / "verify.csv"

@@ -110,6 +110,10 @@ def test_cli_start_up_loads_what_every_command_runs():
     (["eval", "--preset", "fig1"], set()),
     (["optimize", "--config", "{dir}/fig3.cfg"], {"gase.relay_dualhop"}),
     (["verify", "--preset", "fig1", "--samples", "2000"], {"gase.mc_oracle"}),
+    (["verify", "--preset", "fig3", "--samples", "2000"],
+     {"gase.relay_dualhop", "gase.mc_oracle"}),
+    (["verify", "--preset", "fig4", "--protocol", "af", "--samples", "2000"],
+     {"gase.coop_threenode", "gase.relay_dualhop", "gase.mc_oracle"}),
     (["eval", "--preset", "fig6"], {"gase.cognitive_underlay"}),
 ])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, deferred):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import sys
 import threading
 import tracemalloc
@@ -11,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from gase import mc_oracle
+from gase import cli, mc_oracle
 from gase.mc_oracle import (McConfig, McEstimate, McSampler, TailCertificationError,
                             af_snr_sampler, certified_disk_radius, df_snr_sampler,
                             exponential_from_uniform, mc_affected_area, mc_coop_summary,
@@ -605,6 +606,18 @@ class TestConfig:
             McConfig(samples=0)
         with pytest.raises(ValueError):
             McConfig(samples=10, stream_id=2 ** 32)
+
+    def test_samples_fit_the_chunk_index(self, monkeypatch, capsys):
+        # a chunk's index takes 32 bits of its Philox key, so past 2**48 samples
+        # a stream's chunks would reuse the next stream's keys; verify refuses
+        # such a count before any draw
+        assert McConfig(2 ** 48).samples == 2 ** 48
+        message = f"samples must be at most {2 ** 48} (2**32 chunks)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            McConfig(2 ** 48 + 1)
+        monkeypatch.setattr(mc_oracle, "_chunk_sums", lambda *a: pytest.fail("drew samples"))
+        assert cli.main(["verify", "--preset", "fig1", "--samples", str(2 ** 48 + 1)]) == 3
+        assert capsys.readouterr() == ("", f"gase: numerical failure: {message}\n")
 
     def test_estimate_scaling(self):
         est = mc_ergodic_capacity(p2p_snr_sampler(2.0), McConfig(50_000, 14))
