@@ -393,6 +393,90 @@ GOLDEN_FIG7A_XCHANNEL_VERIFY = (
     "0.00000000000e+00,3.03485415294e-03,pass\n")
 
 
+# fig1 and fig6 without their sweep blocks, and fig3 without geom.d_sd, geom.theta
+# and its sweep block
+P2P_TEXT = "".join(config._PRESETS["fig1"].splitlines(True)[:6])
+DUALHOP_TEXT = "".join(config._PRESETS["fig3"].splitlines(True)[:4]) + (
+    "geom.d_sr = 500\ngeom.d_rd = 500\npower.p_s_dbm = 30\npower.p_r_dbm = 30\n"
+    "protocol.relay = df\n")
+COGNITIVE_TEXT = "".join(config._PRESETS["fig6"].splitlines(True)[:12])
+SWEEP_TEXT = "sweep.parameter = p_t_dbm\nsweep.start = -10\nsweep.stop = 50\nsweep.points = 61\n"
+
+
+def _missing(*keys):
+    return [f"missing required key {key}" for key in keys]
+
+
+_ENV_KEYS = ("env.noise_dbm", "env.p_min_dbm", "env.path_loss_exponent")
+# (text, the lines of str(ConfigError) after its first); one case for each
+# message of parse_config, and the order of several on one line
+_DIAGNOSTICS = {
+    "no_equals": (P2P_TEXT + "geom.theta 5\n",
+                  ["line 7: expected 'section.key = value', got 'geom.theta 5'"]),
+    "no_dot": (P2P_TEXT + "theta = 5\n",
+               ["line 7: expected 'section.key = value', got 'theta = 5'"]),
+    "empty_value": (P2P_TEXT + "geom.theta =   # none\n",
+                    ["line 7: expected 'section.key = value', got 'geom.theta =   # none'"]),
+    "duplicate": (P2P_TEXT + "geom.d = 500\n", ["line 7: duplicate key geom.d"]),
+    "empty_text": ("", _missing(*_ENV_KEYS, "scenario.kind")),
+    "missing_p2p": ("scenario.kind = p2p\n", _missing(*_ENV_KEYS, "geom.d", "power.p_t_dbm")),
+    "missing_dualhop": ("scenario.kind = dualhop\n",
+                        _missing(*_ENV_KEYS, "geom.d_rd", "geom.d_sr", "power.p_r_dbm",
+                                 "power.p_s_dbm", "protocol.relay")),
+    "missing_coop": ("scenario.kind = coop\n",
+                     _missing(*_ENV_KEYS, "geom.d_rd", "geom.d_sd", "geom.d_sr",
+                              "power.p_r_dbm", "power.p_s_dbm", "protocol.relay")),
+    "missing_cognitive": ("scenario.kind = Cognitive\n",
+                          _missing(*_ENV_KEYS, "geom.d0", "geom.d_p", "geom.d_ps", "geom.d_s",
+                                   "geom.d_sp", "power.p1_dbm", "power.p2_dbm",
+                                   "threshold.i_th_dbm")),
+    "missing_xchannel": ("scenario.kind = xchannel\n",
+                         _missing(*_ENV_KEYS, "geom.d0", "geom.d_p", "geom.d_ps", "geom.d_s",
+                                  "geom.d_sp", "power.p1_dbm", "power.p2_dbm")),
+    "non_finite": (P2P_TEXT.replace("-100", "nan"),
+                   ["line 3: env.noise_dbm: 'nan' is not a finite number"]),
+    "unknown_kind": (P2P_TEXT.replace("= p2p", "= Mesh") + SWEEP_TEXT,
+                     ["line 1: unknown scenario kind 'Mesh'", "line 5: unknown key geom.d",
+                      "line 6: unknown key power.p_t_dbm"]),
+    "exponent": (P2P_TEXT.replace("exponent = 4", "exponent = 0"),
+                 ["line 2: env.path_loss_exponent must be > 0"]),
+    "distance": (DUALHOP_TEXT.replace("d_rd = 500", "d_rd = -1") + "geom.theta = -3\n",
+                 ["line 6: geom.d_rd must be > 0"]),
+    "protocol": (DUALHOP_TEXT.replace("= df", "= amplify"),
+                 ["line 9: protocol.relay must be df or af, got 'amplify'"]),
+    "triangle_sp": (COGNITIVE_TEXT.replace("d_sp = 150", "d_sp = 500"),
+                    ["line 7: geom.d_sp=500 outside triangle bound [0, 200]"]),
+    "triangle_ps": (COGNITIVE_TEXT.replace("d_s = 100", "d_s = 30.5")
+                    .replace("d_ps = 150", "d_ps = 0.25"),
+                    ["line 8: geom.d_ps=0.25 outside triangle bound [69.5, 130.5]"]),
+    "incomplete_sweep": (P2P_TEXT + "sweep.stop = 50\nsweep.parameter = p_t_dbm\n",
+                         ["incomplete sweep block, missing sweep.start, sweep.points"]),
+    "spacing": (P2P_TEXT + SWEEP_TEXT + "sweep.spacing = cubic\n",
+                ["line 11: sweep.spacing must be linear or log, got 'cubic'"]),
+    "points_fraction": (P2P_TEXT + SWEEP_TEXT.replace("= 61", "= 2.5"),
+                        ["line 10: sweep.points must be a positive integer"]),
+    "points_zero": (P2P_TEXT + SWEEP_TEXT.replace("= 61", "= 0"),
+                    ["line 10: sweep.points must be a positive integer"]),
+    "log_across_zero": (P2P_TEXT + SWEEP_TEXT + "sweep.spacing = LOG\n",
+                        ["line 8: log spacing requires start and stop of the same sign"]),
+    "sweep_parameter": (P2P_TEXT + SWEEP_TEXT.replace("= p_t_dbm", "= p_s_dbm"),
+                        ["line 7: sweep parameter 'p_s_dbm' not valid for kind p2p; "
+                         "expected one of p_t_dbm"]),
+    "mc": (P2P_TEXT + "mc.samples = 0\nmc.seed = 1.5\nbogus.key = 1\n",
+           ["line 7: mc.samples must be a positive integer", "line 8: mc.seed must be an integer",
+            "line 9: unknown key bogus.key"]),
+    "mc_words": (P2P_TEXT + "mc.samples = 2.5\nmc.seed = x\n",
+                 ["line 7: mc.samples must be a positive integer",
+                  "line 8: mc.seed: 'x' is not a finite number"]),
+    "two_on_one_line": (COGNITIVE_TEXT.replace("d_sp = 150", "d_sp = -5"),
+                        ["line 7: geom.d_sp must be > 0",
+                         "line 7: geom.d_sp=-5 outside triangle bound [0, 200]"]),
+    "incomplete_and_bad": (P2P_TEXT + "sweep.parameter = i_th_dbm\nsweep.points = 2.5\n"
+                           "sweep.spacing = cubic\n",
+                           ["incomplete sweep block, missing sweep.start, sweep.stop"]),
+}
+
+
 class TestParsing:
     def test_fig1_parameters(self):
         cfg = parse_config(FIG1_TEXT)
@@ -477,6 +561,14 @@ sweep.points = 3
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config(FIG1_TEXT + "geom.d = 500\n")
+
+    @pytest.mark.parametrize("text,lines", _DIAGNOSTICS.values(), ids=_DIAGNOSTICS)
+    def test_each_diagnostic_exactly(self, text, lines):
+        # the text, line number and sorted order that `gase` prints
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert str(err.value) == "\n".join(["invalid scenario config:",
+                                            *(f"  {line}" for line in lines)])
 
 
 class TestPresetsAndKinds:
