@@ -124,103 +124,79 @@ def _parse_number(text: str):
 
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and validate; raises ConfigError listing every problem found."""
-    entries: Dict[str, Tuple[int, str]] = {}
+    entries: Dict[str, Tuple[str, int]] = {}
     errors: List[Tuple[int, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        name, eq, value = (part.strip() for part in line.partition("="))
+        if not eq or "." not in name or not value:
             errors.append((lineno, f"expected 'section.key = value', got {raw.strip()!r}"))
-            continue
-        name, value = (part.strip() for part in line.split("=", 1))
-        if "." not in name or not value:
-            errors.append((lineno, f"expected 'section.key = value', got {raw.strip()!r}"))
-            continue
-        if name in entries:
+        elif name in entries:
             errors.append((lineno, f"duplicate key {name}"))
-            continue
-        entries[name] = (lineno, value)
+        else:
+            entries[name] = (value, lineno)
 
-    def take(name: str):
-        return entries.pop(name, None)
-
-    def take_number(name: str, required: bool = False):
-        item = take(name)
-        if item is None:
+    def take(name: str, required: bool = False, words: Tuple[str, ...] = (), bad: str = ""):
+        """(value, line) of the key, popped: a finite number, or with words one of
+        them in lower case.  The value is None, and the error recorded, where the
+        key is missing but required or its value is invalid (bad formats it)."""
+        value, lineno = entries.pop(name, (None, 0))
+        if value is None:
             if required:
                 errors.append((0, f"missing required key {name}"))
             return None, 0
-        lineno, value = item
+        if words:
+            if value.lower() in words:
+                return value.lower(), lineno
+            errors.append((lineno, bad.format(value)))
+            return None, lineno
         try:
             return _parse_number(value), lineno
         except ValueError:
             errors.append((lineno, f"{name}: {value!r} is not a finite number"))
             return None, lineno
 
-    kind_item = take("scenario.kind")
-    kind = None
-    if kind_item is None:
-        errors.append((0, "missing required key scenario.kind"))
-    else:
-        kind = kind_item[1].lower()
-        if kind not in KINDS:
-            errors.append((kind_item[0], f"unknown scenario kind {kind_item[1]!r}"))
-            kind = None
-
-    a, a_line = take_number("env.path_loss_exponent", required=True)
+    kind, _ = take("scenario.kind", True, KINDS, "unknown scenario kind {!r}")
+    a, a_line = take("env.path_loss_exponent", True)
     if a is not None and a <= 0:
         errors.append((a_line, "env.path_loss_exponent must be > 0"))
-    noise_dbm, _ = take_number("env.noise_dbm", required=True)
-    p_min_dbm, _ = take_number("env.p_min_dbm", required=True)
+    noise_dbm, _ = take("env.noise_dbm", True)
+    p_min_dbm, _ = take("env.p_min_dbm", True)
 
     geometry: Dict[str, float] = {}
     power: Dict[str, float] = {}
-    protocol = None
-    i_th_dbm = None
+    protocol = i_th_dbm = None
     geom_lines: Dict[str, int] = {}
-
     if kind is not None:
-        required = _KINDS[kind].geom
-        for key in required + _KINDS[kind].optional_geom:
-            val, ln = take_number(f"geom.{key}", required=key in required)
+        spec = _KINDS[kind]
+        for key in spec.geom + spec.optional_geom:
+            val, geom_lines[key] = take(f"geom.{key}", key in spec.geom)
             if val is not None:
                 if key != "theta" and val <= 0:
-                    errors.append((ln, f"geom.{key} must be > 0"))
+                    errors.append((geom_lines[key], f"geom.{key} must be > 0"))
                 geometry[key] = float(val)
-                geom_lines[key] = ln
-        for key in _KINDS[kind].powers:
-            val, _ = take_number(f"power.{key}", required=True)
+        for key in spec.powers:
+            val, _ = take(f"power.{key}", True)
             if val is not None:
                 power[key] = float(val)
         if kind in ("dualhop", "coop"):
-            item = take("protocol.relay")
-            if item is None:
-                errors.append((0, "missing required key protocol.relay"))
-            elif item[1].lower() not in ("df", "af"):
-                errors.append((item[0], f"protocol.relay must be df or af, got {item[1]!r}"))
-            else:
-                protocol = item[1].lower()
+            protocol, _ = take("protocol.relay", True, ("df", "af"),
+                               "protocol.relay must be df or af, got {!r}")
         if kind == "cognitive":
-            i_th_dbm, _ = take_number("threshold.i_th_dbm", required=True)
-
-        # cognitive geometry must be realisable
-        if kind in ("cognitive", "xchannel") and all(
-                k in geometry for k in ("d_p", "d_s", "d_sp", "d_ps", "d0")):
-            d0, d_p, d_s = geometry["d0"], geometry["d_p"], geometry["d_s"]
-            if not (abs(d0 - d_p) <= geometry["d_sp"] <= d0 + d_p):
-                errors.append((geom_lines["d_sp"],
-                               f"geom.d_sp={geometry['d_sp']:g} outside triangle bound "
-                               f"[{abs(d0 - d_p):g}, {d0 + d_p:g}]"))
-            if not (abs(d0 - d_s) <= geometry["d_ps"] <= d0 + d_s):
-                errors.append((geom_lines["d_ps"],
-                               f"geom.d_ps={geometry['d_ps']:g} outside triangle bound "
-                               f"[{abs(d0 - d_s):g}, {d0 + d_s:g}]"))
+            i_th_dbm, _ = take("threshold.i_th_dbm", True)
+        # cognitive geometry must be realisable: each cross link within its triangle
+        if kind in ("cognitive", "xchannel") and len(geometry) == len(spec.geom):
+            for leg, d in (("d_sp", geometry["d_p"]), ("d_ps", geometry["d_s"])):
+                lo, hi = abs(geometry["d0"] - d), geometry["d0"] + d
+                if not lo <= geometry[leg] <= hi:
+                    errors.append((geom_lines[leg], f"geom.{leg}={geometry[leg]:g} outside "
+                                                    f"triangle bound [{lo:g}, {hi:g}]"))
 
     sweep = None
-    sweep_items = {k: take_number(f"sweep.{k}") for k in ("start", "stop", "points")}
-    sweep_param = take("sweep.parameter")
-    sweep_spacing = take("sweep.spacing")
+    sweep_items = {k: take(f"sweep.{k}") for k in ("start", "stop", "points")}
+    sweep_param = entries.pop("sweep.parameter", None)
     if sweep_param is not None or any(v is not None for v, _ in sweep_items.values()):
         missing = [f"sweep.{k}" for k, (v, _) in sweep_items.items() if v is None]
         if sweep_param is None:
@@ -228,39 +204,31 @@ def parse_config(text: str) -> ScenarioConfig:
         if missing:
             errors.append((0, "incomplete sweep block, missing " + ", ".join(missing)))
         else:
-            spacing = "linear"
-            if sweep_spacing is not None:
-                spacing = sweep_spacing[1].lower()
-                if spacing not in ("linear", "log"):
-                    errors.append((sweep_spacing[0],
-                                   f"sweep.spacing must be linear or log, got {sweep_spacing[1]!r}"))
-            pts, pts_line = sweep_items["points"]
-            if pts is not None and (int(pts) != pts or pts < 1):
+            spacing, _ = take("sweep.spacing", False, ("linear", "log"),
+                              "sweep.spacing must be linear or log, got {!r}")
+            (start, start_line), (stop, _), (pts, pts_line) = sweep_items.values()
+            if int(pts) != pts or pts < 1:
                 errors.append((pts_line, "sweep.points must be a positive integer"))
-            start = sweep_items["start"][0]
-            stop = sweep_items["stop"][0]
-            if spacing == "log" and (start is None or stop is None or start * stop <= 0):
-                errors.append((sweep_items["start"][1],
-                               "log spacing requires start and stop of the same sign"))
-            param = sweep_param[1]
+            if spacing == "log" and start * stop <= 0:
+                errors.append((start_line, "log spacing requires start and stop of the same sign"))
+            param, param_line = sweep_param
             if kind is not None and param not in _KINDS[kind].sweepable:
-                errors.append((sweep_param[0],
+                errors.append((param_line,
                                f"sweep parameter {param!r} not valid for kind {kind}; "
                                f"expected one of {', '.join(_KINDS[kind].sweepable)}"))
             if not errors:
-                sweep = SweepBlock(param, float(start), float(stop), int(pts), spacing)
+                sweep = SweepBlock(param, float(start), float(stop), int(pts), spacing or "linear")
+    entries.pop("sweep.spacing", None)  # read only in a complete sweep block
 
-    mc_samples, ms_line = take_number("mc.samples")
+    mc_samples, ms_line = take("mc.samples")
     if mc_samples is not None and (int(mc_samples) != mc_samples or mc_samples < 1):
         errors.append((ms_line, "mc.samples must be a positive integer"))
-    mc_seed, sd_line = take_number("mc.seed")
+    mc_seed, sd_line = take("mc.seed")
     if mc_seed is not None and int(mc_seed) != mc_seed:
         errors.append((sd_line, "mc.seed must be an integer"))
-    p_max_dbm, _ = take_number("optimize.p_max_dbm")
+    p_max_dbm, _ = take("optimize.p_max_dbm")
 
-    for name, (lineno, _) in entries.items():
-        errors.append((lineno, f"unknown key {name}"))
-
+    errors += [(lineno, f"unknown key {name}") for name, (_, lineno) in entries.items()]
     if errors:
         raise ConfigError(sorted(errors))
 
