@@ -194,31 +194,22 @@ def parse_config(text: str) -> ScenarioConfig:
                     errors.append((geom_lines[leg], f"geom.{leg}={geometry[leg]:g} outside "
                                                     f"triangle bound [{lo:g}, {hi:g}]"))
 
-    sweep = None
-    sweep_items = {k: take(f"sweep.{k}") for k in ("start", "stop", "points")}
-    sweep_param = entries.pop("sweep.parameter", None)
-    if sweep_param is not None or any(v is not None for v, _ in sweep_items.values()):
-        missing = [f"sweep.{k}" for k, (v, _) in sweep_items.items() if v is None]
-        if sweep_param is None:
-            missing.append("sweep.parameter")
-        if missing:
-            errors.append((0, "incomplete sweep block, missing " + ", ".join(missing)))
-        else:
-            spacing, _ = take("sweep.spacing", False, ("linear", "log"),
-                              "sweep.spacing must be linear or log, got {!r}")
-            (start, start_line), (stop, _), (pts, pts_line) = sweep_items.values()
-            if int(pts) != pts or pts < 1:
-                errors.append((pts_line, "sweep.points must be a positive integer"))
-            if spacing == "log" and start * stop <= 0:
-                errors.append((start_line, "log spacing requires start and stop of the same sign"))
-            param, param_line = sweep_param
-            if kind is not None and param not in _KINDS[kind].sweepable:
-                errors.append((param_line,
-                               f"sweep parameter {param!r} not valid for kind {kind}; "
-                               f"expected one of {', '.join(_KINDS[kind].sweepable)}"))
-            if not errors:
-                sweep = SweepBlock(param, float(start), float(stop), int(pts), spacing or "linear")
-    entries.pop("sweep.spacing", None)  # read only in a complete sweep block
+    (start, start_line), (stop, _), (points, points_line) = (
+        take(f"sweep.{k}") for k in ("start", "stop", "points"))
+    param, param_line = entries.pop("sweep.parameter", (None, 0))
+    spacing, _ = take("sweep.spacing", False, ("linear", "log"),
+                      "sweep.spacing must be linear or log, got {!r}")
+    missing = [f"sweep.{k}" for k, v in (("start", start), ("stop", stop), ("points", points),
+                                         ("parameter", param)) if v is None]
+    if 0 < len(missing) < 4:  # a block is present where one of these four has a value
+        errors.append((0, "incomplete sweep block, missing " + ", ".join(missing)))
+    if points is not None and (int(points) != points or points < 1):
+        errors.append((points_line, "sweep.points must be a positive integer"))
+    if spacing == "log" and None not in (start, stop) and start * stop <= 0:
+        errors.append((start_line, "log spacing requires start and stop of the same sign"))
+    if None not in (kind, param) and param not in _KINDS[kind].sweepable:
+        errors.append((param_line, f"sweep parameter {param!r} not valid for kind {kind}; "
+                                   f"expected one of {', '.join(_KINDS[kind].sweepable)}"))
 
     mc_samples, ms_line = take("mc.samples")
     if mc_samples is not None and (int(mc_samples) != mc_samples or mc_samples < 1):
@@ -241,7 +232,8 @@ def parse_config(text: str) -> ScenarioConfig:
         power_dbm=power,
         protocol=protocol,
         i_th_dbm=None if i_th_dbm is None else float(i_th_dbm),
-        sweep=sweep,
+        sweep=None if missing else SweepBlock(param, float(start), float(stop), int(points),
+                                               spacing or "linear"),
         mc_samples=None if mc_samples is None else int(mc_samples),
         mc_seed=None if mc_seed is None else int(mc_seed),
         p_max_dbm=None if p_max_dbm is None else float(p_max_dbm),

@@ -471,9 +471,19 @@ _DIAGNOSTICS = {
     "two_on_one_line": (COGNITIVE_TEXT.replace("d_sp = 150", "d_sp = -5"),
                         ["line 7: geom.d_sp must be > 0",
                          "line 7: geom.d_sp=-5 outside triangle bound [0, 200]"]),
+    # every present sweep key is checked, in a complete block or not
     "incomplete_and_bad": (P2P_TEXT + "sweep.parameter = i_th_dbm\nsweep.points = 2.5\n"
                            "sweep.spacing = cubic\n",
-                           ["incomplete sweep block, missing sweep.start, sweep.stop"]),
+                           ["incomplete sweep block, missing sweep.start, sweep.stop",
+                            "line 7: sweep parameter 'i_th_dbm' not valid for kind p2p; "
+                            "expected one of p_t_dbm",
+                            "line 8: sweep.points must be a positive integer",
+                            "line 9: sweep.spacing must be linear or log, got 'cubic'"]),
+    "lone_spacing": (P2P_TEXT + "sweep.spacing = cubic\n",
+                     ["line 7: sweep.spacing must be linear or log, got 'cubic'"]),
+    "incomplete_log": (P2P_TEXT + "sweep.start = -10\nsweep.stop = 50\nsweep.spacing = log\n",
+                       ["incomplete sweep block, missing sweep.points, sweep.parameter",
+                        "line 7: log spacing requires start and stop of the same sign"]),
 }
 
 
