@@ -5,9 +5,11 @@ Grammar (one statement per line):
     # full-line comment
     section.key = value      # trailing comment
 
-Values are numbers or bare words; blank lines are ignored.  Parsing collects
-every diagnostic (unknown key, missing key, violated invariant) with its line
-number instead of stopping at the first.
+Values are finite numbers or bare words; blank lines are ignored.  Every key
+is read by one reader, and each key that is present is checked, sweep keys
+included whether their block is complete or not, so parsing collects every
+diagnostic (unknown key, missing key, violated invariant) with its line number
+instead of stopping at the first.
 
 The built-in presets carry the figure parameter sets used throughout the test
 suite and are exposed by name (fig1, fig3, fig4, fig6, fig7a, fig7b).
@@ -148,8 +150,9 @@ def parse_config(text: str) -> ScenarioConfig:
                 errors.append((0, f"missing required key {name}"))
             return None, 0
         if words:
-            if value.lower() in words:
-                return value.lower(), lineno
+            word = value.lower()
+            if word in words:
+                return word, lineno
             errors.append((lineno, bad.format(value)))
             return None, lineno
         try:
@@ -194,8 +197,8 @@ def parse_config(text: str) -> ScenarioConfig:
                     errors.append((geom_lines[leg], f"geom.{leg}={geometry[leg]:g} outside "
                                                     f"triangle bound [{lo:g}, {hi:g}]"))
 
-    (start, start_line), (stop, _), (points, points_line) = (
-        take(f"sweep.{k}") for k in ("start", "stop", "points"))
+    (start, start_line), (stop, _), (points, points_line) = [
+        take(f"sweep.{k}") for k in ("start", "stop", "points")]
     param, param_line = entries.pop("sweep.parameter", (None, 0))
     spacing, _ = take("sweep.spacing", False, ("linear", "log"),
                       "sweep.spacing must be linear or log, got {!r}")

@@ -29,8 +29,17 @@ __all__ = [
 _TINY = sys.float_info.min  # the smallest normal float
 
 def dbm_to_watts(p_dbm: float) -> float:
-    """dBm to watts: P_W = 10^((P_dBm - 30) / 10)."""
-    return 10.0 ** ((p_dbm - 30.0) / 10.0)
+    """dBm to watts: P_W = 10^((P_dBm - 30) / 10).  Raises ArithmeticError,
+    naming the dBm value, where the watts overflow the float range (above
+    about 3112.5 dBm) or underflow to 0 W; a subnormal wattage is kept."""
+    try:
+        watts = 10.0 ** ((p_dbm - 30.0) / 10.0)
+    except OverflowError:
+        watts = math.inf
+    if watts == 0.0 or watts == math.inf:
+        side = "overflows the float range" if watts else "underflows to 0 W"
+        raise ArithmeticError(f"{p_dbm:g} dBm in watts {side}")
+    return watts
 
 
 def watts_to_dbm(p_watts: float) -> float:

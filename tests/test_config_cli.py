@@ -876,6 +876,26 @@ class TestCliCommands:
         assert self.run("eval", "--config", str(cfg)) == 1
         assert f"line 4: env.noise_dbm: {bad!r} is not a finite number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["power.p_t_dbm", "env.noise_dbm", "env.p_min_dbm",
+                                     "threshold.i_th_dbm"])
+    @pytest.mark.parametrize("value,side", [("4000", "overflows the float range"),
+                                            ("-4000", "underflows to 0 W")])
+    def test_dbm_out_of_the_float_range_is_named(self, tmp_path, capsys, key, value, side):
+        text = COGNITIVE_TEXT if key == "threshold.i_th_dbm" else P2P_TEXT
+        cfg = tmp_path / "dbm.cfg"
+        cfg.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M))
+        assert self.run("eval", "--config", str(cfg)) == 3
+        assert capsys.readouterr().err == (f"gase: numerical failure: {value} dBm in watts "
+                                           f"{side}\n")
+
+    def test_swept_dbm_out_of_the_float_range_is_named(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(P2P_TEXT + SWEEP_TEXT.replace("start = -10", "start = 3000")
+                       .replace("stop = 50", "stop = 4000").replace("= 61", "= 3"))
+        assert self.run("sweep", "--config", str(cfg)) == 3
+        assert capsys.readouterr().err == ("gase: numerical failure: 3500 dBm in watts "
+                                           "overflows the float range\n")
+
     def test_division_by_zero_is_numeric_exit_code(self, tmp_path):
         # the footprint that underflows to 0 m^2 is raised as ZeroDivisionError
         cfg = tmp_path / "underflow.cfg"
@@ -1752,6 +1772,52 @@ class TestCliRobustness:
     @given(two_transmitter_configs())
     def test_verify_two_transmitters_ends_in_an_exit_code(self, tmp_path, text):
         assert _exit_code(tmp_path, "verify", text, "--samples", "2000") in (0, 1, 2, 3)
+
+
+_BAD_VALUES = ("x", "nan", "-1", "0", "1.5", "1e400", "")
+_STRAY_KEYS = ("bogus.key", "geom.theta", "geom.d_sd", "power.p_t_dbm", "protocol.relay",
+               "threshold.i_th_dbm", "sweep.parameter", "sweep.spacing", "sweep.points",
+               "mc.samples", "mc.seed", "optimize.p_max_dbm")
+
+
+@st.composite
+def malformed_preset_texts(draw):
+    """A preset's text after one to three mutations: a line dropped or
+    duplicated, a value set to a bad one, or a stray key appended."""
+    lines = config._PRESETS[draw(st.sampled_from(config.preset_names()))].splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        mutation = draw(st.sampled_from(("drop", "duplicate", "value", "stray")))
+        if mutation == "drop":
+            del lines[i]
+        elif mutation == "duplicate":
+            lines.insert(i, lines[i])
+        elif mutation == "value":
+            lines[i] = f"{lines[i].split(' = ')[0]} = {draw(st.sampled_from(_BAD_VALUES))}"
+        else:
+            value = draw(st.sampled_from(_BAD_VALUES + ("1", "log", "df", "p_t_dbm")))
+            lines.append(f"{draw(st.sampled_from(_STRAY_KEYS))} = {value}")
+    return "\n".join(lines) + "\n"
+
+
+class TestMalformedConfigs:
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(malformed_preset_texts())
+    def test_a_config_or_its_sorted_diagnostics(self, tmp_path, text):
+        # parse_config raises nothing but ConfigError; eval exits 1 exactly there
+        try:
+            cfg = parse_config(text)
+            assert isinstance(cfg, config.ScenarioConfig)
+        except ConfigError as exc:
+            cfg = None
+            assert exc.diagnostics and exc.diagnostics == sorted(exc.diagnostics)
+            assert all(0 <= line <= len(text.splitlines()) for line, _ in exc.diagnostics)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = _exit_code(tmp_path, "eval", text)
+        assert code in ((1,) if cfg is None else (0, 3))
+        assert "Traceback" not in err.getvalue()
 
 
 def _sweep_columns(text, protocol=None):

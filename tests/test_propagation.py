@@ -26,6 +26,21 @@ class TestUnits:
         for w in (1e-13, 1e-3, 0.38, 25.0):
             assert dbm_to_watts(watts_to_dbm(w)) == pytest.approx(w, rel=1e-12)
 
+    @pytest.mark.parametrize("p_dbm,watts", [(3112.0, 1.584893192461072e308),
+                                             (-3200.0, 1e-323), (-3206.0, 5e-324)])
+    def test_float_range_ends_keep_their_value(self, p_dbm, watts):
+        assert dbm_to_watts(p_dbm) == watts
+
+    @pytest.mark.parametrize("p_dbm,side", [(3113.0, "overflows the float range"),
+                                            (4000.0, "overflows the float range"),
+                                            (math.inf, "overflows the float range"),
+                                            (-3206.5, "underflows to 0 W"),
+                                            (-4000.0, "underflows to 0 W")])
+    def test_watts_out_of_the_float_range_are_named(self, p_dbm, side):
+        with pytest.raises(ArithmeticError) as err:
+            dbm_to_watts(p_dbm)
+        assert str(err.value) == f"{p_dbm:g} dBm in watts {side}"
+
     def test_domain(self):
         with pytest.raises(ValueError):
             watts_to_dbm(0.0)
