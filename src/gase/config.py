@@ -161,7 +161,7 @@ def parse_config(text: str) -> ScenarioConfig:
             errors.append((lineno, f"{name}: {value!r} is not a finite number"))
             return None, lineno
 
-    kind, _ = take("scenario.kind", True, KINDS, "unknown scenario kind {!r}")
+    kind, _ = take("scenario.kind", True, words=KINDS, bad="unknown scenario kind {!r}")
     a, a_line = take("env.path_loss_exponent", True)
     if a is not None and a <= 0:
         errors.append((a_line, "env.path_loss_exponent must be > 0"))
@@ -185,8 +185,8 @@ def parse_config(text: str) -> ScenarioConfig:
             if val is not None:
                 power[key] = float(val)
         if kind in ("dualhop", "coop"):
-            protocol, _ = take("protocol.relay", True, ("df", "af"),
-                               "protocol.relay must be df or af, got {!r}")
+            protocol, _ = take("protocol.relay", True, words=("df", "af"),
+                               bad="protocol.relay must be df or af, got {!r}")
         if kind == "cognitive":
             i_th_dbm, _ = take("threshold.i_th_dbm", True)
         # cognitive geometry must be realisable: each cross link within its triangle
@@ -199,9 +199,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     (start, start_line), (stop, _), (points, points_line) = [
         take(f"sweep.{k}") for k in ("start", "stop", "points")]
-    param, param_line = entries.pop("sweep.parameter", (None, 0))
-    spacing, _ = take("sweep.spacing", False, ("linear", "log"),
-                      "sweep.spacing must be linear or log, got {!r}")
+    param, param_line = entries.pop("sweep.parameter", (None, 0))  # as written: case counts
+    spacing, _ = take("sweep.spacing", words=("linear", "log"),
+                      bad="sweep.spacing must be linear or log, got {!r}")
     missing = [f"sweep.{k}" for k, v in (("start", start), ("stop", stop), ("points", points),
                                          ("parameter", param)) if v is None]
     if 0 < len(missing) < 4:  # a block is present where one of these four has a value
