@@ -5,11 +5,10 @@ Grammar (one statement per line):
     # full-line comment
     section.key = value      # trailing comment
 
-Values are finite numbers or bare words; blank lines are ignored.  Every key
-is read by one reader, and each key that is present is checked, sweep keys
-included whether their block is complete or not, so parsing collects every
-diagnostic (unknown key, missing key, violated invariant) with its line number
-instead of stopping at the first.
+Values are finite numbers or bare words; blank lines are ignored.  Each key
+that is present is checked, the sweep keys whether their block is complete or
+not, so parsing collects every diagnostic (unknown key, missing key, violated
+invariant) with its line number instead of stopping at the first.
 
 The built-in presets carry the figure parameter sets used throughout the test
 suite and are exposed by name (fig1, fig3, fig4, fig6, fig7a, fig7b).
