@@ -7,7 +7,7 @@ exists) for point-to-point links, dual-hop DF/AF relays, three-node
 cooperative relays, and underlay cognitive-radio pairs, optimises transmit
 power against it, and cross-checks every formula with seeded Monte Carlo
 oracles.  The ``gase`` CLI exposes evaluation, parameter sweeps, optimisation,
-and verification as CSV-emitting subcommands.
+and verification as CSV-emitting commands.
 
 ``import gase`` loads no submodule.  Each package-level name in _EXPORTS, and
 each submodule, is imported on first use by the module ``__getattr__``

@@ -24,8 +24,9 @@ a command loads only the scenario modules of its kind, and mc_oracle only
 for ``verify``.
 
 ``main(argv)`` may be called repeatedly and concurrently in one process: the
-argument parser is built on the first call and shared by every later one
-(parsing does not change it, and a usage error raises instead of exiting).
+one argument parser, whose positional is the command (so the options may come
+before or after it), is built on the first call and shared by every later
+one (parsing does not change it, and a usage error raises instead of exiting).
 
 Exit codes: 0 success, 1 usage/config error (including a config or output
 path that cannot be read or written), 2 verification failure,
@@ -227,15 +228,15 @@ def _load_cfg(args) -> ScenarioConfig:
     else:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = parse_config(fh.read())
-    if getattr(args, "kind", None):
+    if args.kind:
         cfg = derive_kind(cfg, args.kind)
-    if getattr(args, "protocol", None):
+    if args.protocol:
         if cfg.kind not in ("dualhop", "coop"):
             raise _UsageError(f"--protocol does not apply to kind {cfg.kind}")
         cfg = replace(cfg, protocol=args.protocol)
-    if getattr(args, "samples", None):
+    if args.samples:
         cfg = replace(cfg, mc_samples=args.samples)
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         cfg = replace(cfg, mc_seed=args.seed)
     return cfg
 
@@ -254,25 +255,21 @@ def _positive_int(text: str) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gase",
                      description="Generalized area spectral efficiency calculator")
-    sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a scenario config file")
-    common.add_argument("--preset", choices=preset_names(),
-                        help="built-in figure preset")
-    common.add_argument("--out", help="output CSV path (default: stdout)")
-    common.add_argument("--seed", type=int, help="Monte Carlo seed override")
-    common.add_argument("--samples", type=_positive_int,
+    parser.add_argument("command", choices=("eval", "sweep", "optimize", "verify"),
+                        help="eval: evaluate the configured operating point; sweep: sweep "
+                             "the configured parameter, write CSV; optimize: maximise GASE "
+                             "over transmit power; verify: closed forms vs Monte Carlo oracles")
+    parser.add_argument("--config", help="path to a scenario config file")
+    parser.add_argument("--preset", choices=preset_names(), help="built-in figure preset")
+    parser.add_argument("--out", help="output CSV path (default: stdout)")
+    parser.add_argument("--seed", type=int, help="Monte Carlo seed override")
+    parser.add_argument("--samples", type=_positive_int,
                         help="Monte Carlo sample count override")
-    common.add_argument("--kind", choices=KINDS,
+    parser.add_argument("--kind", choices=KINDS,
                         help="re-target the config at another scenario kind")
-    common.add_argument("--protocol", choices=("df", "af"), help="relay protocol override")
-    common.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--protocol", choices=("df", "af"), help="relay protocol override")
+    parser.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; evaluation is sequential")
-    for name, descr in (("eval", "evaluate the configured operating point"),
-                        ("sweep", "sweep the configured parameter, write CSV"),
-                        ("optimize", "maximise GASE over transmit power"),
-                        ("verify", "closed forms vs Monte Carlo oracles")):
-        sub.add_parser(name, parents=[common], help=descr)
     return parser
 
 

@@ -175,14 +175,11 @@ class CognitiveScenario:
                 raise ValueError(f"{name} must be > 0")
         if self.i_th_w <= 0:
             raise ValueError("i_th_w must be > 0")
-        if not (abs(self.d0 - self.d_p) <= self.d_sp <= self.d0 + self.d_p):
-            raise ValueError(
-                f"d_sp={self.d_sp:g} violates the triangle bound "
-                f"|d0 - d_p| <= d_sp <= d0 + d_p with d0={self.d0:g}, d_p={self.d_p:g}")
-        if not (abs(self.d0 - self.d_s) <= self.d_ps <= self.d0 + self.d_s):
-            raise ValueError(
-                f"d_ps={self.d_ps:g} violates the triangle bound "
-                f"|d0 - d_s| <= d_ps <= d0 + d_s with d0={self.d0:g}, d_s={self.d_s:g}")
+        for leg, d in (("d_sp", "d_p"), ("d_ps", "d_s")):
+            x, y = getattr(self, leg), getattr(self, d)
+            if not (abs(self.d0 - y) <= x <= self.d0 + y):
+                raise ValueError(f"{leg}={x:g} violates the triangle bound |d0 - {d}| <= "
+                                 f"{leg} <= d0 + {d} with d0={self.d0:g}, {d}={y:g}")
 
     @property
     def rho_p(self) -> float:
@@ -439,25 +436,22 @@ def _row(p, c_p, c_s, free, area_par, p2p) -> Dict[str, float]:
 
 
 def gase_cognitive_batch(scenarios: Sequence[CognitiveScenario]) -> List[Dict[str, float]]:
-    """gase_cognitive of each scenario, bit for bit.  The parallel area, the
-    unconstrained primary integral with the secondary capacity, and the
-    silent branch, which do not read i_th, are computed again only where the
-    inputs each reads differ from the predecessor's.  The primary capacities
-    of the tight points are their means, taken after the closed forms of
-    every point in one _tight_means."""
-    parts, tight, area_key, free_key, p2p_key = [], [], None, None, None
+    """gase_cognitive of each scenario, bit for bit.  The unconstrained
+    primary integral, the secondary capacity and the parallel area, which do
+    not read i_th, are computed again only where another input differs from
+    the predecessor's; the silent branch only where p1, d_p or env do (once
+    on a p2 sweep).  The tight points' primary capacities are their means,
+    taken after every point's closed forms in one _tight_means."""
+    parts, tight, free_key, p2p_key = [], [], None, None
     for s in scenarios:
         p = prob_parallel(s)
-        key = (s.env, s.p1, s.p2, s.d_p, s.d_s, s.d_sp, s.d_ps)
+        key = (s.env, s.p1, s.p2, s.d_p, s.d_s, s.d_sp, s.d_ps, s.d0)
         fresh = key != free_key
         if fresh:
             free_key, free = key, _interference_integral(s.rho_p, s.n1)
         c_p = _primary_capacity(s, p, free)
         if fresh:  # after the joint term, so that a point that fails raises what a lone one does
-            c_s = secondary_capacity_parallel(s)
-        key = (s.env, s.p1, s.p2, s.d0)
-        if key != area_key:
-            area_key, area_par = key, affected_area_parallel(s)
+            c_s, area_par = secondary_capacity_parallel(s), affected_area_parallel(s)
         key = (s.env, s.p1, s.d_p)
         if key != p2p_key:
             p2p_key, p2p = key, gase_p2p(P2pScenario(s.env, s.p1, s.d_p))

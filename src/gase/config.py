@@ -198,7 +198,7 @@ def parse_config(text: str) -> ScenarioConfig:
 
     (start, start_line), (stop, _), (points, points_line) = [
         take(f"sweep.{k}") for k in ("start", "stop", "points")]
-    param, param_line = entries.pop("sweep.parameter", (None, 0))  # as written: case counts
+    param, param_line = entries.pop("sweep.parameter", (None, 0))  # echoed as written if bad
     spacing, _ = take("sweep.spacing", words=("linear", "log"),
                       bad="sweep.spacing must be linear or log, got {!r}")
     missing = [f"sweep.{k}" for k, v in (("start", start), ("stop", stop), ("points", points),
@@ -209,7 +209,7 @@ def parse_config(text: str) -> ScenarioConfig:
         errors.append((points_line, "sweep.points must be a positive integer"))
     if spacing == "log" and None not in (start, stop) and start * stop <= 0:
         errors.append((start_line, "log spacing requires start and stop of the same sign"))
-    if None not in (kind, param) and param not in _KINDS[kind].sweepable:
+    if None not in (kind, param) and param.lower() not in _KINDS[kind].sweepable:
         errors.append((param_line, f"sweep parameter {param!r} not valid for kind {kind}; "
                                    f"expected one of {', '.join(_KINDS[kind].sweepable)}"))
 
@@ -234,8 +234,8 @@ def parse_config(text: str) -> ScenarioConfig:
         power_dbm=power,
         protocol=protocol,
         i_th_dbm=None if i_th_dbm is None else float(i_th_dbm),
-        sweep=None if missing else SweepBlock(param, float(start), float(stop), int(points),
-                                               spacing or "linear"),
+        sweep=None if missing else SweepBlock(param.lower(), float(start), float(stop),
+                                               int(points), spacing or "linear"),
         mc_samples=None if mc_samples is None else int(mc_samples),
         mc_seed=None if mc_seed is None else int(mc_seed),
         p_max_dbm=None if p_max_dbm is None else float(p_max_dbm),

@@ -149,11 +149,11 @@ def _split(scenarios: Sequence[CoopScenario], protocol: RelayProtocol) -> _Split
     if protocol is RelayProtocol.DF:
         sel, tail = np.array([special_integral_D(*c[1:3]) for c in coeffs]), 1.0 / a1
         cdf, pdf = (lambda g, rows: -np.expm1(-a1[rows] * g),
-                    lambda g, rows: df_snr_pdf(a1[rows])(g))
+                    lambda g, rows: df_snr_pdf(g, a1[rows]))
     else:
         sel, tail = np.array(_af_selection_integrals(coeffs)), 1.0 / (a1 + 2.0 * b1)
-        cdf, pdf = (lambda g, rows: af_snr_cdf(a1[rows], b1[rows])(g),
-                    lambda g, rows: af_snr_pdf(a1[rows], b1[rows])(g))
+        cdf, pdf = (lambda g, rows: af_snr_cdf(g, a1[rows], b1[rows]),
+                    lambda g, rows: af_snr_pdf(g, a1[rows], b1[rows]))
     # R = int_0^inf exp(-t/gbar_SD) F_eq(t^2 + 2t) dt, as its own integral:
     # gbar_SD - S loses every digit where the relay path almost always wins
     rest = integrate_semi_infinite_batch(

@@ -69,13 +69,8 @@ class PowerLevel:
 
 
 def watts_of(p) -> float:
-    """Accept a PowerLevel (checked when it was made) or a plain positive wattage."""
-    if isinstance(p, PowerLevel):
-        return p.watts
-    w = float(p)
-    if not (w > 0 and math.isfinite(w)):
-        raise ValueError("power must be positive and finite")
-    return w
+    """The watts of a PowerLevel, or of a plain wattage checked as one."""
+    return (p if isinstance(p, PowerLevel) else PowerLevel(float(p))).watts
 
 
 @dataclass(frozen=True)

@@ -94,35 +94,30 @@ def _rates(s: DualHopScenario):
     return a1, b1
 
 
-# Density factories over (a1, b1), shared with the three-node cooperative module.
+# Densities of the equivalent SNR g given (a1, b1), shared with the three-node
+# cooperative module, which passes per-scenario arrays of a1 and b1.
 
-def df_snr_pdf(a1: float):
+def df_snr_pdf(g, a1):
     """Exponential density of min of the two hop SNRs."""
-    def pdf(g):
-        return a1 * np.exp(-a1 * np.asarray(g, dtype=float))
-    return pdf
+    return a1 * np.exp(-a1 * np.asarray(g, dtype=float))
 
 
-def af_snr_pdf(a1: float, b1: float):
+def af_snr_pdf(g, a1, b1):
     """Harmonic-mean equivalent-SNR density (normalises to 1 analytically)."""
-    def pdf(g):
-        g = np.asarray(g, dtype=float)
-        z = 2.0 * b1 * g
-        k0, k1 = bessel_k01(z)
-        return z * np.exp(-a1 * g) * (a1 * k1 + 2.0 * b1 * k0)
-    return pdf
+    g = np.asarray(g, dtype=float)
+    z = 2.0 * b1 * g
+    k0, k1 = bessel_k01(z)
+    return z * np.exp(-a1 * g) * (a1 * k1 + 2.0 * b1 * k0)
 
 
-def af_snr_cdf(a1: float, b1: float):
+def af_snr_cdf(g, a1, b1):
     """cdf matching af_snr_pdf: F(g) = 1 - 2*b1*g*exp(-a1*g)*K1(2*b1*g),
     summed as (1 - exp(-a1*g)) + exp(-a1*g) (1 - z K1(z)), z = 2*b1*g, so
     that it keeps its digits at small g, where both terms are small.  z is
     capped at 1e300, short of overflow: 1 - z K1(z) is 1 from z = 750 on."""
-    def cdf(g):
-        g = np.asarray(g, dtype=float)
-        z = np.minimum(2.0 * b1 * g, 1e300)
-        return -np.expm1(-a1 * g) + np.exp(-a1 * g) * one_minus_xk1(z)
-    return cdf
+    g = np.asarray(g, dtype=float)
+    z = np.minimum(2.0 * b1 * g, 1e300)
+    return -np.expm1(-a1 * g) + np.exp(-a1 * g) * one_minus_xk1(z)
 
 
 def ergodic_capacity_df(s: DualHopScenario) -> float:
@@ -138,7 +133,7 @@ def _af_capacities(scenarios: Sequence[DualHopScenario]) -> List[float]:
 
     def integrand(g, rows):
         # log1p keeps the digits that log2(1 + g) loses at small g (it is 0 below 1.1e-16)
-        return np.log1p(g) / (2.0 * LN2) * af_snr_pdf(a1[rows], b1[rows])(g)
+        return np.log1p(g) / (2.0 * LN2) * af_snr_pdf(g, a1[rows], b1[rows])
 
     # integrand tail decays like exp(-(a1 + 2 b1) g)
     results = integrate_semi_infinite_batch(integrand, 1.0 / (a1 + 2.0 * b1), _CAP_SPEC)

@@ -196,7 +196,7 @@ def test_criterion_5_dualhop_af():
         s = dualhop_with_snrs(gsr, grd)
         a1 = 1.0 / gsr + 1.0 / grd
         b1 = 1.0 / math.sqrt(gsr * grd)
-        norm = integrate_semi_infinite(af_snr_pdf(a1, b1),
+        norm = integrate_semi_infinite(lambda g: af_snr_pdf(g, a1, b1),
                                        QuadratureSpec(1e-9, 1e-14),
                                        scale=1.0 / (a1 + 2.0 * b1)).value
         ok &= abs(norm - 1.0) <= 1e-6

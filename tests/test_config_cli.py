@@ -462,6 +462,10 @@ _DIAGNOSTICS = {
     "sweep_parameter": (P2P_TEXT + SWEEP_TEXT.replace("= p_t_dbm", "= p_s_dbm"),
                         ["line 7: sweep parameter 'p_s_dbm' not valid for kind p2p; "
                          "expected one of p_t_dbm"]),
+    # read without regard to case, but echoed as written
+    "sweep_parameter_as_written": (P2P_TEXT + SWEEP_TEXT.replace("= p_t_dbm", "= P_S_dbm"),
+                                   ["line 7: sweep parameter 'P_S_dbm' not valid for kind p2p; "
+                                    "expected one of p_t_dbm"]),
     "mc": (P2P_TEXT + "mc.samples = 0\nmc.seed = 1.5\nbogus.key = 1\n",
            ["line 7: mc.samples must be a positive integer", "line 8: mc.seed must be an integer",
             "line 9: unknown key bogus.key"]),
@@ -645,6 +649,39 @@ class TestCliCommands:
     def test_eval_golden_fig1(self, tmp_path, capsys):
         assert self.run("eval", "--preset", "fig1") == 0
         assert capsys.readouterr().out == GOLDEN_FIG1_EVAL
+
+    @pytest.mark.parametrize("argv,message", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'eval', 'sweep', "
+                    "'optimize', 'verify')"),
+        (["eval", "--preset", "nosuch"], "argument --preset: invalid choice: 'nosuch' (choose "
+                                         "from 'fig1', 'fig3', 'fig4', 'fig6', 'fig7a', 'fig7b')"),
+        (["eval", "--preset", "fig1", "--bogus"], "unrecognized arguments: --bogus"),
+        (["verify", "--preset", "fig1", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+        (["verify", "--preset", "fig1", "--samples", "0"],
+         "argument --samples: '0' is not a positive integer"),
+        (["eval", "--preset", "fig1", "extra"], "unrecognized arguments: extra")],
+        ids=["no-arguments", "bogus-command", "bogus-preset", "unknown-option", "bad-seed",
+             "zero-samples", "stray-positional"])
+    def test_usage_error_exactly(self, capsys, argv, message):
+        assert self.run(*argv) == 1
+        assert capsys.readouterr() == ("", f"gase: error: {message}\n")
+
+    @pytest.mark.parametrize("before,after", [
+        (["--preset", "fig1", "eval"], ["eval", "--preset", "fig1"]),
+        (["--preset", "fig3", "sweep", "--protocol", "af"],
+         ["sweep", "--preset", "fig3", "--protocol", "af"])], ids=["eval", "sweep"])
+    def test_options_may_come_before_the_command(self, capsys, before, after):
+        assert self.run(*after) == 0
+        expected = capsys.readouterr()
+        assert self.run(*before) == 0
+        assert capsys.readouterr() == expected
+
+    def test_sweep_parameter_in_any_case(self, tmp_path):
+        block = "sweep.start = -10\nsweep.stop = 50\nsweep.points = 61\n"
+        lower = _run_cli(tmp_path, P2P_TEXT + "sweep.parameter = p_t_dbm\n" + block, "sweep")
+        upper = _run_cli(tmp_path, P2P_TEXT + "sweep.parameter = P_T_DBM\n" + block, "sweep")
+        assert lower[0] == 0 and upper == lower
 
     def test_eval_golden_fig6(self, capsys):
         assert self.run("eval", "--preset", "fig6") == 0
@@ -1248,8 +1285,8 @@ class TestParserReuse:
         cli._build_parser.cache_clear()
         assert self.call(["eval", "--preset", "fig1"], capsys)[0] == 0
         built = len(inits)
-        # the top-level parser, the shared options and the four subcommands
-        assert built == 6
+        # one parser: the command is a positional of it
+        assert built == 1
         for argv in (["eval", "--preset", "fig3", "--protocol", "af"], ["eval"],
                      ["sweep", "--preset", "fig1"], ["optimize", "--preset", "fig1"]):
             self.call(argv, capsys)

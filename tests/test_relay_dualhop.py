@@ -125,8 +125,7 @@ def af_log_gase(env, d_sr, d_rd, ls, lr):
     x_s = d_sr ** a * env.noise_w / math.exp(ls)
     x_r = d_rd ** a * env.noise_w / math.exp(lr)
     a1, b1 = x_s + x_r, math.sqrt(x_s * x_r)
-    pdf = af_snr_pdf(a1, b1)
-    capacity = integrate_semi_infinite(lambda g: np.log1p(g) * pdf(g), _TIGHT,
+    capacity = integrate_semi_infinite(lambda g: np.log1p(g) * af_snr_pdf(g, a1, b1), _TIGHT,
                                        scale=1.0 / (a1 + 2.0 * b1)).value
     inv_area = (1.0 / affected_area_single(env, PowerLevel(math.exp(ls)))
                 + 1.0 / affected_area_single(env, PowerLevel(math.exp(lr))))
@@ -142,13 +141,14 @@ def hop_rates(s):
 class TestDfDensity:
     def test_symmetric_rate(self):
         s = hop_scenario(10.0, 10.0)
-        pdf = df_snr_pdf(hop_rates(s)[0])
+        a1 = hop_rates(s)[0]
         for g in (0.1, 1.0, 5.0):
-            assert pdf(g) == pytest.approx(0.2 * math.exp(-0.2 * g), rel=1e-12)
+            assert df_snr_pdf(g, a1) == pytest.approx(0.2 * math.exp(-0.2 * g), rel=1e-12)
 
     def test_normalisation(self):
-        pdf = df_snr_pdf(hop_rates(hop_scenario(4.0, 9.0))[0])
-        total = integrate_semi_infinite(pdf, QuadratureSpec(1e-12, 1e-15), scale=1.0).value
+        a1 = hop_rates(hop_scenario(4.0, 9.0))[0]
+        total = integrate_semi_infinite(lambda g: df_snr_pdf(g, a1), QuadratureSpec(1e-12, 1e-15),
+                                        scale=1.0).value
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_ccdf_against_min_simulation(self):
@@ -185,16 +185,16 @@ class TestDfCapacity:
 class TestAfDensity:
     def test_normalisation(self):
         s = hop_scenario(10.0, 10.0)
-        pdf = af_snr_pdf(*hop_rates(s))
-        total = integrate_semi_infinite(pdf, QuadratureSpec(1e-9, 1e-14), scale=2.5).value
+        rates = hop_rates(s)
+        total = integrate_semi_infinite(lambda g: af_snr_pdf(g, *rates),
+                                        QuadratureSpec(1e-9, 1e-14), scale=2.5).value
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_small_argument_finite(self):
         # z K1(z) -> 1 keeps the density finite as gamma -> 0+
         s = hop_scenario(10.0, 10.0)
-        pdf = af_snr_pdf(*hop_rates(s))
         a1 = 1.0 / s.mean_snr_sr + 1.0 / s.mean_snr_rd
-        assert pdf(1e-10) == pytest.approx(a1, rel=1e-6)
+        assert af_snr_pdf(1e-10, *hop_rates(s)) == pytest.approx(a1, rel=1e-6)
 
     def test_cdf_at_simulated_median(self):
         s = hop_scenario(10.0, 10.0)
@@ -204,7 +204,7 @@ class TestAfDensity:
         z = exponential_from_uniform(u)
         harm = 10 * z[:, 0] * 10 * z[:, 1] / (10 * z[:, 0] + 10 * z[:, 1])
         median = float(np.median(harm))
-        assert af_snr_cdf(a1, b1)(median) == pytest.approx(0.5, abs=0.01)
+        assert af_snr_cdf(median, a1, b1) == pytest.approx(0.5, abs=0.01)
 
 
     @pytest.mark.parametrize("g", [1e-40, 1e-20, 1e-8, 1e-2, 1.0, 30.0])
@@ -215,7 +215,7 @@ class TestAfDensity:
         with mpmath.workdps(120):
             x, z = mpmath.mpf(g), 2 * mpmath.mpf(b1) * mpmath.mpf(g)
             ref = float(1 - z * mpmath.exp(-mpmath.mpf(a1) * x) * mpmath.besselk(1, z))
-        assert af_snr_cdf(a1, b1)(g) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert af_snr_cdf(g, a1, b1) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 class TestAfCapacity:
@@ -254,8 +254,7 @@ class TestAfCapacity:
                                 PowerLevel.from_dbm(float(p_r)), 0.11, 3.5)
             a1 = 1.0 / s.mean_snr_sr + 1.0 / s.mean_snr_rd
             b1 = 1.0 / math.sqrt(s.mean_snr_sr * s.mean_snr_rd)
-            pdf = af_snr_pdf(a1, b1)
-            ref = integrate_semi_infinite(lambda g: np.log1p(g) * pdf(g),
+            ref = integrate_semi_infinite(lambda g: np.log1p(g) * af_snr_pdf(g, a1, b1),
                                           QuadratureSpec(rel_tol=1e-12, abs_tol=0.0),
                                           scale=1.0 / (a1 + 2.0 * b1)).value / (2.0 * LN2)
             assert ergodic_capacity_af(s) == pytest.approx(ref, rel=1e-7)
